@@ -9,11 +9,16 @@ Every op is gated for correctness (gate.py); a failed op counts in
 ``failed``.  The program's caches are never cleared: each op is a fresh
 process, so its caches start cold, as a user's do.
 
---trace 0 prints the end-to-end metrics.  --trace 1 plays one round of the
-workload's deck, each op once untraced and once under traced_main.py
-(alternating which goes first), and prints the per-layer metrics plus the
-tracing overhead.  The last stdout line is the JSON result; the line before
-it records the run's context (seed, nproc, Python, commit, tail percentile).
+--trace 0 prints the end-to-end metrics.  Between ops the run times a fixed
+reference computation (reference.py) that never changes, and scales every
+timing to the host speed at which that reference takes REFERENCE_NOMINAL_S:
+the host this runs on is shared, and its speed drifts by up to 1.7x over
+seconds to minutes.  --trace 1 plays one round of the workload's deck, each
+op once untraced and once under traced_main.py (alternating which goes
+first), and prints the per-layer metrics plus the tracing overhead, as
+measured.  The last stdout line is the JSON result; the line before it
+records the run's context (seed, nproc, Python, commit, tail percentile,
+host speed and the end-to-end figures as measured).
 """
 
 from __future__ import annotations
@@ -36,8 +41,12 @@ import workloads
 
 HERE = Path(__file__).resolve().parent
 SETUP_CODE = "import truncpoisson.cli as c; c.build_parser()"
+# Time of reference.py on the host the timings are scaled to (a quiet
+# 2-core VM, Python 3.11).
+REFERENCE_NOMINAL_S = 0.125
 OP_TIMEOUT_S = 60.0
 TAIL_BEYOND = 10
+SETUP_EVERY = 3
 
 E2E_UNITS = {
     "latency_p50_s": "s",
@@ -110,6 +119,13 @@ class Bench:
             raise SystemExit(f"perfbench: setup failed: {r.stderr.decode(errors='replace')}")
         return r.wall_s
 
+    def reference_once(self) -> float:
+        """Time of the fixed reference work, which gauges the host's speed."""
+        r = self.run([sys.executable, "-I", str(HERE / "reference.py")])
+        if r.returncode != 0:
+            raise SystemExit(f"perfbench: reference failed: {r.stderr.decode(errors='replace')}")
+        return r.wall_s
+
 
 def tail(latencies: list[float]) -> tuple[float, float]:
     """(value, percentile) of the highest percentile with >= TAIL_BEYOND samples beyond it.
@@ -145,58 +161,96 @@ def context(workload: str, seed: int, root: Path) -> dict:
     }
 
 
+def deck_times(samples: list[tuple[workloads.Op, float, bool]]) -> dict[workloads.Op, tuple[float, bool]]:
+    """Per op: (mean wall time of its runs, whether every run of it passed)."""
+    runs: dict[workloads.Op, list[float]] = {}
+    passed: dict[workloads.Op, bool] = {}
+    for op, wall_s, ok in samples:
+        runs.setdefault(op, []).append(wall_s)
+        passed[op] = passed.get(op, True) and ok
+    return {op: (statistics.fmean(walls), passed[op]) for op, walls in runs.items()}
+
+
+def at_nominal_speed(measured: dict[str, float], speed: float) -> dict[str, float]:
+    """Scale timings to a host on which reference.py takes REFERENCE_NOMINAL_S.
+
+    speed is REFERENCE_NOMINAL_S over the run's mean reference time, so it
+    is below 1 while the host runs slow: times are multiplied by it, rates
+    divided.  Memory is left as measured.
+    """
+    out = dict(measured)
+    for name in ("latency_p50_s", "latency_tail_s", "setup_s"):
+        out[name] = measured[name] * speed
+    for name in ("instances_per_s", "ab_per_s"):
+        out[name] = measured[name] / speed
+    return out
+
+
 def measure(bench: Bench, workload: str, seed: int, seconds: float, digests) -> tuple[dict, dict]:
     """Untraced closed loop; returns (result, extra context).
 
-    A set-up probe follows every op, so set-up is sampled across the whole
-    run, as the ops are; probe time is left out of the throughput figures.
+    Every round replays the same ops, so each op is timed several times
+    across the run.  The throughput figures are the deck's instances (and
+    sum of a*b) over the sum of its ops' mean wall times, counting only ops
+    whose every run passed the gate, so a partial last round does not tilt
+    the mix.  After every op the fixed reference work runs, and after every
+    SETUP_EVERY-th op a set-up probe, so both sample the whole run as the
+    ops do; neither counts in the op figures.  The reported figures are
+    scaled to nominal host speed by the reference times (at_nominal_speed);
+    the figures as measured go to the context line.
     """
-    latencies, setups, failures, timeline = [], [], [], []
-    instances = ab = 0
-    probing = 0.0
-    deck = workloads.rounds(workload, seed)
+    samples, setups, references, failures, timeline = [], [], [], [], []
+    dealer = workloads.rounds(workload, seed)
     batch: list[workloads.Op] = []
     start = time.perf_counter()
     deadline = start + seconds
     while time.perf_counter() < deadline:
         if not batch:
-            batch = next(deck)
+            batch = next(dealer)
         op = batch.pop(0)
         r = bench.run_op(op)
-        latencies.append(r.wall_s)
-        timeline.append([round(time.perf_counter() - start, 3), r.wall_s, op.key])
+        timeline.append([round(time.perf_counter() - start, 3), r.wall_s, op.key, bool(op.env)])
         problems = gate.op_problems(op, r.returncode, r.stdout, digests)
         if problems:
             failures.append({"op": op.key, "problems": problems,
                              "stderr": r.stderr.decode(errors="replace")[-500:]})
-        else:
-            instances += len(op.instances)
-            ab += op.ab_sum
-        probe_start = time.perf_counter()
-        setups.append(bench.setup_once())
-        probing += time.perf_counter() - probe_start
-    busy = time.perf_counter() - start - probing
-    peak_kb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
+        samples.append((op, r.wall_s, not problems))
+        references.append(bench.reference_once())
+        if len(samples) % SETUP_EVERY == 1:
+            setups.append(bench.setup_once())
+    deck = deck_times(samples)
+    deck_s = sum(wall_s for wall_s, _ in deck.values())
+    instances = sum(len(op.instances) for op, (_, ok) in deck.items() if ok)
+    ab = sum(op.ab_sum for op, (_, ok) in deck.items() if ok)
+    latencies = [wall_s for _, wall_s, _ in samples]
     tail_value, tail_pct = tail(latencies)
-    metrics = {
+    peak_kb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
+    measured = {
         "latency_p50_s": statistics.median(latencies),
         "latency_tail_s": tail_value,
-        "instances_per_s": instances / busy,
-        "ab_per_s": ab / busy,
+        "instances_per_s": instances / deck_s,
+        "ab_per_s": ab / deck_s,
         "peak_rss_mb": peak_kb / 1024.0,
         "setup_s": statistics.median(setups),
     }
+    speed = REFERENCE_NOMINAL_S / statistics.fmean(references)
+    metrics = at_nominal_speed(measured, speed)
     result = {
         "correct": not failures,
-        "attempted": len(latencies),
+        "attempted": len(samples),
         "failed": len(failures),
         "metrics": {k: {"value": v, "unit": E2E_UNITS[k]} for k, v in metrics.items()},
     }
     extra = {
-        "ops_failed_ratio": len(failures) / len(latencies),
+        "measured": measured,
+        "host_speed": speed,
+        "reference_s": statistics.fmean(references),
+        "ops_failed_ratio": len(failures) / len(samples),
         "latency_tail_percentile": tail_pct,
-        "latency_samples": len(latencies),
+        "latency_samples": len(samples),
         "setup_samples": len(setups),
+        "references": references,
+        "setups": setups,
         "failures": failures,
         "ops": timeline,
     }
@@ -273,7 +327,8 @@ def main(argv=None) -> int:
     for failure in extra["failures"]:
         print(f"FAILED {failure}", file=sys.stderr)
     info.pop("failures")
-    info.pop("ops", None)
+    for bulky in ("ops", "references", "setups"):
+        info.pop(bulky, None)
     print(json.dumps({"context": info}))
     print(json.dumps(result))
     return 0

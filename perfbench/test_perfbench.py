@@ -6,7 +6,6 @@
 from __future__ import annotations
 
 import json
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -53,19 +52,34 @@ def test_sweep_grid_runs_half_of_each_round_on_the_pool():
         assert len(pooled) == len(batch) // 2
 
 
-def test_twist_pool_hits_the_rank_drop_lines():
+def test_rounds_replay_one_deal_of_the_deck():
+    for workload in workloads.WORKLOADS:
+        deck = workloads.rounds(workload, 3)
+        first, second = next(deck), next(deck)
+        assert len(first) == len(workloads.DECKS[workload])
+        assert sorted(op.key for op in first) == sorted(op.key for op in second)
+
+
+def test_twist_families_hit_the_rank_drop_lines_and_generic_rationals():
     a, b = 16, 16
     on_alpha_line = {-j for j in range(b)} | {-j - 1 for j in range(b)}
     on_beta_line = {i for i in range(a)} | {i + 1 for i in range(a)}
-    pool = workloads.twist_pool(a, b)
-    assert any(al in on_alpha_line and be in on_beta_line for al, be in pool)
-    assert any(al.denominator > 1 and be.denominator > 1 for al, be in pool)
+    lines = workloads.twist_family(a, b, "lines")
+    assert all(al in on_alpha_line and be in on_beta_line for al, be in lines)
+    rational = workloads.twist_family(a, b, "rational")
+    assert all(al.denominator > 1 and be.denominator > 1 for al, be in rational)
+
+
+def test_deck_times_average_each_op_and_keep_any_failure():
+    op1, op2 = SMALL_OPS[0], SMALL_OPS[1]
+    deck = run.deck_times([(op1, 2.0, True), (op2, 1.0, True), (op1, 1.0, False), (op1, 3.0, True)])
+    assert deck == {op1: (2.0, False), op2: (1.0, True)}
 
 
 SMALL_OPS = [
     workloads.instance_op("homology", 3, 4, "nakayama", "json"),
     workloads.instance_op("ring", 3, 3, None, "markdown"),
-    replace(workloads.sweep_op("homology", (2, 3), (2, 4), "trivial", "csv"), env=workloads.POOL_ENV),
+    workloads.sweep_op("homology", (2, 3), (2, 4), "trivial", "csv", pooled=True),
 ]
 
 
@@ -115,3 +129,12 @@ def test_tail_keeps_ten_samples_beyond():
     value, pct = run.tail(xs)
     assert sum(1 for x in xs if x > value) == run.TAIL_BEYOND
     assert pct == 75.0
+
+
+def test_nominal_speed_scales_times_and_rates_but_not_memory(bench):
+    measured = {"latency_p50_s": 1.0, "latency_tail_s": 2.0, "setup_s": 0.1,
+                "instances_per_s": 10.0, "ab_per_s": 100.0, "peak_rss_mb": 30.0}
+    scaled = run.at_nominal_speed(measured, 0.5)
+    assert scaled == {"latency_p50_s": 0.5, "latency_tail_s": 1.0, "setup_s": 0.05,
+                      "instances_per_s": 20.0, "ab_per_s": 200.0, "peak_rss_mb": 30.0}
+    assert bench.reference_once() > 0
