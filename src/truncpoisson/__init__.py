@@ -51,7 +51,6 @@ from .linalg import (
     SubspaceBasis,
     column_space,
     nullspace,
-    quotient_coordinates,
     rref,
     solve,
 )
@@ -96,7 +95,6 @@ __all__ = [
     "parse_element",
     "partial1_matrix",
     "partial2_matrix",
-    "quotient_coordinates",
     "render_element",
     "ring_table",
     "rref",

@@ -232,7 +232,10 @@ def parse_element(params: TruncParams, text: str) -> AlgebraElement:
             break
         pos = m.end()
         if m.group("num"):
-            tokens.append(("num", Fraction(m.group("num"))))
+            try:
+                tokens.append(("num", Fraction(m.group("num"))))
+            except ZeroDivisionError:
+                raise ValueError(f"zero denominator in {m.group('num')!r}") from None
         elif m.group("var"):
             tokens.append(("var", (m.group("var"), int(m.group("exp") or 1))))
         else:

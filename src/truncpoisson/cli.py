@@ -3,14 +3,12 @@
 Subcommands: cohomology, homology, ring, duality, sweep, verify.  Output goes
 to stdout in json (the stable contract), csv or markdown.  Exit codes: 0 on
 success with all embedded checks passing, 1 if any check fails, 2 on usage
-errors.  The only environment knob is TRUNCPOISSON_THREADS (sweep row
-parallelism); output is byte-identical regardless of the thread count.
+errors.  No environment variable changes the output.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from fractions import Fraction
 from typing import Optional
@@ -136,29 +134,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _threads_from_env() -> int:
-    raw = os.environ.get("TRUNCPOISSON_THREADS")
-    if raw is None:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise SystemExit(2)
-    return max(1, n)
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
-
-    try:
-        threads = _threads_from_env()
-    except SystemExit:
-        sys.stderr.write("TRUNCPOISSON_THREADS must be an integer\n")
-        return 2
 
     if args.command == "cohomology":
         p = TruncParams(args.a, args.b)
@@ -173,7 +154,7 @@ def main(argv=None) -> int:
         bundle = duality_bundle(TruncParams(args.a, args.b))
     elif args.command == "sweep":
         kind, explicit = args.twist
-        bundle = sweep_bundle(args.kind, args.a, args.b, kind, explicit, threads=threads)
+        bundle = sweep_bundle(args.kind, args.a, args.b, kind, explicit)
     else:
         bundle = verify_bundle(TruncParams(args.a, args.b))
 

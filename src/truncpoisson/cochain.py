@@ -6,6 +6,17 @@ generators.  This module builds the coboundary matrices, computes the
 cohomology spaces with canonical representatives, normalizes 1-cocycles
 constructively, and assembles the cup-product ring table.
 
+The complex splits by weight.  X^k Y^l, d_{k+1,l}, d'_{k,l+1} and
+f_{k+1,l+1} all have weight (k, l), and every coboundary preserves it, so
+for each (k, l) in [0, a-1] x [0, b-1] there is one block
+
+    X^k Y^l  --delta_0 = (l, -k)-->  (d_{k+1,l}, d'_{k,l+1})  --delta_1 = (k, l)-->  f_{k+1,l+1}
+
+with scalar entries; an entry is absent when its basis element is truncated
+away (d needs k <= a-2, d' needs l <= b-2, f needs both).  cohomology and
+ring_table work block by block; the dense matrices stay as the independent
+path behind verify and the tests.
+
 Conventions (fixed once, verified by the delta.delta = 0 and cup
 well-definedness tests):
 
@@ -17,20 +28,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import NamedTuple, Sequence, Union
 
-from .algebra import AlgebraElement, TruncParams, bracket, multiply
-from .linalg import (
-    EchelonAccumulator,
-    Matrix,
-    SubspaceBasis,
-    Vector,
-    column_space,
-    nullspace,
-    quotient_coordinates,
-    solve,
-)
+from .algebra import AlgebraElement, TruncParams, bracket, euler_dims, multiply
+from .linalg import Matrix, Vector
 
 
 def chi1_index_pairs(p: TruncParams) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
@@ -262,7 +263,6 @@ def bracket_derivation(lam: AlgebraElement) -> Derivation:
     )
 
 
-@lru_cache(maxsize=32)
 def delta0_matrix(p: TruncParams) -> Matrix:
     """Matrix of delta_0 from the monomial basis to the derivation basis."""
     cols = [hamiltonian(AlgebraElement.monomial(p, i, j)).to_vector() for (i, j) in p.monomials()]
@@ -278,21 +278,25 @@ def delta1_apply(d: Derivation) -> Biderivation:
     return Biderivation(p, value)
 
 
-@lru_cache(maxsize=32)
 def delta1_matrix(p: TruncParams) -> Matrix:
     """Matrix of delta_1 from the derivation basis to the biderivation basis."""
     cols = [delta1_apply(d).to_vector() for d in chi1_basis(p)]
     return Matrix.from_columns(cols, ambient_dim=len(chi2_index_pairs(p)))
 
 
-@lru_cache(maxsize=32)
-def _image_delta0(p: TruncParams) -> SubspaceBasis:
-    return column_space(delta0_matrix(p))
+def _blocks(p: TruncParams):
+    """Yield (k, l, delta_0 entries, delta_1 entries) for every weight (k, l).
 
-
-@lru_cache(maxsize=32)
-def _image_delta1(p: TruncParams) -> SubspaceBasis:
-    return column_space(delta1_matrix(p))
+    delta_0 maps X^k Y^l to (l, -k) on (d_{k+1,l}, d'_{k,l+1}) and delta_1
+    maps that pair to (k, l) on f_{k+1,l+1}.  An entry on a truncated basis
+    element is 0.
+    """
+    for k in range(p.a):
+        has_d = k <= p.a - 2
+        for l in range(p.b):
+            has_dprime = l <= p.b - 2
+            d0 = (l if has_d else 0, -k if has_dprime else 0)
+            yield k, l, d0, (k, l) if has_d and has_dprime else (0, 0)
 
 
 def is_poisson_derivation(d: Derivation) -> bool:
@@ -322,57 +326,36 @@ class CohomologyReport:
     cocycle_dim: int
 
 
-def _check_independent_mod(sub: SubspaceBasis, vectors: Sequence[Vector]) -> bool:
-    sieve = EchelonAccumulator(sub.ambient_dim, seed=sub.vectors)
-    return all(sieve.add(v) for v in vectors)
-
-
-@lru_cache(maxsize=128)
 def cohomology(p: TruncParams, k: int) -> CohomologyReport:
     """Cohomology in degree k with canonical representatives.
 
-    The representatives (the unit and the top monomial in degree 0, the two
+    The ranks of delta_0 and delta_1 are counted block by block.  The
+    representatives (the unit and the top monomial in degree 0, the two
     Euler-type derivations in degree 1, the X^Y |-> X*Y biderivation in
-    degree 2) are verified to be cocycles independent modulo coboundaries,
-    not assumed.  Degrees >= 3 yield structurally empty reports.
+    degree 2) are the basis elements of the weight-(0, 0) block, where every
+    entry vanishes, and the top monomial, whose block has no delta_0 entry.
+    Degrees >= 3 yield structurally empty reports.
     """
     if k < 0:
         raise ValueError("degree must be nonnegative")
     if k >= 3:
         return CohomologyReport(p, k, 0, (), 0, 0)
 
-    d0 = delta0_matrix(p)
+    rank0 = rank1 = 0
+    for _, _, d0, d1 in _blocks(p):
+        rank0 += any(d0)
+        rank1 += any(d1)
+    chi = euler_dims(p)
     if k == 0:
-        kernel = nullspace(d0)
         reps = (AlgebraElement.one(p), AlgebraElement.monomial(p, p.a - 1, p.b - 1))
-        for r in reps:
-            if not kernel.contains(r.to_vector()):
-                raise RuntimeError("canonical centre representative is not a cocycle")
-        if not _check_independent_mod(SubspaceBasis.from_vectors(p.dim, []), [r.to_vector() for r in reps]):
-            raise RuntimeError("centre representatives are dependent")
-        return CohomologyReport(p, 0, kernel.dim, reps, 0, kernel.dim)
-
-    d1 = delta1_matrix(p)
+        return CohomologyReport(p, 0, chi.chi0 - rank0, reps, 0, chi.chi0 - rank0)
     if k == 1:
-        image = _image_delta0(p)
-        rank0 = image.dim
-        kernel = nullspace(d1)
+        cocycle_dim = chi.chi1 - rank1
         reps = (Derivation.basis_d(p, 1, 0), Derivation.basis_dprime(p, 0, 1))
-        vecs = [r.to_vector() for r in reps]
-        for v in vecs:
-            if any(d1.apply(v)):
-                raise RuntimeError("canonical degree-1 representative is not a cocycle")
-        if not _check_independent_mod(image, vecs):
-            raise RuntimeError("degree-1 representatives are dependent modulo coboundaries")
-        return CohomologyReport(p, 1, kernel.dim - rank0, reps, rank0, kernel.dim)
-
+        return CohomologyReport(p, 1, cocycle_dim - rank0, reps, rank0, cocycle_dim)
     # k == 2: the complex stops here, every biderivation is a cocycle.
-    chi2_dim = (p.a - 1) * (p.b - 1)
-    rank1 = _image_delta1(p).dim
     rep = Biderivation.basis_f(p, 1, 1)
-    if solve(d1, rep.to_vector()) is not None:
-        raise RuntimeError("canonical degree-2 representative is a coboundary")
-    return CohomologyReport(p, 2, chi2_dim - rank1, (rep,), rank1, chi2_dim)
+    return CohomologyReport(p, 2, chi.chi2 - rank1, (rep,), rank1, chi.chi2)
 
 
 class NormalizedCocycle(NamedTuple):
@@ -500,9 +483,12 @@ def ring_table(p: TruncParams) -> RingTable:
     """Compute the cup-product table of the five basis classes.
 
     Each product is computed at cochain level and reduced to class
-    coordinates against the image of the incoming coboundary.  Graded
-    commutativity is enforced (a violation would be an internal bug); whether
-    the table equals the reference ring is reported by matches_reference().
+    coordinates block by block: the representatives sit in blocks that no
+    coboundary reaches, so their coefficients are the coordinates, and every
+    other block of the product must lie in the image of the incoming
+    coboundary.  Graded commutativity is enforced (a violation would be an
+    internal bug); whether the table equals the reference ring is reported
+    by matches_reference().
     """
     reps: list[Cochain] = [
         AlgebraElement.one(p),
@@ -511,32 +497,32 @@ def ring_table(p: TruncParams) -> RingTable:
         Derivation.basis_dprime(p, 0, 1),
         Biderivation.basis_f(p, 1, 1),
     ]
-    im0 = _image_delta0(p)
-    im1 = _image_delta1(p)
-    no_sub0 = SubspaceBasis.from_vectors(p.dim, [])
-    comp0 = [reps[0].to_vector(), reps[1].to_vector()]
-    comp1 = [reps[2].to_vector(), reps[3].to_vector()]
-    comp2 = [reps[4].to_vector()]
+    # (degree, weight) -> slots of the representatives living in that block
+    slots = {
+        (0, (0, 0)): (0,), (0, (p.a - 1, p.b - 1)): (1,), (1, (0, 0)): (2, 3), (2, (0, 0)): (4,),
+    }
+    n = len(RING_LABELS)
 
     def class_coords(z: Cochain) -> Vector:
         deg = cochain_degree(z)
-        n = len(RING_LABELS)
         out = [Fraction(0)] * n
-        vec = z.to_vector()
-        if not any(vec):
-            return tuple(out)
-        if deg == 0:
-            c = quotient_coordinates(vec, no_sub0, comp0)
-            out[0], out[1] = c
-        elif deg == 1:
-            c = quotient_coordinates(vec, im0, comp1)
-            out[2], out[3] = c
-        else:
-            c = quotient_coordinates(vec, im1, comp2)
-            out[4] = c[0]
+        for k, l, d0, d1 in _blocks(p):
+            if deg == 0:
+                part, image = (z.coefficient(k, l),), (0,)
+            elif deg == 1:
+                part = (z.dx.coefficient(k + 1, l), z.dy.coefficient(k, l + 1))
+                image = d0
+            else:
+                part = (z.value.coefficient(k + 1, l + 1),)
+                image = (int(any(d1)),)
+            where = slots.get((deg, (k, l)))
+            if where:
+                for s, c in zip(where, part):
+                    out[s] = c
+            elif any(part) and (not any(image) or part[0] * image[-1] != part[-1] * image[0]):
+                raise RuntimeError("cup product leaves the span of coboundaries and representatives")
         return tuple(out)
 
-    n = len(RING_LABELS)
     zero = tuple([Fraction(0)] * n)
     table = []
     for i in range(n):

@@ -1,10 +1,11 @@
 """Exact rational linear algebra.
 
-Dense matrices over ``fractions.Fraction`` with the elimination, kernel and
-quotient-space primitives the rest of the package is built on.  Everything is
-exact: ranks are true ranks, equality means equality.  Pivoting is
-deterministic (first nonzero entry in column order), so reduced forms and
-subspace bases are reproducible byte for byte.
+Dense matrices over ``fractions.Fraction`` with elimination and kernel
+primitives.  The (co)homology engines work block by block and do not use
+them: they are the dense reference behind the operator builders, the verify
+checks and the tests.  Everything is exact: ranks are true ranks, equality
+means equality.  Pivoting is deterministic (first nonzero entry in column
+order), so reduced forms and subspace bases are reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -304,27 +305,3 @@ def solve(m: Matrix, rhs: Sequence) -> Optional[Vector]:
     for r, p in enumerate(piv):
         x[p] = red.data[r][m.cols]
     return tuple(x)
-
-
-def quotient_coordinates(v: Sequence, sub: SubspaceBasis, complement) -> Vector:
-    """Coordinates of the class of v in a complement basis, modulo sub.
-
-    complement is a SubspaceBasis or an ordered, independent-mod-sub family
-    of vectors; the result c satisfies v - sum(c_i * complement_i) in
-    span(sub).  Raises ValueError when v is not in span(sub + complement) --
-    that signals an inconsistent basis upstream, not a user error.
-    """
-    if isinstance(complement, SubspaceBasis):
-        complement = complement.vectors
-    comp = [as_vector(c) for c in complement]
-    vv = as_vector(v)
-    cols = comp + [list(w) for w in sub.vectors]
-    if not cols:
-        if any(vv):
-            raise ValueError("nonzero vector with empty sub and complement")
-        return ()
-    system = Matrix.from_columns(cols, ambient_dim=len(vv))
-    x = solve(system, vv)
-    if x is None:
-        raise ValueError("vector not in span(sub + complement); inconsistent basis")
-    return x[: len(comp)]

@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -282,22 +281,12 @@ def sweep_bundle(
     b_range: tuple[int, int],
     twist_kind: str = "trivial",
     explicit: Optional[TwistParams] = None,
-    threads: int = 1,
 ) -> ReportBundle:
-    combos = [
-        (a, b)
+    rows = [
+        _sweep_row(kind, a, b, twist_kind, explicit)
         for a in range(a_range[0], a_range[1] + 1)
         for b in range(b_range[0], b_range[1] + 1)
     ]
-
-    def work(ab):
-        return _sweep_row(kind, ab[0], ab[1], twist_kind, explicit)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(work, combos))
-    else:
-        rows = [work(ab) for ab in combos]
     params = {
         "kind": kind,
         "a_range": list(a_range),

@@ -177,6 +177,13 @@ def test_parse_rejects_garbage():
         parse_element(p, "")
 
 
+def test_parse_rejects_zero_denominator():
+    p = TruncParams(3, 3)
+    for text in ("1/0*X", "X + 3/0", "0/0"):
+        with pytest.raises(ValueError, match="zero denominator"):
+            parse_element(p, text)
+
+
 def test_parse_truncates_out_of_range_monomials():
     p = TruncParams(3, 3)
     assert parse_element(p, "X^5").is_zero()

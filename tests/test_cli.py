@@ -215,12 +215,6 @@ def test_sweep_deterministic_bytes_and_threads():
     assert one.stdout == two.stdout == threaded.stdout
 
 
-def test_threads_env_var_garbage_is_usage_error():
-    res = run_subprocess(["sweep", "-a", "2..3", "-b", "2..3"], env={"TRUNCPOISSON_THREADS": "many"})
-    assert res.returncode == 2
-    assert "TRUNCPOISSON_THREADS" in res.stderr
-
-
 def test_json_rationals_are_strings_not_floats(capsys):
     code, out, _ = run_cli(capsys, ["ring", "-a", "3", "-b", "3"])
     env = json.loads(out)
@@ -259,3 +253,27 @@ def test_single_value_sweep_range(capsys):
     assert code == 0
     env = json.loads(out)
     assert [(r["a"], r["b"]) for r in env["payload"]["rows"]] == [(3, 2), (3, 3)]
+
+
+def test_large_instance_answers_without_dense_elimination(capsys):
+    # dense elimination would build 10^4 x 2*10^4 rational matrices here
+    ab = ["-a", "100", "-b", "100"]
+    for argv in (
+        ["cohomology", *ab],
+        ["homology", *ab, "--twist", "trivial"],
+        ["homology", *ab, "--twist", "nakayama"],
+        ["ring", *ab],
+        ["duality", *ab],
+    ):
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0, argv
+        payload = json.loads(out)["payload"]
+        if argv[0] == "cohomology" or argv[-1] == "nakayama":
+            assert payload["dims"] == [2, 2, 1]
+        elif argv[0] == "homology":
+            assert payload["dims"][0] == 199
+        elif argv[0] == "ring":
+            assert payload["matches_reference"] is True
+        elif argv[0] == "duality":
+            assert [c["cohomology_dim"] for c in payload["comparisons"]] == [2, 2, 1]
+            assert payload["nakayama_duality_holds"] is True

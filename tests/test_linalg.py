@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from truncpoisson import Matrix, SubspaceBasis, column_space, nullspace, quotient_coordinates, rref, solve
+from truncpoisson import Matrix, SubspaceBasis, column_space, nullspace, rref, solve
 from truncpoisson.linalg import EchelonAccumulator
 
 from oracles import independent_rank
@@ -126,30 +126,6 @@ def test_solve_consistent_and_inconsistent():
     x = solve(m, [2, 3, 5])
     assert x == (Fraction(2), Fraction(3))
     assert solve(m, [2, 3, 6]) is None
-
-
-def test_quotient_coordinates_in_sub():
-    sub = SubspaceBasis.from_vectors(2, [[1, 0]])
-    coords = quotient_coordinates([4, 0], sub, [[0, 1]])
-    assert coords == (Fraction(0),)
-
-
-def test_quotient_coordinates_identity_complement():
-    sub = SubspaceBasis.from_vectors(3, [])
-    coords = quotient_coordinates([3, -1, 2], sub, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-    assert coords == (Fraction(3), Fraction(-1), Fraction(2))
-
-
-def test_quotient_coordinates_direct_sum():
-    sub = SubspaceBasis.from_vectors(2, [[1, 0]])
-    coords = quotient_coordinates([3, 5], sub, [[0, 1]])
-    assert coords == (Fraction(5),)
-
-
-def test_quotient_coordinates_inconsistent_raises():
-    sub = SubspaceBasis.from_vectors(3, [[1, 0, 0]])
-    with pytest.raises(ValueError):
-        quotient_coordinates([0, 1, 1], sub, [[0, 1, 0]])
 
 
 def test_matmul_matches_apply():
