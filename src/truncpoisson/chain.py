@@ -22,8 +22,10 @@ block
              <--b2 = (-(k-beta), -(l+alpha))--  X^(k-1) Y^(l-1) dX^dY
 
 with scalar entries; an entry is absent when its form is (dX needs k >= 1,
-dY needs l >= 1, dX^dY needs both).  homology works block by block; the
-dense matrices stay as the independent path behind verify and the tests.
+dY needs l >= 1, dX^dY needs both).  homology works block by block, and
+verify checks the complex on sparse chains through boundary; the dense
+matrices partial1_matrix and partial2_matrix are the reference for the tests
+only.
 """
 
 from __future__ import annotations
@@ -215,46 +217,48 @@ def _tensor_dy(m: AlgebraElement) -> dict:
     return {(i, j, DY): c for (i, j), c in m.coeffs.items() if j <= m.params.b - 2}
 
 
+def boundary(t: TwistParams, z: ChainElement) -> ChainElement:
+    """Boundary of a chain of degree 1 or 2, from the general formula
+
+        m (x) dg     |-> {m, g}
+        m (x) dX^dY  |-> {m,X} (x) dY - {m,Y} (x) dX - m (x) d(X*Y)
+
+    with d(X*Y) = X dY + Y dX.  The expanded closed form
+    -(j+alpha+1) X^(i+1)Y^j (x) dY - (i-beta+1) X^i Y^(j+1) (x) dX of the
+    degree-2 case is the test oracle for this operator.
+    """
+    p = z.params
+    acc: dict = {}
+
+    def add(part: Mapping, sign: int):
+        for k, c in part.items():
+            acc[k] = acc.get(k, Fraction(0)) + sign * c
+
+    if z.degree == 1:
+        for g, form in (("X", DX), ("Y", DY)):
+            m = AlgebraElement(p, {(i, j): c for (i, j, f), c in z.coeffs.items() if f == form})
+            add(module_bracket(t, m, g).coeffs, 1)
+        return ChainElement(p, 0, acc)
+    if z.degree == 2:
+        m = AlgebraElement(p, z.coeffs)
+        add(_tensor_dy(module_bracket(t, m, "X")), 1)
+        add(_tensor_dx(module_bracket(t, m, "Y")), -1)
+        add(_tensor_dy(multiply(m, AlgebraElement.gen_x(p))), -1)
+        add(_tensor_dx(multiply(m, AlgebraElement.gen_y(p))), -1)
+        return ChainElement(p, 1, acc)
+    raise ValueError("boundary is defined on chains of degree 1 and 2")
+
+
 def partial1_matrix(p: TruncParams, t: TwistParams) -> Matrix:
-    """Boundary from degree 1 to degree 0: m (x) dg |-> {m, g}."""
-    cols = []
-    for (i, j, part) in omega1_indices(p):
-        m = AlgebraElement.monomial(p, i, j)
-        g = "X" if part == DX else "Y"
-        cols.append(module_bracket(t, m, g).to_vector())
+    """Dense matrix of the boundary from degree 1 to degree 0."""
+    cols = [boundary(t, ChainElement(p, 1, {key: 1})).to_vector() for key in omega1_indices(p)]
     return Matrix.from_columns(cols, ambient_dim=p.dim)
 
 
 def partial2_matrix(p: TruncParams, t: TwistParams) -> Matrix:
-    """Boundary from degree 2 to degree 1, from the general boundary formula:
-
-        m (x) dX^dY |-> {m,X} (x) dY - {m,Y} (x) dX - m (x) d(X*Y)
-
-    with d(X*Y) = X dY + Y dX.  The expanded closed form
-    -(j+alpha+1) X^(i+1)Y^j (x) dY - (i-beta+1) X^i Y^(j+1) (x) dX is the
-    test oracle for this builder.
-    """
-    x = AlgebraElement.gen_x(p)
-    y = AlgebraElement.gen_y(p)
-    n1 = len(omega1_indices(p))
-    slot = {key: n for n, key in enumerate(omega1_indices(p))}
-    cols = []
-    for (i, j) in omega2_indices(p):
-        m = AlgebraElement.monomial(p, i, j)
-        acc: dict = {}
-        for part in (
-            _tensor_dy(module_bracket(t, m, "X")),
-            {k: -c for k, c in _tensor_dx(module_bracket(t, m, "Y")).items()},
-            {k: -c for k, c in _tensor_dy(multiply(m, x)).items()},
-            {k: -c for k, c in _tensor_dx(multiply(m, y)).items()},
-        ):
-            for k, c in part.items():
-                acc[k] = acc.get(k, Fraction(0)) + c
-        col = [Fraction(0)] * n1
-        for k, c in acc.items():
-            col[slot[k]] = c
-        cols.append(col)
-    return Matrix.from_columns(cols, ambient_dim=n1)
+    """Dense matrix of the boundary from degree 2 to degree 1."""
+    cols = [boundary(t, ChainElement(p, 2, {key: 1})).to_vector() for key in omega2_indices(p)]
+    return Matrix.from_columns(cols, ambient_dim=len(omega1_indices(p)))
 
 
 @dataclass(frozen=True)

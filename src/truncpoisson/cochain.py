@@ -13,9 +13,11 @@ for each (k, l) in [0, a-1] x [0, b-1] there is one block
     X^k Y^l  --delta_0 = (l, -k)-->  (d_{k+1,l}, d'_{k,l+1})  --delta_1 = (k, l)-->  f_{k+1,l+1}
 
 with scalar entries; an entry is absent when its basis element is truncated
-away (d needs k <= a-2, d' needs l <= b-2, f needs both).  cohomology and
-ring_table work block by block; the dense matrices stay as the independent
-path behind verify and the tests.
+away (d needs k <= a-2, d' needs l <= b-2, f needs both).  cohomology,
+ring_table, normalize_one_cocycle and is_poisson_derivation work block by
+block, and verify checks the complex on sparse cochains through hamiltonian
+and delta1_apply; the dense matrices delta0_matrix and delta1_matrix are the
+reference for the tests only.
 
 Conventions (fixed once, verified by the delta.delta = 0 and cup
 well-definedness tests):
@@ -99,17 +101,6 @@ class Derivation:
 
     def is_zero(self) -> bool:
         return self.dx.is_zero() and self.dy.is_zero()
-
-    def apply(self, u: AlgebraElement) -> AlgebraElement:
-        """Extend to the whole algebra by the Leibniz rule."""
-        p = self.params
-        out = AlgebraElement.zero(p)
-        for (i, j), c in u.coeffs.items():
-            if i:
-                out = out + multiply(AlgebraElement.monomial(p, i - 1, j, c * i), self.dx)
-            if j:
-                out = out + multiply(AlgebraElement.monomial(p, i, j - 1, c * j), self.dy)
-        return out
 
     def to_vector(self) -> Vector:
         d_pairs, dprime_pairs = chi1_index_pairs(self.params)
@@ -253,16 +244,6 @@ def hamiltonian(lam: AlgebraElement) -> Derivation:
     )
 
 
-def bracket_derivation(lam: AlgebraElement) -> Derivation:
-    """The derivation f |-> {lam, f}; the negative of hamiltonian(lam)."""
-    p = lam.params
-    return Derivation(
-        p,
-        bracket(lam, AlgebraElement.gen_x(p)),
-        bracket(lam, AlgebraElement.gen_y(p)),
-    )
-
-
 def delta0_matrix(p: TruncParams) -> Matrix:
     """Matrix of delta_0 from the monomial basis to the derivation basis."""
     cols = [hamiltonian(AlgebraElement.monomial(p, i, j)).to_vector() for (i, j) in p.monomials()]
@@ -302,16 +283,18 @@ def _blocks(p: TruncParams):
 def is_poisson_derivation(d: Derivation) -> bool:
     """Whether d respects the bracket, i.e. is a 1-cocycle, by the closed form.
 
-    Writing alpha/beta for the coefficients of the values on X and Y, the
-    condition is (1-j)*beta_{i-1,j} + (1-i)*alpha_{i,j-1} = 0 over
-    1 <= i <= a-1, 1 <= j <= b-1.  Agrees with Ker delta_1 (tested).
+    d is a cocycle when delta_1 = (k, l) kills its component in every block
+    that has an f_{k+1,l+1}: k*dx_{k+1,l} + l*dy_{k,l+1} = 0.  Only the
+    weights in the support of d are visited.  Agrees with Ker delta_1
+    (tested).
     """
-    p = d.params
-    for i in range(1, p.a):
-        for j in range(1, p.b):
-            if (1 - j) * d.dy.coefficient(i - 1, j) + (1 - i) * d.dx.coefficient(i, j - 1):
-                return False
-    return True
+    p, dx, dy = d.params, d.dx, d.dy
+    weights = {(i - 1, j) for (i, j) in dx.coeffs} | {(i, j - 1) for (i, j) in dy.coeffs}
+    return all(
+        not k * dx.coefficient(k + 1, l) + l * dy.coefficient(k, l + 1)
+        for (k, l) in weights
+        if k <= p.a - 2 and l <= p.b - 2
+    )
 
 
 @dataclass(frozen=True)
@@ -371,39 +354,26 @@ def normalize_one_cocycle(d: Derivation) -> NormalizedCocycle:
 
         d - delta_0(potential) = c10 * d_{1,0} + c01 * d'_{0,1}
 
-    exactly.  The potential is built constructively in two correction steps
-    (first clearing the value on X down to its pure-X part, then clearing the
-    value on Y), mirroring how the degree-1 classes are classified.
+    exactly.  The solve runs block by block: c10 and c01 are the component
+    of d in the weight-(0, 0) block, and at every other weight the component
+    of a cocycle is a multiple of delta_0 = (l, -k), so the potential's
+    coefficient of X^k Y^l is that component divided by a nonzero entry.
+    The potential has no constant and no top monomial term.
     """
     if not is_poisson_derivation(d):
         raise ValueError("input derivation is not a cocycle")
     p = d.params
-
-    # Step 1: lam kills every dx term with a positive Y-exponent.
-    lam = AlgebraElement(
-        p,
-        {
-            (i, j): d.dx.coefficient(i + 1, j) / j
-            for i in range(p.a - 1)
-            for j in range(1, p.b)
-        },
-    )
-    d1 = d + bracket_derivation(lam)
-
-    # Step 2: mu clears the remaining dy terms except the d'_{0,1} component.
-    mu_coeffs: dict[tuple[int, int], Fraction] = {}
-    for i in range(1, p.a - 1):
-        mu_coeffs[(i, 0)] = d1.dy.coefficient(i, 1) / i
-    for j in range(1, p.b):
-        c = d1.dy.coefficient(p.a - 1, j) / (p.a - 1)
-        if c:
-            mu_coeffs[(p.a - 1, j - 1)] = mu_coeffs.get((p.a - 1, j - 1), Fraction(0)) + c
-    mu = AlgebraElement(p, mu_coeffs)
-    d2 = d1 - bracket_derivation(mu)
-
-    c10 = d2.dx.coefficient(1, 0)
-    c01 = d2.dy.coefficient(0, 1)
-    potential = lam - mu
+    c10 = c01 = Fraction(0)
+    coeffs: dict[tuple[int, int], Fraction] = {}
+    for k, l, d0, _ in _blocks(p):
+        part = (d.dx.coefficient(k + 1, l), d.dy.coefficient(k, l + 1))
+        if (k, l) == (0, 0):
+            c10, c01 = part
+        elif d0[0]:
+            coeffs[(k, l)] = part[0] / d0[0]
+        elif d0[1]:
+            coeffs[(k, l)] = part[1] / d0[1]
+    potential = AlgebraElement(p, coeffs)
     normal_form = Derivation.basis_d(p, 1, 0).scale(c10) + Derivation.basis_dprime(p, 0, 1).scale(c01)
     if d - hamiltonian(potential) != normal_form:
         raise RuntimeError("cocycle normalization failed to reach the normal form")

@@ -1,11 +1,13 @@
 """Exact rational linear algebra.
 
 Dense matrices over ``fractions.Fraction`` with elimination and kernel
-primitives.  The (co)homology engines work block by block and do not use
-them: they are the dense reference behind the operator builders, the verify
-checks and the tests.  Everything is exact: ranks are true ranks, equality
-means equality.  Pivoting is deterministic (first nonzero entry in column
-order), so reduced forms and subspace bases are reproducible byte for byte.
+primitives.  No command uses them: the (co)homology engines work block by
+block and the verify checks apply the differentials to sparse elements.
+They are the dense reference for the tests only, together with the operator
+builders that return them.  Everything is exact: ranks are true ranks,
+equality means equality.  Pivoting is deterministic (first nonzero entry in
+column order), so reduced forms and subspace bases are reproducible byte for
+byte.
 """
 
 from __future__ import annotations
@@ -77,12 +79,6 @@ class Matrix:
 
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols})"
-
-    def entry(self, i: int, j: int) -> Fraction:
-        return self.data[i][j]
-
-    def row(self, i: int) -> Vector:
-        return self.data[i]
 
     def column(self, j: int) -> Vector:
         return tuple(r[j] for r in self.data)
@@ -216,15 +212,6 @@ class SubspaceBasis:
 
     def __repr__(self):
         return f"SubspaceBasis(dim={self.dim}, ambient={self.ambient_dim})"
-
-    def contains(self, v: Sequence) -> bool:
-        """Exact membership test: reduce v against the echelon rows."""
-        w = list(as_vector(v))
-        for vec, p in zip(self.vectors, self.pivots):
-            f = w[p]
-            if f:
-                w = [x - f * y for x, y in zip(w, vec)]
-        return not any(w)
 
 
 def nullspace(m: Matrix) -> SubspaceBasis:

@@ -17,7 +17,7 @@ from truncpoisson import (
     partial1_matrix,
     partial2_matrix,
 )
-from truncpoisson.chain import DX, DY, omega1_indices, omega2_indices
+from truncpoisson.chain import DX, DY, boundary, omega1_indices, omega2_indices
 from truncpoisson.checks import random_twist
 
 
@@ -131,16 +131,29 @@ def test_partial1_ranks_at_2_2():
     )
 
 
-def closed_form_partial2_column(p, t, i, j):
-    # oracle: -(j+alpha+1) X^(i+1)Y^j (x) dY - (i-beta+1) X^i Y^(j+1) (x) dX
+def closed_form_partial2(p, t, z):
+    # oracle: X^iY^j dX^dY |-> -(j+alpha+1) X^(i+1)Y^j (x) dY - (i-beta+1) X^i Y^(j+1) (x) dX
     coeffs = {}
-    c_dy = -(j + t.alpha + 1)
-    if c_dy:
-        coeffs[(i + 1, j, DY)] = c_dy
-    c_dx = -(i - t.beta + 1)
-    if c_dx:
-        coeffs[(i, j + 1, DX)] = c_dx
-    return ChainElement(p, 1, coeffs).to_vector()
+    for (i, j), c in z.coeffs.items():
+        for key, e in (((i + 1, j, DY), -(j + t.alpha + 1)), ((i, j + 1, DX), -(i - t.beta + 1))):
+            coeffs[key] = coeffs.get(key, 0) + c * e
+    return ChainElement(p, 1, coeffs)
+
+
+def closed_form_partial1(p, t, z):
+    # oracle: X^iY^j dX |-> -(j+alpha) X^(i+1)Y^j,  X^iY^j dY |-> (i-beta) X^iY^(j+1)
+    coeffs = {}
+    for (i, j, form), c in z.coeffs.items():
+        key, e = ((i + 1, j), -(j + t.alpha)) if form == DX else ((i, j + 1), i - t.beta)
+        coeffs[key] = coeffs.get(key, 0) + c * e
+    return ChainElement(p, 0, coeffs)
+
+
+def random_chain(p, degree, rng):
+    keys = omega1_indices(p) if degree == 1 else omega2_indices(p)
+    return ChainElement(
+        p, degree, {k: Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for k in keys}
+    )
 
 
 def test_partial2_matches_closed_form():
@@ -152,7 +165,20 @@ def test_partial2_matches_closed_form():
         for t in twists:
             m = partial2_matrix(p, t)
             for c, (i, j) in enumerate(omega2_indices(p)):
-                assert m.column(c) == closed_form_partial2_column(p, t, i, j), (a, b, t, i, j)
+                expected = closed_form_partial2(p, t, ChainElement(p, 2, {(i, j): 1}))
+                assert m.column(c) == expected.to_vector(), (a, b, t, i, j)
+    # the sparse operator on whole chains, at every integer twist of the box
+    # where the block ranks drop
+    for a in range(2, 6):
+        for b in range(2, 6):
+            p = TruncParams(a, b)
+            for alpha in range(-b - 1, 3):
+                for beta in range(-2, a + 2):
+                    t = TwistParams(alpha, beta)
+                    for _ in range(2):
+                        z2, z1 = random_chain(p, 2, rng), random_chain(p, 1, rng)
+                        assert boundary(t, z2) == closed_form_partial2(p, t, z2), (a, b, t)
+                        assert boundary(t, z1) == closed_form_partial1(p, t, z1), (a, b, t)
 
 
 def test_partial2_nakayama_kills_top_form():

@@ -277,3 +277,28 @@ def test_large_instance_answers_without_dense_elimination(capsys):
         elif argv[0] == "duality":
             assert [c["cohomology_dim"] for c in payload["comparisons"]] == [2, 2, 1]
             assert payload["nakayama_duality_holds"] is True
+
+
+def test_no_command_constructs_a_dense_matrix(capsys, monkeypatch):
+    from truncpoisson.linalg import Matrix
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a command built a dense Matrix")
+
+    monkeypatch.setattr(Matrix, "__init__", refuse)
+    monkeypatch.setattr(Matrix, "_raw", classmethod(refuse))
+    monkeypatch.setattr(Matrix, "from_columns", classmethod(refuse))
+    ab = ["-a", "4", "-b", "5"]
+    for argv in (
+        ["cohomology", *ab],
+        ["homology", *ab, "--twist", "trivial"],
+        ["homology", *ab, "--twist", "nakayama"],
+        ["homology", *ab, "--twist=-1,2"],
+        ["ring", *ab],
+        ["duality", *ab],
+        ["sweep", "-a", "2..4", "-b", "2..4"],
+        ["sweep", "-a", "2..4", "-b", "2..4", "--kind", "homology", "--twist", "nakayama"],
+        ["verify", *ab],
+    ):
+        code, _, _ = run_cli(capsys, argv)
+        assert code == 0, argv
