@@ -9,6 +9,13 @@ coefficientwise.  The closed-form monomial bracket used here,
 
 is validated in the test suite against an independent Leibniz-expansion
 oracle built only from the brackets with the two generators.
+
+Clean-coefficient invariant: an element's coefficient map holds only
+nonzero Fraction values at keys (i, j) with 0 <= i < a and 0 <= j < b.  The
+public constructor establishes it from arbitrary input; the arithmetic
+kernels (_accumulate, _multiply_into, _bracket_into) preserve it by
+construction, dropping a key as soon as its coefficient cancels, so their
+results are wrapped by AlgebraElement._clean without re-checking.
 """
 
 from __future__ import annotations
@@ -47,6 +54,12 @@ class TruncParams:
         return i * self.b + j
 
 
+_ZERO = Fraction(0)
+# Coefficient maps of the generators, for the accumulating kernels.
+_X_COEFFS = MappingProxyType({(1, 0): Fraction(1)})
+_Y_COEFFS = MappingProxyType({(0, 1): Fraction(1)})
+
+
 class AlgebraElement:
     """A linear combination of basis monomials, stored sparsely without zeros."""
 
@@ -66,6 +79,14 @@ class AlgebraElement:
 
     def __setattr__(self, name, value):
         raise AttributeError("AlgebraElement is immutable")
+
+    @classmethod
+    def _clean(cls, params: TruncParams, coeffs: dict) -> "AlgebraElement":
+        """Wrap a coefficient dict that already satisfies the clean-coefficient invariant."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "coeffs", MappingProxyType(coeffs))
+        return self
 
     @classmethod
     def zero(cls, params: TruncParams) -> "AlgebraElement":
@@ -88,13 +109,13 @@ class AlgebraElement:
         return cls.monomial(params, 0, 1)
 
     def coefficient(self, i: int, j: int) -> Fraction:
-        return self.coeffs.get((i, j), Fraction(0))
+        return self.coeffs.get((i, j), _ZERO)
 
     def is_zero(self) -> bool:
         return not self.coeffs
 
     def _check_params(self, other: "AlgebraElement"):
-        if self.params != other.params:
+        if self.params is not other.params and self.params != other.params:
             raise ValueError(f"mismatched algebra parameters {self.params} vs {other.params}")
 
     def __eq__(self, other):
@@ -105,19 +126,25 @@ class AlgebraElement:
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._check_params(other)
         out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            out[k] = out.get(k, Fraction(0)) + c
-        return AlgebraElement(self.params, out)
+        for key, c in other.coeffs.items():
+            _accumulate(out, key, c)
+        return AlgebraElement._clean(self.params, out)
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
-        return self + (-other)
+        self._check_params(other)
+        out = dict(self.coeffs)
+        for key, c in other.coeffs.items():
+            _accumulate(out, key, c, -1)
+        return AlgebraElement._clean(self.params, out)
 
     def __neg__(self) -> "AlgebraElement":
-        return AlgebraElement(self.params, {k: -c for k, c in self.coeffs.items()})
+        return AlgebraElement._clean(self.params, {k: -c for k, c in self.coeffs.items()})
 
     def scale(self, s) -> "AlgebraElement":
         s = _frac(s)
-        return AlgebraElement(self.params, {k: s * c for k, c in self.coeffs.items()})
+        if not s:
+            return AlgebraElement._clean(self.params, {})
+        return AlgebraElement._clean(self.params, {k: s * c for k, c in self.coeffs.items()})
 
     def __mul__(self, other):
         if isinstance(other, AlgebraElement):
@@ -143,31 +170,54 @@ class AlgebraElement:
         return render_element(self)
 
 
+def _accumulate(out: dict, key, c: Fraction, sign: int = 1):
+    """out[key] += sign * c for a nonzero c; a key whose coefficient cancels is removed."""
+    old = out.get(key)
+    if old is None:
+        out[key] = c if sign > 0 else -c
+    else:
+        c = old + c if sign > 0 else old - c
+        if c:
+            out[key] = c
+        else:
+            del out[key]
+
+
+def _multiply_into(out: dict, p: TruncParams, u: Mapping, v: Mapping, sign: int = 1):
+    """out += sign * u*v for clean coefficient maps u, v, truncated to p."""
+    a, b = p.a, p.b
+    for (i, j), c in u.items():
+        unit = c == 1  # a generator or a basis element: skip the product by 1
+        for (k, l), d in v.items():
+            if i + k < a and j + l < b:
+                _accumulate(out, (i + k, j + l), d if unit else c * d, sign)
+
+
+def _bracket_into(out: dict, p: TruncParams, u: Mapping, v: Mapping, sign: int = 1):
+    """out += sign * {u, v} for clean coefficient maps u, v, truncated to p."""
+    a, b = p.a, p.b
+    for (i, j), c in u.items():
+        unit = c == 1
+        for (k, l), d in v.items():
+            s = i * l - j * k
+            if s and i + k < a and j + l < b:
+                _accumulate(out, (i + k, j + l), (d if unit else c * d) * (sign * s))
+
+
 def multiply(u: AlgebraElement, v: AlgebraElement) -> AlgebraElement:
     """Truncated product: e_ij * e_kl = e_{i+k,j+l}, zero past the bounds."""
     u._check_params(v)
-    a, b = u.params.a, u.params.b
     out: dict[tuple[int, int], Fraction] = {}
-    for (i, j), c in u.coeffs.items():
-        for (k, l), d in v.coeffs.items():
-            if i + k < a and j + l < b:
-                key = (i + k, j + l)
-                out[key] = out.get(key, Fraction(0)) + c * d
-    return AlgebraElement(u.params, out)
+    _multiply_into(out, u.params, u.coeffs, v.coeffs)
+    return AlgebraElement._clean(u.params, out)
 
 
 def bracket(u: AlgebraElement, v: AlgebraElement) -> AlgebraElement:
     """Poisson bracket, the bilinear extension of (il - jk) e_{i+k,j+l}."""
     u._check_params(v)
-    a, b = u.params.a, u.params.b
     out: dict[tuple[int, int], Fraction] = {}
-    for (i, j), c in u.coeffs.items():
-        for (k, l), d in v.coeffs.items():
-            s = i * l - j * k
-            if s and i + k < a and j + l < b:
-                key = (i + k, j + l)
-                out[key] = out.get(key, Fraction(0)) + s * c * d
-    return AlgebraElement(u.params, out)
+    _bracket_into(out, u.params, u.coeffs, v.coeffs)
+    return AlgebraElement._clean(u.params, out)
 
 
 class EulerDims(NamedTuple):

@@ -35,7 +35,15 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
-from .algebra import AlgebraElement, TruncParams, _render_monomial, multiply
+from .algebra import (
+    _X_COEFFS,
+    _Y_COEFFS,
+    AlgebraElement,
+    TruncParams,
+    _accumulate,
+    _multiply_into,
+    _render_monomial,
+)
 from .cochain import cohomology
 from .linalg import Matrix, Vector, _frac
 
@@ -119,6 +127,15 @@ class ChainElement:
     def __setattr__(self, name, value):
         raise AttributeError("ChainElement is immutable")
 
+    @classmethod
+    def _clean(cls, params: TruncParams, degree: int, coeffs: dict) -> "ChainElement":
+        """Wrap nonzero Fraction coefficients already on valid degree-`degree` form indices."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "coeffs", MappingProxyType(coeffs))
+        return self
+
     def __eq__(self, other):
         if not isinstance(other, ChainElement):
             return NotImplemented
@@ -189,32 +206,29 @@ class ChainElement:
         return f"ChainElement(deg={self.degree}: {self.render()})"
 
 
-def module_bracket(t: TwistParams, m: AlgebraElement, g: str) -> AlgebraElement:
-    """External bracket of the twisted module against a generator ('X' or 'Y')."""
-    p = m.params
-    out: dict[tuple[int, int], Fraction] = {}
+def _module_bracket_into(out: dict, t: TwistParams, p: TruncParams, m: Mapping, g: str, sign: int = 1):
+    """out += sign * {m, g} for a clean coefficient map m and a generator g ('X' or 'Y')."""
     if g == "X":
-        for (i, j), c in m.coeffs.items():
-            s = -(j + t.alpha) * c
-            if s and i + 1 < p.a:
-                out[(i + 1, j)] = out.get((i + 1, j), Fraction(0)) + s
+        offset = -t.alpha if sign > 0 else t.alpha  # sign * -(j + alpha) = offset - sign*j
+        for (i, j), c in m.items():
+            w = offset - sign * j
+            if w and i + 1 < p.a:
+                _accumulate(out, (i + 1, j), w if c == 1 else w * c)
     elif g == "Y":
-        for (i, j), c in m.coeffs.items():
-            s = (i - t.beta) * c
-            if s and j + 1 < p.b:
-                out[(i, j + 1)] = out.get((i, j + 1), Fraction(0)) + s
+        offset = -t.beta if sign > 0 else t.beta  # sign * (i - beta) = offset + sign*i
+        for (i, j), c in m.items():
+            w = offset + sign * i
+            if w and j + 1 < p.b:
+                _accumulate(out, (i, j + 1), w if c == 1 else w * c)
     else:
         raise ValueError("generator must be 'X' or 'Y'")
-    return AlgebraElement(p, out)
 
 
-def _tensor_dx(m: AlgebraElement) -> dict:
-    """m (x) dX reduced to the degree-1 basis; torsion drops i = a-1 terms."""
-    return {(i, j, DX): c for (i, j), c in m.coeffs.items() if i <= m.params.a - 2}
-
-
-def _tensor_dy(m: AlgebraElement) -> dict:
-    return {(i, j, DY): c for (i, j), c in m.coeffs.items() if j <= m.params.b - 2}
+def module_bracket(t: TwistParams, m: AlgebraElement, g: str) -> AlgebraElement:
+    """External bracket of the twisted module against a generator ('X' or 'Y')."""
+    out: dict[tuple[int, int], Fraction] = {}
+    _module_bracket_into(out, t, m.params, m.coeffs, g)
+    return AlgebraElement._clean(m.params, out)
 
 
 def boundary(t: TwistParams, z: ChainElement) -> ChainElement:
@@ -223,29 +237,31 @@ def boundary(t: TwistParams, z: ChainElement) -> ChainElement:
         m (x) dg     |-> {m, g}
         m (x) dX^dY  |-> {m,X} (x) dY - {m,Y} (x) dX - m (x) d(X*Y)
 
-    with d(X*Y) = X dY + Y dX.  The expanded closed form
+    with d(X*Y) = X dY + Y dX; each term is summed into one coefficient map
+    per form.  A 2-form X^i Y^j dX^dY has i <= a-2 and j <= b-2, so every
+    term lands on a degree-1 form index and the torsion drops nothing.  The
+    expanded closed form
     -(j+alpha+1) X^(i+1)Y^j (x) dY - (i-beta+1) X^i Y^(j+1) (x) dX of the
     degree-2 case is the test oracle for this operator.
     """
     p = z.params
-    acc: dict = {}
-
-    def add(part: Mapping, sign: int):
-        for k, c in part.items():
-            acc[k] = acc.get(k, Fraction(0)) + sign * c
-
     if z.degree == 1:
-        for g, form in (("X", DX), ("Y", DY)):
-            m = AlgebraElement(p, {(i, j): c for (i, j, f), c in z.coeffs.items() if f == form})
-            add(module_bracket(t, m, g).coeffs, 1)
-        return ChainElement(p, 0, acc)
+        m_dx = {(i, j): c for (i, j, f), c in z.coeffs.items() if f == DX}
+        m_dy = {(i, j): c for (i, j, f), c in z.coeffs.items() if f == DY}
+        out: dict = {}
+        _module_bracket_into(out, t, p, m_dx, "X")
+        _module_bracket_into(out, t, p, m_dy, "Y")
+        return ChainElement._clean(p, 0, out)
     if z.degree == 2:
-        m = AlgebraElement(p, z.coeffs)
-        add(_tensor_dy(module_bracket(t, m, "X")), 1)
-        add(_tensor_dx(module_bracket(t, m, "Y")), -1)
-        add(_tensor_dy(multiply(m, AlgebraElement.gen_x(p))), -1)
-        add(_tensor_dx(multiply(m, AlgebraElement.gen_y(p))), -1)
-        return ChainElement(p, 1, acc)
+        on_dx: dict = {}
+        on_dy: dict = {}
+        _module_bracket_into(on_dy, t, p, z.coeffs, "X")  # {m,X} (x) dY
+        _module_bracket_into(on_dx, t, p, z.coeffs, "Y", -1)  # -{m,Y} (x) dX
+        _multiply_into(on_dy, p, _X_COEFFS, z.coeffs, -1)  # -m*X (x) dY, as -X*m
+        _multiply_into(on_dx, p, _Y_COEFFS, z.coeffs, -1)  # -m*Y (x) dX, as -Y*m
+        out = {(i, j, DX): c for (i, j), c in on_dx.items()}
+        out.update({(i, j, DY): c for (i, j), c in on_dy.items()})
+        return ChainElement._clean(p, 1, out)
     raise ValueError("boundary is defined on chains of degree 1 and 2")
 
 

@@ -3,7 +3,9 @@
 Subcommands: cohomology, homology, ring, duality, sweep, verify.  Output goes
 to stdout in json (the stable contract), csv or markdown.  Exit codes: 0 on
 success with all embedded checks passing, 1 if any check fails, 2 on usage
-errors.  No environment variable changes the output.
+errors, 3 on an internal error (out of memory, or a RuntimeError from one of
+the engine's self-checks), reported as one line on stderr with nothing on
+stdout.  No environment variable changes the output.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .reporting import (
 )
 
 SWEEP_MAX = 32
+EXIT_INTERNAL_ERROR = 3
 
 
 def ab_value(s: str) -> int:
@@ -134,6 +137,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _bundle(args: argparse.Namespace) -> ReportBundle:
+    if args.command == "cohomology":
+        p = TruncParams(args.a, args.b)
+        return cohomology_bundle(p, include_reps=not args.no_representatives)
+    if args.command == "homology":
+        p = TruncParams(args.a, args.b)
+        kind, explicit = args.twist
+        return homology_bundle(p, kind, explicit, include_reps=not args.no_representatives)
+    if args.command == "ring":
+        return ring_bundle(TruncParams(args.a, args.b))
+    if args.command == "duality":
+        return duality_bundle(TruncParams(args.a, args.b))
+    if args.command == "sweep":
+        kind, explicit = args.twist
+        return sweep_bundle(args.kind, args.a, args.b, kind, explicit)
+    return verify_bundle(TruncParams(args.a, args.b))
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -141,24 +162,17 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
 
-    if args.command == "cohomology":
-        p = TruncParams(args.a, args.b)
-        bundle = cohomology_bundle(p, include_reps=not args.no_representatives)
-    elif args.command == "homology":
-        p = TruncParams(args.a, args.b)
-        kind, explicit = args.twist
-        bundle = homology_bundle(p, kind, explicit, include_reps=not args.no_representatives)
-    elif args.command == "ring":
-        bundle = ring_bundle(TruncParams(args.a, args.b))
-    elif args.command == "duality":
-        bundle = duality_bundle(TruncParams(args.a, args.b))
-    elif args.command == "sweep":
-        kind, explicit = args.twist
-        bundle = sweep_bundle(args.kind, args.a, args.b, kind, explicit)
-    else:
-        bundle = verify_bundle(TruncParams(args.a, args.b))
-
-    sys.stdout.write(render(bundle, args.format))
+    try:
+        bundle = _bundle(args)
+        text = render(bundle, args.format)
+    except MemoryError:
+        print("truncpoisson: internal error: out of memory", file=sys.stderr)
+        return EXIT_INTERNAL_ERROR
+    except RuntimeError as e:
+        message = " ".join(str(e).split()) or type(e).__name__
+        print(f"truncpoisson: internal error: {message}", file=sys.stderr)
+        return EXIT_INTERNAL_ERROR
+    sys.stdout.write(text)
     return bundle.exit_code
 
 

@@ -32,7 +32,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence, Union
 
-from .algebra import AlgebraElement, TruncParams, bracket, euler_dims, multiply
+from .algebra import (
+    _X_COEFFS,
+    _Y_COEFFS,
+    AlgebraElement,
+    TruncParams,
+    _bracket_into,
+    _multiply_into,
+    bracket,
+    euler_dims,
+    multiply,
+)
 from .linalg import Matrix, Vector
 
 
@@ -251,12 +261,14 @@ def delta0_matrix(p: TruncParams) -> Matrix:
 
 
 def delta1_apply(d: Derivation) -> Biderivation:
-    """delta_1(d) evaluated on X^Y."""
+    """delta_1(d) evaluated on X^Y, its four convention terms summed into one map."""
     p = d.params
-    x = AlgebraElement.gen_x(p)
-    y = AlgebraElement.gen_y(p)
-    value = bracket(x, d.dy) - bracket(y, d.dx) - multiply(d.dx, y) - multiply(x, d.dy)
-    return Biderivation(p, value)
+    value: dict = {}
+    _bracket_into(value, p, _X_COEFFS, d.dy.coeffs)  # {X, d(Y)}
+    _bracket_into(value, p, _Y_COEFFS, d.dx.coeffs, -1)  # -{Y, d(X)}
+    _multiply_into(value, p, _Y_COEFFS, d.dx.coeffs, -1)  # -d(X)*Y, as -Y*d(X)
+    _multiply_into(value, p, _X_COEFFS, d.dy.coeffs, -1)  # -X*d(Y)
+    return Biderivation(p, AlgebraElement._clean(p, value))
 
 
 def delta1_matrix(p: TruncParams) -> Matrix:

@@ -2,9 +2,11 @@
 
 These deliberately avoid the library's closed-form bracket and its
 Gauss-Jordan: the bracket oracle expands products one generator at a time
-using only the two generator rules, and the rank oracle is a separate
-textbook forward elimination.  Agreement between library and oracle is the
-point of the tests, so nothing here may call the code path it checks.
+using only the two generator rules, the delta_1 oracle evaluates the
+convention's four terms with those rules and multiply, and the rank oracle
+is a separate textbook forward elimination.  Agreement between library and
+oracle is the point of the tests, so nothing here may call the code path it
+checks.
 """
 
 from fractions import Fraction
@@ -55,6 +57,19 @@ def leibniz_bracket_monomial(p: TruncParams, ij, kl) -> AlgebraElement:
     rest_elem = AlgebraElement.monomial(p, *rest)
     first = bracket_with_x(u) if k > 0 else bracket_with_y(u)
     return multiply(first, rest_elem) + multiply(head, leibniz_bracket_monomial(p, ij, rest))
+
+
+def delta1_oracle(d) -> AlgebraElement:
+    """delta_1(d)(X^Y) = {X, d(Y)} - {Y, d(X)} - d(X)*Y - X*d(Y).
+
+    The brackets with a generator come from the generator rules by
+    antisymmetry: {X, m} = -{m, X} and -{Y, m} = {m, Y}.  multiply and the
+    sums are checked on their own against plain-dict references in
+    test_properties.py.
+    """
+    p = d.params
+    x, y = AlgebraElement.gen_x(p), AlgebraElement.gen_y(p)
+    return bracket_with_y(d.dx) - bracket_with_x(d.dy) - multiply(d.dx, y) - multiply(x, d.dy)
 
 
 def independent_rank(rows) -> int:

@@ -302,3 +302,30 @@ def test_no_command_constructs_a_dense_matrix(capsys, monkeypatch):
     ):
         code, _, _ = run_cli(capsys, argv)
         assert code == 0, argv
+
+
+@pytest.mark.parametrize(
+    "builder, error, argv",
+    [
+        ("verify_bundle", RuntimeError("cocycle normalization failed\nto reach the normal form"), ["verify"]),
+        ("ring_bundle", RuntimeError("cup table violates graded commutativity"), ["ring"]),
+        ("cohomology_bundle", MemoryError(), ["cohomology"]),
+        ("sweep_bundle", MemoryError(), ["sweep"]),
+    ],
+)
+def test_internal_errors_exit_3_with_one_stderr_line(capsys, monkeypatch, builder, error, argv):
+    import truncpoisson.cli as cli
+
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, builder, fail)
+    code, out, err = run_cli(capsys, [*argv, "-a", "3", "-b", "4"])
+    assert code == cli.EXIT_INTERNAL_ERROR == 3
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("truncpoisson: internal error: ")
+    assert "Traceback" not in err
+    if isinstance(error, MemoryError):
+        assert "out of memory" in err
+    else:
+        assert " ".join(str(error).split()) in err

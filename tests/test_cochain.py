@@ -25,7 +25,7 @@ from truncpoisson import (
 from truncpoisson.checks import random_cocycle, random_derivation, random_element
 from truncpoisson.cochain import delta1_apply, fibre_product_table
 
-from oracles import independent_rank
+from oracles import delta1_oracle, independent_rank
 
 
 def test_chi1_basis_2_2_order():
@@ -298,6 +298,15 @@ def test_delta1_apply_matches_matrix():
     for _ in range(10):
         d = random_derivation(p, rng)
         assert delta1_apply(d).to_vector() == m.apply(d.to_vector())
+
+
+def test_delta1_apply_matches_generator_oracle():
+    rng = random.Random(25)
+    for a, b in [(2, 2), (2, 5), (3, 3), (4, 3), (3, 7), (6, 6)]:
+        p = TruncParams(a, b)
+        for _ in range(10):
+            d = random_derivation(p, rng)
+            assert delta1_apply(d).value == delta1_oracle(d)
 
 
 def test_ring_table_matches_reference():
