@@ -21,7 +21,6 @@ results are wrapped by AlgebraElement._clean without re-checking.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterator, Mapping, NamedTuple
@@ -29,16 +28,42 @@ from typing import Iterator, Mapping, NamedTuple
 from .linalg import Vector, _frac
 
 
-@dataclass(frozen=True)
 class TruncParams:
-    """Exponent bounds (a, b): X^a = 0 and Y^b = 0, both at least 2."""
+    """Exponent bounds (a, b): X^a = 0 and Y^b = 0, both at least 2.
 
-    a: int
-    b: int
+    An immutable value, equal (and hashed) by (a, b) and equal only to
+    another TruncParams, never to a plain tuple.
+    """
 
-    def __post_init__(self):
-        if self.a < 2 or self.b < 2:
-            raise ValueError(f"need two integers a,b ≥ 2, got ({self.a}, {self.b})")
+    __slots__ = ("a", "b")
+
+    def __new__(cls, a: int, b: int):
+        if a < 2 or b < 2:
+            raise ValueError(f"need two integers a,b ≥ 2, got ({a}, {b})")
+        self = object.__new__(cls)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        return self
+
+    def __setattr__(self, name, value):
+        raise AttributeError("TruncParams is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("TruncParams is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.a == other.a and self.b == other.b
+
+    def __hash__(self):
+        return hash((self.a, self.b))
+
+    def __reduce__(self):
+        return (self.__class__, (self.a, self.b))
+
+    def __repr__(self):
+        return f"TruncParams(a={self.a!r}, b={self.b!r})"
 
     @property
     def dim(self) -> int:

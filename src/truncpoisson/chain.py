@@ -30,10 +30,9 @@ only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .algebra import (
     _X_COEFFS,
@@ -50,16 +49,40 @@ from .linalg import Matrix, Vector, _frac
 DX, DY, DXDY = "dX", "dY", "dX^dY"
 
 
-@dataclass(frozen=True)
 class TwistParams:
-    """Diagonal twist (alpha, beta); arbitrary rationals are allowed."""
+    """Diagonal twist (alpha, beta); arbitrary rationals are allowed.
 
-    alpha: Fraction
-    beta: Fraction
+    An immutable value, stored as Fractions, equal (and hashed) by
+    (alpha, beta) and equal only to another TwistParams.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", _frac(self.alpha))
-        object.__setattr__(self, "beta", _frac(self.beta))
+    __slots__ = ("alpha", "beta")
+
+    def __new__(cls, alpha, beta):
+        self = object.__new__(cls)
+        object.__setattr__(self, "alpha", _frac(alpha))
+        object.__setattr__(self, "beta", _frac(beta))
+        return self
+
+    def __setattr__(self, name, value):
+        raise AttributeError("TwistParams is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("TwistParams is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.alpha == other.alpha and self.beta == other.beta
+
+    def __hash__(self):
+        return hash((self.alpha, self.beta))
+
+    def __reduce__(self):
+        return (self.__class__, (self.alpha, self.beta))
+
+    def __repr__(self):
+        return f"TwistParams(alpha={self.alpha!r}, beta={self.beta!r})"
 
     @classmethod
     def trivial(cls) -> "TwistParams":
@@ -277,20 +300,24 @@ def partial2_matrix(p: TruncParams, t: TwistParams) -> Matrix:
     return Matrix.from_columns(cols, ambient_dim=len(omega1_indices(p)))
 
 
-@dataclass(frozen=True)
-class HomologyReport:
-    """Dimensions, boundary ranks and representatives of one twisted complex."""
-
+class _HomologyFields(NamedTuple):
     params: TruncParams
     twist: TwistParams
     dims: tuple[int, int, int]
     ranks: tuple[int, int]
     representatives: tuple[tuple[ChainElement, ...], ...]
 
-    def __post_init__(self):
-        h0, h1, h2 = self.dims
+
+class HomologyReport(_HomologyFields):
+    """Dimensions, boundary ranks and representatives of one twisted complex."""
+
+    __slots__ = ()
+
+    def __new__(cls, params, twist, dims, ranks, representatives):
+        h0, h1, h2 = dims
         if h0 - h1 + h2 != 1:
-            raise ValueError(f"homology dims {self.dims} break the Euler identity")
+            raise RuntimeError(f"homology dims {dims} break the Euler identity")
+        return super().__new__(cls, params, twist, dims, ranks, representatives)
 
 
 def homology(p: TruncParams, t: TwistParams) -> HomologyReport:
@@ -331,8 +358,7 @@ def homology(p: TruncParams, t: TwistParams) -> HomologyReport:
     )
 
 
-@dataclass(frozen=True)
-class DegreeComparison:
+class DegreeComparison(NamedTuple):
     degree: int
     cohomology_dim: int
     nakayama_homology_dim: int
@@ -342,8 +368,7 @@ class DegreeComparison:
     poincare_match: bool
 
 
-@dataclass(frozen=True)
-class DualityReport:
+class DualityReport(NamedTuple):
     """Degreewise duality data: the twisted match and the untwisted failure."""
 
     params: TruncParams

@@ -8,9 +8,9 @@ parameters, so repeated runs produce identical output.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from typing import NamedTuple
 
 from .algebra import AlgebraElement, TruncParams, _bracket_into, bracket, euler_dims, multiply
 from .chain import ChainElement, TwistParams, boundary, homology, omega2_indices, omega_dims
@@ -31,8 +31,7 @@ JACOBI_FULL_LIMIT = 30
 JACOBI_SAMPLES = 5000
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str

@@ -6,11 +6,20 @@ success with all embedded checks passing, 1 if any check fails, 2 on usage
 errors, 3 on an internal error (out of memory, or a RuntimeError from one of
 the engine's self-checks), reported as one line on stderr with nothing on
 stdout.  No environment variable changes the output.
+
+Size limits, each a usage error with a "resource limit:" message: a*b is at
+most INSTANCE_MAX_AB (360000) for cohomology, homology, ring and duality and
+at most VERIFY_MAX_AB (2500) for verify; sweep ranges end at SWEEP_MAX (32).
+Each twist entry, reduced to lowest terms, may have at most TWIST_MAX_DIGITS
+(4300, Python's default int/str conversion limit) digits in its numerator and
+in its denominator, so an exponent such as 1e5000 is refused before any
+power of ten is built.
 """
 
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from fractions import Fraction
 from typing import Optional
@@ -29,7 +38,14 @@ from .reporting import (
 )
 
 SWEEP_MAX = 32
+# Caps on a*b: at each, the slowest command it covers (ring; verify) takes about 10 s.
+INSTANCE_MAX_AB = 360_000
+VERIFY_MAX_AB = 2_500
+# Python's default limit on int <-> str conversion; a twist entry must print.
+TWIST_MAX_DIGITS = 4300
 EXIT_INTERNAL_ERROR = 3
+
+_EXPONENT = re.compile(r"[eE]([-+]?\d[\d_]*)\s*\Z")
 
 
 def ab_value(s: str) -> int:
@@ -58,6 +74,30 @@ def range_value(s: str) -> tuple[int, int]:
     return (lo_i, hi_i)
 
 
+def _twist_entry(s: str) -> Fraction:
+    """Fraction(s); OverflowError if its numerator or denominator passes TWIST_MAX_DIGITS digits.
+
+    Fraction would build 10**exp for a decimal exponent before reducing.  Here
+    the mantissa is parsed with the exponent's digits zeroed (the same
+    grammar, so exactly the same inputs parse), and 10**exp is built only
+    when |exp| is small enough for the result to fit: past that bound the
+    reduced numerator or denominator exceeds the limit whatever the mantissa.
+    """
+    m = _EXPONENT.search(s)
+    if m is None:
+        value = Fraction(s)
+    else:
+        value = Fraction(s[: m.start(1)] + re.sub(r"\d", "0", m[1]) + s[m.end(1):])
+        exp = int(m[1])
+        if value:
+            if abs(exp) > TWIST_MAX_DIGITS + value.numerator.bit_length() + value.denominator.bit_length():
+                raise OverflowError
+            value *= Fraction(10) ** exp
+    if max(abs(value.numerator), value.denominator) >= 10**TWIST_MAX_DIGITS:
+        raise OverflowError
+    return value
+
+
 def twist_value(s: str) -> tuple[str, Optional[TwistParams]]:
     if s == "trivial":
         return ("trivial", None)
@@ -66,9 +106,13 @@ def twist_value(s: str) -> tuple[str, Optional[TwistParams]]:
     parts = s.split(",")
     if len(parts) == 2:
         try:
-            return ("explicit", TwistParams(Fraction(parts[0].strip()), Fraction(parts[1].strip())))
+            return ("explicit", TwistParams(_twist_entry(parts[0].strip()), _twist_entry(parts[1].strip())))
         except (ValueError, ZeroDivisionError):
             pass
+        except OverflowError:
+            raise argparse.ArgumentTypeError(
+                f"twist entries need at most {TWIST_MAX_DIGITS} digits in numerator and denominator; got {s!r}"
+            ) from None
     raise argparse.ArgumentTypeError(
         f"twist must be 'trivial', 'nakayama' or 'ALPHA,BETA' with rational entries like -1,3/2; got {s!r}"
     )
@@ -159,6 +203,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command != "sweep":
+            cap = VERIFY_MAX_AB if args.command == "verify" else INSTANCE_MAX_AB
+            if args.a * args.b > cap:
+                parser.error(f"resource limit: a*b is capped at {cap} for {args.command}; got {args.a}*{args.b}")
     except SystemExit as e:
         return int(e.code or 0)
 

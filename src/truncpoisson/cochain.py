@@ -28,7 +28,6 @@ well-definedness tests):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence, Union
 
@@ -309,8 +308,7 @@ def is_poisson_derivation(d: Derivation) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class CohomologyReport:
+class CohomologyReport(NamedTuple):
     """Dimensions, ranks and canonical representatives for one degree."""
 
     params: TruncParams
@@ -420,8 +418,7 @@ RING_LABELS = ("1", "t", "v", "w", "m")
 RING_DEGREES = (0, 0, 1, 1, 2)
 
 
-@dataclass(frozen=True)
-class RingTable:
+class RingTable(NamedTuple):
     """All 25 products of the five cohomology classes, in class coordinates."""
 
     params: TruncParams

@@ -11,8 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .algebra import AlgebraElement, TruncParams, render_element
 from .chain import ChainElement, TwistParams, duality_report, homology
@@ -24,8 +23,7 @@ SCHEMA_VERSION = "1.0"
 THEORY_COHOMOLOGY_DIMS = (2, 2, 1)
 
 
-@dataclass(frozen=True)
-class ReportBundle:
+class ReportBundle(NamedTuple):
     command: str
     params: dict
     payload: dict

@@ -1,11 +1,13 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from truncpoisson.cli import main
+from truncpoisson.chain import HomologyReport, TwistParams
+from truncpoisson.cli import main, twist_value
 from truncpoisson.checks import CheckResult
 from truncpoisson.reporting import ReportBundle
 
@@ -181,6 +183,72 @@ def test_usage_error_sweep_cap(capsys):
     assert "resource limit" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["homology", "-a", "2", "-b", "2", "--twist=1e5000,0"],
+        ["sweep", "-a", "2..3", "-b", "2", "--kind", "homology", "--twist=1e5000,0"],
+        ["homology", "-a", "2", "-b", "2", "--twist=0,1e-4300"],
+        ["homology", "-a", "2", "-b", "2", "--twist=1e999999999999,0"],
+        ["homology", "-a", "2", "-b", "2", f"--twist={'1' * 3000}.{'1' * 3000},0"],
+        ["sweep", "-a", "2", "-b", "2", "--kind", "homology", f"--twist=0,0.{'0' * 4299}1"],
+    ],
+)
+def test_usage_error_twist_past_digit_limit(capsys, argv):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert "4300 digits" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "entry, value",
+    [
+        ("1e3", Fraction(1000)),
+        ("0.25", Fraction(1, 4)),
+        ("-.5E+2", Fraction(-50)),
+        ("3/2", Fraction(3, 2)),
+        ("-7/21", Fraction(-1, 3)),
+        ("1e4299", Fraction(10**4299)),
+        ("0.5e4300", Fraction(5 * 10**4299)),
+        ("5e-4300", Fraction(1, 2 * 10**4299)),
+        ("0e999999999999", Fraction(0)),
+    ],
+)
+def test_twist_entries_within_digit_limit_keep_their_value(entry, value):
+    assert twist_value(f"{entry},{entry}") == ("explicit", TwistParams(value, value))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cohomology", "-a", "1000000000", "-b", "2"],
+        ["homology", "-a", "2", "-b", "180001", "--twist", "nakayama"],
+        ["ring", "-a", "601", "-b", "600"],
+        ["duality", "-a", "600", "-b", "601"],
+        ["verify", "-a", "51", "-b", "50"],
+        ["verify", "-a", "2", "-b", "1251"],
+    ],
+)
+def test_usage_error_instance_size_caps(capsys, argv):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert "resource limit" in err
+
+
+def test_size_caps_admit_products_up_to_the_cap(capsys, monkeypatch):
+    import truncpoisson.cli as cli
+
+    monkeypatch.setattr(cli, "INSTANCE_MAX_AB", 12)
+    monkeypatch.setattr(cli, "VERIFY_MAX_AB", 6)
+    assert run_cli(capsys, ["ring", "-a", "3", "-b", "4"])[0] == 0
+    assert run_cli(capsys, ["ring", "-a", "3", "-b", "5"])[0] == 2
+    assert run_cli(capsys, ["verify", "-a", "2", "-b", "3"])[0] == 0
+    assert run_cli(capsys, ["verify", "-a", "3", "-b", "3"])[0] == 2
+    assert run_cli(capsys, ["sweep", "-a", "2..5", "-b", "2..5"])[0] == 0
+
+
 def test_usage_error_missing_command(capsys):
     code, out, err = run_cli(capsys, [])
     assert code == 2
@@ -304,6 +372,10 @@ def test_no_command_constructs_a_dense_matrix(capsys, monkeypatch):
         assert code == 0, argv
 
 
+def _homology_breaking_euler(p, t):
+    return HomologyReport(p, t, (2, 1, 1), (0, 0), ((), (), ()))
+
+
 @pytest.mark.parametrize(
     "builder, error, argv",
     [
@@ -311,6 +383,7 @@ def test_no_command_constructs_a_dense_matrix(capsys, monkeypatch):
         ("ring_bundle", RuntimeError("cup table violates graded commutativity"), ["ring"]),
         ("cohomology_bundle", MemoryError(), ["cohomology"]),
         ("sweep_bundle", MemoryError(), ["sweep"]),
+        ("reporting.homology", RuntimeError("homology dims (2, 1, 1) break the Euler identity"), ["homology"]),
     ],
 )
 def test_internal_errors_exit_3_with_one_stderr_line(capsys, monkeypatch, builder, error, argv):
@@ -319,7 +392,10 @@ def test_internal_errors_exit_3_with_one_stderr_line(capsys, monkeypatch, builde
     def fail(*args, **kwargs):
         raise error
 
-    monkeypatch.setattr(cli, builder, fail)
+    if builder == "reporting.homology":  # the engine itself raises, from the record's self-check
+        monkeypatch.setattr("truncpoisson.reporting.homology", _homology_breaking_euler)
+    else:
+        monkeypatch.setattr(cli, builder, fail)
     code, out, err = run_cli(capsys, [*argv, "-a", "3", "-b", "4"])
     assert code == cli.EXIT_INTERNAL_ERROR == 3
     assert out == ""

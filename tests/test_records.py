@@ -1,0 +1,105 @@
+"""The package's immutable records: value semantics, validation, import cost."""
+
+import os
+import pickle
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from truncpoisson import (
+    CheckResult,
+    CohomologyReport,
+    DualityReport,
+    HomologyReport,
+    RingTable,
+    TruncParams,
+    TwistParams,
+    cohomology,
+    duality_report,
+    homology,
+    ring_table,
+)
+from truncpoisson.chain import DegreeComparison
+from truncpoisson.reporting import ReportBundle, ring_bundle
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+P = TruncParams(3, 4)
+
+# (factory building a fresh instance, one of its fields, whether its fields are hashable)
+RECORDS = {
+    "TruncParams": (lambda: TruncParams(3, 4), "a", True),
+    "TwistParams": (lambda: TwistParams(Fraction(1, 2), -3), "beta", True),
+    "HomologyReport": (lambda: HomologyReport(P, TwistParams(0, 0), (2, 1, 0), (10, 6), ((), (), ())), "dims", True),
+    "DegreeComparison": (lambda: duality_report(P).comparisons[1], "nakayama_match", True),
+    "DualityReport": (lambda: duality_report(P), "euler_chain", True),
+    "CohomologyReport": (lambda: cohomology(P, 3), "dimension", True),
+    "RingTable": (lambda: ring_table(P), "products", True),
+    "CheckResult": (lambda: CheckResult("euler", True, "euler 1"), "passed", True),
+    # payload and params are dicts, so a bundle has never been hashable
+    "ReportBundle": (lambda: ring_bundle(P), "rows", False),
+}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_records_are_immutable_values(name):
+    factory, field, hashable = RECORDS[name]
+    x, y = factory(), factory()
+    assert type(x).__name__ == name
+    assert x is not y and x == y and not x != y
+    if hashable:
+        assert hash(x) == hash(y)
+    with pytest.raises(AttributeError):
+        setattr(x, field, getattr(y, field))
+    with pytest.raises(AttributeError):
+        x.extra = 1
+    assert x == y
+
+
+def test_record_reprs_name_their_fields():
+    assert repr(TruncParams(2, 3)) == "TruncParams(a=2, b=3)"
+    assert repr(TwistParams(1, Fraction(-3, 4))) == "TwistParams(alpha=Fraction(1, 1), beta=Fraction(-3, 4))"
+    assert repr(CheckResult("x", False, "d")) == "CheckResult(name='x', passed=False, detail='d')"
+    assert repr(cohomology(P, 3)).startswith("CohomologyReport(params=TruncParams(a=3, b=4), degree=3,")
+
+
+def test_parameter_types_are_strict_values():
+    p = TruncParams(2, 3)
+    assert p != (2, 3) and (2, 3) != p
+    assert p != TwistParams(2, 3)
+    assert TwistParams(2, 3) != (Fraction(2), Fraction(3))
+    assert p == TruncParams(a=2, b=3) and p != TruncParams(3, 2)
+    assert {p: 1}[TruncParams(2, 3)] == 1
+    with pytest.raises(AttributeError):
+        del p.a
+    with pytest.raises(AttributeError):
+        del TwistParams(0, 0).alpha
+    for value in (p, TwistParams(Fraction(1, 2), -3)):
+        assert pickle.loads(pickle.dumps(value)) == value
+
+
+def test_record_validation_still_raises():
+    with pytest.raises(ValueError, match="a,b ≥ 2"):
+        TruncParams(1, 4)
+    with pytest.raises(ValueError, match="a,b ≥ 2"):
+        TruncParams(3, 0)
+    t = TwistParams(1, "-3/4")
+    assert (type(t.alpha), type(t.beta)) == (Fraction, Fraction)
+    assert (t.alpha, t.beta) == (1, Fraction(-3, 4))
+    with pytest.raises(ValueError):
+        TwistParams("one", 0)
+    with pytest.raises(RuntimeError, match="Euler identity"):
+        HomologyReport(P, TwistParams(0, 0), (2, 1, 1), (0, 0), ((), (), ()))
+    assert homology(P, TwistParams(0, 0)).dims == (6, 5, 0)
+
+
+def test_cli_import_leaves_out_dataclasses():
+    # -S keeps site-specific start-up imports out of the measurement
+    code = "import sys, truncpoisson.cli; print('dataclasses' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env, check=True
+    ).stdout
+    assert out == "False\n"
