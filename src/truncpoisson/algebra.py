@@ -16,6 +16,11 @@ public constructor establishes it from arbitrary input; the arithmetic
 kernels (_accumulate, _multiply_into, _bracket_into) preserve it by
 construction, dropping a key as soon as its coefficient cancels, so their
 results are wrapped by AlgebraElement._clean without re-checking.
+
+The kernels themselves accept any exact rational maps, int or Fraction
+values, nonzero and at in-bound keys: an int map stays an int map (verify's
+Jacobi check runs on such maps), and Fraction inputs give Fraction results.
+Only maps with Fraction values are wrapped into elements.
 """
 
 from __future__ import annotations
@@ -209,7 +214,7 @@ def _accumulate(out: dict, key, c: Fraction, sign: int = 1):
 
 
 def _multiply_into(out: dict, p: TruncParams, u: Mapping, v: Mapping, sign: int = 1):
-    """out += sign * u*v for clean coefficient maps u, v, truncated to p."""
+    """out += sign * u*v for exact rational maps u, v without zeros, truncated to p."""
     a, b = p.a, p.b
     for (i, j), c in u.items():
         unit = c == 1  # a generator or a basis element: skip the product by 1
@@ -219,7 +224,7 @@ def _multiply_into(out: dict, p: TruncParams, u: Mapping, v: Mapping, sign: int 
 
 
 def _bracket_into(out: dict, p: TruncParams, u: Mapping, v: Mapping, sign: int = 1):
-    """out += sign * {u, v} for clean coefficient maps u, v, truncated to p."""
+    """out += sign * {u, v} for exact rational maps u, v without zeros, truncated to p."""
     a, b = p.a, p.b
     for (i, j), c in u.items():
         unit = c == 1

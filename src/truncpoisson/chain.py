@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .algebra import (
     _X_COEFFS,
@@ -305,7 +305,7 @@ class _HomologyFields(NamedTuple):
     twist: TwistParams
     dims: tuple[int, int, int]
     ranks: tuple[int, int]
-    representatives: tuple[tuple[ChainElement, ...], ...]
+    representatives: Optional[tuple[tuple[ChainElement, ...], ...]]
 
 
 class HomologyReport(_HomologyFields):
@@ -320,7 +320,7 @@ class HomologyReport(_HomologyFields):
         return super().__new__(cls, params, twist, dims, ranks, representatives)
 
 
-def homology(p: TruncParams, t: TwistParams) -> HomologyReport:
+def homology(p: TruncParams, t: TwistParams, include_reps: bool = True) -> HomologyReport:
     """Twisted Poisson homology, computed block by block from the weights.
 
     h0 = ab - rank(b1), h1 = dim Ker(b1) - rank(b2), h2 = dim Ker(b2);
@@ -331,9 +331,11 @@ def homology(p: TruncParams, t: TwistParams) -> HomologyReport:
     The representatives are those basis elements, in basis order (dX forms
     before dY forms), which is what the dense reduced-echelon computation
     gives: non-pivot monomials, kernel vectors sieved against Im(b2), and
-    the kernel of b2.
+    the kernel of b2.  They are built only when include_reps is true;
+    otherwise the report's representatives are None.
     """
     rank1 = rank2 = 0
+    h0 = h1 = h2 = 0
     reps0, reps1_dx, reps1_dy, reps2 = [], [], [], []
     one = Fraction(1)
     for k in range(p.a):
@@ -344,6 +346,11 @@ def homology(p: TruncParams, t: TwistParams) -> HomologyReport:
                 rank1 += 1
                 rank2 += bool(k and l)
                 continue
+            h0 += 1
+            h1 += bool(k) + bool(l)
+            h2 += bool(k and l)
+            if not include_reps:
+                continue
             reps0.append(ChainElement(p, 0, {(k, l): one}))
             if k:
                 reps1_dx.append(ChainElement(p, 1, {(k - 1, l, DX): one}))
@@ -351,11 +358,8 @@ def homology(p: TruncParams, t: TwistParams) -> HomologyReport:
                 reps1_dy.append(ChainElement(p, 1, {(k, l - 1, DY): one}))
             if k and l:
                 reps2.append(ChainElement(p, 2, {(k - 1, l - 1): one}))
-    reps1 = reps1_dx + reps1_dy
-    return HomologyReport(
-        p, t, (len(reps0), len(reps1), len(reps2)), (rank1, rank2),
-        (tuple(reps0), tuple(reps1), tuple(reps2)),
-    )
+    reps = (tuple(reps0), tuple(reps1_dx + reps1_dy), tuple(reps2)) if include_reps else None
+    return HomologyReport(p, t, (h0, h1, h2), (rank1, rank2), reps)
 
 
 class DegreeComparison(NamedTuple):
@@ -387,8 +391,8 @@ def duality_report(p: TruncParams) -> DualityReport:
     2-k must fail at the ends, and both complexes have Euler characteristic 1.
     """
     codims = [cohomology(p, k).dimension for k in range(3)]
-    nak = homology(p, TwistParams.nakayama(p)).dims
-    triv = homology(p, TwistParams.trivial()).dims
+    nak = homology(p, TwistParams.nakayama(p), include_reps=False).dims
+    triv = homology(p, TwistParams.trivial(), include_reps=False).dims
     comparisons = []
     for k in range(3):
         comparisons.append(

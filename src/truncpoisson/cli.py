@@ -38,7 +38,8 @@ from .reporting import (
 )
 
 SWEEP_MAX = 32
-# Caps on a*b: at each, the slowest command it covers (ring; verify) takes about 10 s.
+# Caps on a*b: at each, the slowest command it covers (homology with its a+b-1
+# representatives, duality; verify) takes about 5 s; 6 to 7 s.
 INSTANCE_MAX_AB = 360_000
 VERIFY_MAX_AB = 2_500
 # Python's default limit on int <-> str conversion; a twist entry must print.

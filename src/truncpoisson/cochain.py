@@ -29,6 +29,7 @@ well-definedness tests):
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from typing import NamedTuple, Sequence, Union
 
 from .algebra import (
@@ -276,19 +277,31 @@ def delta1_matrix(p: TruncParams) -> Matrix:
     return Matrix.from_columns(cols, ambient_dim=len(chi2_index_pairs(p)))
 
 
-def _blocks(p: TruncParams):
+def _blocks(p: TruncParams, weights=None):
     """Yield (k, l, delta_0 entries, delta_1 entries) for every weight (k, l).
 
     delta_0 maps X^k Y^l to (l, -k) on (d_{k+1,l}, d'_{k,l+1}) and delta_1
     maps that pair to (k, l) on f_{k+1,l+1}.  An entry on a truncated basis
-    element is 0.
+    element is 0.  Given weights, only those blocks are yielded, in their
+    order; otherwise all of them, k outermost.
     """
-    for k in range(p.a):
-        has_d = k <= p.a - 2
-        for l in range(p.b):
-            has_dprime = l <= p.b - 2
-            d0 = (l if has_d else 0, -k if has_dprime else 0)
-            yield k, l, d0, (k, l) if has_d and has_dprime else (0, 0)
+    if weights is None:
+        weights = product(range(p.a), range(p.b))
+    last_d, last_dprime = p.a - 2, p.b - 2
+    for k, l in weights:
+        has_d = k <= last_d
+        has_dprime = l <= last_dprime
+        d0 = (l if has_d else 0, -k if has_dprime else 0)
+        yield k, l, d0, (k, l) if has_d and has_dprime else (0, 0)
+
+
+def _weights(z: Cochain) -> set[tuple[int, int]]:
+    """The weights (k, l) of the blocks in which the cochain z has a nonzero component."""
+    if isinstance(z, AlgebraElement):
+        return set(z.coeffs)
+    if isinstance(z, Derivation):
+        return {(i - 1, j) for (i, j) in z.dx.coeffs} | {(i, j - 1) for (i, j) in z.dy.coeffs}
+    return {(i - 1, j - 1) for (i, j) in z.value.coeffs}
 
 
 def is_poisson_derivation(d: Derivation) -> bool:
@@ -300,10 +313,9 @@ def is_poisson_derivation(d: Derivation) -> bool:
     (tested).
     """
     p, dx, dy = d.params, d.dx, d.dy
-    weights = {(i - 1, j) for (i, j) in dx.coeffs} | {(i, j - 1) for (i, j) in dy.coeffs}
     return all(
         not k * dx.coefficient(k + 1, l) + l * dy.coefficient(k, l + 1)
-        for (k, l) in weights
+        for (k, l) in _weights(d)
         if k <= p.a - 2 and l <= p.b - 2
     )
 
@@ -462,12 +474,12 @@ def ring_table(p: TruncParams) -> RingTable:
     """Compute the cup-product table of the five basis classes.
 
     Each product is computed at cochain level and reduced to class
-    coordinates block by block: the representatives sit in blocks that no
-    coboundary reaches, so their coefficients are the coordinates, and every
-    other block of the product must lie in the image of the incoming
-    coboundary.  Graded commutativity is enforced (a violation would be an
-    internal bug); whether the table equals the reference ring is reported
-    by matches_reference().
+    coordinates block by block, visiting only the blocks in its support: the
+    representatives sit in blocks that no coboundary reaches, so their
+    coefficients are the coordinates, and every other block of the product
+    must lie in the image of the incoming coboundary.  Graded commutativity
+    is enforced (a violation would be an internal bug); whether the table
+    equals the reference ring is reported by matches_reference().
     """
     reps: list[Cochain] = [
         AlgebraElement.one(p),
@@ -485,7 +497,7 @@ def ring_table(p: TruncParams) -> RingTable:
     def class_coords(z: Cochain) -> Vector:
         deg = cochain_degree(z)
         out = [Fraction(0)] * n
-        for k, l, d0, d1 in _blocks(p):
+        for k, l, d0, d1 in _blocks(p, _weights(z)):
             if deg == 0:
                 part, image = (z.coefficient(k, l),), (0,)
             elif deg == 1:

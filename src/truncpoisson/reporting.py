@@ -118,7 +118,7 @@ def homology_bundle(
     p: TruncParams, twist_kind: str, explicit: Optional[TwistParams] = None, include_reps: bool = True
 ) -> ReportBundle:
     t = resolve_twist(twist_kind, explicit, p)
-    rep = homology(p, t)
+    rep = homology(p, t, include_reps)
     h0, h1, h2 = rep.dims
     euler = h0 - h1 + h2
     degrees = []
@@ -261,7 +261,7 @@ def _sweep_row(kind: str, a: int, b: int, twist_kind: str, explicit: Optional[Tw
         ok = dims == THEORY_COHOMOLOGY_DIMS
     else:
         t = resolve_twist(twist_kind, explicit, p)
-        dims = homology(p, t).dims
+        dims = homology(p, t, include_reps=False).dims
         if twist_kind == "trivial":
             ok = dims[0] == a + b - 1
         elif twist_kind == "nakayama":

@@ -64,6 +64,8 @@ def test_block_homology_equals_dense(a, b):
     for t in [*integer_twist_box(p), TwistParams(Fraction(1, 2), Fraction(-3, 4))]:
         rep = homology(p, t)
         assert (rep.dims, rep.ranks, rep.representatives) == dense_homology(p, t), (a, b, t)
+        bare = homology(p, t, include_reps=False)
+        assert (bare.dims, bare.ranks, bare.representatives) == (rep.dims, rep.ranks, None)
 
 
 def test_block_cohomology_ranks_equal_dense():

@@ -372,7 +372,7 @@ def test_no_command_constructs_a_dense_matrix(capsys, monkeypatch):
         assert code == 0, argv
 
 
-def _homology_breaking_euler(p, t):
+def _homology_breaking_euler(p, t, include_reps=True):
     return HomologyReport(p, t, (2, 1, 1), (0, 0), ((), (), ()))
 
 

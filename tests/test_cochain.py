@@ -138,6 +138,21 @@ def test_is_poisson_derivation_examples():
     assert not is_poisson_derivation(Derivation.basis_dprime(p, 0, 2))
 
 
+def test_random_derivation_equals_from_vector_of_the_same_draws():
+    """Same value and same RNG consumption as from_vector over Fraction(n, d) draws."""
+    for a, b in [(2, 2), (2, 5), (3, 4), (6, 3)]:
+        p = TruncParams(a, b)
+        rng, twin = random.Random(f"draws:{a}:{b}"), random.Random(f"draws:{a}:{b}")
+        n = b * (a - 1) + a * (b - 1)
+        for _ in range(30):
+            d = random_derivation(p, rng)
+            draws = [Fraction(twin.randint(-9, 9), twin.randint(1, 9)) for _ in range(n)]
+            assert d == Derivation.from_vector(p, draws)
+            for value in (d.dx, d.dy):
+                assert all(type(c) is Fraction and c for c in value.coeffs.values())
+        assert rng.random() == twin.random()
+
+
 def test_is_poisson_derivation_agrees_with_kernel():
     for a, b in [(2, 3), (3, 4), (4, 3)]:
         p = TruncParams(a, b)
@@ -332,6 +347,28 @@ def test_ring_table_identities():
         expected = [Fraction(0)] * 5
         expected[table.basis_labels.index(label)] = Fraction(1)
         assert table.product("1", label) == tuple(expected)
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        lambda p: AlgebraElement.gen_x(p),  # degree 0, outside the representatives' blocks
+        lambda p: Derivation.basis_d(p, 2, 1),  # degree 1, off the line delta_0 = (1, -1)
+    ],
+)
+def test_ring_table_rejects_a_product_outside_the_span(monkeypatch, extra):
+    import truncpoisson.cochain as cochain
+
+    real_cup = cochain.cup
+
+    def off_span_cup(x, y):
+        z = real_cup(x, y)
+        e = extra(z.params)
+        return z + e if type(z) is type(e) else z
+
+    monkeypatch.setattr(cochain, "cup", off_span_cup)
+    with pytest.raises(RuntimeError, match="leaves the span of coboundaries and representatives"):
+        ring_table(TruncParams(4, 4))
 
 
 def test_fibre_product_table_shape():

@@ -3,7 +3,9 @@
 Sums, differences and products are compared with plain-dict references,
 the bracket with the Leibniz-expansion oracle, and every result is checked
 for the clean-coefficient invariant (nonzero Fraction values at in-bound
-keys).  Examples are derandomized so that runs are reproducible.
+keys).  The accumulating kernels give equal maps on int maps and on the
+same maps as Fractions.  Examples are derandomized so that runs are
+reproducible.
 """
 
 from fractions import Fraction
@@ -12,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from truncpoisson import AlgebraElement, TruncParams, bracket, multiply, parse_element, render_element
+from truncpoisson.algebra import _bracket_into, _multiply_into
 
 from oracles import leibniz_bracket_monomial
 
@@ -97,3 +100,29 @@ def test_bracket_matches_leibniz_oracle(pair):
 def test_render_parse_round_trip_on_random_elements(pair):
     for u in pair:
         assert parse_element(u.params, render_element(u)) == u
+
+
+@st.composite
+def int_maps(draw):
+    """A random (a, b) and three maps of nonzero ints on in-bound keys."""
+    p = TruncParams(draw(st.integers(2, 6)), draw(st.integers(2, 6)))
+    keys = st.tuples(st.integers(0, p.a - 1), st.integers(0, p.b - 1))
+    coeffs = st.dictionaries(keys, st.integers(-20, 20).filter(bool), max_size=8)
+    return p, draw(coeffs), draw(coeffs), draw(coeffs)
+
+
+def as_fractions(m: dict) -> dict:
+    return {k: Fraction(c) for k, c in m.items()}
+
+
+@PROPERTY
+@given(int_maps(), st.sampled_from((1, -1)))
+def test_kernels_agree_on_int_and_fraction_maps(maps, sign):
+    p, start, u, v = maps
+    for kernel in (_multiply_into, _bracket_into):
+        on_ints, on_fractions = dict(start), as_fractions(start)
+        kernel(on_ints, p, u, v, sign)
+        kernel(on_fractions, p, as_fractions(u), as_fractions(v), sign)
+        assert on_ints == on_fractions
+        assert all(type(c) is int and c for c in on_ints.values())
+        assert all(type(c) is Fraction and c for c in on_fractions.values())
