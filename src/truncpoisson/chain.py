@@ -22,10 +22,12 @@ block
              <--b2 = (-(k-beta), -(l+alpha))--  X^(k-1) Y^(l-1) dX^dY
 
 with scalar entries; an entry is absent when its form is (dX needs k >= 1,
-dY needs l >= 1, dX^dY needs both).  homology works block by block, and
-verify checks the complex on sparse chains through boundary; the dense
-matrices partial1_matrix and partial2_matrix are the reference for the tests
-only.
+dY needs l >= 1, dX^dY needs both).  Both entries of b1 vanish only at
+(0, 0), on the row k = 0 when beta = 0, on the column l = 0 when alpha = 0,
+and at (beta, -alpha) when beta is an integer in [1, a-1] and -alpha one in
+[1, b-1]; homology reads its answer off that list of weights.  verify checks
+the complex on sparse chains through boundary; the dense matrices
+partial1_matrix and partial2_matrix are the reference for the tests only.
 """
 
 from __future__ import annotations
@@ -321,45 +323,36 @@ class HomologyReport(_HomologyFields):
 
 
 def homology(p: TruncParams, t: TwistParams, include_reps: bool = True) -> HomologyReport:
-    """Twisted Poisson homology, computed block by block from the weights.
+    """Twisted Poisson homology, read off the weights whose blocks carry classes.
 
-    h0 = ab - rank(b1), h1 = dim Ker(b1) - rank(b2), h2 = dim Ker(b2);
-    every space above degree 2 is zero because the forms are.  In a block
-    where b1 has a nonzero entry, b2 = (-(k-beta), -(l+alpha)) is nonzero too
-    whenever dX^dY exists, so Ker(b1) is the line Im(b2) and the block is
-    exact.  A block where b1 vanishes carries one class per basis element.
-    The representatives are those basis elements, in basis order (dX forms
-    before dY forms), which is what the dense reduced-echelon computation
-    gives: non-pivot monomials, kernel vectors sieved against Im(b2), and
-    the kernel of b2.  They are built only when include_reps is true;
-    otherwise the report's representatives are None.
+    A block where b1 has a nonzero entry is exact: b2 = (-(k-beta), -(l+alpha))
+    is then nonzero too whenever dX^dY exists, so Ker(b1) is the line Im(b2).
+    A block where b1 vanishes (listed in the module docstring) carries one
+    class per basis element.  With r, c and i the sizes of the row, column
+    and interior parts of that list, dims = (1 + r + c + i, r + c + 2i, i)
+    and ranks = (ab - h0, (a-1)(b-1) - h2).  The representatives are those
+    basis elements, weights in lex order and dX forms before dY forms, as the
+    dense reduced-echelon computation gives them; they are built only when
+    include_reps is true, otherwise the report's representatives are None.
     """
-    rank1 = rank2 = 0
-    h0 = h1 = h2 = 0
-    reps0, reps1_dx, reps1_dy, reps2 = [], [], [], []
+    row = p.b - 1 if not t.beta else 0
+    column = p.a - 1 if not t.alpha else 0
+    ki, li = t.beta, -t.alpha
+    inner = int(ki.denominator == li.denominator == 1 and 0 < ki < p.a and 0 < li < p.b)
+    dims = (1 + row + column + inner, row + column + 2 * inner, inner)
+    ranks = (p.dim - dims[0], (p.a - 1) * (p.b - 1) - inner)
+    if not include_reps:
+        return HomologyReport(p, t, dims, ranks, None)
+    weights = [(0, 0), *((0, j) for j in range(1, row + 1))]
+    weights += [(i, 0) for i in range(1, column + 1)]
+    if inner:
+        weights.append((int(ki), int(li)))
     one = Fraction(1)
-    for k in range(p.a):
-        for l in range(p.b):
-            e_dx = -(l + t.alpha) if k else 0  # b1 on X^(k-1) Y^l dX, absent at k = 0
-            e_dy = k - t.beta if l else 0  # b1 on X^k Y^(l-1) dY, absent at l = 0
-            if e_dx or e_dy:
-                rank1 += 1
-                rank2 += bool(k and l)
-                continue
-            h0 += 1
-            h1 += bool(k) + bool(l)
-            h2 += bool(k and l)
-            if not include_reps:
-                continue
-            reps0.append(ChainElement(p, 0, {(k, l): one}))
-            if k:
-                reps1_dx.append(ChainElement(p, 1, {(k - 1, l, DX): one}))
-            if l:
-                reps1_dy.append(ChainElement(p, 1, {(k, l - 1, DY): one}))
-            if k and l:
-                reps2.append(ChainElement(p, 2, {(k - 1, l - 1): one}))
-    reps = (tuple(reps0), tuple(reps1_dx + reps1_dy), tuple(reps2)) if include_reps else None
-    return HomologyReport(p, t, (h0, h1, h2), (rank1, rank2), reps)
+    reps0 = tuple(ChainElement._clean(p, 0, {(k, l): one}) for k, l in weights)
+    reps1 = [ChainElement._clean(p, 1, {(k - 1, l, DX): one}) for k, l in weights if k]
+    reps1 += [ChainElement._clean(p, 1, {(k, l - 1, DY): one}) for k, l in weights if l]
+    reps2 = tuple(ChainElement._clean(p, 2, {(k - 1, l - 1): one}) for k, l in weights if k and l)
+    return HomologyReport(p, t, dims, ranks, (reps0, tuple(reps1), reps2))
 
 
 class DegreeComparison(NamedTuple):

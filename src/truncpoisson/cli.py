@@ -38,8 +38,10 @@ from .reporting import (
 )
 
 SWEEP_MAX = 32
-# Caps on a*b: at each, the slowest command it covers (homology with its a+b-1
-# representatives, duality; verify) takes about 5 s; 6 to 7 s.
+# Caps on a*b.  The instance commands answer from closed forms, so at the cap
+# only homology at the trivial twist with its a+b-1 degree-0 representatives
+# takes long (-a 2 -b 180000: about 3.7 s, 195 MB); the others take about
+# 0.1 s.  verify -a 50 -b 50 takes 6 to 10 s.
 INSTANCE_MAX_AB = 360_000
 VERIFY_MAX_AB = 2_500
 # Python's default limit on int <-> str conversion; a twist entry must print.

@@ -13,11 +13,14 @@ for each (k, l) in [0, a-1] x [0, b-1] there is one block
     X^k Y^l  --delta_0 = (l, -k)-->  (d_{k+1,l}, d'_{k,l+1})  --delta_1 = (k, l)-->  f_{k+1,l+1}
 
 with scalar entries; an entry is absent when its basis element is truncated
-away (d needs k <= a-2, d' needs l <= b-2, f needs both).  cohomology,
-ring_table, normalize_one_cocycle and is_poisson_derivation work block by
-block, and verify checks the complex on sparse cochains through hamiltonian
-and delta1_apply; the dense matrices delta0_matrix and delta1_matrix are the
-reference for the tests only.
+away (d needs k <= a-2, d' needs l <= b-2, f needs both).  So delta_0
+vanishes only at (0, 0) and (a-1, b-1), and delta_1, present on the
+(a-1)(b-1) blocks with k <= a-2 and l <= b-2, only at (0, 0): cohomology
+takes rank delta_0 = ab - 2 and rank delta_1 = (a-1)(b-1) - 1 as closed
+forms.  ring_table, normalize_one_cocycle and is_poisson_derivation visit
+only the blocks in the support of their cochain; verify checks the complex
+on sparse cochains through hamiltonian and delta1_apply; the dense matrices
+delta0_matrix and delta1_matrix are the reference for the tests only.
 
 Conventions (fixed once, verified by the delta.delta = 0 and cup
 well-definedness tests):
@@ -29,7 +32,6 @@ well-definedness tests):
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
 from typing import NamedTuple, Sequence, Union
 
 from .algebra import (
@@ -277,16 +279,13 @@ def delta1_matrix(p: TruncParams) -> Matrix:
     return Matrix.from_columns(cols, ambient_dim=len(chi2_index_pairs(p)))
 
 
-def _blocks(p: TruncParams, weights=None):
-    """Yield (k, l, delta_0 entries, delta_1 entries) for every weight (k, l).
+def _blocks(p: TruncParams, weights):
+    """Yield (k, l, delta_0 entries, delta_1 entries) for each given weight (k, l).
 
     delta_0 maps X^k Y^l to (l, -k) on (d_{k+1,l}, d'_{k,l+1}) and delta_1
     maps that pair to (k, l) on f_{k+1,l+1}.  An entry on a truncated basis
-    element is 0.  Given weights, only those blocks are yielded, in their
-    order; otherwise all of them, k outermost.
+    element is 0.  The blocks come in the order of weights.
     """
-    if weights is None:
-        weights = product(range(p.a), range(p.b))
     last_d, last_dprime = p.a - 2, p.b - 2
     for k, l in weights:
         has_d = k <= last_d
@@ -334,22 +333,22 @@ class CohomologyReport(NamedTuple):
 def cohomology(p: TruncParams, k: int) -> CohomologyReport:
     """Cohomology in degree k with canonical representatives.
 
-    The ranks of delta_0 and delta_1 are counted block by block.  The
-    representatives (the unit and the top monomial in degree 0, the two
-    Euler-type derivations in degree 1, the X^Y |-> X*Y biderivation in
-    degree 2) are the basis elements of the weight-(0, 0) block, where every
-    entry vanishes, and the top monomial, whose block has no delta_0 entry.
-    Degrees >= 3 yield structurally empty reports.
+    The ranks come from the block table in the module docstring:
+    rank delta_0 = ab - 2 and rank delta_1 = (a-1)(b-1) - 1, so the
+    dimensions are (2, 2, 1) for every (a, b).  The representatives (the
+    unit and the top monomial in degree 0, the two Euler-type derivations in
+    degree 1, the X^Y |-> X*Y biderivation in degree 2) are the basis
+    elements of the weight-(0, 0) block, where every entry vanishes, and
+    the top monomial, whose block has no delta_0 entry.  Degrees >= 3 yield
+    structurally empty reports.
     """
     if k < 0:
         raise ValueError("degree must be nonnegative")
     if k >= 3:
         return CohomologyReport(p, k, 0, (), 0, 0)
 
-    rank0 = rank1 = 0
-    for _, _, d0, d1 in _blocks(p):
-        rank0 += any(d0)
-        rank1 += any(d1)
+    rank0 = p.dim - 2
+    rank1 = (p.a - 1) * (p.b - 1) - 1
     chi = euler_dims(p)
     if k == 0:
         reps = (AlgebraElement.one(p), AlgebraElement.monomial(p, p.a - 1, p.b - 1))
@@ -376,18 +375,20 @@ def normalize_one_cocycle(d: Derivation) -> NormalizedCocycle:
 
         d - delta_0(potential) = c10 * d_{1,0} + c01 * d'_{0,1}
 
-    exactly.  The solve runs block by block: c10 and c01 are the component
-    of d in the weight-(0, 0) block, and at every other weight the component
-    of a cocycle is a multiple of delta_0 = (l, -k), so the potential's
-    coefficient of X^k Y^l is that component divided by a nonzero entry.
-    The potential has no constant and no top monomial term.
+    exactly.  The solve visits only the blocks in the support of d:
+    c10 and c01 are the component of d in the weight-(0, 0) block, and at
+    every other weight the component of a cocycle is a multiple of
+    delta_0 = (l, -k), which vanishes elsewhere only at (a-1, b-1), a weight
+    no derivation reaches; so the potential's coefficient of X^k Y^l is that
+    component divided by a nonzero entry.  The potential has no constant and
+    no top monomial term.
     """
     if not is_poisson_derivation(d):
         raise ValueError("input derivation is not a cocycle")
     p = d.params
     c10 = c01 = Fraction(0)
     coeffs: dict[tuple[int, int], Fraction] = {}
-    for k, l, d0, _ in _blocks(p):
+    for k, l, d0, _ in _blocks(p, _weights(d)):
         part = (d.dx.coefficient(k + 1, l), d.dy.coefficient(k, l + 1))
         if (k, l) == (0, 0):
             c10, c01 = part
