@@ -20,7 +20,11 @@ results are wrapped by AlgebraElement._clean without re-checking.
 The kernels themselves accept any exact rational maps, int or Fraction
 values, nonzero and at in-bound keys: an int map stays an int map (verify's
 Jacobi check runs on such maps), and Fraction inputs give Fraction results.
-Only maps with Fraction values are wrapped into elements.
+Only maps with Fraction values are wrapped into elements.  The chain and
+cochain kernels built on them, chain._boundary_into (with an integer twist
+and scale) and cochain._delta1_into, keep the same contract: verify's
+boundary and cocycle-predicate checks run them on int maps, with the
+denominators of their random twists and derivations cleared.
 """
 
 from __future__ import annotations
@@ -276,25 +280,28 @@ def _render_monomial(i: int, j: int) -> str:
     return "*".join(parts)
 
 
-def render_element(u: AlgebraElement) -> str:
-    if u.is_zero():
-        return "0"
+def _render_sum(terms) -> str:
+    """Render (coefficient, body) pairs as "c*body + body - c*body", or "0" if there are none.
+
+    Coefficients are nonzero and exact; an empty body is the unit term.  A
+    coefficient of +-1 shows only its sign, read off its numerator and
+    denominator, so the common unit terms cost no Fraction arithmetic.
+    """
     chunks = []
-    for (i, j) in sorted(u.coeffs, reverse=True):
-        c = u.coeffs[(i, j)]
-        mono = _render_monomial(i, j)
-        mag = abs(c)
-        if not mono:
-            body = str(mag)
-        elif mag == 1:
-            body = mono
+    for c, body in terms:
+        n, d = c.numerator, c.denominator
+        if d != 1 or (n != 1 and n != -1) or not body:
+            mag = str(abs(c))
+            body = f"{mag}*{body}" if body else mag
+        if chunks:
+            chunks.append(f"- {body}" if n < 0 else f"+ {body}")
         else:
-            body = f"{mag}*{mono}"
-        if not chunks:
-            chunks.append(body if c > 0 else f"-{body}")
-        else:
-            chunks.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(chunks)
+            chunks.append(f"-{body}" if n < 0 else body)
+    return " ".join(chunks) or "0"
+
+
+def render_element(u: AlgebraElement) -> str:
+    return _render_sum((u.coeffs[ij], _render_monomial(*ij)) for ij in sorted(u.coeffs, reverse=True))
 
 
 _TOKEN = re.compile(r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<var>[XY])(?:\^(?P<exp>\d+))?|(?P<op>[+\-*]))")

@@ -26,8 +26,9 @@ dY needs l >= 1, dX^dY needs both).  Both entries of b1 vanish only at
 (0, 0), on the row k = 0 when beta = 0, on the column l = 0 when alpha = 0,
 and at (beta, -alpha) when beta is an integer in [1, a-1] and -alpha one in
 [1, b-1]; homology reads its answer off that list of weights.  verify checks
-the complex on sparse chains through boundary; the dense matrices
-partial1_matrix and partial2_matrix are the reference for the tests only.
+the complex on sparse int chains through boundary's kernel _boundary_into,
+each twist's denominators cleared; the dense matrices partial1_matrix and
+partial2_matrix are the reference for the tests only.
 """
 
 from __future__ import annotations
@@ -37,13 +38,12 @@ from types import MappingProxyType
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .algebra import (
-    _X_COEFFS,
-    _Y_COEFFS,
     AlgebraElement,
     TruncParams,
     _accumulate,
     _multiply_into,
     _render_monomial,
+    _render_sum,
 )
 from .cochain import cohomology
 from .linalg import Matrix, Vector, _frac
@@ -196,53 +196,42 @@ class ChainElement:
         return cls(params, degree, dict(zip(keys, v)))
 
     def render(self) -> str:
-        if self.is_zero():
-            return "0"
-        chunks = []
         if self.degree == 0:
             keys = sorted(self.coeffs, reverse=True)
         elif self.degree == 1:
             keys = sorted(self.coeffs, key=lambda k: (k[2] == DY, k[0], k[1]))  # basis order
         else:
             keys = sorted(self.coeffs)
+        terms = []
         for key in keys:
-            c = self.coeffs[key]
-            if self.degree == 0:
-                mono = _render_monomial(*key)
-                form = ""
-            elif self.degree == 1:
-                mono = _render_monomial(key[0], key[1])
-                form = key[2]
-            else:
-                mono = _render_monomial(*key)
-                form = DXDY
-            bits = [x for x in (mono, form) if x]
-            body = "*".join(bits) if bits else "1"
-            mag = abs(c)
-            if mag != 1 or not bits:
-                body = f"{mag}*{body}" if bits else str(mag)
-            if not chunks:
-                chunks.append(body if c > 0 else f"-{body}")
-            else:
-                chunks.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(chunks)
+            mono = _render_monomial(key[0], key[1])
+            form = key[2] if self.degree == 1 else DXDY if self.degree == 2 else ""
+            terms.append((self.coeffs[key], f"{mono}*{form}" if mono and form else mono or form))
+        return _render_sum(terms)
 
     def __repr__(self):
         return f"ChainElement(deg={self.degree}: {self.render()})"
 
 
-def _module_bracket_into(out: dict, t: TwistParams, p: TruncParams, m: Mapping, g: str, sign: int = 1):
-    """out += sign * {m, g} for a clean coefficient map m and a generator g ('X' or 'Y')."""
+def _module_bracket_into(
+    out: dict, p: TruncParams, alpha, beta, m: Mapping, g: str, sign: int = 1, scale: int = 1
+):
+    """out += sign * scale * {m, g} at the twist (alpha, beta) / scale, for a map m without zeros.
+
+    The entries are -(scale*j + alpha) against g = 'X' and (scale*i - beta)
+    against g = 'Y'; at scale 1 these are the module bracket's own.
+    """
+    step = sign * scale
     if g == "X":
-        offset = -t.alpha if sign > 0 else t.alpha  # sign * -(j + alpha) = offset - sign*j
+        offset = -alpha if sign > 0 else alpha  # sign * -(scale*j + alpha) = offset - step*j
         for (i, j), c in m.items():
-            w = offset - sign * j
+            w = offset - step * j
             if w and i + 1 < p.a:
                 _accumulate(out, (i + 1, j), w if c == 1 else w * c)
     elif g == "Y":
-        offset = -t.beta if sign > 0 else t.beta  # sign * (i - beta) = offset + sign*i
+        offset = -beta if sign > 0 else beta  # sign * (scale*i - beta) = offset + step*i
         for (i, j), c in m.items():
-            w = offset + sign * i
+            w = offset + step * i
             if w and j + 1 < p.b:
                 _accumulate(out, (i, j + 1), w if c == 1 else w * c)
     else:
@@ -252,8 +241,38 @@ def _module_bracket_into(out: dict, t: TwistParams, p: TruncParams, m: Mapping, 
 def module_bracket(t: TwistParams, m: AlgebraElement, g: str) -> AlgebraElement:
     """External bracket of the twisted module against a generator ('X' or 'Y')."""
     out: dict[tuple[int, int], Fraction] = {}
-    _module_bracket_into(out, t, m.params, m.coeffs, g)
+    _module_bracket_into(out, m.params, t.alpha, t.beta, m.coeffs, g)
     return AlgebraElement._clean(m.params, out)
+
+
+def _boundary_into(out: dict, p: TruncParams, alpha, beta, scale: int, degree: int, z: Mapping):
+    """out += scale * boundary at the twist (alpha, beta) / scale of the degree-`degree` chain map z.
+
+    The kernel behind boundary, which passes the twist itself and scale 1.
+    Given an integer scale D with D*alpha and D*beta integers, it runs on
+    int maps in integer arithmetic: the module brackets take D into their
+    entries -(D*j + D*alpha) and (D*i - D*beta), and the twist-free products
+    by X and Y are taken by D*X and D*Y.  z is a map without zeros on the
+    degree-`degree` form indices, and out stays one on the degree below.
+    """
+    if degree == 1:
+        m_dx = {(i, j): c for (i, j, f), c in z.items() if f == DX}
+        m_dy = {(i, j): c for (i, j, f), c in z.items() if f == DY}
+        _module_bracket_into(out, p, alpha, beta, m_dx, "X", 1, scale)
+        _module_bracket_into(out, p, alpha, beta, m_dy, "Y", 1, scale)
+    elif degree == 2:
+        on_dx: dict = {}
+        on_dy: dict = {}
+        _module_bracket_into(on_dy, p, alpha, beta, z, "X", 1, scale)  # {m,X} (x) dY
+        _module_bracket_into(on_dx, p, alpha, beta, z, "Y", -1, scale)  # -{m,Y} (x) dX
+        _multiply_into(on_dy, p, {(1, 0): scale}, z, -1)  # -m*X (x) dY, as -X*m
+        _multiply_into(on_dx, p, {(0, 1): scale}, z, -1)  # -m*Y (x) dX, as -Y*m
+        for (i, j), c in on_dx.items():
+            _accumulate(out, (i, j, DX), c)
+        for (i, j), c in on_dy.items():
+            _accumulate(out, (i, j, DY), c)
+    else:
+        raise ValueError("boundary is defined on chains of degree 1 and 2")
 
 
 def boundary(t: TwistParams, z: ChainElement) -> ChainElement:
@@ -269,25 +288,9 @@ def boundary(t: TwistParams, z: ChainElement) -> ChainElement:
     -(j+alpha+1) X^(i+1)Y^j (x) dY - (i-beta+1) X^i Y^(j+1) (x) dX of the
     degree-2 case is the test oracle for this operator.
     """
-    p = z.params
-    if z.degree == 1:
-        m_dx = {(i, j): c for (i, j, f), c in z.coeffs.items() if f == DX}
-        m_dy = {(i, j): c for (i, j, f), c in z.coeffs.items() if f == DY}
-        out: dict = {}
-        _module_bracket_into(out, t, p, m_dx, "X")
-        _module_bracket_into(out, t, p, m_dy, "Y")
-        return ChainElement._clean(p, 0, out)
-    if z.degree == 2:
-        on_dx: dict = {}
-        on_dy: dict = {}
-        _module_bracket_into(on_dy, t, p, z.coeffs, "X")  # {m,X} (x) dY
-        _module_bracket_into(on_dx, t, p, z.coeffs, "Y", -1)  # -{m,Y} (x) dX
-        _multiply_into(on_dy, p, _X_COEFFS, z.coeffs, -1)  # -m*X (x) dY, as -X*m
-        _multiply_into(on_dx, p, _Y_COEFFS, z.coeffs, -1)  # -m*Y (x) dX, as -Y*m
-        out = {(i, j, DX): c for (i, j), c in on_dx.items()}
-        out.update({(i, j, DY): c for (i, j), c in on_dy.items()})
-        return ChainElement._clean(p, 1, out)
-    raise ValueError("boundary is defined on chains of degree 1 and 2")
+    out: dict = {}
+    _boundary_into(out, z.params, t.alpha, t.beta, 1, z.degree, z.coeffs)
+    return ChainElement._clean(z.params, z.degree - 1, out)
 
 
 def partial1_matrix(p: TruncParams, t: TwistParams) -> Matrix:

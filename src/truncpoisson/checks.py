@@ -7,21 +7,22 @@ parameters, so repeated runs produce identical output.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 from typing import NamedTuple
 
 from .algebra import AlgebraElement, TruncParams, _bracket_into, bracket, euler_dims, multiply
-from .chain import ChainElement, TwistParams, boundary, homology, omega2_indices, omega_dims
+from .chain import TwistParams, _boundary_into, homology, omega2_indices, omega_dims
 from .cochain import (
     Derivation,
-    chi1_basis,
+    _delta1_into,
+    _is_cocycle,
     chi1_index_pairs,
     cohomology,
     delta1_apply,
     hamiltonian,
-    is_poisson_derivation,
     normalize_one_cocycle,
     ring_table,
 )
@@ -75,6 +76,27 @@ def random_derivation(p: TruncParams, rng: random.Random) -> Derivation:
     return Derivation(p, *values)
 
 
+# Every denominator random_rational draws at its default span 9 divides lcm(1..9) = 2520.
+_DENOMINATOR_LCM = math.lcm(*range(1, 10))
+
+
+def _random_derivation_maps(p: TruncParams, rng: random.Random) -> tuple[dict, dict]:
+    """random_derivation's draws, as its (dx, dy) maps scaled by 2520 to int maps.
+
+    Each draw n/d becomes the integer n * (2520 // d); zeros are dropped.
+    The RNG stream is consumed exactly as random_derivation consumes it.
+    """
+    maps = []
+    for pairs in chi1_index_pairs(p):
+        coeffs = {}
+        for ij in pairs:
+            n, d = rng.randint(-9, 9), rng.randint(1, 9)
+            if n:
+                coeffs[ij] = n * (_DENOMINATOR_LCM // d)
+        maps.append(coeffs)
+    return maps[0], maps[1]
+
+
 def random_twist(rng: random.Random) -> TwistParams:
     return TwistParams(random_rational(rng), random_rational(rng))
 
@@ -110,14 +132,37 @@ def check_boundary_complex(p: TruncParams, n_random: int = 50) -> CheckResult:
     Trivial (0, 0), Nakayama (1-b, a-1) and the last two twists, replaced
     by (0, a-1) and (1-b, 0) after all random draws, form that grid (a, b
     >= 2); the other random twists stay as spot checks.
+
+    Every twist runs in integer arithmetic.  With D = lcm(den alpha, den
+    beta), boundary's kernel _boundary_into, given the integers D*alpha and
+    D*beta and the scale D, computes D * boundary(t, .) exactly: D enters
+    the bracket entries as -(D*j + D*alpha) and (D*i - D*beta) and the
+    twist-free products as D*X and D*Y.  Applied twice to the int map {e: 1}
+    it gives D^2 * boundary(t, boundary(t, e)), which is zero exactly when
+    the boundary of the boundary is, since D >= 1.
     """
     rng = _rng(p, "boundary")
     twists = [TwistParams.trivial(), TwistParams.nakayama(p)]
     twists += [random_twist(rng) for _ in range(n_random)]
     twists[-2:] = [TwistParams(0, p.a - 1), TwistParams(1 - p.b, 0)]
-    forms = [ChainElement(p, 2, {key: 1}) for key in omega2_indices(p)]
-    ok = all(boundary(t, boundary(t, e)).is_zero() for t in twists for e in forms)
+    scaled = []
+    for t in twists:
+        scale = math.lcm(t.alpha.denominator, t.beta.denominator)
+        alpha = t.alpha.numerator * (scale // t.alpha.denominator)
+        beta = t.beta.numerator * (scale // t.beta.denominator)
+        scaled.append((alpha, beta, scale))
+    forms = omega2_indices(p)
+    ok = all(_boundary_squared_vanishes(p, *twist, e) for twist in scaled for e in forms)
     return CheckResult("boundary_complex", ok, f"boundary1 . boundary2 = 0 for {len(twists)} twists")
+
+
+def _boundary_squared_vanishes(p: TruncParams, alpha: int, beta: int, scale: int, e) -> bool:
+    """scale^2 * boundary(t, boundary(t, e)) = 0 at t = (alpha, beta) / scale, on the int map {e: 1}."""
+    once: dict = {}
+    _boundary_into(once, p, alpha, beta, scale, 2, {e: 1})
+    twice: dict = {}
+    _boundary_into(twice, p, alpha, beta, scale, 1, once)
+    return not twice
 
 
 def _jacobi_holds(p: TruncParams, e: dict, f: dict, g: dict) -> bool:
@@ -165,12 +210,32 @@ def check_leibniz(p: TruncParams, n: int = 25) -> CheckResult:
 
 
 def check_predicate_agreement(p: TruncParams, n_random: int = 100) -> CheckResult:
+    """is_poisson_derivation(d) == delta1_apply(d).is_zero() on the basis and random derivations.
+
+    Both sides run through the kernels behind those functions, _is_cocycle
+    and _delta1_into, on int maps: the basis derivations as {ij: 1} and each
+    random derivation scaled by 2520, a multiple of every drawn denominator
+    (_random_derivation_maps, the same draws as random_derivation).
+    delta_1 is linear in d and the closed form homogeneous, so scaling d by
+    a nonzero constant changes neither side's answer.
+    """
     rng = _rng(p, "predicate")
-    derivations = chi1_basis(p) + [random_derivation(p, rng) for _ in range(n_random)]
-    ok = all(is_poisson_derivation(d) == delta1_apply(d).is_zero() for d in derivations)
+    d_pairs, dprime_pairs = chi1_index_pairs(p)
+    derivations = chain(  # one at a time, each dropped once checked
+        (({ij: 1}, {}) for ij in d_pairs),
+        (({}, {ij: 1}) for ij in dprime_pairs),
+        (_random_derivation_maps(p, rng) for _ in range(n_random)),
+    )
+    ok = all(_is_cocycle(p, dx, dy) == _delta1_vanishes(p, dx, dy) for dx, dy in derivations)
     return CheckResult(
         "cocycle_predicate_matches_kernel", ok, f"basis + {n_random} random derivations"
     )
+
+
+def _delta1_vanishes(p: TruncParams, dx: dict, dy: dict) -> bool:
+    value: dict = {}
+    _delta1_into(value, p, dx, dy)
+    return not value
 
 
 def check_normalization(p: TruncParams, n: int = 20) -> CheckResult:

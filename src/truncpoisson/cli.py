@@ -5,7 +5,9 @@ to stdout in json (the stable contract), csv or markdown.  Exit codes: 0 on
 success with all embedded checks passing, 1 if any check fails, 2 on usage
 errors, 3 on an internal error (out of memory, or a RuntimeError from one of
 the engine's self-checks), reported as one line on stderr with nothing on
-stdout.  No environment variable changes the output.
+stdout.  A failed write of the output (to a full disk, say) is an
+internal error too: exit 3 and one stderr line, though part of the output
+may already be written.  No environment variable changes the output.
 
 Size limits, each a usage error with a "resource limit:" message: a*b is at
 most INSTANCE_MAX_AB (360000) for cohomology, homology, ring and duality and
@@ -40,8 +42,8 @@ from .reporting import (
 SWEEP_MAX = 32
 # Caps on a*b.  The instance commands answer from closed forms, so at the cap
 # only homology at the trivial twist with its a+b-1 degree-0 representatives
-# takes long (-a 2 -b 180000: about 3.7 s, 195 MB); the others take about
-# 0.1 s.  verify -a 50 -b 50 takes 6 to 10 s.
+# takes long (-a 2 -b 180000: about 2.8 s, 195 MB); the others take about
+# 0.1 s.  verify -a 50 -b 50 takes about 3 s and 17 MB.
 INSTANCE_MAX_AB = 360_000
 VERIFY_MAX_AB = 2_500
 # Python's default limit on int <-> str conversion; a twist entry must print.
@@ -202,6 +204,11 @@ def _bundle(args: argparse.Namespace) -> ReportBundle:
     return verify_bundle(TruncParams(args.a, args.b))
 
 
+def _internal_error(message: str) -> int:
+    print(f"truncpoisson: internal error: {message}", file=sys.stderr)
+    return EXIT_INTERNAL_ERROR
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -217,13 +224,14 @@ def main(argv=None) -> int:
         bundle = _bundle(args)
         text = render(bundle, args.format)
     except MemoryError:
-        print("truncpoisson: internal error: out of memory", file=sys.stderr)
-        return EXIT_INTERNAL_ERROR
+        return _internal_error("out of memory")
     except RuntimeError as e:
-        message = " ".join(str(e).split()) or type(e).__name__
-        print(f"truncpoisson: internal error: {message}", file=sys.stderr)
-        return EXIT_INTERNAL_ERROR
-    sys.stdout.write(text)
+        return _internal_error(" ".join(str(e).split()) or type(e).__name__)
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as e:
+        return _internal_error(f"cannot write output: {e}")
     return bundle.exit_code
 
 

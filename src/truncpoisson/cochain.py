@@ -32,7 +32,7 @@ well-definedness tests):
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple, Sequence, Union
+from typing import Mapping, NamedTuple, Sequence, Union
 
 from .algebra import (
     _X_COEFFS,
@@ -262,14 +262,24 @@ def delta0_matrix(p: TruncParams) -> Matrix:
     return Matrix.from_columns(cols, ambient_dim=len(chi1_basis(p)))
 
 
+def _delta1_into(value: dict, p: TruncParams, dx: Mapping, dy: Mapping):
+    """value += delta_1(d)(X^Y) for the derivation d with value maps dx = d(X), dy = d(Y).
+
+    The kernel behind delta1_apply: its four convention terms are summed
+    into value.  Like the algebra kernels it runs on int or Fraction maps
+    without zeros, and is linear in (dx, dy).
+    """
+    _bracket_into(value, p, _X_COEFFS, dy)  # {X, d(Y)}
+    _bracket_into(value, p, _Y_COEFFS, dx, -1)  # -{Y, d(X)}
+    _multiply_into(value, p, _Y_COEFFS, dx, -1)  # -d(X)*Y, as -Y*d(X)
+    _multiply_into(value, p, _X_COEFFS, dy, -1)  # -X*d(Y)
+
+
 def delta1_apply(d: Derivation) -> Biderivation:
     """delta_1(d) evaluated on X^Y, its four convention terms summed into one map."""
     p = d.params
     value: dict = {}
-    _bracket_into(value, p, _X_COEFFS, d.dy.coeffs)  # {X, d(Y)}
-    _bracket_into(value, p, _Y_COEFFS, d.dx.coeffs, -1)  # -{Y, d(X)}
-    _multiply_into(value, p, _Y_COEFFS, d.dx.coeffs, -1)  # -d(X)*Y, as -Y*d(X)
-    _multiply_into(value, p, _X_COEFFS, d.dy.coeffs, -1)  # -X*d(Y)
+    _delta1_into(value, p, d.dx.coeffs, d.dy.coeffs)
     return Biderivation(p, AlgebraElement._clean(p, value))
 
 
@@ -299,8 +309,26 @@ def _weights(z: Cochain) -> set[tuple[int, int]]:
     if isinstance(z, AlgebraElement):
         return set(z.coeffs)
     if isinstance(z, Derivation):
-        return {(i - 1, j) for (i, j) in z.dx.coeffs} | {(i, j - 1) for (i, j) in z.dy.coeffs}
+        return _derivation_weights(z.dx.coeffs, z.dy.coeffs)
     return {(i - 1, j - 1) for (i, j) in z.value.coeffs}
+
+
+def _derivation_weights(dx: Mapping, dy: Mapping) -> set[tuple[int, int]]:
+    """The weights of the blocks reached by a derivation with value maps dx = d(X), dy = d(Y)."""
+    return {(i - 1, j) for (i, j) in dx} | {(i, j - 1) for (i, j) in dy}
+
+
+def _is_cocycle(p: TruncParams, dx: Mapping, dy: Mapping) -> bool:
+    """The closed-form cocycle test of is_poisson_derivation on value maps dx, dy.
+
+    Runs on int or Fraction maps without zeros; the test is homogeneous, so
+    scaling both maps by a nonzero constant keeps its answer.
+    """
+    return all(
+        not k * dx.get((k + 1, l), 0) + l * dy.get((k, l + 1), 0)
+        for (k, l) in _derivation_weights(dx, dy)
+        if k <= p.a - 2 and l <= p.b - 2
+    )
 
 
 def is_poisson_derivation(d: Derivation) -> bool:
@@ -311,12 +339,7 @@ def is_poisson_derivation(d: Derivation) -> bool:
     weights in the support of d are visited.  Agrees with Ker delta_1
     (tested).
     """
-    p, dx, dy = d.params, d.dx, d.dy
-    return all(
-        not k * dx.coefficient(k + 1, l) + l * dy.coefficient(k, l + 1)
-        for (k, l) in _weights(d)
-        if k <= p.a - 2 and l <= p.b - 2
-    )
+    return _is_cocycle(d.params, d.dx.coeffs, d.dy.coeffs)
 
 
 class CohomologyReport(NamedTuple):

@@ -17,8 +17,9 @@ from truncpoisson import (
     partial1_matrix,
     partial2_matrix,
 )
+from truncpoisson import chain
 from truncpoisson.chain import DX, DY, boundary, omega1_indices, omega2_indices
-from truncpoisson.checks import random_twist
+from truncpoisson.checks import _boundary_squared_vanishes, check_boundary_complex, random_twist
 
 
 def count_basis_directly(a, b):
@@ -215,6 +216,30 @@ def test_boundary_complex_property():
         for _ in range(50):
             t = random_twist(rng)
             assert (partial1_matrix(p, t) @ partial2_matrix(p, t)).is_zero()
+
+
+def test_boundary_check_evaluates_its_rational_twists_at_their_scale(monkeypatch):
+    """A kernel that drops the scale on the products by X and Y fails the check.
+
+    At an integer twist the scale is 1, so the mutation changes nothing and
+    every integer twist still passes; only the random rational twists,
+    cleared of their denominators, can expose it.
+    """
+    exact = chain._multiply_into
+
+    def unscaled(out, p, u, v, sign=1):
+        exact(out, p, dict.fromkeys(u, 1), v, sign)
+
+    sizes = [(2, 2), (3, 4), (5, 3), (4, 6)]
+    monkeypatch.setattr(chain, "_multiply_into", unscaled)
+    for a, b in sizes:
+        p = TruncParams(a, b)
+        for alpha in range(-b - 1, 3):
+            for beta in range(-2, a + 2):
+                assert all(_boundary_squared_vanishes(p, alpha, beta, 1, e) for e in omega2_indices(p))
+        assert not check_boundary_complex(p).passed
+    monkeypatch.undo()
+    assert all(check_boundary_complex(TruncParams(a, b)).passed for a, b in sizes)
 
 
 def test_trace_dimension_untwisted():

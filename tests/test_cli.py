@@ -1,4 +1,6 @@
+import errno
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -21,8 +23,6 @@ def run_cli(capsys, argv):
 
 
 def run_subprocess(argv, env=None):
-    import os
-
     full_env = dict(os.environ)
     if env:
         full_env.update(env)
@@ -405,3 +405,36 @@ def test_internal_errors_exit_3_with_one_stderr_line(capsys, monkeypatch, builde
         assert "out of memory" in err
     else:
         assert " ".join(str(error).split()) in err
+
+
+class FullDisk:
+    """A stdout whose every write fails as on a full disk."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def flush(self):
+        pass
+
+
+def test_failed_stdout_write_exits_3_with_one_stderr_line(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdout", FullDisk())
+    code = main(["homology", "-a", "2", "-b", "5"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.count("\n") == 1 and err.startswith("truncpoisson: internal error: cannot write output: ")
+    assert os.strerror(errno.ENOSPC) in err
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs the /dev/full device")
+def test_output_to_a_full_device_exits_3_without_traceback():
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "truncpoisson", "homology", "-a", "2", "-b", "20000"],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+    assert proc.returncode == 3
+    assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("truncpoisson: internal error: ")
+    assert "Traceback" not in proc.stderr

@@ -22,7 +22,7 @@ from truncpoisson import (
     ring_table,
     solve,
 )
-from truncpoisson.checks import random_cocycle, random_derivation, random_element
+from truncpoisson.checks import _random_derivation_maps, random_cocycle, random_derivation, random_element
 from truncpoisson.cochain import delta1_apply, fibre_product_table
 
 from oracles import delta1_oracle, independent_rank
@@ -150,6 +150,20 @@ def test_random_derivation_equals_from_vector_of_the_same_draws():
             assert d == Derivation.from_vector(p, draws)
             for value in (d.dx, d.dy):
                 assert all(type(c) is Fraction and c for c in value.coeffs.values())
+        assert rng.random() == twin.random()
+
+
+def test_scaled_derivation_draws_are_2520_times_random_derivation():
+    """_random_derivation_maps consumes random_derivation's RNG stream and clears its denominators."""
+    for a, b in [(2, 2), (2, 5), (3, 4), (6, 3)]:
+        p = TruncParams(a, b)
+        rng, twin = random.Random(f"draws:{a}:{b}"), random.Random(f"draws:{a}:{b}")
+        for _ in range(30):
+            d = random_derivation(p, rng)
+            dx, dy = _random_derivation_maps(p, twin)
+            assert dx == {key: 2520 * c for key, c in d.dx.coeffs.items()}
+            assert dy == {key: 2520 * c for key, c in d.dy.coeffs.items()}
+            assert all(type(c) is int for c in (*dx.values(), *dy.values()))
         assert rng.random() == twin.random()
 
 

@@ -4,17 +4,34 @@ Sums, differences and products are compared with plain-dict references,
 the bracket with the Leibniz-expansion oracle, and every result is checked
 for the clean-coefficient invariant (nonzero Fraction values at in-bound
 keys).  The accumulating kernels give equal maps on int maps and on the
-same maps as Fractions.  Examples are derandomized so that runs are
-reproducible.
+same maps as Fractions.  The boundary and delta_1 kernels, run on int maps
+with the denominators cleared, give the scaled results of boundary and
+delta1_apply, and the closed-form cocycle test keeps its answer.  Examples
+are derandomized so that runs are reproducible.
 """
 
+import math
 from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from truncpoisson import AlgebraElement, TruncParams, bracket, multiply, parse_element, render_element
+from truncpoisson import (
+    AlgebraElement,
+    ChainElement,
+    Derivation,
+    TruncParams,
+    TwistParams,
+    bracket,
+    hamiltonian,
+    is_poisson_derivation,
+    multiply,
+    parse_element,
+    render_element,
+)
 from truncpoisson.algebra import _bracket_into, _multiply_into
+from truncpoisson.chain import _boundary_into, boundary, omega1_indices, omega2_indices
+from truncpoisson.cochain import _delta1_into, _is_cocycle, chi1_index_pairs, delta1_apply
 
 from oracles import leibniz_bracket_monomial
 
@@ -126,3 +143,67 @@ def test_kernels_agree_on_int_and_fraction_maps(maps, sign):
         assert on_ints == on_fractions
         assert all(type(c) is int and c for c in on_ints.values())
         assert all(type(c) is Fraction and c for c in on_fractions.values())
+
+
+NONZERO_INTS = st.integers(-20, 20).filter(bool)
+
+
+@st.composite
+def twisted_chains(draw):
+    """A random (a, b), a rational twist and an int chain map of degree 1 or 2."""
+    p = TruncParams(draw(st.integers(2, 6)), draw(st.integers(2, 6)))
+    t = TwistParams(draw(RATIONALS), draw(RATIONALS))
+    degree = draw(st.sampled_from((1, 2)))
+    keys = st.sampled_from(omega1_indices(p) if degree == 1 else omega2_indices(p))
+    return p, t, degree, draw(st.dictionaries(keys, NONZERO_INTS, max_size=8))
+
+
+@PROPERTY
+@given(twisted_chains())
+def test_boundary_kernel_at_scale_is_scaled_boundary(case):
+    p, t, degree, z = case
+    scale = math.lcm(t.alpha.denominator, t.beta.denominator)
+    out: dict = {}
+    _boundary_into(out, p, int(t.alpha * scale), int(t.beta * scale), scale, degree, z)
+    expected = boundary(t, ChainElement(p, degree, z))
+    assert out == {key: scale * c for key, c in expected.coeffs.items()}
+    assert all(type(c) is int and c for c in out.values())
+
+
+@st.composite
+def derivations(draw):
+    """A random rational derivation over a random (a, b); about half are cocycles."""
+    p = TruncParams(draw(st.integers(2, 6)), draw(st.integers(2, 6)))
+    if draw(st.booleans()):
+        monomials = st.sampled_from(list(p.monomials()))
+        potential = AlgebraElement(p, draw(st.dictionaries(monomials, RATIONALS, max_size=6)))
+        d10 = Derivation.basis_d(p, 1, 0).scale(draw(RATIONALS))
+        return d10 + Derivation.basis_dprime(p, 0, 1).scale(draw(RATIONALS)) + hamiltonian(potential)
+    d_pairs, dprime_pairs = chi1_index_pairs(p)
+    dx = draw(st.dictionaries(st.sampled_from(d_pairs), RATIONALS, max_size=8))
+    dy = draw(st.dictionaries(st.sampled_from(dprime_pairs), RATIONALS, max_size=8))
+    return Derivation(p, AlgebraElement(p, dx), AlgebraElement(p, dy))
+
+
+def cleared(d: Derivation) -> tuple[int, dict, dict]:
+    """The lcm L of d's denominators and L times d's value maps, as int maps."""
+    scale = math.lcm(1, *(c.denominator for v in (d.dx, d.dy) for c in v.coeffs.values()))
+    dx, dy = ({key: int(scale * c) for key, c in v.coeffs.items()} for v in (d.dx, d.dy))
+    return scale, dx, dy
+
+
+@PROPERTY
+@given(derivations())
+def test_delta1_kernel_on_cleared_maps_is_scaled_delta1(d):
+    scale, dx, dy = cleared(d)
+    value: dict = {}
+    _delta1_into(value, d.params, dx, dy)
+    assert value == {key: scale * c for key, c in delta1_apply(d).value.coeffs.items()}
+    assert all(type(c) is int and c for c in value.values())
+
+
+@PROPERTY
+@given(derivations())
+def test_cocycle_test_on_cleared_maps_agrees_with_is_poisson_derivation(d):
+    _, dx, dy = cleared(d)
+    assert _is_cocycle(d.params, dx, dy) == is_poisson_derivation(d)
