@@ -48,8 +48,28 @@ def _rng(p: TruncParams, tag: str) -> random.Random:
 _RATIONALS: dict[tuple[int, int], Fraction] = {}
 
 
+def _below(getrandbits, n: int) -> int:
+    """A uniform int in [0, n), from the same getrandbits calls as randrange(n) and choice.
+
+    This is random.Random._randbelow: getrandbits(n.bit_length()) until the
+    draw falls below n.  Calling it directly skips randint's and randrange's
+    argument handling and keeps every seeded stream as it was.
+    """
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
 def random_rational(rng: random.Random, span: int = 9) -> Fraction:
-    key = (rng.randint(-span, span), rng.randint(1, span))
+    """n/d with n in [-span, span] and d in [1, span].
+
+    The draws make the same getrandbits calls as rng.randint(-span, span)
+    followed by rng.randint(1, span), so the stream matches the randint form.
+    """
+    getrandbits = rng.getrandbits
+    key = (_below(getrandbits, 2 * span + 1) - span, 1 + _below(getrandbits, span))
     q = _RATIONALS.get(key)
     if q is None:
         q = _RATIONALS[key] = Fraction(*key)
@@ -57,9 +77,10 @@ def random_rational(rng: random.Random, span: int = 9) -> Fraction:
 
 
 def random_element(p: TruncParams, rng: random.Random, terms: int = 4) -> AlgebraElement:
+    getrandbits = rng.getrandbits
     coeffs = {}
     for _ in range(terms):
-        coeffs[(rng.randrange(p.a), rng.randrange(p.b))] = random_rational(rng)
+        coeffs[(_below(getrandbits, p.a), _below(getrandbits, p.b))] = random_rational(rng)
     return AlgebraElement(p, coeffs)
 
 
@@ -84,15 +105,25 @@ def _random_derivation_maps(p: TruncParams, rng: random.Random) -> tuple[dict, d
     """random_derivation's draws, as its (dx, dy) maps scaled by 2520 to int maps.
 
     Each draw n/d becomes the integer n * (2520 // d); zeros are dropped.
-    The RNG stream is consumed exactly as random_derivation consumes it.
+    The RNG stream is consumed exactly as random_derivation consumes it:
+    the same getrandbits calls as its randint(-9, 9) and randint(1, 9).
     """
+    getrandbits = rng.getrandbits
     maps = []
     for pairs in chi1_index_pairs(p):
         coeffs = {}
         for ij in pairs:
-            n, d = rng.randint(-9, 9), rng.randint(1, 9)
-            if n:
-                coeffs[ij] = n * (_DENOMINATOR_LCM // d)
+            # _below(getrandbits, 19) - 9 and 1 + _below(getrandbits, 9),
+            # inlined: 19 takes 5 bits and 9 takes 4, and this loop draws
+            # every random derivation of check_predicate_agreement.
+            n = getrandbits(5)
+            while n >= 19:
+                n = getrandbits(5)
+            d = getrandbits(4)
+            while d >= 9:
+                d = getrandbits(4)
+            if n != 9:
+                coeffs[ij] = (n - 9) * (_DENOMINATOR_LCM // (d + 1))
         maps.append(coeffs)
     return maps[0], maps[1]
 
@@ -175,24 +206,34 @@ def _jacobi_holds(p: TruncParams, e: dict, f: dict, g: dict) -> bool:
     for u, v, w in ((e, f, g), (f, g, e), (g, e, f)):
         inner: dict = {}
         _bracket_into(inner, p, v, w)
-        _bracket_into(total, p, u, inner)
+        if inner:  # {u, 0} = 0; most monomial pairs bracket to zero
+            _bracket_into(total, p, u, inner)
     return not total
 
 
 def check_jacobi(p: TruncParams) -> CheckResult:
-    monomials = list(p.monomials())
-    maps = {ij: {ij: 1} for ij in monomials}
+    """The Jacobi identity on every monomial triple, or on JACOBI_SAMPLES seeded ones.
+
+    Each sampled monomial is _below(getrandbits, dim) into the monomial
+    list: the same getrandbits calls, and so the same triples, as
+    rng.choice(monomials).
+    """
+    maps = [{ij: 1} for ij in p.monomials()]
     if p.dim <= JACOBI_FULL_LIMIT:
-        triples = product(monomials, repeat=3)
+        triples = product(maps, repeat=3)
         detail = f"all {p.dim ** 3} monomial triples"
     else:
-        rng = _rng(p, "jacobi")
+        getrandbits, n = _rng(p, "jacobi").getrandbits, len(maps)
         triples = (
-            (rng.choice(monomials), rng.choice(monomials), rng.choice(monomials))
+            (
+                maps[_below(getrandbits, n)],
+                maps[_below(getrandbits, n)],
+                maps[_below(getrandbits, n)],
+            )
             for _ in range(JACOBI_SAMPLES)
         )
         detail = f"{JACOBI_SAMPLES} sampled monomial triples"
-    ok = all(_jacobi_holds(p, *(maps[ij] for ij in t)) for t in triples)
+    ok = all(_jacobi_holds(p, *t) for t in triples)
     return CheckResult("jacobi_identity", ok, detail)
 
 

@@ -13,6 +13,8 @@ from truncpoisson import (
     parse_element,
     render_element,
 )
+from truncpoisson import checks
+from truncpoisson.algebra import _accumulate
 
 from oracles import bracket_with_x, bracket_with_y, leibniz_bracket_monomial
 
@@ -131,6 +133,30 @@ def test_jacobi_identity_all_triples():
                             + bracket(g, ef)
                         )
                         assert total.is_zero()
+
+
+def test_jacobi_check_fails_on_a_broken_bracket_kernel(monkeypatch):
+    """check_jacobi fails once the structure constant i*l - j*k becomes i*l - j*k + i*k.
+
+    check_jacobi skips the outer bracket of a zero inner bracket, so this
+    control shows that the skip cannot hide a broken kernel, both under full
+    enumeration (3x3) and under sampling (6x6 and 9x9).
+    """
+
+    def skewed(out, p, u, v, sign=1):
+        for (i, j), c in u.items():
+            for (k, l), d in v.items():
+                s = i * l - j * k + i * k
+                if s and i + k < p.a and j + l < p.b:
+                    _accumulate(out, (i + k, j + l), c * d * sign * s)
+
+    sizes = [(3, 3), (6, 6), (9, 9)]
+    assert TruncParams(3, 3).dim <= checks.JACOBI_FULL_LIMIT < TruncParams(6, 6).dim
+    monkeypatch.setattr(checks, "_bracket_into", skewed)
+    for a, b in sizes:
+        assert not checks.check_jacobi(TruncParams(a, b)).passed
+    monkeypatch.undo()
+    assert all(checks.check_jacobi(TruncParams(a, b)).passed for a, b in sizes)
 
 
 def test_leibniz_rule_random_triples():

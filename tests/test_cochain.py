@@ -22,7 +22,17 @@ from truncpoisson import (
     ring_table,
     solve,
 )
-from truncpoisson.checks import _random_derivation_maps, random_cocycle, random_derivation, random_element
+from truncpoisson import checks
+from truncpoisson.chain import TwistParams
+from truncpoisson.checks import (
+    _below,
+    _random_derivation_maps,
+    random_cocycle,
+    random_derivation,
+    random_element,
+    random_rational,
+    random_twist,
+)
 from truncpoisson.cochain import delta1_apply, fibre_product_table
 
 from oracles import delta1_oracle, independent_rank
@@ -165,6 +175,66 @@ def test_scaled_derivation_draws_are_2520_times_random_derivation():
             assert dy == {key: 2520 * c for key, c in d.dy.coeffs.items()}
             assert all(type(c) is int for c in (*dx.values(), *dy.values()))
         assert rng.random() == twin.random()
+
+
+def test_verify_draws_keep_the_randint_and_choice_streams(monkeypatch):
+    """Every verify draw makes the getrandbits calls of its randint/randrange/choice form.
+
+    Each comparison ends with rng.random() == twin.random(), so the two
+    streams are also consumed to the same point.
+    """
+    for n in (1, 2, 9, 19, 36, 81, 90):
+        rng, twin, choices = (random.Random(f"below:{n}") for _ in range(3))
+        for _ in range(200):
+            r = _below(rng.getrandbits, n)
+            assert r == twin.randrange(n) == choices.choice(range(n))
+        assert rng.random() == twin.random() == choices.random()
+
+    def old_rational(rng, span=9):
+        return Fraction(rng.randint(-span, span), rng.randint(1, span))
+
+    for span in (1, 3, 9):
+        rng, twin = random.Random(f"rational:{span}"), random.Random(f"rational:{span}")
+        for _ in range(200):
+            assert random_rational(rng, span) == old_rational(twin, span)
+        assert rng.random() == twin.random()
+
+    rng, twin = random.Random("twist"), random.Random("twist")
+    for _ in range(100):
+        assert random_twist(rng) == TwistParams(old_rational(twin), old_rational(twin))
+    assert rng.random() == twin.random()
+
+    for a, b in [(2, 2), (3, 5), (7, 4)]:
+        p = TruncParams(a, b)
+        rng, twin = random.Random(f"element:{a}:{b}"), random.Random(f"element:{a}:{b}")
+        for _ in range(50):
+            coeffs = {}
+            for _ in range(4):
+                coeffs[(twin.randrange(a), twin.randrange(b))] = old_rational(twin)
+            assert random_element(p, rng) == AlgebraElement(p, coeffs)
+        assert rng.random() == twin.random()
+
+    for a, b in [(6, 6), (9, 4)]:
+        p = TruncParams(a, b)
+        assert p.dim > checks.JACOBI_FULL_LIMIT
+        seeded = checks._rng(p, "jacobi")
+        twin = checks._rng(p, "jacobi")
+        sampled = []
+
+        def record(p, e, f, g):
+            sampled.append(tuple(next(iter(m)) for m in (e, f, g)))
+            return True
+
+        monkeypatch.setattr(checks, "_rng", lambda p, tag: seeded)
+        monkeypatch.setattr(checks, "_jacobi_holds", record)
+        checks.check_jacobi(p)
+        monkeypatch.undo()
+        monomials = list(p.monomials())
+        assert sampled == [
+            (twin.choice(monomials), twin.choice(monomials), twin.choice(monomials))
+            for _ in range(checks.JACOBI_SAMPLES)
+        ]
+        assert seeded.random() == twin.random()
 
 
 def test_is_poisson_derivation_agrees_with_kernel():
