@@ -18,13 +18,15 @@ construction, dropping a key as soon as its coefficient cancels, so their
 results are wrapped by AlgebraElement._clean without re-checking.
 
 The kernels themselves accept any exact rational maps, int or Fraction
-values, nonzero and at in-bound keys: an int map stays an int map (verify's
-Jacobi check runs on such maps), and Fraction inputs give Fraction results.
-Only maps with Fraction values are wrapped into elements.  The chain and
-cochain kernels built on them, chain._boundary_into (with an integer twist
-and scale) and cochain._delta1_into, keep the same contract: verify's
-boundary and cocycle-predicate checks run them on int maps, with the
-denominators of their random twists and derivations cleared.
+values, nonzero and at in-bound keys: an int map stays an int map, and
+Fraction inputs give Fraction results.  Only maps with Fraction values are
+wrapped into elements.  The chain and cochain kernels built on them keep
+the same contract: chain._boundary2_into, which writes a 2-chain's boundary
+as its pair of (dX, dY) maps on (i, j), chain._boundary1_into, which reads
+such a pair, both with an integer twist and scale, and cochain._delta1_into.
+verify runs its Jacobi, Leibniz, delta1 . delta0, boundary and
+cocycle-predicate checks on int maps through these kernels, with the
+denominators of their random elements, twists and derivations cleared.
 """
 
 from __future__ import annotations

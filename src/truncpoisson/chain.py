@@ -26,9 +26,12 @@ dY needs l >= 1, dX^dY needs both).  Both entries of b1 vanish only at
 (0, 0), on the row k = 0 when beta = 0, on the column l = 0 when alpha = 0,
 and at (beta, -alpha) when beta is an integer in [1, a-1] and -alpha one in
 [1, b-1]; homology reads its answer off that list of weights.  verify checks
-the complex on sparse int chains through boundary's kernel _boundary_into,
-each twist's denominators cleared; the dense matrices partial1_matrix and
-partial2_matrix are the reference for the tests only.
+the complex on sparse int chains through boundary's two kernels, each
+twist's denominators cleared: _boundary2_into writes a 2-chain's boundary as
+the pair of its dX and dY parts, maps on (i, j), and _boundary1_into reads
+that pair as it is, so no 1-form key (i, j, dX) is built on the way.  The
+dense matrices partial1_matrix and partial2_matrix are the reference for the
+tests only.
 """
 
 from __future__ import annotations
@@ -245,34 +248,34 @@ def module_bracket(t: TwistParams, m: AlgebraElement, g: str) -> AlgebraElement:
     return AlgebraElement._clean(m.params, out)
 
 
-def _boundary_into(out: dict, p: TruncParams, alpha, beta, scale: int, degree: int, z: Mapping):
-    """out += scale * boundary at the twist (alpha, beta) / scale of the degree-`degree` chain map z.
+def _boundary1_into(out: dict, p: TruncParams, alpha, beta, scale: int, z_dx: Mapping, z_dy: Mapping):
+    """out += scale * boundary at the twist (alpha, beta) / scale of the 1-chain z_dx dX + z_dy dY.
 
-    The kernel behind boundary, which passes the twist itself and scale 1.
-    Given an integer scale D with D*alpha and D*beta integers, it runs on
-    int maps in integer arithmetic: the module brackets take D into their
-    entries -(D*j + D*alpha) and (D*i - D*beta), and the twist-free products
-    by X and Y are taken by D*X and D*Y.  z is a map without zeros on the
-    degree-`degree` form indices, and out stays one on the degree below.
+    The degree-1 kernel behind boundary, which passes the twist itself and
+    scale 1: out += {z_dx, X} + {z_dy, Y}.  z_dx and z_dy are the chain's
+    dX and dY parts as maps without zeros on (i, j), the pair that
+    _boundary2_into writes, and out is a map on the monomials.  Given an
+    integer scale D with D*alpha and D*beta integers, it runs on int maps in
+    integer arithmetic: the module brackets take D into their entries
+    -(D*j + D*alpha) and (D*i - D*beta).
     """
-    if degree == 1:
-        m_dx = {(i, j): c for (i, j, f), c in z.items() if f == DX}
-        m_dy = {(i, j): c for (i, j, f), c in z.items() if f == DY}
-        _module_bracket_into(out, p, alpha, beta, m_dx, "X", 1, scale)
-        _module_bracket_into(out, p, alpha, beta, m_dy, "Y", 1, scale)
-    elif degree == 2:
-        on_dx: dict = {}
-        on_dy: dict = {}
-        _module_bracket_into(on_dy, p, alpha, beta, z, "X", 1, scale)  # {m,X} (x) dY
-        _module_bracket_into(on_dx, p, alpha, beta, z, "Y", -1, scale)  # -{m,Y} (x) dX
-        _multiply_into(on_dy, p, {(1, 0): scale}, z, -1)  # -m*X (x) dY, as -X*m
-        _multiply_into(on_dx, p, {(0, 1): scale}, z, -1)  # -m*Y (x) dX, as -Y*m
-        for (i, j), c in on_dx.items():
-            _accumulate(out, (i, j, DX), c)
-        for (i, j), c in on_dy.items():
-            _accumulate(out, (i, j, DY), c)
-    else:
-        raise ValueError("boundary is defined on chains of degree 1 and 2")
+    _module_bracket_into(out, p, alpha, beta, z_dx, "X", 1, scale)
+    _module_bracket_into(out, p, alpha, beta, z_dy, "Y", 1, scale)
+
+
+def _boundary2_into(on_dx: dict, on_dy: dict, p: TruncParams, alpha, beta, scale: int, z: Mapping):
+    """(on_dx, on_dy) += scale * boundary at the twist (alpha, beta) / scale of the 2-chain z.
+
+    The degree-2 kernel behind boundary: on_dx += -{m,Y} - m*Y and on_dy +=
+    {m,X} - m*X, the dX and dY parts of the boundary of m dX^dY, each a map
+    on (i, j).  z is a map without zeros on the 2-form indices (i, j).  Like
+    _boundary1_into it runs on int maps at an integer scale D, and the
+    twist-free products by X and Y are then taken by D*X and D*Y.
+    """
+    _module_bracket_into(on_dy, p, alpha, beta, z, "X", 1, scale)  # {m,X} (x) dY
+    _module_bracket_into(on_dx, p, alpha, beta, z, "Y", -1, scale)  # -{m,Y} (x) dX
+    _multiply_into(on_dy, p, {(1, 0): scale}, z, -1)  # -m*X (x) dY, as -X*m
+    _multiply_into(on_dx, p, {(0, 1): scale}, z, -1)  # -m*Y (x) dX, as -Y*m
 
 
 def boundary(t: TwistParams, z: ChainElement) -> ChainElement:
@@ -286,11 +289,25 @@ def boundary(t: TwistParams, z: ChainElement) -> ChainElement:
     term lands on a degree-1 form index and the torsion drops nothing.  The
     expanded closed form
     -(j+alpha+1) X^(i+1)Y^j (x) dY - (i-beta+1) X^i Y^(j+1) (x) dX of the
-    degree-2 case is the test oracle for this operator.
+    degree-2 case is the test oracle for this operator.  The kernels work on
+    the (dX, dY) pair of maps on (i, j); only here are the 1-form keys
+    (i, j, dX) and (i, j, dY) split off or put back.
     """
-    out: dict = {}
-    _boundary_into(out, z.params, t.alpha, t.beta, 1, z.degree, z.coeffs)
-    return ChainElement._clean(z.params, z.degree - 1, out)
+    p, coeffs = z.params, z.coeffs
+    if z.degree == 1:
+        out: dict = {}
+        z_dx = {(i, j): c for (i, j, f), c in coeffs.items() if f == DX}
+        z_dy = {(i, j): c for (i, j, f), c in coeffs.items() if f == DY}
+        _boundary1_into(out, p, t.alpha, t.beta, 1, z_dx, z_dy)
+        return ChainElement._clean(p, 0, out)
+    if z.degree == 2:
+        on_dx: dict = {}
+        on_dy: dict = {}
+        _boundary2_into(on_dx, on_dy, p, t.alpha, t.beta, 1, coeffs)
+        out = {(i, j, DX): c for (i, j), c in on_dx.items()}
+        out.update({(i, j, DY): c for (i, j), c in on_dy.items()})
+        return ChainElement._clean(p, 1, out)
+    raise ValueError("boundary is defined on chains of degree 1 and 2")
 
 
 def partial1_matrix(p: TruncParams, t: TwistParams) -> Matrix:

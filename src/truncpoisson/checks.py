@@ -11,17 +11,17 @@ import math
 import random
 from fractions import Fraction
 from itertools import chain, product
+from types import MappingProxyType
 from typing import NamedTuple
 
-from .algebra import AlgebraElement, TruncParams, _bracket_into, bracket, euler_dims, multiply
-from .chain import TwistParams, _boundary_into, homology, omega2_indices, omega_dims
+from .algebra import AlgebraElement, TruncParams, _bracket_into, _multiply_into, euler_dims
+from .chain import TwistParams, _boundary1_into, _boundary2_into, homology, omega2_indices, omega_dims
 from .cochain import (
     Derivation,
     _delta1_into,
     _is_cocycle,
     chi1_index_pairs,
     cohomology,
-    delta1_apply,
     hamiltonian,
     normalize_one_cocycle,
     ring_table,
@@ -141,10 +141,23 @@ def random_cocycle(p: TruncParams, rng: random.Random) -> tuple[Derivation, Frac
 
 
 def check_delta_complex(p: TruncParams) -> CheckResult:
-    ok = all(
-        delta1_apply(hamiltonian(AlgebraElement.monomial(p, i, j))).is_zero()
-        for (i, j) in p.monomials()
-    )
+    """delta_1(hamiltonian(m)) = 0 for every basis monomial m, on int maps.
+
+    hamiltonian(m) is the derivation with values {X, m} and {Y, m}; they are
+    built with _bracket_into and fed to delta1_apply's kernel _delta1_into,
+    the same kernels those functions run, here on {ij: 1} and integers.
+    """
+    x, y = {(1, 0): 1}, {(0, 1): 1}
+    ok = True
+    for ij in p.monomials():
+        m = {ij: 1}
+        dx: dict = {}
+        dy: dict = {}
+        _bracket_into(dx, p, x, m)
+        _bracket_into(dy, p, y, m)
+        if not _delta1_vanishes(p, dx, dy):
+            ok = False
+            break
     return CheckResult("delta_complex", ok, "delta1 . delta0 = 0")
 
 
@@ -165,12 +178,13 @@ def check_boundary_complex(p: TruncParams, n_random: int = 50) -> CheckResult:
     >= 2); the other random twists stay as spot checks.
 
     Every twist runs in integer arithmetic.  With D = lcm(den alpha, den
-    beta), boundary's kernel _boundary_into, given the integers D*alpha and
-    D*beta and the scale D, computes D * boundary(t, .) exactly: D enters
-    the bracket entries as -(D*j + D*alpha) and (D*i - D*beta) and the
-    twist-free products as D*X and D*Y.  Applied twice to the int map {e: 1}
-    it gives D^2 * boundary(t, boundary(t, e)), which is zero exactly when
-    the boundary of the boundary is, since D >= 1.
+    beta), boundary's kernels _boundary2_into and _boundary1_into, given the
+    integers D*alpha and D*beta and the scale D, compute D * boundary(t, .)
+    exactly: D enters the bracket entries as -(D*j + D*alpha) and (D*i -
+    D*beta) and the twist-free products as D*X and D*Y.  Applied in turn to
+    the int map {e: 1}, the first writing the (dX, dY) pair the second
+    reads, they give D^2 * boundary(t, boundary(t, e)), which is zero
+    exactly when the boundary of the boundary is, since D >= 1.
     """
     rng = _rng(p, "boundary")
     twists = [TwistParams.trivial(), TwistParams.nakayama(p)]
@@ -189,25 +203,37 @@ def check_boundary_complex(p: TruncParams, n_random: int = 50) -> CheckResult:
 
 def _boundary_squared_vanishes(p: TruncParams, alpha: int, beta: int, scale: int, e) -> bool:
     """scale^2 * boundary(t, boundary(t, e)) = 0 at t = (alpha, beta) / scale, on the int map {e: 1}."""
-    once: dict = {}
-    _boundary_into(once, p, alpha, beta, scale, 2, {e: 1})
+    on_dx: dict = {}
+    on_dy: dict = {}
+    _boundary2_into(on_dx, on_dy, p, alpha, beta, scale, {e: 1})
     twice: dict = {}
-    _boundary_into(twice, p, alpha, beta, scale, 1, once)
+    _boundary1_into(twice, p, alpha, beta, scale, on_dx, on_dy)
     return not twice
 
 
-def _jacobi_holds(p: TruncParams, e: dict, f: dict, g: dict) -> bool:
+# The memoised value of an inner bracket that vanishes: one shared map, never written.
+_NO_TERMS = MappingProxyType({})
+
+
+def _jacobi_holds(p: TruncParams, maps: list, inners: dict, e: int, f: int, g: int) -> bool:
     """{e,{f,g}} + {f,{g,e}} + {g,{e,f}}, summed into one map, is zero.
 
-    e, f and g are monomials as {(i, j): 1} int maps, so every coefficient
-    is an integer product of structure constants i*l - j*k.
+    e, f and g index maps, the monomials as {(i, j): 1} int maps, so every
+    coefficient is an integer product of structure constants i*l - j*k.
+    Each inner bracket {v, w} is looked up in inners under v * len(maps) + w
+    and computed and stored there on a miss, a zero one as _NO_TERMS.
     """
+    n = len(maps)
     total: dict = {}
     for u, v, w in ((e, f, g), (f, g, e), (g, e, f)):
-        inner: dict = {}
-        _bracket_into(inner, p, v, w)
+        key = v * n + w
+        inner = inners.get(key)
+        if inner is None:
+            inner = {}
+            _bracket_into(inner, p, maps[v], maps[w])
+            inners[key] = inner = inner or _NO_TERMS
         if inner:  # {u, 0} = 0; most monomial pairs bracket to zero
-            _bracket_into(total, p, u, inner)
+            _bracket_into(total, p, maps[u], inner)
     return not total
 
 
@@ -217,34 +243,61 @@ def check_jacobi(p: TruncParams) -> CheckResult:
     Each sampled monomial is _below(getrandbits, dim) into the monomial
     list: the same getrandbits calls, and so the same triples, as
     rng.choice(monomials).
+
+    Each ordered pair's inner bracket is computed once per call and
+    memoised: a full enumeration meets every pair 3 * dim times, and the
+    15000 inner pairs of the samples repeat often while dim^2 is not far
+    above that.  The memo is a dict local to the call, so it holds only the
+    pairs met: a dim^2 list would take 6.25 million slots, about 50 MB, at
+    the verify cap (dim 2500).
     """
     maps = [{ij: 1} for ij in p.monomials()]
-    if p.dim <= JACOBI_FULL_LIMIT:
-        triples = product(maps, repeat=3)
-        detail = f"all {p.dim ** 3} monomial triples"
+    n = len(maps)
+    if n <= JACOBI_FULL_LIMIT:
+        triples = product(range(n), repeat=3)
+        detail = f"all {n ** 3} monomial triples"
     else:
-        getrandbits, n = _rng(p, "jacobi").getrandbits, len(maps)
+        getrandbits = _rng(p, "jacobi").getrandbits
         triples = (
-            (
-                maps[_below(getrandbits, n)],
-                maps[_below(getrandbits, n)],
-                maps[_below(getrandbits, n)],
-            )
+            (_below(getrandbits, n), _below(getrandbits, n), _below(getrandbits, n))
             for _ in range(JACOBI_SAMPLES)
         )
         detail = f"{JACOBI_SAMPLES} sampled monomial triples"
-    ok = all(_jacobi_holds(p, *t) for t in triples)
+    inners: dict = {}
+    ok = all(_jacobi_holds(p, maps, inners, *t) for t in triples)
     return CheckResult("jacobi_identity", ok, detail)
 
 
+def _scaled_map(u: AlgebraElement) -> dict:
+    """u's coefficient map times 2520, an int map when every denominator divides 2520."""
+    return {ij: c.numerator * (_DENOMINATOR_LCM // c.denominator) for ij, c in u.coeffs.items()}
+
+
 def check_leibniz(p: TruncParams, n: int = 25) -> CheckResult:
+    """{uv, w} = u{v,w} + {u,w}v on n seeded triples of random_element draws, on int maps.
+
+    Each element is scaled by 2520, a multiple of every denominator
+    random_rational draws.  Both sides are trilinear in (u, v, w), so on the
+    scaled maps each is 2520^3 times its value on the elements, and the
+    two agree exactly when they agree on the elements.  The products and
+    brackets run through _multiply_into and _bracket_into, the kernels of
+    multiply and bracket, in integer arithmetic.
+    """
     rng = _rng(p, "leibniz")
     ok = True
     for _ in range(n):
-        u, v, w = (random_element(p, rng) for _ in range(3))
-        lhs = bracket(multiply(u, v), w)
-        rhs = multiply(u, bracket(v, w)) + multiply(bracket(u, w), v)
-        if lhs != rhs:
+        u, v, w = (_scaled_map(random_element(p, rng)) for _ in range(3))
+        uv: dict = {}
+        vw: dict = {}
+        uw: dict = {}
+        _multiply_into(uv, p, u, v)
+        _bracket_into(vw, p, v, w)
+        _bracket_into(uw, p, u, w)
+        difference: dict = {}
+        _bracket_into(difference, p, uv, w)
+        _multiply_into(difference, p, u, vw, -1)
+        _multiply_into(difference, p, uw, v, -1)
+        if difference:
             ok = False
             break
     return CheckResult("leibniz_rule", ok, f"{n} random triples")

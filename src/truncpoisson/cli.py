@@ -43,7 +43,7 @@ SWEEP_MAX = 32
 # Caps on a*b.  The instance commands answer from closed forms, so at the cap
 # only homology at the trivial twist with its a+b-1 degree-0 representatives
 # takes long (-a 2 -b 180000: about 2.8 s, 195 MB); the others take about
-# 0.1 s.  verify -a 50 -b 50 takes about 3 s and 17 MB.
+# 0.1 s.  verify -a 50 -b 50 takes about 2 s and 18 MB.
 INSTANCE_MAX_AB = 360_000
 VERIFY_MAX_AB = 2_500
 # Python's default limit on int <-> str conversion; a twist entry must print.

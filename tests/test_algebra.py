@@ -14,7 +14,7 @@ from truncpoisson import (
     render_element,
 )
 from truncpoisson import checks
-from truncpoisson.algebra import _accumulate
+from truncpoisson.algebra import _accumulate, _bracket_into
 
 from oracles import bracket_with_x, bracket_with_y, leibniz_bracket_monomial
 
@@ -157,6 +157,59 @@ def test_jacobi_check_fails_on_a_broken_bracket_kernel(monkeypatch):
         assert not checks.check_jacobi(TruncParams(a, b)).passed
     monkeypatch.undo()
     assert all(checks.check_jacobi(TruncParams(a, b)).passed for a, b in sizes)
+
+
+def test_jacobi_memo_holds_the_inner_brackets(monkeypatch):
+    """Every inner bracket check_jacobi memoised equals a fresh _bracket_into result.
+
+    Under full enumeration (3x3 and 5x6, at JACOBI_FULL_LIMIT) every ordered
+    pair is met; under sampling (8x8) only the sampled ones.
+    """
+    exact = checks._jacobi_holds
+    for a, b, full in [(3, 3, True), (5, 6, True), (8, 8, False)]:
+        p = TruncParams(a, b)
+        memos = []
+
+        def holds(p, maps, inners, e, f, g):
+            if not memos or memos[-1][1] is not inners:
+                memos.append((maps, inners))
+            return exact(p, maps, inners, e, f, g)
+
+        monkeypatch.setattr(checks, "_jacobi_holds", holds)
+        assert checks.check_jacobi(p).passed
+        monkeypatch.undo()
+        [(maps, inners)] = memos
+        n = len(maps)
+        assert len(inners) == n * n if full else 0 < len(inners) < n * n
+        for key, inner in inners.items():
+            fresh = {}
+            _bracket_into(fresh, p, maps[key // n], maps[key % n])
+            assert dict(inner) == fresh
+            assert inner or inner is checks._NO_TERMS
+        assert not checks._NO_TERMS
+
+
+def test_leibniz_check_fails_on_a_non_derivation_bracket_kernel(monkeypatch):
+    """check_leibniz fails once the structure constant i*l - j*k becomes i*l - j*k + i*j*l.
+
+    The added term is not linear in (i, j), so the bracket is no longer a
+    derivation of the product in its first argument; the + i*k skew of the
+    Jacobi control is linear and would still satisfy the Leibniz rule.
+    """
+
+    def skewed(out, p, u, v, sign=1):
+        for (i, j), c in u.items():
+            for (k, l), d in v.items():
+                s = i * l - j * k + i * j * l
+                if s and i + k < p.a and j + l < p.b:
+                    _accumulate(out, (i + k, j + l), c * d * sign * s)
+
+    sizes = [(3, 3), (8, 8)]
+    monkeypatch.setattr(checks, "_bracket_into", skewed)
+    for a, b in sizes:
+        assert not checks.check_leibniz(TruncParams(a, b)).passed
+    monkeypatch.undo()
+    assert all(checks.check_leibniz(TruncParams(a, b)).passed for a, b in sizes)
 
 
 def test_leibniz_rule_random_triples():

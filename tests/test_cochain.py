@@ -33,6 +33,7 @@ from truncpoisson.checks import (
     random_rational,
     random_twist,
 )
+from truncpoisson.algebra import _bracket_into, _multiply_into
 from truncpoisson.cochain import delta1_apply, fibre_product_table
 
 from oracles import delta1_oracle, independent_rank
@@ -133,6 +134,33 @@ def test_delta_complex_property():
             assert (delta1_matrix(p) @ delta0_matrix(p)).is_zero()
 
 
+@pytest.mark.parametrize("dropped", range(4))
+def test_delta_complex_check_fails_when_delta1_drops_a_term(monkeypatch, dropped):
+    """check_delta_complex fails once _delta1_into leaves out one of its four terms.
+
+    The terms {X, d(Y)}, -{Y, d(X)}, -d(X)*Y and -X*d(Y) cancel on
+    d = hamiltonian(m) only all together; with all four kept the check passes.
+    """
+    x, y = {(1, 0): 1}, {(0, 1): 1}
+    terms = [
+        lambda value, p, dx, dy: _bracket_into(value, p, x, dy),
+        lambda value, p, dx, dy: _bracket_into(value, p, y, dx, -1),
+        lambda value, p, dx, dy: _multiply_into(value, p, y, dx, -1),
+        lambda value, p, dx, dy: _multiply_into(value, p, x, dy, -1),
+    ]
+    sizes = [(3, 3), (8, 8)]
+    for kept, passes in ([k for k in range(4) if k != dropped], False), (range(4), True):
+
+        def some_terms(value, p, dx, dy):
+            for k in kept:
+                terms[k](value, p, dx, dy)
+
+        monkeypatch.setattr(checks, "_delta1_into", some_terms)
+        for a, b in sizes:
+            assert checks.check_delta_complex(TruncParams(a, b)).passed is passes
+        monkeypatch.undo()
+
+
 def test_canonical_one_cocycles_in_kernel():
     for a, b in [(2, 2), (4, 5)]:
         p = TruncParams(a, b)
@@ -221,8 +249,8 @@ def test_verify_draws_keep_the_randint_and_choice_streams(monkeypatch):
         twin = checks._rng(p, "jacobi")
         sampled = []
 
-        def record(p, e, f, g):
-            sampled.append(tuple(next(iter(m)) for m in (e, f, g)))
+        def record(p, maps, inners, e, f, g):
+            sampled.append(tuple(next(iter(maps[k])) for k in (e, f, g)))
             return True
 
         monkeypatch.setattr(checks, "_rng", lambda p, tag: seeded)

@@ -30,7 +30,15 @@ from truncpoisson import (
     render_element,
 )
 from truncpoisson.algebra import _bracket_into, _multiply_into
-from truncpoisson.chain import _boundary_into, boundary, omega1_indices, omega2_indices
+from truncpoisson.chain import (
+    DX,
+    DY,
+    _boundary1_into,
+    _boundary2_into,
+    boundary,
+    omega1_indices,
+    omega2_indices,
+)
 from truncpoisson.cochain import _delta1_into, _is_cocycle, chi1_index_pairs, delta1_apply
 
 from oracles import leibniz_bracket_monomial
@@ -163,8 +171,19 @@ def twisted_chains(draw):
 def test_boundary_kernel_at_scale_is_scaled_boundary(case):
     p, t, degree, z = case
     scale = math.lcm(t.alpha.denominator, t.beta.denominator)
+    alpha, beta = int(t.alpha * scale), int(t.beta * scale)
     out: dict = {}
-    _boundary_into(out, p, int(t.alpha * scale), int(t.beta * scale), scale, degree, z)
+    if degree == 1:
+        z_dx = {(i, j): c for (i, j, f), c in z.items() if f == DX}
+        z_dy = {(i, j): c for (i, j, f), c in z.items() if f == DY}
+        _boundary1_into(out, p, alpha, beta, scale, z_dx, z_dy)
+    else:
+        on_dx: dict = {}
+        on_dy: dict = {}
+        _boundary2_into(on_dx, on_dy, p, alpha, beta, scale, z)
+        assert all(type(c) is int and c for c in [*on_dx.values(), *on_dy.values()])
+        out = {(i, j, DX): c for (i, j), c in on_dx.items()}
+        out.update({(i, j, DY): c for (i, j), c in on_dy.items()})
     expected = boundary(t, ChainElement(p, degree, z))
     assert out == {key: scale * c for key, c in expected.coeffs.items()}
     assert all(type(c) is int and c for c in out.values())
