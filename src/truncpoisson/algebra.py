@@ -36,7 +36,11 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterator, Mapping, NamedTuple
 
-from .linalg import Vector, _frac
+Vector = tuple[Fraction, ...]
+
+
+def _frac(x) -> Fraction:
+    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 class TruncParams:
@@ -306,15 +310,16 @@ def render_element(u: AlgebraElement) -> str:
     return _render_sum((u.coeffs[ij], _render_monomial(*ij)) for ij in sorted(u.coeffs, reverse=True))
 
 
-_TOKEN = re.compile(r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<var>[XY])(?:\^(?P<exp>\d+))?|(?P<op>[+\-*]))")
+_TOKEN = r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<var>[XY])(?:\^(?P<exp>\d+))?|(?P<op>[+\-*]))"
 
 
 def parse_element(params: TruncParams, text: str) -> AlgebraElement:
     """Parse the plain-text rendering back into an element (round-trips render)."""
+    token = re.compile(_TOKEN)  # compiled on first parse, then taken from re's cache
     pos = 0
     tokens = []
     while pos < len(text):
-        m = _TOKEN.match(text, pos)
+        m = token.match(text, pos)
         if not m:
             if text[pos:].strip():
                 raise ValueError(f"cannot parse element at: {text[pos:]!r}")

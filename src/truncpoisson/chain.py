@@ -38,18 +38,22 @@ from __future__ import annotations
 
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Mapping, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Optional, Sequence
 
 from .algebra import (
     AlgebraElement,
     TruncParams,
+    Vector,
     _accumulate,
+    _frac,
     _multiply_into,
     _render_monomial,
     _render_sum,
 )
 from .cochain import cohomology
-from .linalg import Matrix, Vector, _frac
+
+if TYPE_CHECKING:
+    from .linalg import Matrix
 
 DX, DY, DXDY = "dX", "dY", "dX^dY"
 
@@ -312,12 +316,14 @@ def boundary(t: TwistParams, z: ChainElement) -> ChainElement:
 
 def partial1_matrix(p: TruncParams, t: TwistParams) -> Matrix:
     """Dense matrix of the boundary from degree 1 to degree 0."""
+    from .linalg import Matrix
     cols = [boundary(t, ChainElement(p, 1, {key: 1})).to_vector() for key in omega1_indices(p)]
     return Matrix.from_columns(cols, ambient_dim=p.dim)
 
 
 def partial2_matrix(p: TruncParams, t: TwistParams) -> Matrix:
     """Dense matrix of the boundary from degree 2 to degree 1."""
+    from .linalg import Matrix
     cols = [boundary(t, ChainElement(p, 2, {key: 1})).to_vector() for key in omega2_indices(p)]
     return Matrix.from_columns(cols, ambient_dim=len(omega1_indices(p)))
 

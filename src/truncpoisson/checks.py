@@ -12,7 +12,6 @@ import random
 from fractions import Fraction
 from itertools import chain, product
 from types import MappingProxyType
-from typing import NamedTuple
 
 from .algebra import AlgebraElement, TruncParams, _bracket_into, _multiply_into, euler_dims
 from .chain import TwistParams, _boundary1_into, _boundary2_into, homology, omega2_indices, omega_dims
@@ -26,17 +25,12 @@ from .cochain import (
     normalize_one_cocycle,
     ring_table,
 )
+from .reporting import CheckResult
 
 # Full Jacobi enumeration is cubic in the algebra dimension; past this bound
 # the verify command samples triples instead (still exact, still seeded).
 JACOBI_FULL_LIMIT = 30
 JACOBI_SAMPLES = 5000
-
-
-class CheckResult(NamedTuple):
-    name: str
-    passed: bool
-    detail: str
 
 
 def _rng(p: TruncParams, tag: str) -> random.Random:

@@ -32,20 +32,23 @@ well-definedness tests):
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping, NamedTuple, Sequence, Union
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence, Union
 
 from .algebra import (
     _X_COEFFS,
     _Y_COEFFS,
     AlgebraElement,
     TruncParams,
+    Vector,
     _bracket_into,
     _multiply_into,
     bracket,
     euler_dims,
     multiply,
 )
-from .linalg import Matrix, Vector
+
+if TYPE_CHECKING:
+    from .linalg import Matrix
 
 
 def chi1_index_pairs(p: TruncParams) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
@@ -258,6 +261,7 @@ def hamiltonian(lam: AlgebraElement) -> Derivation:
 
 def delta0_matrix(p: TruncParams) -> Matrix:
     """Matrix of delta_0 from the monomial basis to the derivation basis."""
+    from .linalg import Matrix
     cols = [hamiltonian(AlgebraElement.monomial(p, i, j)).to_vector() for (i, j) in p.monomials()]
     return Matrix.from_columns(cols, ambient_dim=len(chi1_basis(p)))
 
@@ -285,6 +289,7 @@ def delta1_apply(d: Derivation) -> Biderivation:
 
 def delta1_matrix(p: TruncParams) -> Matrix:
     """Matrix of delta_1 from the derivation basis to the biderivation basis."""
+    from .linalg import Matrix
     cols = [delta1_apply(d).to_vector() for d in chi1_basis(p)]
     return Matrix.from_columns(cols, ambient_dim=len(chi2_index_pairs(p)))
 

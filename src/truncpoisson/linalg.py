@@ -15,11 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-Vector = tuple[Fraction, ...]
-
-
-def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+from .algebra import Vector, _frac
 
 
 def as_vector(entries: Iterable) -> Vector:

@@ -4,23 +4,27 @@ Every command produces a ReportBundle: a JSON-ready envelope (the stable
 machine contract), a flat table (the CSV/markdown view) and a list of named
 pass/fail checks.  Serialization is deterministic: fixed key order, fixed row
 order, rationals rendered as "p/q" strings, never floats, no timestamps.
+The renderers import json or csv, and verify_bundle the checks, when called,
+so a command loads only the modules it runs.
 """
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 from typing import NamedTuple, Optional
 
 from .algebra import AlgebraElement, TruncParams, render_element
 from .chain import ChainElement, TwistParams, duality_report, homology
-from .checks import CheckResult, run_verify
 from .cochain import Biderivation, Derivation, cohomology, cup, ring_table
 
 SCHEMA_VERSION = "1.0"
 
 THEORY_COHOMOLOGY_DIMS = (2, 2, 1)
+
+
+class CheckResult(NamedTuple):
+    name: str
+    passed: bool
+    detail: str
 
 
 class ReportBundle(NamedTuple):
@@ -321,6 +325,8 @@ def sweep_bundle(
 
 
 def verify_bundle(p: TruncParams) -> ReportBundle:
+    from .checks import run_verify  # only verify loads the checks and random
+
     results = tuple(run_verify(p))
     passed = sum(1 for c in results if c.passed)
     payload = {"checks_total": len(results), "checks_passed": passed}
@@ -338,10 +344,15 @@ def verify_bundle(p: TruncParams) -> ReportBundle:
 # Serialization.
 
 def to_json(bundle: ReportBundle) -> str:
+    import json
+
     return json.dumps(bundle.envelope(), indent=2) + "\n"
 
 
 def to_csv(bundle: ReportBundle) -> str:
+    import csv
+    import io
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(bundle.headers)

@@ -1,3 +1,4 @@
+import ast
 import errno
 import json
 import os
@@ -14,6 +15,7 @@ from truncpoisson.checks import CheckResult
 from truncpoisson.reporting import ReportBundle
 
 SCHEMA_PATH = Path(__file__).resolve().parent.parent / "docs" / "report-schema.json"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(capsys, argv):
@@ -347,6 +349,21 @@ def test_large_instance_answers_without_dense_elimination(capsys):
             assert payload["nakayama_duality_holds"] is True
 
 
+AB = ["-a", "4", "-b", "5"]
+# Every command, and homology at each kind of twist.
+COMMAND_ARGVS = (
+    ["cohomology", *AB],
+    ["homology", *AB, "--twist", "trivial"],
+    ["homology", *AB, "--twist", "nakayama"],
+    ["homology", *AB, "--twist=-1,2"],
+    ["ring", *AB],
+    ["duality", *AB],
+    ["sweep", "-a", "2..4", "-b", "2..4"],
+    ["sweep", "-a", "2..4", "-b", "2..4", "--kind", "homology", "--twist", "nakayama"],
+    ["verify", *AB],
+)
+
+
 def test_no_command_constructs_a_dense_matrix(capsys, monkeypatch):
     from truncpoisson.linalg import Matrix
 
@@ -356,20 +373,47 @@ def test_no_command_constructs_a_dense_matrix(capsys, monkeypatch):
     monkeypatch.setattr(Matrix, "__init__", refuse)
     monkeypatch.setattr(Matrix, "_raw", classmethod(refuse))
     monkeypatch.setattr(Matrix, "from_columns", classmethod(refuse))
-    ab = ["-a", "4", "-b", "5"]
-    for argv in (
-        ["cohomology", *ab],
-        ["homology", *ab, "--twist", "trivial"],
-        ["homology", *ab, "--twist", "nakayama"],
-        ["homology", *ab, "--twist=-1,2"],
-        ["ring", *ab],
-        ["duality", *ab],
-        ["sweep", "-a", "2..4", "-b", "2..4"],
-        ["sweep", "-a", "2..4", "-b", "2..4", "--kind", "homology", "--twist", "nakayama"],
-        ["verify", *ab],
-    ):
+    for argv in COMMAND_ARGVS:
         code, _, _ = run_cli(capsys, argv)
         assert code == 0, argv
+
+
+WATCHED_MODULES = ("truncpoisson.linalg", "truncpoisson.checks", "json", "csv")
+# Runs one command in this interpreter and reports, on stderr, its exit code,
+# the watched modules loaded before the package and those loaded after it.
+LOADS_PROBE = f"""
+import sys
+watched = {WATCHED_MODULES!r}
+before = sorted(m for m in watched if m in sys.modules)
+from truncpoisson.cli import main
+code = main(sys.argv[1:])
+sys.stdout.flush()
+print(repr((code, before, sorted(m for m in watched if m in sys.modules and m not in before))), file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("argv", COMMAND_ARGVS, ids=" ".join)
+def test_each_command_loads_only_the_modules_it_runs(argv):
+    # a fresh interpreter per run; -S keeps site-specific start-up imports out
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    for fmt in ("json", "csv", "markdown"):
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", LOADS_PROBE, *argv, "--format", fmt],
+            capture_output=True, text=True, env=env,
+        )
+        code, before, loaded = ast.literal_eval(proc.stderr.strip().splitlines()[-1])
+        assert code == 0 and proc.stdout, (argv, fmt, proc.stderr)
+        wanted = {"truncpoisson.checks"} if argv[0] == "verify" else set()
+        wanted |= {fmt} & {"json", "csv"}
+        assert set(loaded) == wanted - set(before), (argv, fmt)
+
+
+@pytest.mark.parametrize("argv", [["--twist=1,1"], ["--twist", "trivial"], ["--kind", "cohomology", "--twist=1,0"]])
+def test_usage_error_twist_on_cohomology_sweep(capsys, argv):
+    code, out, err = run_cli(capsys, ["sweep", "-a", "2..3", "-b", "2", *argv])
+    assert code == 2
+    assert out == ""
+    assert err == "truncpoisson sweep: error: --twist applies only to --kind homology\n"
 
 
 def _homology_breaking_euler(p, t, include_reps=True):

@@ -1,5 +1,6 @@
-"""The package's immutable records: value semantics, validation, import cost."""
+"""The package's surface and immutable records: value semantics, validation, import cost."""
 
+import importlib
 import os
 import pickle
 import subprocess
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import truncpoisson
 from truncpoisson import (
     CheckResult,
     CohomologyReport,
@@ -103,3 +105,29 @@ def test_cli_import_leaves_out_dataclasses():
         [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env, check=True
     ).stdout
     assert out == "False\n"
+
+
+PUBLIC_NAMES = {
+    "algebra": "AlgebraElement EulerDims TruncParams bracket euler_dims multiply parse_element render_element",
+    "chain": "ChainElement DualityReport HomologyReport TwistParams duality_report homology module_bracket "
+    "omega_dims partial1_matrix partial2_matrix",
+    "checks": "CheckResult run_verify",
+    "cochain": "Biderivation CohomologyReport Derivation NormalizedCocycle RingTable chi1_basis cohomology cup "
+    "delta0_matrix delta1_matrix fibre_product_table hamiltonian is_poisson_derivation normalize_one_cocycle "
+    "ring_table",
+    "linalg": "Matrix RrefResult SubspaceBasis column_space nullspace rref solve",
+}
+
+
+def test_package_names_resolve_to_their_modules_objects():
+    expected = {name: module for module, names in PUBLIC_NAMES.items() for name in names.split()}
+    assert truncpoisson.__all__ == sorted(expected)
+    assert truncpoisson.__version__ == "0.1.0"
+    for name, module in expected.items():
+        assert getattr(truncpoisson, name) is getattr(importlib.import_module(f"truncpoisson.{module}"), name)
+    namespace = {}
+    exec("from truncpoisson import *", namespace)
+    assert all(namespace[name] is getattr(truncpoisson, name) for name in expected)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        truncpoisson.no_such_name
+    assert not hasattr(truncpoisson, "_frac")
