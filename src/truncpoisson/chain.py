@@ -409,7 +409,7 @@ def duality_report(p: TruncParams) -> DualityReport:
     degree by degree; the naive pairing of degree k against untwisted degree
     2-k must fail at the ends, and both complexes have Euler characteristic 1.
     """
-    codims = [cohomology(p, k).dimension for k in range(3)]
+    codims = [cohomology(p, k, include_reps=False).dimension for k in range(3)]
     nak = homology(p, TwistParams.nakayama(p), include_reps=False).dims
     triv = homology(p, TwistParams.trivial(), include_reps=False).dims
     comparisons = []

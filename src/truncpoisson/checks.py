@@ -350,7 +350,7 @@ def check_euler(p: TruncParams) -> CheckResult:
     rng = _rng(p, "euler")
     chi = euler_dims(p)
     omg = omega_dims(p)
-    co = [cohomology(p, k).dimension for k in range(3)]
+    co = [cohomology(p, k, include_reps=False).dimension for k in range(3)]
     oks = [
         chi.chi0 - chi.chi1 + chi.chi2 == 1,
         omg[0] - omg[1] + omg[2] == 1,
@@ -368,7 +368,7 @@ def check_ring_table(p: TruncParams) -> CheckResult:
 
 
 def check_twisted_duality(p: TruncParams) -> CheckResult:
-    co = tuple(cohomology(p, k).dimension for k in range(3))
+    co = tuple(cohomology(p, k, include_reps=False).dimension for k in range(3))
     nak = homology(p, TwistParams.nakayama(p), include_reps=False).dims
     return CheckResult(
         "twisted_duality_dims", co == nak, f"cohomology {co} vs twisted homology {nak}"
@@ -377,7 +377,7 @@ def check_twisted_duality(p: TruncParams) -> CheckResult:
 
 def check_duality_failure(p: TruncParams) -> CheckResult:
     h0 = homology(p, TwistParams.trivial(), include_reps=False).dims[0]
-    hp2 = cohomology(p, 2).dimension
+    hp2 = cohomology(p, 2, include_reps=False).dimension
     ok = h0 == p.a + p.b - 1 and h0 >= 3 and hp2 == 1 and h0 != hp2
     return CheckResult(
         "poincare_duality_failure", ok, f"dim HP_0 = {h0} vs dim HP^2 = {hp2}"

@@ -1,13 +1,18 @@
 """Command-line interface.
 
 Subcommands: cohomology, homology, ring, duality, sweep, verify.  Output goes
-to stdout in json (the stable contract), csv or markdown.  Exit codes: 0 on
-success with all embedded checks passing, 1 if any check fails, 2 on usage
-errors, 3 on an internal error (out of memory, or a RuntimeError from one of
-the engine's self-checks), reported as one line on stderr with nothing on
-stdout.  A failed write of the output (to a full disk, say) is an
-internal error too: exit 3 and one stderr line, though part of the output
-may already be written.  No environment variable changes the output.
+to stdout in json (the stable contract), csv or markdown; -h/--help prints a
+help page.  The grammar: "--opt value" or "--opt=value", "-a 5", "-a5" or
+"-a=5", any unique prefix of a long option, the last of a repeated option
+wins, and a value that starts with "-" and is not a negative number is read
+as an option.  Exit codes: 0 on success with all embedded checks passing,
+1 if any check fails, 2 on usage errors, each one stderr line
+"truncpoisson[ <command>]: error: ...", 3 on an internal error (out of
+memory, or a RuntimeError from one of the engine's self-checks), reported as
+one line on stderr with nothing on stdout.  A failed write of the output (to
+a full disk, say) is an internal error too: exit 3 and one stderr line,
+though part of the output may already be written.  No environment variable
+changes the output.
 
 Size limits, each a usage error with a "resource limit:" message: a*b is at
 most INSTANCE_MAX_AB (360000) for cohomology, homology, ring and duality and
@@ -20,11 +25,10 @@ power of ten is built.
 
 from __future__ import annotations
 
-import argparse
 import re
 import sys
 from fractions import Fraction
-from typing import Optional
+from types import SimpleNamespace
 
 from .algebra import TruncParams
 from .chain import TwistParams
@@ -42,9 +46,9 @@ from .reporting import (
 SWEEP_MAX = 32
 # Caps on a*b.  The instance commands answer from closed forms, so at the cap
 # only homology at the trivial twist with its a+b-1 degree-0 representatives
-# takes long (-a 2 -b 180000: about 1.1 s, 195 MB); the others take about
-# 0.035 s, mostly start-up.  verify -a 50 -b 50 takes about 0.8 s and 18 MB.
-# (Median of 3 on a 2-core Intel Xeon VM, Python 3.11.)
+# takes long (-a 2 -b 180000: about 3.1 s, 194 MB); the others take about
+# 0.08 s, mostly start-up.  verify -a 50 -b 50 takes about 2.0 s and 17 MB.
+# (Median of 3 on a 2-core Intel Xeon VM, Python 3.11, where python -c pass takes 0.07 s.)
 INSTANCE_MAX_AB = 360_000
 VERIFY_MAX_AB = 2_500
 # Python's default limit on int <-> str conversion; a twist entry must print.
@@ -58,9 +62,9 @@ def ab_value(s: str) -> int:
     try:
         v = int(s)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {s!r}")
+        raise ValueError(f"not an integer: {s!r}")
     if v < 2:
-        raise argparse.ArgumentTypeError(f"need two integers a,b ≥ 2; got {v}")
+        raise ValueError(f"need two integers a,b ≥ 2; got {v}")
     return v
 
 
@@ -70,13 +74,11 @@ def range_value(s: str) -> tuple[int, int]:
         lo_i = int(lo)
         hi_i = int(hi) if sep else lo_i
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer range: {s!r} (use N or LO..HI)")
+        raise ValueError(f"not an integer range: {s!r} (use N or LO..HI)")
     if lo_i < 2 or hi_i < lo_i:
-        raise argparse.ArgumentTypeError(f"need two integers a,b ≥ 2 and LO ≤ HI; got {s!r}")
+        raise ValueError(f"need two integers a,b ≥ 2 and LO ≤ HI; got {s!r}")
     if hi_i > SWEEP_MAX:
-        raise argparse.ArgumentTypeError(
-            f"resource limit: sweep range bounds are capped at {SWEEP_MAX}; got {hi_i}"
-        )
+        raise ValueError(f"resource limit: sweep range bounds are capped at {SWEEP_MAX}; got {hi_i}")
     return (lo_i, hi_i)
 
 
@@ -104,11 +106,9 @@ def _twist_entry(s: str) -> Fraction:
     return value
 
 
-def twist_value(s: str) -> tuple[str, Optional[TwistParams]]:
-    if s == "trivial":
-        return ("trivial", None)
-    if s == "nakayama":
-        return ("nakayama", None)
+def twist_value(s: str) -> tuple[str, TwistParams | None]:
+    if s in ("trivial", "nakayama"):
+        return (s, None)
     parts = s.split(",")
     if len(parts) == 2:
         try:
@@ -116,92 +116,147 @@ def twist_value(s: str) -> tuple[str, Optional[TwistParams]]:
         except (ValueError, ZeroDivisionError):
             pass
         except OverflowError:
-            raise argparse.ArgumentTypeError(
-                f"twist entries need at most {TWIST_MAX_DIGITS} digits in numerator and denominator; got {s!r}"
-            ) from None
-    raise argparse.ArgumentTypeError(
-        f"twist must be 'trivial', 'nakayama' or 'ALPHA,BETA' with rational entries like -1,3/2; got {s!r}"
-    )
+            limit = f"at most {TWIST_MAX_DIGITS} digits in numerator and denominator"
+            raise ValueError(f"twist entries need {limit}; got {s!r}") from None
+    expected = "'trivial', 'nakayama' or 'ALPHA,BETA' with rational entries like -1,3/2"
+    raise ValueError(f"twist must be {expected}; got {s!r}")
 
 
-def _add_instance_args(sub: argparse.ArgumentParser):
-    sub.add_argument("-a", type=ab_value, required=True, help="X-exponent bound (at least 2)")
-    sub.add_argument("-b", type=ab_value, required=True, help="Y-exponent bound (at least 2)")
+_DESCRIPTION = "Exact Poisson (co)homology of truncated polynomial algebras in two variables."
+_HELP = ("-h/--help", None, None, "show this help message and exit")
 
 
-def _add_format_arg(sub: argparse.ArgumentParser):
-    sub.add_argument(
-        "--format", choices=("json", "csv", "markdown"), default="json", help="output format"
-    )
+def build_parser() -> dict:
+    """The command table {command: (help, options)} that _parse reads argv with and _help renders.
+
+    An option is (flag, convert, default, help); convert is a converter, a tuple of choices or None for
+    a flag that sets True, and a default of ... marks a required option.
+    """
+    a = ("-a", ab_value, ..., "X-exponent bound (at least 2)")
+    b = ("-b", ab_value, ..., "Y-exponent bound (at least 2)")
+    fmt = ("--format", ("json", "csv", "markdown"), "json", "output format")
+    no_reps = ("--no-representatives", None, False, "omit representative labels")
+    twist = ("--twist", twist_value, ("trivial", None), "trivial | nakayama | ALPHA,BETA (rationals)")
+    return {
+        "cohomology": ("cohomology dimensions and representatives", (a, b, fmt, no_reps)),
+        "homology": ("twisted homology dimensions and representatives", (a, b, fmt, twist, no_reps)),
+        "ring": ("cup-product table of the five basis classes", (a, b, fmt)),
+        "duality": ("degreewise duality comparisons", (a, b, fmt)),
+        "sweep": ("tabulate dimensions over parameter ranges", (
+            ("-a", range_value, ..., "a range: N or LO..HI"), ("-b", range_value, ..., "b range: N or LO..HI"),
+            ("--kind", ("cohomology", "homology"), "cohomology", "what to sweep"),
+            ("--twist", twist_value, None, "twist for homology sweeps"), fmt)),
+        "verify": ("run every structural and theorem check", (a, b, fmt)),
+    }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="truncpoisson",
-        description="Exact Poisson (co)homology of truncated polynomial algebras in two variables.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_coh = sub.add_parser("cohomology", help="cohomology dimensions and representatives")
-    _add_instance_args(p_coh)
-    _add_format_arg(p_coh)
-    p_coh.add_argument(
-        "--no-representatives", action="store_true", help="omit representative labels"
-    )
-
-    p_hom = sub.add_parser("homology", help="twisted homology dimensions and representatives")
-    _add_instance_args(p_hom)
-    _add_format_arg(p_hom)
-    p_hom.add_argument(
-        "--twist", type=twist_value, default=("trivial", None),
-        help="trivial | nakayama | ALPHA,BETA (rationals)",
-    )
-    p_hom.add_argument(
-        "--no-representatives", action="store_true", help="omit representative labels"
-    )
-
-    p_ring = sub.add_parser("ring", help="cup-product table of the five basis classes")
-    _add_instance_args(p_ring)
-    _add_format_arg(p_ring)
-
-    p_dual = sub.add_parser("duality", help="degreewise duality comparisons")
-    _add_instance_args(p_dual)
-    _add_format_arg(p_dual)
-
-    p_sweep = sub.add_parser("sweep", help="tabulate dimensions over parameter ranges")
-    p_sweep.add_argument("-a", type=range_value, required=True, help="a range: N or LO..HI")
-    p_sweep.add_argument("-b", type=range_value, required=True, help="b range: N or LO..HI")
-    p_sweep.add_argument(
-        "--kind", choices=("cohomology", "homology"), default="cohomology", help="what to sweep"
-    )
-    p_sweep.add_argument(
-        "--twist", type=twist_value, help="twist for homology sweeps"
-    )
-    _add_format_arg(p_sweep)
-
-    p_ver = sub.add_parser("verify", help="run every structural and theorem check")
-    _add_instance_args(p_ver)
-    _add_format_arg(p_ver)
-
-    return parser
+class _Exit(Exception):
+    """Ends the parse with (exit code, text): a help page for stdout or an error line for stderr."""
 
 
-def _bundle(args: argparse.Namespace) -> ReportBundle:
+def _error(prog: str, message: str) -> _Exit:  # one line, even when it quotes a line break
+    return _Exit(2, f"{prog}: error: {message}".replace("\n", "\\n").replace("\r", "\\r"))
+
+
+def _classify(prog: str, opts: dict, tok: str):
+    """None for a value token, else (option or None if unknown, flag, explicit value or None)."""
+    if not tok.startswith("-") or tok == "-":
+        return None
+    flag, eq, value = tok.partition("=")
+    if tok in opts or eq and flag in opts:
+        return (opts[tok], tok, None) if tok in opts else (opts[flag], flag, value)
+    hits = ([(opts[f], f, value if eq else None) for f in opts if f.startswith(flag)] if tok[1] == "-"
+            else [(opts[tok[:2]], tok[:2], tok[2:])] if tok[:2] in opts else [])  # a prefix, or -a5
+    if len(hits) > 1:
+        raise _error(prog, f"ambiguous option: {tok} could match {', '.join(hit[1] for hit in hits)}")
+    negative = re.match(r"^-\d+$|^-\d*\.\d+$", tok)  # such a token, like one with a space, is a value
+    return hits[0] if hits else None if negative or " " in tok else (None, tok, None)
+
+
+def _value(prog: str, flag: str, convert, tok: str):
+    """The value of an option's token: True for a flag, a checked choice or the converter's result."""
+    try:
+        if isinstance(convert, tuple) and tok not in convert:
+            raise ValueError(f"invalid choice: {tok!r} (choose from {', '.join(map(repr, convert))})")
+        return True if convert is None else tok if isinstance(convert, tuple) else convert(tok)
+    except ValueError as e:
+        raise _error(prog, f"argument {flag}: {e}") from None
+
+
+def _parse(table: dict, argv: list, command: str = ""):
+    """Read argv by the module's grammar into the namespace (program) or (values by flag, unknown tokens).
+
+    The program's command is its first value token, or a "--" with more tokens after it.
+    """
+    prog, options = f"truncpoisson {command}".rstrip(), table[command][1] if command else ()
+    opts = {"-h": _HELP, "--help": _HELP, **{o[0]: o for o in options}}
+    end = argv.index("--") if "--" in argv else len(argv)
+    kinds = [_classify(prog, opts, tok) for tok in argv[:end]]
+    values, extras, i = {}, [], 0
+    while i < end and (command or kinds[i] is not None):
+        opt, flag, explicit = kinds[i] if kinds[i] is not None else (None, argv[i], None)
+        i, taken = i + 1, []
+        if opt is None:
+            extras.append(flag)
+            continue
+        while explicit and opt[1] is None and flag[1] != "-" and "-" + explicit[0] in opts:  # -hh, -ha5
+            taken.append((opt, None))
+            opt, flag, explicit = opts["-" + explicit[0]], "-" + explicit[0], explicit[1:] or None
+        if explicit is not None and opt[1] is None:
+            raise _error(prog, f"argument {opt[0]}: ignored explicit argument {explicit!r}")
+        if explicit is None and opt[1] is not None:
+            if i == end or kinds[i] is not None:
+                raise _error(prog, f"argument {opt[0]}: expected one argument")
+            explicit, i = argv[i], i + 1
+        for opt, tok in [*taken, (opt, explicit)]:
+            if opt is _HELP:
+                raise _Exit(0, _help(table, command))
+            values[opt[0]] = _value(prog, opt[0], opt[1], tok)
+    if command:
+        if missing := [o[0] for o in options if o[2] is ... and o[0] not in values]:
+            raise _error(prog, f"the following arguments are required: {', '.join(missing)}")
+        return values, extras + argv[end:]
+    if i == len(argv) or argv[i:] == ["--"]:
+        raise _error(prog, "the following arguments are required: command")
+    command = _value(prog, "command", tuple(table), argv[i])
+    values, more = _parse(table, argv[i + 1:], command)
+    if extras + more:
+        raise _error(prog, f"unrecognized arguments: {' '.join(extras + more)}")
+    dests = {o[0].lstrip("-").replace("-", "_"): values.get(o[0], o[2]) for o in table[command][1]}
+    return SimpleNamespace(command=command, **dests)
+
+
+def _usage(opt) -> str:
+    flag, convert, default = opt[:3]
+    if convert is not None:
+        flag += " {" + ",".join(convert) + "}" if isinstance(convert, tuple) else " " + flag.lstrip("-").upper()
+    return flag if default is ... else f"[{flag}]"
+
+
+def _row(inv: str, text: str) -> str:
+    return f"  {inv:<22}{text}" if len(inv) <= 20 else f"  {inv}\n{'':24}{text}"
+
+
+def _help(table: dict, command: str) -> str:
+    """The help page of one command, or of the program when command is empty."""
+    options = table[command][1] if command else ()
+    head = [f"usage: truncpoisson {command} [-h] {' '.join(map(_usage, options))}"]
+    if not command:
+        head = [f"usage: truncpoisson [-h] {{{','.join(table)}}} ...", "", _DESCRIPTION, "", "commands:"]
+        head += [_row(name, spec[0]) for name, spec in table.items()]
+    rows = [_row("-h, --help", _HELP[3])] + [_row(_usage(o).strip("[]"), o[3]) for o in options]
+    return "\n".join([*head, "", "options:", *rows])
+
+
+def _bundle(args: SimpleNamespace) -> ReportBundle:
+    if args.command == "sweep":
+        return sweep_bundle(args.kind, args.a, args.b, *(args.twist or ("trivial", None)))
+    p = TruncParams(args.a, args.b)
     if args.command == "cohomology":
-        p = TruncParams(args.a, args.b)
         return cohomology_bundle(p, include_reps=not args.no_representatives)
     if args.command == "homology":
-        p = TruncParams(args.a, args.b)
-        kind, explicit = args.twist
-        return homology_bundle(p, kind, explicit, include_reps=not args.no_representatives)
-    if args.command == "ring":
-        return ring_bundle(TruncParams(args.a, args.b))
-    if args.command == "duality":
-        return duality_bundle(TruncParams(args.a, args.b))
-    if args.command == "sweep":
-        kind, explicit = args.twist or ("trivial", None)
-        return sweep_bundle(args.kind, args.a, args.b, kind, explicit)
-    return verify_bundle(TruncParams(args.a, args.b))
+        return homology_bundle(p, *args.twist, include_reps=not args.no_representatives)
+    return {"ring": ring_bundle, "duality": duality_bundle, "verify": verify_bundle}[args.command](p)
 
 
 def _internal_error(message: str) -> int:
@@ -210,31 +265,34 @@ def _internal_error(message: str) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.command != "sweep":
-            cap = VERIFY_MAX_AB if args.command == "verify" else INSTANCE_MAX_AB
-            if args.a * args.b > cap:
-                parser.error(f"resource limit: a*b is capped at {cap} for {args.command}; got {args.a}*{args.b}")
-        elif args.kind == "cohomology" and args.twist is not None:
-            parser.exit(2, f"{parser.prog} sweep: error: --twist applies only to --kind homology\n")
-    except SystemExit as e:
-        return int(e.code or 0)
-
-    try:
-        bundle = _bundle(args)
-        text = render(bundle, args.format)
-    except MemoryError:
-        return _internal_error("out of memory")
-    except RuntimeError as e:
-        return _internal_error(" ".join(str(e).split()) or type(e).__name__)
+        args = _parse(build_parser(), sys.argv[1:] if argv is None else list(argv))
+        cap = VERIFY_MAX_AB if args.command == "verify" else INSTANCE_MAX_AB
+        if args.command != "sweep" and args.a * args.b > cap:
+            message = f"resource limit: a*b is capped at {cap} for {args.command}; got {args.a}*{args.b}"
+            raise _error("truncpoisson", message)
+        if args.command == "sweep" and args.kind == "cohomology" and args.twist is not None:
+            raise _error("truncpoisson sweep", "--twist applies only to --kind homology")
+    except _Exit as e:
+        code, text = e.args
+        if code:
+            print(text, file=sys.stderr)
+            return code
+        text += "\n"  # a help page is written as the output
+    else:
+        try:
+            bundle = _bundle(args)
+            code, text = bundle.exit_code, render(bundle, args.format)
+        except MemoryError:
+            return _internal_error("out of memory")
+        except RuntimeError as e:
+            return _internal_error(" ".join(str(e).split()) or type(e).__name__)
     try:
         sys.stdout.write(text)
         sys.stdout.flush()
     except OSError as e:
         return _internal_error(f"cannot write output: {e}")
-    return bundle.exit_code
+    return code
 
 
 if __name__ == "__main__":

@@ -358,17 +358,18 @@ class CohomologyReport(NamedTuple):
     cocycle_dim: int
 
 
-def cohomology(p: TruncParams, k: int) -> CohomologyReport:
-    """Cohomology in degree k with canonical representatives.
+def cohomology(p: TruncParams, k: int, include_reps: bool = True) -> CohomologyReport:
+    """Cohomology in degree k, with canonical representatives when include_reps is true.
 
     The ranks come from the block table in the module docstring:
-    rank delta_0 = ab - 2 and rank delta_1 = (a-1)(b-1) - 1, so the
-    dimensions are (2, 2, 1) for every (a, b).  The representatives (the
-    unit and the top monomial in degree 0, the two Euler-type derivations in
-    degree 1, the X^Y |-> X*Y biderivation in degree 2) are the basis
-    elements of the weight-(0, 0) block, where every entry vanishes, and
-    the top monomial, whose block has no delta_0 entry.  Degrees >= 3 yield
-    structurally empty reports.
+    rank delta_0 = ab - 2 and rank delta_1 = (a-1)(b-1) - 1, and every
+    biderivation is a cocycle, so the dimensions are (2, 2, 1) for every
+    (a, b).  The representatives (the unit and the top monomial in degree 0,
+    the two Euler-type derivations in degree 1, the X^Y |-> X*Y
+    biderivation in degree 2) are the basis elements of the weight-(0, 0)
+    block, where every entry vanishes, and the top monomial, whose block has
+    no delta_0 entry; without include_reps the report's representatives are
+    ().  Degrees >= 3 yield structurally empty reports.
     """
     if k < 0:
         raise ValueError("degree must be nonnegative")
@@ -378,16 +379,16 @@ def cohomology(p: TruncParams, k: int) -> CohomologyReport:
     rank0 = p.dim - 2
     rank1 = (p.a - 1) * (p.b - 1) - 1
     chi = euler_dims(p)
-    if k == 0:
+    rank, cocycle_dim = ((0, chi.chi0 - rank0), (rank0, chi.chi1 - rank1), (rank1, chi.chi2))[k]
+    if not include_reps:
+        reps = ()
+    elif k == 0:
         reps = (AlgebraElement.one(p), AlgebraElement.monomial(p, p.a - 1, p.b - 1))
-        return CohomologyReport(p, 0, chi.chi0 - rank0, reps, 0, chi.chi0 - rank0)
-    if k == 1:
-        cocycle_dim = chi.chi1 - rank1
+    elif k == 1:
         reps = (Derivation.basis_d(p, 1, 0), Derivation.basis_dprime(p, 0, 1))
-        return CohomologyReport(p, 1, cocycle_dim - rank0, reps, rank0, cocycle_dim)
-    # k == 2: the complex stops here, every biderivation is a cocycle.
-    rep = Biderivation.basis_f(p, 1, 1)
-    return CohomologyReport(p, 2, chi.chi2 - rank1, (rep,), rank1, chi.chi2)
+    else:
+        reps = (Biderivation.basis_f(p, 1, 1),)
+    return CohomologyReport(p, k, cocycle_dim - rank, reps, rank, cocycle_dim)
 
 
 class NormalizedCocycle(NamedTuple):

@@ -81,12 +81,12 @@ def resolve_twist(kind: str, explicit: Optional[TwistParams], p: TruncParams) ->
 
 
 def cohomology_bundle(p: TruncParams, include_reps: bool = True) -> ReportBundle:
-    reports = [cohomology(p, k) for k in range(4)]
+    reports = [cohomology(p, k, include_reps) for k in range(4)]
     dims = tuple(r.dimension for r in reports[:3])
     degrees = []
     rows = []
     for r in reports:
-        reps = [label_for(x) for x in r.representatives] if include_reps else []
+        reps = [label_for(x) for x in r.representatives]
         degrees.append(
             {
                 "degree": r.degree,
@@ -144,7 +144,7 @@ def homology_bundle(
             CheckResult("trace_dimension", h0 == p.a + p.b - 1, f"h0 = {h0} vs a+b-1 = {p.a + p.b - 1}")
         )
     elif twist_kind == "nakayama":
-        codims = tuple(cohomology(p, k).dimension for k in range(3))
+        codims = tuple(cohomology(p, k, include_reps=False).dimension for k in range(3))
         checks.append(
             CheckResult("twisted_duality_dims", rep.dims == codims, f"{rep.dims} vs {codims}")
         )
@@ -261,7 +261,7 @@ def duality_bundle(p: TruncParams) -> ReportBundle:
 def _sweep_row(kind: str, a: int, b: int, twist_kind: str, explicit: Optional[TwistParams]):
     p = TruncParams(a, b)
     if kind == "cohomology":
-        dims = tuple(cohomology(p, k).dimension for k in range(3))
+        dims = tuple(cohomology(p, k, include_reps=False).dimension for k in range(3))
         ok = dims == THEORY_COHOMOLOGY_DIMS
     else:
         t = resolve_twist(twist_kind, explicit, p)

@@ -4,14 +4,17 @@ These deliberately avoid the library's closed-form bracket and its
 Gauss-Jordan: the bracket oracle expands products one generator at a time
 using only the two generator rules, the delta_1 oracle evaluates the
 convention's four terms with those rules and multiply, and the rank oracle
-is a separate textbook forward elimination.  Agreement between library and
-oracle is the point of the tests, so nothing here may call the code path it
-checks.
+is a separate textbook forward elimination.  The argv oracle is the
+argparse parser that the command line used before its table-driven parser,
+kept verbatim around the same value converters.  Agreement between library
+and oracle is the point of the tests, so nothing here may call the code path
+it checks.
 """
 
+import argparse
 from fractions import Fraction
 
-from truncpoisson import AlgebraElement, TruncParams, multiply
+from truncpoisson import AlgebraElement, TruncParams, cli, multiply
 
 
 def bracket_with_x(m: AlgebraElement) -> AlgebraElement:
@@ -94,3 +97,83 @@ def independent_rank(rows) -> int:
                 work[r] = [x - factor * y for x, y in zip(work[r], work[rank])]
         rank += 1
     return rank
+
+
+def _argparse_type(convert):
+    """A cli value converter that reports its ValueError as argparse's type error."""
+
+    def wrapped(s):
+        try:
+            return convert(s)
+        except ValueError as e:
+            raise argparse.ArgumentTypeError(str(e)) from None
+
+    return wrapped
+
+
+ab_value = _argparse_type(cli.ab_value)
+range_value = _argparse_type(cli.range_value)
+twist_value = _argparse_type(cli.twist_value)
+
+
+# From here to the end: the argparse command line, verbatim.
+def _add_instance_args(sub: argparse.ArgumentParser):
+    sub.add_argument("-a", type=ab_value, required=True, help="X-exponent bound (at least 2)")
+    sub.add_argument("-b", type=ab_value, required=True, help="Y-exponent bound (at least 2)")
+
+
+def _add_format_arg(sub: argparse.ArgumentParser):
+    sub.add_argument(
+        "--format", choices=("json", "csv", "markdown"), default="json", help="output format"
+    )
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="truncpoisson",
+        description="Exact Poisson (co)homology of truncated polynomial algebras in two variables.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p_coh = sub.add_parser("cohomology", help="cohomology dimensions and representatives")
+    _add_instance_args(p_coh)
+    _add_format_arg(p_coh)
+    p_coh.add_argument(
+        "--no-representatives", action="store_true", help="omit representative labels"
+    )
+
+    p_hom = sub.add_parser("homology", help="twisted homology dimensions and representatives")
+    _add_instance_args(p_hom)
+    _add_format_arg(p_hom)
+    p_hom.add_argument(
+        "--twist", type=twist_value, default=("trivial", None),
+        help="trivial | nakayama | ALPHA,BETA (rationals)",
+    )
+    p_hom.add_argument(
+        "--no-representatives", action="store_true", help="omit representative labels"
+    )
+
+    p_ring = sub.add_parser("ring", help="cup-product table of the five basis classes")
+    _add_instance_args(p_ring)
+    _add_format_arg(p_ring)
+
+    p_dual = sub.add_parser("duality", help="degreewise duality comparisons")
+    _add_instance_args(p_dual)
+    _add_format_arg(p_dual)
+
+    p_sweep = sub.add_parser("sweep", help="tabulate dimensions over parameter ranges")
+    p_sweep.add_argument("-a", type=range_value, required=True, help="a range: N or LO..HI")
+    p_sweep.add_argument("-b", type=range_value, required=True, help="b range: N or LO..HI")
+    p_sweep.add_argument(
+        "--kind", choices=("cohomology", "homology"), default="cohomology", help="what to sweep"
+    )
+    p_sweep.add_argument(
+        "--twist", type=twist_value, help="twist for homology sweeps"
+    )
+    _add_format_arg(p_sweep)
+
+    p_ver = sub.add_parser("verify", help="run every structural and theorem check")
+    _add_instance_args(p_ver)
+    _add_format_arg(p_ver)
+
+    return parser

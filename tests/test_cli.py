@@ -276,13 +276,12 @@ def test_verify_deterministic_bytes():
     assert first.stdout  # nonempty
 
 
-def test_sweep_deterministic_bytes_and_threads():
+def test_sweep_deterministic_bytes():
     args = ["sweep", "-a", "2..5", "-b", "2..5", "--kind", "homology", "--twist", "nakayama"]
     one = run_subprocess(args)
     two = run_subprocess(args)
-    threaded = run_subprocess(args, env={"TRUNCPOISSON_THREADS": "4"})
-    assert one.returncode == two.returncode == threaded.returncode == 0
-    assert one.stdout == two.stdout == threaded.stdout
+    assert one.returncode == two.returncode == 0
+    assert one.stdout == two.stdout
 
 
 def test_json_rationals_are_strings_not_floats(capsys):
@@ -378,7 +377,8 @@ def test_no_command_constructs_a_dense_matrix(capsys, monkeypatch):
         assert code == 0, argv
 
 
-WATCHED_MODULES = ("truncpoisson.linalg", "truncpoisson.checks", "json", "csv")
+# argparse, gettext and locale cost start-up that the command line does not need.
+WATCHED_MODULES = ("truncpoisson.linalg", "truncpoisson.checks", "json", "csv", "argparse", "gettext", "locale")
 # Runs one command in this interpreter and reports, on stderr, its exit code,
 # the watched modules loaded before the package and those loaded after it.
 LOADS_PROBE = f"""
@@ -406,6 +406,21 @@ def test_each_command_loads_only_the_modules_it_runs(argv):
         wanted = {"truncpoisson.checks"} if argv[0] == "verify" else set()
         wanted |= {fmt} & {"json", "csv"}
         assert set(loaded) == wanted - set(before), (argv, fmt)
+
+
+@pytest.mark.parametrize("code", ["build_parser()", "main(['--help'])", "main(['sweep', '-h'])", "main(['ring', '-a', '1'])"])
+def test_parser_alone_loads_no_watched_module(code):
+    probe = f"""
+import sys
+watched = {WATCHED_MODULES!r}
+before = set(m for m in watched if m in sys.modules)
+from truncpoisson.cli import build_parser, main
+{code}
+print(repr(sorted(m for m in watched if m in sys.modules and m not in before)), file=sys.stderr)
+"""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True, env=env)
+    assert ast.literal_eval(proc.stderr.strip().splitlines()[-1]) == [], (code, proc.stderr)
 
 
 @pytest.mark.parametrize("argv", [["--twist=1,1"], ["--twist", "trivial"], ["--kind", "cohomology", "--twist=1,0"]])
@@ -471,10 +486,11 @@ def test_failed_stdout_write_exits_3_with_one_stderr_line(capsys, monkeypatch):
 
 
 @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs the /dev/full device")
-def test_output_to_a_full_device_exits_3_without_traceback():
+@pytest.mark.parametrize("argv", [["homology", "-a", "2", "-b", "20000"], ["sweep", "--help"]])
+def test_output_to_a_full_device_exits_3_without_traceback(argv):
     with open("/dev/full", "w") as full:
         proc = subprocess.run(
-            [sys.executable, "-m", "truncpoisson", "homology", "-a", "2", "-b", "20000"],
+            [sys.executable, "-m", "truncpoisson", *argv],
             stdout=full,
             stderr=subprocess.PIPE,
             text=True,

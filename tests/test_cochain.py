@@ -293,6 +293,16 @@ def test_cohomology_dimensions_and_reps():
             assert r.dimension == r.cocycle_dim - r.coboundary_rank
 
 
+def test_cohomology_without_reps_keeps_dims_and_ranks():
+    for a in range(2, 9):
+        for b in range(2, 9):
+            p = TruncParams(a, b)
+            for k in range(4):
+                full, bare = cohomology(p, k), cohomology(p, k, include_reps=False)
+                assert bare == full._replace(representatives=()), (a, b, k)
+                assert len(full.representatives) == full.dimension
+
+
 def test_cohomology_vanishes_above_degree_2():
     p = TruncParams(3, 3)
     for k in (3, 4, 7):
