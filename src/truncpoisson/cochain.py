@@ -4,7 +4,11 @@ chi^0 is the algebra itself, chi^1 its derivations, chi^2 the skew
 biderivations; everything vanishes above degree 2 because the algebra has two
 generators.  This module builds the coboundary matrices, computes the
 cohomology spaces with canonical representatives, normalizes 1-cocycles
-constructively, and assembles the cup-product ring table.
+constructively, and assembles the cup-product ring table.  The cocycles
+behind the five classes 1, t, v, w, m are built in one function,
+_class_representatives, and the normal form c10*d_{1,0} + c01*d'_{0,1} of a
+1-class in one, _normal_form; the reports and the checks take them from
+there.
 
 The complex splits by weight.  X^k Y^l, d_{k+1,l}, d'_{k,l+1} and
 f_{k+1,l+1} all have weight (k, l), and every coboundary preserves it, so
@@ -347,6 +351,31 @@ def is_poisson_derivation(d: Derivation) -> bool:
     return _is_cocycle(d.params, d.dx.coeffs, d.dy.coeffs)
 
 
+RING_LABELS = ("1", "t", "v", "w", "m")
+RING_DEGREES = (0, 0, 1, 1, 2)
+
+
+def _class_representatives(p: TruncParams) -> tuple[Cochain, ...]:
+    """The cocycles 1, X^(a-1) Y^(b-1), d_{1,0}, d'_{0,1}, f_{1,1} behind the classes RING_LABELS.
+
+    They are the basis elements of the weight-(0, 0) block, where every
+    entry vanishes, and the top monomial, whose block has no delta_0 entry.
+    """
+    return (
+        AlgebraElement.one(p),
+        AlgebraElement.monomial(p, p.a - 1, p.b - 1),
+        Derivation.basis_d(p, 1, 0),
+        Derivation.basis_dprime(p, 0, 1),
+        Biderivation.basis_f(p, 1, 1),
+    )
+
+
+def _normal_form(p: TruncParams, c10: Fraction, c01: Fraction) -> Derivation:
+    """The 1-cocycle c10 * d_{1,0} + c01 * d'_{0,1}, the normal form of its class."""
+    dx = AlgebraElement._clean(p, {(1, 0): c10} if c10 else {})
+    return Derivation(p, dx, AlgebraElement._clean(p, {(0, 1): c01} if c01 else {}))
+
+
 class CohomologyReport(NamedTuple):
     """Dimensions, ranks and canonical representatives for one degree."""
 
@@ -364,12 +393,9 @@ def cohomology(p: TruncParams, k: int, include_reps: bool = True) -> CohomologyR
     The ranks come from the block table in the module docstring:
     rank delta_0 = ab - 2 and rank delta_1 = (a-1)(b-1) - 1, and every
     biderivation is a cocycle, so the dimensions are (2, 2, 1) for every
-    (a, b).  The representatives (the unit and the top monomial in degree 0,
-    the two Euler-type derivations in degree 1, the X^Y |-> X*Y
-    biderivation in degree 2) are the basis elements of the weight-(0, 0)
-    block, where every entry vanishes, and the top monomial, whose block has
-    no delta_0 entry; without include_reps the report's representatives are
-    ().  Degrees >= 3 yield structurally empty reports.
+    (a, b).  The representatives are the degree-k ones of
+    _class_representatives; without include_reps the report's
+    representatives are ().  Degrees >= 3 yield structurally empty reports.
     """
     if k < 0:
         raise ValueError("degree must be nonnegative")
@@ -380,14 +406,9 @@ def cohomology(p: TruncParams, k: int, include_reps: bool = True) -> CohomologyR
     rank1 = (p.a - 1) * (p.b - 1) - 1
     chi = euler_dims(p)
     rank, cocycle_dim = ((0, chi.chi0 - rank0), (rank0, chi.chi1 - rank1), (rank1, chi.chi2))[k]
-    if not include_reps:
-        reps = ()
-    elif k == 0:
-        reps = (AlgebraElement.one(p), AlgebraElement.monomial(p, p.a - 1, p.b - 1))
-    elif k == 1:
-        reps = (Derivation.basis_d(p, 1, 0), Derivation.basis_dprime(p, 0, 1))
-    else:
-        reps = (Biderivation.basis_f(p, 1, 1),)
+    reps = ()
+    if include_reps:
+        reps = tuple(x for x, deg in zip(_class_representatives(p), RING_DEGREES) if deg == k)
     return CohomologyReport(p, k, cocycle_dim - rank, reps, rank, cocycle_dim)
 
 
@@ -426,8 +447,7 @@ def normalize_one_cocycle(d: Derivation) -> NormalizedCocycle:
         elif d0[1]:
             coeffs[(k, l)] = part[1] / d0[1]
     potential = AlgebraElement(p, coeffs)
-    normal_form = Derivation.basis_d(p, 1, 0).scale(c10) + Derivation.basis_dprime(p, 0, 1).scale(c01)
-    if d - hamiltonian(potential) != normal_form:
+    if d - hamiltonian(potential) != _normal_form(p, c10, c01):
         raise RuntimeError("cocycle normalization failed to reach the normal form")
     return NormalizedCocycle(c10, c01, potential)
 
@@ -454,10 +474,6 @@ def cup(x: Cochain, y: Cochain) -> Cochain:
         value = multiply(x.dx, y.dy) - multiply(x.dy, y.dx)
         return Biderivation(x.params, value)
     raise ValueError(f"cup product of degrees {dp} and {dq} lands in a zero space")
-
-
-RING_LABELS = ("1", "t", "v", "w", "m")
-RING_DEGREES = (0, 0, 1, 1, 2)
 
 
 class RingTable(NamedTuple):
@@ -511,13 +527,7 @@ def ring_table(p: TruncParams) -> RingTable:
     is enforced (a violation would be an internal bug); whether the table
     equals the reference ring is reported by matches_reference().
     """
-    reps: list[Cochain] = [
-        AlgebraElement.one(p),
-        AlgebraElement.monomial(p, p.a - 1, p.b - 1),
-        Derivation.basis_d(p, 1, 0),
-        Derivation.basis_dprime(p, 0, 1),
-        Biderivation.basis_f(p, 1, 1),
-    ]
+    reps = _class_representatives(p)
     # (degree, weight) -> slots of the representatives living in that block
     slots = {
         (0, (0, 0)): (0,), (0, (p.a - 1, p.b - 1)): (1,), (1, (0, 0)): (2, 3), (2, (0, 0)): (4,),

@@ -2,8 +2,10 @@
 
 Every command produces a ReportBundle: a JSON-ready envelope (the stable
 machine contract), a flat table (the CSV/markdown view) and a list of named
-pass/fail checks.  Serialization is deterministic: fixed key order, fixed row
-order, rationals rendered as "p/q" strings, never floats, no timestamps.
+pass/fail checks.  For every command but ring and verify the table is read
+off the JSON records by _rows, so each fact is stated once.  Serialization
+is deterministic: fixed key order, fixed row order, rationals rendered as
+"p/q" strings, never floats, no timestamps.
 The renderers import json or csv, and verify_bundle the checks, when called,
 so a command loads only the modules it runs.
 """
@@ -13,8 +15,8 @@ from __future__ import annotations
 from typing import NamedTuple, Optional
 
 from .algebra import AlgebraElement, TruncParams, render_element
-from .chain import ChainElement, TwistParams, duality_report, homology
-from .cochain import Biderivation, Derivation, cohomology, cup, ring_table
+from .chain import DegreeComparison, TwistParams, duality_report, homology
+from .cochain import _class_representatives, cohomology, cup, ring_table
 
 SCHEMA_VERSION = "1.0"
 
@@ -55,11 +57,15 @@ class ReportBundle(NamedTuple):
 def label_for(cochain) -> str:
     if isinstance(cochain, AlgebraElement):
         return render_element(cochain)
-    if isinstance(cochain, (Derivation, Biderivation)):
-        return cochain.label()
-    if isinstance(cochain, ChainElement):
-        return cochain.render()
-    raise TypeError(f"unlabelable object {cochain!r}")
+    return cochain.label()
+
+
+def _rows(headers: tuple[str, ...], records) -> tuple[tuple, ...]:
+    """The table of JSON records: each record's values in header order, a list joined by "; "."""
+    return tuple(
+        tuple("; ".join(v) if isinstance(v, list) else v for v in map(record.__getitem__, headers))
+        for record in records
+    )
 
 
 def twist_dict(kind: str, t: Optional[TwistParams]) -> dict:
@@ -83,20 +89,16 @@ def resolve_twist(kind: str, explicit: Optional[TwistParams], p: TruncParams) ->
 def cohomology_bundle(p: TruncParams, include_reps: bool = True) -> ReportBundle:
     reports = [cohomology(p, k, include_reps) for k in range(4)]
     dims = tuple(r.dimension for r in reports[:3])
-    degrees = []
-    rows = []
-    for r in reports:
-        reps = [label_for(x) for x in r.representatives]
-        degrees.append(
-            {
-                "degree": r.degree,
-                "dimension": r.dimension,
-                "cocycle_dim": r.cocycle_dim,
-                "coboundary_rank": r.coboundary_rank,
-                "representatives": reps,
-            }
-        )
-        rows.append((r.degree, r.dimension, r.cocycle_dim, r.coboundary_rank, "; ".join(reps)))
+    degrees = [
+        {
+            "degree": r.degree,
+            "dimension": r.dimension,
+            "cocycle_dim": r.cocycle_dim,
+            "coboundary_rank": r.coboundary_rank,
+            "representatives": [label_for(x) for x in r.representatives],
+        }
+        for r in reports
+    ]
     euler = dims[0] - dims[1] + dims[2]
     payload = {
         "dims": list(dims),
@@ -108,13 +110,9 @@ def cohomology_bundle(p: TruncParams, include_reps: bool = True) -> ReportBundle
         CheckResult("higher_degrees_vanish", reports[3].dimension == 0, "degree 3 is zero"),
         CheckResult("euler_characteristic", euler == 1, f"euler {euler}"),
     )
+    headers = ("degree", "dimension", "cocycle_dim", "coboundary_rank", "representatives")
     return ReportBundle(
-        "cohomology",
-        {"a": p.a, "b": p.b},
-        payload,
-        ("degree", "dimension", "cocycle_dim", "coboundary_rank", "representatives"),
-        tuple(rows),
-        checks,
+        "cohomology", {"a": p.a, "b": p.b}, payload, headers, _rows(headers, degrees), checks
     )
 
 
@@ -125,12 +123,14 @@ def homology_bundle(
     rep = homology(p, t, include_reps)
     h0, h1, h2 = rep.dims
     euler = h0 - h1 + h2
-    degrees = []
-    rows = []
-    for k in range(3):
-        reps = [x.render() for x in rep.representatives[k]] if include_reps else []
-        degrees.append({"degree": k, "dimension": rep.dims[k], "representatives": reps})
-        rows.append((k, rep.dims[k], "; ".join(reps)))
+    degrees = [
+        {
+            "degree": k,
+            "dimension": rep.dims[k],
+            "representatives": [x.render() for x in rep.representatives[k]] if include_reps else [],
+        }
+        for k in range(3)
+    ]
     payload = {
         "twist": twist_dict(twist_kind, t),
         "dims": list(rep.dims),
@@ -148,83 +148,39 @@ def homology_bundle(
         checks.append(
             CheckResult("twisted_duality_dims", rep.dims == codims, f"{rep.dims} vs {codims}")
         )
-    return ReportBundle(
-        "homology",
-        {"a": p.a, "b": p.b, "twist": twist_dict(twist_kind, t)},
-        payload,
-        ("degree", "dimension", "representatives"),
-        tuple(rows),
-        tuple(checks),
-    )
+    params = {"a": p.a, "b": p.b, "twist": twist_dict(twist_kind, t)}
+    headers = ("degree", "dimension", "representatives")
+    return ReportBundle("homology", params, payload, headers, _rows(headers, degrees), tuple(checks))
 
 
 def ring_bundle(p: TruncParams) -> ReportBundle:
     table = ring_table(p)
-    d10 = Derivation.basis_d(p, 1, 0)
-    d01 = Derivation.basis_dprime(p, 0, 1)
-    f11 = Biderivation.basis_f(p, 1, 1)
-    products = [
-        [[str(c) for c in entry] for entry in row] for row in table.products
-    ]
+    labels = table.basis_labels
+    reps = _class_representatives(p)
+    products = [[[str(c) for c in entry] for entry in row] for row in table.products]
+    matches = table.matches_reference()
     payload = {
-        "basis": list(table.basis_labels),
+        "basis": list(labels),
         "degrees": list(table.degrees),
-        "class_representatives": {
-            "1": "1",
-            "t": render_element(AlgebraElement.monomial(p, p.a - 1, p.b - 1)),
-            "v": d10.label(),
-            "w": d01.label(),
-            "m": f11.label(),
-        },
+        "class_representatives": {label: label_for(x) for label, x in zip(labels, reps)},
         "products": products,
-        "matches_reference": table.matches_reference(),
+        "matches_reference": matches,
     }
-    rows = []
-    for i, left in enumerate(table.basis_labels):
-        for j, right in enumerate(table.basis_labels):
-            rows.append((left, right) + tuple(str(c) for c in table.products[i][j]))
+    rows = tuple(
+        (left, right, *products[i][j]) for i, left in enumerate(labels) for j, right in enumerate(labels)
+    )
+    _, _, v, w, m = reps
     checks = (
-        CheckResult("matches_reference_ring", table.matches_reference(), "5x5 table"),
-        CheckResult(
-            "d10_cup_d01_is_f11", cup(d10, d01) == f11, "cochain-level product"
-        ),
+        CheckResult("matches_reference_ring", matches, "5x5 table"),
+        CheckResult("d10_cup_d01_is_f11", cup(v, w) == m, "cochain-level product"),
     )
-    return ReportBundle(
-        "ring",
-        {"a": p.a, "b": p.b},
-        payload,
-        ("left", "right", "c_1", "c_t", "c_v", "c_w", "c_m"),
-        tuple(rows),
-        checks,
-    )
+    headers = ("left", "right", "c_1", "c_t", "c_v", "c_w", "c_m")
+    return ReportBundle("ring", {"a": p.a, "b": p.b}, payload, headers, rows, checks)
 
 
 def duality_bundle(p: TruncParams) -> ReportBundle:
     rep = duality_report(p)
-    comparisons = []
-    rows = []
-    for c in rep.comparisons:
-        comparisons.append(
-            {
-                "degree": c.degree,
-                "cohomology_dim": c.cohomology_dim,
-                "nakayama_homology_dim": c.nakayama_homology_dim,
-                "nakayama_match": c.nakayama_match,
-                "complement_degree": c.complement_degree,
-                "trivial_homology_dim": c.trivial_homology_dim,
-                "poincare_match": c.poincare_match,
-            }
-        )
-        rows.append(
-            (
-                c.degree,
-                c.cohomology_dim,
-                c.nakayama_homology_dim,
-                c.nakayama_match,
-                c.trivial_homology_dim,
-                c.poincare_match,
-            )
-        )
+    comparisons = [c._asdict() for c in rep.comparisons]
     payload = {
         "comparisons": comparisons,
         "euler_cochain": rep.euler_cochain,
@@ -241,24 +197,16 @@ def duality_bundle(p: TruncParams) -> ReportBundle:
             f"cochain {rep.euler_cochain}, chain {rep.euler_chain}",
         ),
     )
+    headers = tuple(f for f in DegreeComparison._fields if f != "complement_degree")
     return ReportBundle(
-        "duality",
-        {"a": p.a, "b": p.b},
-        payload,
-        (
-            "degree",
-            "cohomology_dim",
-            "nakayama_homology_dim",
-            "nakayama_match",
-            "trivial_homology_dim",
-            "poincare_match",
-        ),
-        tuple(rows),
-        checks,
+        "duality", {"a": p.a, "b": p.b}, payload, headers, _rows(headers, comparisons), checks
     )
 
 
-def _sweep_row(kind: str, a: int, b: int, twist_kind: str, explicit: Optional[TwistParams]):
+_SWEEP_HEADERS = ("a", "b", "h0", "h1", "h2", "euler", "theorem_checks")
+
+
+def _sweep_row(kind: str, a: int, b: int, twist_kind: str, explicit: Optional[TwistParams]) -> dict:
     p = TruncParams(a, b)
     if kind == "cohomology":
         dims = tuple(cohomology(p, k, include_reps=False).dimension for k in range(3))
@@ -274,7 +222,7 @@ def _sweep_row(kind: str, a: int, b: int, twist_kind: str, explicit: Optional[Tw
             ok = True
     euler = dims[0] - dims[1] + dims[2]
     ok = ok and euler == 1
-    return (a, b, dims[0], dims[1], dims[2], euler, "pass" if ok else "fail")
+    return dict(zip(_SWEEP_HEADERS, (a, b, *dims, euler, "pass" if ok else "fail")))
 
 
 def sweep_bundle(
@@ -284,7 +232,7 @@ def sweep_bundle(
     twist_kind: str = "trivial",
     explicit: Optional[TwistParams] = None,
 ) -> ReportBundle:
-    rows = [
+    records = [
         _sweep_row(kind, a, b, twist_kind, explicit)
         for a in range(a_range[0], a_range[1] + 1)
         for b in range(b_range[0], b_range[1] + 1)
@@ -296,32 +244,12 @@ def sweep_bundle(
     }
     if kind == "homology":
         params["twist"] = twist_dict(twist_kind, explicit)
-    payload = {
-        "rows": [
-            {
-                "a": r[0],
-                "b": r[1],
-                "h0": r[2],
-                "h1": r[3],
-                "h2": r[4],
-                "euler": r[5],
-                "theorem_checks": r[6],
-            }
-            for r in rows
-        ]
-    }
-    n_fail = sum(1 for r in rows if r[6] != "pass")
+    n_fail = sum(1 for r in records if r["theorem_checks"] != "pass")
     checks = (
-        CheckResult("all_rows_pass", n_fail == 0, f"{len(rows)} rows, {n_fail} failing"),
+        CheckResult("all_rows_pass", n_fail == 0, f"{len(records)} rows, {n_fail} failing"),
     )
-    return ReportBundle(
-        "sweep",
-        params,
-        payload,
-        ("a", "b", "h0", "h1", "h2", "euler", "theorem_checks"),
-        tuple(rows),
-        checks,
-    )
+    payload = {"rows": records}
+    return ReportBundle("sweep", params, payload, _SWEEP_HEADERS, _rows(_SWEEP_HEADERS, records), checks)
 
 
 def verify_bundle(p: TruncParams) -> ReportBundle:

@@ -7,9 +7,13 @@ forms, repeats, dropped and inserted tokens, values that start with "-",
 unicode digits and junk twists.  Both parsers must accept the same argv's
 with the same values, and reject the rest with the same message; every
 rejection through cli.main exits 2 with one stderr line and no stdout.
+Every accepted argv within a size budget also runs through cli.main: it
+answers in its format, or exits 2 with one stderr line at a size cap.
 """
 
 import contextlib
+import csv
+import functools
 import io
 import json
 import re
@@ -21,6 +25,7 @@ from hypothesis import strategies as st
 
 import oracles
 from test_cli import COMMAND_ARGVS
+from test_formats import markdown_table
 from truncpoisson import cli
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -140,6 +145,51 @@ STEPS = st.lists(st.tuples(st.sampled_from(MUTATIONS), st.integers(0, 40), st.sa
 @given(st.sampled_from(SEEDS), STEPS)
 def test_table_parser_agrees_with_argparse(seed, steps):
     check_argv(mutate(seed, steps))
+
+
+# verify_bundle memoised per size, as in test_digests: a mutant most often
+# keeps its seed's size and changes only how it is asked
+MEMOISED_VERIFY = functools.lru_cache(maxsize=None)(cli.verify_bundle)
+
+
+def check_run(argv):
+    """An argv that the parser accepts answers in its format, or is refused at a cap (exit 2)."""
+    code, fields, _ = table_parse(argv)
+    if code or fields is None:
+        return
+    command, a, b, fmt = fields[:4]
+    if command != "sweep":
+        # argv's between this budget and the cap are skipped, to keep the test near 5 s
+        budget, cap = (400, cli.VERIFY_MAX_AB) if command == "verify" else (5000, cli.INSTANCE_MAX_AB)
+        if budget < a * b <= cap:
+            return
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert "Traceback" not in out + err, argv
+    if code == 2:
+        assert out == "" and err.count("\n") == 1 and err.endswith("\n"), argv
+        assert "error: resource limit:" in err or "--twist applies only to --kind homology" in err, argv
+        return
+    assert (code, err) == (0, ""), argv
+    if fmt == "json":
+        assert json.loads(out)["command"] == command, argv
+    elif fmt == "csv":
+        rows = list(csv.reader(io.StringIO(out)))
+        assert len(rows) > 1 and all(len(row) == len(rows[0]) for row in rows), argv
+    else:
+        assert out.startswith(f"# truncpoisson {command} ("), argv
+        headers, rows = markdown_table(out)
+        assert rows and all(len(row) == len(headers) for row in rows), argv
+
+
+@settings(max_examples=1500, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(SEEDS), STEPS)
+def test_accepted_argvs_run_to_an_answer(seed, steps):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "verify_bundle", MEMOISED_VERIFY)
+        check_run(mutate(seed, steps))
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 import ast
 import errno
+import functools
 import json
 import os
 import subprocess
@@ -36,11 +37,17 @@ def run_subprocess(argv, env=None):
     )
 
 
-def validate_envelope(envelope):
+@functools.cache
+def schema_validator():
     import jsonschema
 
     schema = json.loads(SCHEMA_PATH.read_text())
-    jsonschema.validate(envelope, schema)
+    jsonschema.Draft7Validator.check_schema(schema)
+    return jsonschema.Draft7Validator(schema)
+
+
+def validate_envelope(envelope):
+    schema_validator().validate(envelope)
 
 
 def test_cohomology_json_output(capsys):
