@@ -12,7 +12,10 @@ memory, or a RuntimeError from one of the engine's self-checks), reported as
 one line on stderr with nothing on stdout.  A failed write of the output (to
 a full disk, say) is an internal error too: exit 3 and one stderr line,
 though part of the output may already be written.  No environment variable
-changes the output.
+changes the output.  The process (run(): python -m truncpoisson, the installed
+script) ends with os._exit right after flushing its output, skipping interpreter
+teardown, or normally under a tracer, profiler or sys.monitoring tool; library
+callers use main(argv), which returns the exit code.
 
 Size limits, each a usage error with a "resource limit:" message: a*b is at
 most INSTANCE_MAX_AB (360000) for cohomology, homology, ring and duality and
@@ -25,6 +28,7 @@ power of ten is built.
 
 from __future__ import annotations
 
+import os
 import re
 import sys
 from fractions import Fraction
@@ -46,9 +50,9 @@ from .reporting import (
 SWEEP_MAX = 32
 # Caps on a*b.  The instance commands answer from closed forms, so at the cap
 # only homology at the trivial twist with its a+b-1 degree-0 representatives
-# takes long (-a 2 -b 180000: about 3.1 s, 194 MB); the others take about
-# 0.08 s, mostly start-up.  verify -a 50 -b 50 takes about 2.0 s and 17 MB.
-# (Median of 3 on a 2-core Intel Xeon VM, Python 3.11, where python -c pass takes 0.07 s.)
+# takes long (-a 2 -b 180000: about 2.8 s, 194 MB); the others take about
+# 0.07 s, mostly start-up.  verify -a 50 -b 50 takes about 1.8 s and 17 MB.
+# (Median of 5 on a 2-core Intel Xeon VM, Python 3.11, where python -c pass takes 0.06 s.)
 INSTANCE_MAX_AB = 360_000
 VERIFY_MAX_AB = 2_500
 # Python's default limit on int <-> str conversion; a twist entry must print.
@@ -295,5 +299,21 @@ def main(argv=None) -> int:
     return code
 
 
+def run() -> None:
+    """main(), a flush and os._exit; the normal exit under a tracer or profiler, so that it reports."""
+    code = main()
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except OSError:  # main has already reported a failed write of the output
+            pass
+    watchers = [sys.gettrace(), sys.getprofile()]
+    if hasattr(sys, "monitoring"):  # Python 3.12+: cProfile and coverage may register a tool here
+        watchers += map(sys.monitoring.get_tool, range(6))
+    if any(w is not None for w in watchers):
+        raise SystemExit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    run()

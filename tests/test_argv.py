@@ -31,7 +31,14 @@ from truncpoisson import cli
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH_ARGVS = [key.split() for key in json.loads((ROOT / "perfbench" / "digests.json").read_text())["digests"]]
 README_ARGVS = [line.split()[1:] for line in (ROOT / "README.md").read_text().splitlines() if line.startswith("truncpoisson ")]
-SEEDS = [list(argv) for argv in COMMAND_ARGVS] + PERFBENCH_ARGVS + README_ARGVS
+# Seeds just past each size cap, so that mutants reach cli.main's cap path: most
+# mutations keep the size, and most that change it keep the product past the cap.
+CAP_SEEDS = [
+    ["homology", "-a", "2", "-b", str(cli.INSTANCE_MAX_AB // 2 + 1), "--twist=-1,2"],
+    ["cohomology", "-a", "601", "-b", "600", "--format=csv"],
+    ["verify", "-a", "51", "-b", "50", "--format", "markdown"],
+]
+SEEDS = [list(argv) for argv in COMMAND_ARGVS] + PERFBENCH_ARGVS + README_ARGVS + CAP_SEEDS
 FIELDS = ("command", "a", "b", "format", "twist", "kind", "no_representatives")
 ORACLE = oracles.build_parser()
 
@@ -152,26 +159,35 @@ def test_table_parser_agrees_with_argparse(seed, steps):
 MEMOISED_VERIFY = functools.lru_cache(maxsize=None)(cli.verify_bundle)
 
 
+def _refuse(args):
+    raise AssertionError("an argv past a size cap reached the engine")
+
+
 def check_run(argv):
-    """An argv that the parser accepts answers in its format, or is refused at a cap (exit 2)."""
+    """An argv that the parser accepts answers in its format, or is refused at a cap (exit 2).
+
+    Returns whether cli.main refused argv at a size cap.
+    """
     code, fields, _ = table_parse(argv)
     if code or fields is None:
-        return
+        return False
     command, a, b, fmt = fields[:4]
-    if command != "sweep":
-        # argv's between this budget and the cap are skipped, to keep the test near 5 s
-        budget, cap = (400, cli.VERIFY_MAX_AB) if command == "verify" else (5000, cli.INSTANCE_MAX_AB)
-        if budget < a * b <= cap:
-            return
+    budget, cap = (400, cli.VERIFY_MAX_AB) if command == "verify" else (5000, cli.INSTANCE_MAX_AB)
+    past_cap = command != "sweep" and a * b > cap
+    if command != "sweep" and budget < a * b <= cap:
+        return False  # argv's between this budget and the cap are skipped, to keep the test near 5 s
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), pytest.MonkeyPatch.context() as mp:
+        if past_cap:  # refused before any work, or the test stops here
+            mp.setattr(cli, "_bundle", _refuse)
         code = cli.main(argv)
     out, err = out.getvalue(), err.getvalue()
     assert "Traceback" not in out + err, argv
+    assert ("error: resource limit:" in err) == past_cap, argv
     if code == 2:
         assert out == "" and err.count("\n") == 1 and err.endswith("\n"), argv
-        assert "error: resource limit:" in err or "--twist applies only to --kind homology" in err, argv
-        return
+        assert past_cap or "--twist applies only to --kind homology" in err, argv
+        return past_cap
     assert (code, err) == (0, ""), argv
     if fmt == "json":
         assert json.loads(out)["command"] == command, argv
@@ -182,6 +198,7 @@ def check_run(argv):
         assert out.startswith(f"# truncpoisson {command} ("), argv
         headers, rows = markdown_table(out)
         assert rows and all(len(row) == len(headers) for row in rows), argv
+    return False
 
 
 @settings(max_examples=1500, deadline=None, derandomize=True, database=None)
@@ -190,6 +207,17 @@ def test_accepted_argvs_run_to_an_answer(seed, steps):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cli, "verify_bundle", MEMOISED_VERIFY)
         check_run(mutate(seed, steps))
+
+
+@pytest.mark.parametrize("kind", MUTATIONS)
+def test_mutants_of_seeds_past_a_cap_reach_the_cap(kind):
+    # every single-step mutant of kind, at every position, with every junk token
+    steps = [(kind, at, junk) for at in range(len(max(CAP_SEEDS, key=len)) + 1) for junk in JUNK]
+    mutants = sorted({tuple(mutate(seed, [step])) for seed in CAP_SEEDS for step in steps})
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "verify_bundle", MEMOISED_VERIFY)
+        refused = [check_run(list(argv)) for argv in mutants]
+    assert any(refused), kind
 
 
 @pytest.mark.parametrize(

@@ -492,16 +492,54 @@ def test_failed_stdout_write_exits_3_with_one_stderr_line(capsys, monkeypatch):
     assert os.strerror(errno.ENOSPC) in err
 
 
-@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs the /dev/full device")
+# The process entry point (cli.run) ends with os._exit right after flushing;
+# its output must be what cli.main writes, to a pipe read to EOF as well.  The
+# child runs with buffered stdout (no PYTHONUNBUFFERED), so a missed flush shows.
+BUFFERED_ENV = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+EXIT_PATH_ARGVS = [
+    *([*argv, "--format", fmt] for argv in COMMAND_ARGVS for fmt in ("json", "csv", "markdown")),
+    ["homology", "-a", "2", "-b", "20000", "--format", "csv"],
+    ["ring", "-a", "1", "-b", "3"],
+    ["sweep", "--help"],
+]
+
+
+@pytest.mark.parametrize("argv", EXIT_PATH_ARGVS, ids=" ".join)
+def test_process_exit_keeps_the_output_of_main(capsys, argv):
+    code, out, err = run_cli(capsys, argv)
+    proc = subprocess.run([sys.executable, "-m", "truncpoisson", *argv], capture_output=True, env=BUFFERED_ENV)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out.encode(), err.encode())
+
+
+@pytest.mark.parametrize("sink", [
+    pytest.param("/dev/full", marks=pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")),
+    "closed pipe",
+])
 @pytest.mark.parametrize("argv", [["homology", "-a", "2", "-b", "20000"], ["sweep", "--help"]])
-def test_output_to_a_full_device_exits_3_without_traceback(argv):
-    with open("/dev/full", "w") as full:
+def test_failed_output_exits_3_with_one_stderr_line(sink, argv):
+    # a full device fails each write with ENOSPC; a pipe whose read end is closed, with EPIPE
+    if sink == "/dev/full":
+        write_end = os.open(sink, os.O_WRONLY)
+    else:
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+    try:
         proc = subprocess.run(
             [sys.executable, "-m", "truncpoisson", *argv],
-            stdout=full,
-            stderr=subprocess.PIPE,
-            text=True,
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=BUFFERED_ENV,
         )
-    assert proc.returncode == 3
-    assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("truncpoisson: internal error: ")
-    assert "Traceback" not in proc.stderr
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 3 and proc.stderr.count("\n") == 1, proc.stderr
+    assert proc.stderr.startswith("truncpoisson: internal error: cannot write output: ")
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+
+
+def test_profiled_run_exits_normally_and_writes_the_profile(capsys):
+    # cProfile registers as sys.setprofile before Python 3.12 and as a sys.monitoring tool after
+    argv = ["cohomology", "-a", "3", "-b", "3"]
+    _, out, _ = run_cli(capsys, argv)
+    profiled = [sys.executable, "-m", "cProfile", "-m", "truncpoisson", *argv]
+    proc = subprocess.run(profiled, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith(out) and "function calls" in proc.stdout[len(out):]
