@@ -302,7 +302,7 @@ def main(argv=None) -> int:
 def run() -> None:
     """main(), a flush and os._exit; the normal exit under a tracer or profiler, so that it reports."""
     code = main()
-    for stream in (sys.stdout, sys.stderr):
+    for stream in filter(None, (sys.stdout, sys.stderr)):  # None: started with that fd closed
         try:
             stream.flush()
         except OSError:  # main has already reported a failed write of the output

@@ -535,6 +535,23 @@ def test_failed_output_exits_3_with_one_stderr_line(sink, argv):
     assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
 
 
+@pytest.mark.parametrize("closed_fd, argv", [
+    (2, ["cohomology", "-a", "3", "-b", "3"]),
+    (2, ["sweep", "--help"]),
+    (1, ["cohomology", "-a", "1", "-b", "4"]),
+])
+def test_process_started_with_a_closed_std_stream_keeps_the_exit_of_main(capsys, closed_fd, argv):
+    # Python sets sys.stdout or sys.stderr to None when it starts with fd 1 or fd 2 closed;
+    # the process entry point must still exit with main's code and write main's other stream
+    code, out, err = run_cli(capsys, argv)
+    proc = subprocess.run(
+        [sys.executable, "-m", "truncpoisson", *argv],
+        capture_output=True, env=BUFFERED_ENV, preexec_fn=lambda: os.close(closed_fd),
+    )
+    assert proc.returncode == code, proc.stderr
+    assert (proc.stdout, proc.stderr)[2 - closed_fd] == (out, err)[2 - closed_fd].encode()
+
+
 def test_profiled_run_exits_normally_and_writes_the_profile(capsys):
     # cProfile registers as sys.setprofile before Python 3.12 and as a sys.monitoring tool after
     argv = ["cohomology", "-a", "3", "-b", "3"]
