@@ -13,9 +13,11 @@ oracle built only from the brackets with the two generators.
 Clean-coefficient invariant: an element's coefficient map holds only
 nonzero Fraction values at keys (i, j) with 0 <= i < a and 0 <= j < b.  The
 public constructor establishes it from arbitrary input; the arithmetic
-kernels (_accumulate, _multiply_into, _bracket_into) preserve it by
-construction, dropping a key as soon as its coefficient cancels, so their
-results are wrapped by AlgebraElement._clean without re-checking.
+kernels _multiply_into and _bracket_into add their terms into out in place,
+a new key taking the term as it is and a present key the sum, dropped as
+soon as it cancels.  _accumulate, that update for one term, serves
+AlgebraElement's + and -.  So their results are wrapped by
+AlgebraElement._clean without re-checking.
 
 The kernels themselves accept any exact rational maps, int or Fraction
 values, nonzero and at in-bound keys: an int map stays an int map, and
@@ -230,7 +232,15 @@ def _multiply_into(out: dict, p: TruncParams, u: Mapping, v: Mapping, sign: int 
         unit = c == 1  # a generator or a basis element: skip the product by 1
         for (k, l), d in v.items():
             if i + k < a and j + l < b:
-                _accumulate(out, (i + k, j + l), d if unit else c * d, sign)
+                term = d if unit else c * d
+                if sign < 0:
+                    term = -term
+                key = (i + k, j + l)
+                old = out.get(key)
+                if old is not None and not (term := old + term):
+                    del out[key]
+                else:
+                    out[key] = term
 
 
 def _bracket_into(out: dict, p: TruncParams, u: Mapping, v: Mapping, sign: int = 1):
@@ -241,7 +251,13 @@ def _bracket_into(out: dict, p: TruncParams, u: Mapping, v: Mapping, sign: int =
         for (k, l), d in v.items():
             s = i * l - j * k
             if s and i + k < a and j + l < b:
-                _accumulate(out, (i + k, j + l), (d if unit else c * d) * (sign * s))
+                term = (d if unit else c * d) * (sign * s)
+                key = (i + k, j + l)
+                old = out.get(key)
+                if old is not None and not (term := old + term):
+                    del out[key]
+                else:
+                    out[key] = term
 
 
 def multiply(u: AlgebraElement, v: AlgebraElement) -> AlgebraElement:

@@ -44,7 +44,6 @@ from .algebra import (
     AlgebraElement,
     TruncParams,
     Vector,
-    _accumulate,
     _frac,
     _multiply_into,
     _render_monomial,
@@ -234,13 +233,25 @@ def _module_bracket_into(
         for (i, j), c in m.items():
             w = offset - step * j
             if w and i + 1 < p.a:
-                _accumulate(out, (i + 1, j), w if c == 1 else w * c)
+                term = w if c == 1 else w * c
+                key = (i + 1, j)
+                old = out.get(key)
+                if old is not None and not (term := old + term):
+                    del out[key]
+                else:
+                    out[key] = term
     elif g == "Y":
         offset = -beta if sign > 0 else beta  # sign * (scale*i - beta) = offset + step*i
         for (i, j), c in m.items():
             w = offset + step * i
             if w and j + 1 < p.b:
-                _accumulate(out, (i, j + 1), w if c == 1 else w * c)
+                term = w if c == 1 else w * c
+                key = (i, j + 1)
+                old = out.get(key)
+                if old is not None and not (term := old + term):
+                    del out[key]
+                else:
+                    out[key] = term
     else:
         raise ValueError("generator must be 'X' or 'Y'")
 

@@ -149,7 +149,9 @@ def check_delta_complex(p: TruncParams) -> CheckResult:
         dy: dict = {}
         _bracket_into(dx, p, x, m)
         _bracket_into(dy, p, y, m)
-        if not _delta1_vanishes(p, dx, dy):
+        value: dict = {}
+        _delta1_into(value, p, dx, dy)
+        if value:
             ok = False
             break
     return CheckResult("delta_complex", ok, "delta1 . delta0 = 0")
@@ -178,7 +180,8 @@ def check_boundary_complex(p: TruncParams, n_random: int = 50) -> CheckResult:
     D*beta) and the twist-free products as D*X and D*Y.  Applied in turn to
     the int map {e: 1}, the first writing the (dX, dY) pair the second
     reads, they give D^2 * boundary(t, boundary(t, e)), which is zero
-    exactly when the boundary of the boundary is, since D >= 1.
+    exactly when the boundary of the boundary is, since D >= 1.  One loop
+    over the twists x forms stops at the first nonzero result.
     """
     rng = _rng(p, "boundary")
     twists = [TwistParams.trivial(), TwistParams.nakayama(p)]
@@ -190,60 +193,41 @@ def check_boundary_complex(p: TruncParams, n_random: int = 50) -> CheckResult:
         alpha = t.alpha.numerator * (scale // t.alpha.denominator)
         beta = t.beta.numerator * (scale // t.beta.denominator)
         scaled.append((alpha, beta, scale))
-    forms = omega2_indices(p)
-    ok = all(_boundary_squared_vanishes(p, *twist, e) for twist in scaled for e in forms)
+    forms = [{e: 1} for e in omega2_indices(p)]
+    ok = True
+    twice: dict = {}  # empty again whenever the loop goes on
+    for (alpha, beta, scale), form in product(scaled, forms):
+        on_dx: dict = {}
+        on_dy: dict = {}
+        _boundary2_into(on_dx, on_dy, p, alpha, beta, scale, form)
+        _boundary1_into(twice, p, alpha, beta, scale, on_dx, on_dy)
+        if twice:
+            ok = False
+            break
     return CheckResult("boundary_complex", ok, f"boundary1 . boundary2 = 0 for {len(twists)} twists")
-
-
-def _boundary_squared_vanishes(p: TruncParams, alpha: int, beta: int, scale: int, e) -> bool:
-    """scale^2 * boundary(t, boundary(t, e)) = 0 at t = (alpha, beta) / scale, on the int map {e: 1}."""
-    on_dx: dict = {}
-    on_dy: dict = {}
-    _boundary2_into(on_dx, on_dy, p, alpha, beta, scale, {e: 1})
-    twice: dict = {}
-    _boundary1_into(twice, p, alpha, beta, scale, on_dx, on_dy)
-    return not twice
 
 
 # The memoised value of an inner bracket that vanishes: one shared map, never written.
 _NO_TERMS = MappingProxyType({})
 
 
-def _jacobi_holds(p: TruncParams, maps: list, inners: dict, e: int, f: int, g: int) -> bool:
-    """{e,{f,g}} + {f,{g,e}} + {g,{e,f}}, summed into one map, is zero.
-
-    e, f and g index maps, the monomials as {(i, j): 1} int maps, so every
-    coefficient is an integer product of structure constants i*l - j*k.
-    Each inner bracket {v, w} is looked up in inners under v * len(maps) + w
-    and computed and stored there on a miss, a zero one as _NO_TERMS.
-    """
-    n = len(maps)
-    total: dict = {}
-    for u, v, w in ((e, f, g), (f, g, e), (g, e, f)):
-        key = v * n + w
-        inner = inners.get(key)
-        if inner is None:
-            inner = {}
-            _bracket_into(inner, p, maps[v], maps[w])
-            inners[key] = inner = inner or _NO_TERMS
-        if inner:  # {u, 0} = 0; most monomial pairs bracket to zero
-            _bracket_into(total, p, maps[u], inner)
-    return not total
-
-
 def check_jacobi(p: TruncParams) -> CheckResult:
     """The Jacobi identity on every monomial triple, or on JACOBI_SAMPLES seeded ones.
 
-    Each sampled monomial is _below(getrandbits, dim) into the monomial
-    list: the same getrandbits calls, and so the same triples, as
-    rng.choice(monomials).
+    The sampled triples are _jacobi_draws(p) taken three at a time: the
+    same triples as rng.choice(monomials).  For each triple (e, f, g) one
+    loop sums {e,{f,g}} + {f,{g,e}} + {g,{e,f}} into one map with
+    _bracket_into and stops at the first nonzero sum.  The monomials are
+    {(i, j): 1} int maps, so every coefficient is an integer product of
+    structure constants i*l - j*k.
 
-    Each ordered pair's inner bracket is computed once per call and
-    memoised: a full enumeration meets every pair 3 * dim times, and the
-    15000 inner pairs of the samples repeat often while dim^2 is not far
-    above that.  The memo is a dict local to the call, so it holds only the
-    pairs met: a dim^2 list would take 6.25 million slots, about 50 MB, at
-    the verify cap (dim 2500).
+    Each ordered pair's inner bracket {v, w} is computed once per call and
+    memoised under v * dim + w, a zero one as _NO_TERMS, whose outer
+    bracket is skipped.  A full enumeration meets every pair 3 * dim
+    times, and the 15000 inner pairs of the samples repeat often while
+    dim^2 is not far above that.  The memo is a dict local to the call, so
+    it holds only the pairs met: a dim^2 list would take 6.25 million
+    slots, about 50 MB, at the verify cap (dim 2500).
     """
     maps = [{ij: 1} for ij in p.monomials()]
     n = len(maps)
@@ -251,15 +235,43 @@ def check_jacobi(p: TruncParams) -> CheckResult:
         triples = product(range(n), repeat=3)
         detail = f"all {n ** 3} monomial triples"
     else:
-        getrandbits = _rng(p, "jacobi").getrandbits
-        triples = (
-            (_below(getrandbits, n), _below(getrandbits, n), _below(getrandbits, n))
-            for _ in range(JACOBI_SAMPLES)
-        )
+        draws = iter(_jacobi_draws(p))
+        triples = zip(draws, draws, draws)
         detail = f"{JACOBI_SAMPLES} sampled monomial triples"
     inners: dict = {}
-    ok = all(_jacobi_holds(p, maps, inners, *t) for t in triples)
+    ok = True
+    total: dict = {}  # empty again whenever the loop goes on
+    for e, f, g in triples:
+        for u, v, w in ((e, f, g), (f, g, e), (g, e, f)):
+            key = v * n + w
+            inner = inners.get(key)
+            if inner is None:
+                inner = {}
+                _bracket_into(inner, p, maps[v], maps[w])
+                inners[key] = inner = inner or _NO_TERMS
+            if inner:  # {u, 0} = 0; most monomial pairs bracket to zero
+                _bracket_into(total, p, maps[u], inner)
+        if total:
+            ok = False
+            break
     return CheckResult("jacobi_identity", ok, detail)
+
+
+def _jacobi_draws(p: TruncParams) -> list[int]:
+    """check_jacobi's 3 * JACOBI_SAMPLES sampled monomial indices, in draw order.
+
+    _below(getrandbits, dim), inlined: the same indices as rng.choice(monomials).
+    """
+    n = p.dim
+    k = n.bit_length()
+    getrandbits = _rng(p, "jacobi").getrandbits
+    draws = []
+    for _ in range(3 * JACOBI_SAMPLES):
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        draws.append(r)
+    return draws
 
 
 def _scaled_map(u: AlgebraElement) -> dict:
@@ -314,16 +326,16 @@ def check_predicate_agreement(p: TruncParams, n_random: int = 100) -> CheckResul
         (({}, {ij: 1}) for ij in dprime_pairs),
         (_random_derivation_maps(p, rng) for _ in range(n_random)),
     )
-    ok = all(_is_cocycle(p, dx, dy) == _delta1_vanishes(p, dx, dy) for dx, dy in derivations)
+    ok = True
+    for dx, dy in derivations:
+        value: dict = {}
+        _delta1_into(value, p, dx, dy)
+        if _is_cocycle(p, dx, dy) != (not value):
+            ok = False
+            break
     return CheckResult(
         "cocycle_predicate_matches_kernel", ok, f"basis + {n_random} random derivations"
     )
-
-
-def _delta1_vanishes(p: TruncParams, dx: dict, dy: dict) -> bool:
-    value: dict = {}
-    _delta1_into(value, p, dx, dy)
-    return not value
 
 
 def check_normalization(p: TruncParams, n: int = 20) -> CheckResult:

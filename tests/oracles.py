@@ -4,11 +4,12 @@ These deliberately avoid the library's closed-form bracket and its
 Gauss-Jordan: the bracket oracle expands products one generator at a time
 using only the two generator rules, the delta_1 oracle evaluates the
 convention's four terms with those rules and multiply, and the rank oracle
-is a separate textbook forward elimination.  The argv oracle is the
-argparse parser that the command line used before its table-driven parser,
-kept verbatim around the same value converters.  Agreement between library
-and oracle is the point of the tests, so nothing here may call the code path
-it checks.
+is a separate textbook forward elimination.  The per-term sum is the plain
+dict reference for the kernels that add into a map in place.  The argv
+oracle is the argparse parser that the command line used before its
+table-driven parser, kept verbatim around the same value converters.
+Agreement between library and oracle is the point of the tests, so nothing
+here may call the code path it checks.
 """
 
 import argparse
@@ -73,6 +74,14 @@ def delta1_oracle(d) -> AlgebraElement:
     p = d.params
     x, y = AlgebraElement.gen_x(p), AlgebraElement.gen_y(p)
     return bracket_with_y(d.dx) - bracket_with_x(d.dy) - multiply(d.dx, y) - multiply(x, d.dy)
+
+
+def per_term_sum(start: dict, terms) -> dict:
+    """start plus every (key, term), summed one term at a time, zeros dropped at the end."""
+    total = dict(start)
+    for key, term in terms:
+        total[key] = total.get(key, 0) + term
+    return {key: c for key, c in total.items() if c}
 
 
 def independent_rank(rows) -> int:

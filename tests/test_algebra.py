@@ -3,6 +3,8 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from truncpoisson import (
     AlgebraElement,
@@ -14,9 +16,9 @@ from truncpoisson import (
     render_element,
 )
 from truncpoisson import checks
-from truncpoisson.algebra import _accumulate, _bracket_into
+from truncpoisson.algebra import _accumulate, _bracket_into, _multiply_into
 
-from oracles import bracket_with_x, bracket_with_y, leibniz_bracket_monomial
+from oracles import bracket_with_x, bracket_with_y, leibniz_bracket_monomial, per_term_sum
 
 
 def random_element(p, rng, terms=4):
@@ -160,33 +162,91 @@ def test_jacobi_check_fails_on_a_broken_bracket_kernel(monkeypatch):
 
 
 def test_jacobi_memo_holds_the_inner_brackets(monkeypatch):
-    """Every inner bracket check_jacobi memoised equals a fresh _bracket_into result.
+    """check_jacobi's _bracket_into calls are those of a fresh, unmemoised Jacobi sum.
 
-    Under full enumeration (3x3 and 5x6, at JACOBI_FULL_LIMIT) every ordered
-    pair is met; under sampling (8x8) only the sampled ones.
+    A recording wrapper sees every call.  For each triple, enumerated (3x3
+    and 5x6, at JACOBI_FULL_LIMIT) or drawn by _jacobi_draws (8x8), and for
+    each of its rotations (u, v, w), the inner bracket {v, w} must be
+    computed on the first meeting of the pair only, and the outer bracket
+    must receive a map equal to a fresh {v, w}, or be skipped when that is
+    zero.  Full enumeration meets all n^2 pairs.
     """
-    exact = checks._jacobi_holds
+    exact = checks._bracket_into
     for a, b, full in [(3, 3, True), (5, 6, True), (8, 8, False)]:
         p = TruncParams(a, b)
-        memos = []
+        calls = []
 
-        def holds(p, maps, inners, e, f, g):
-            if not memos or memos[-1][1] is not inners:
-                memos.append((maps, inners))
-            return exact(p, maps, inners, e, f, g)
+        def recording(out, p, u, v, sign=1):
+            calls.append((dict(u), dict(v)))
+            exact(out, p, u, v, sign)
 
-        monkeypatch.setattr(checks, "_jacobi_holds", holds)
+        monkeypatch.setattr(checks, "_bracket_into", recording)
         assert checks.check_jacobi(p).passed
         monkeypatch.undo()
-        [(maps, inners)] = memos
-        n = len(maps)
-        assert len(inners) == n * n if full else 0 < len(inners) < n * n
-        for key, inner in inners.items():
-            fresh = {}
-            _bracket_into(fresh, p, maps[key // n], maps[key % n])
-            assert dict(inner) == fresh
-            assert inner or inner is checks._NO_TERMS
-        assert not checks._NO_TERMS
+        monomials = [{ij: 1} for ij in p.monomials()]
+        n = len(monomials)
+        if full:
+            triples = list(product(range(n), repeat=3))
+        else:
+            draws = checks._jacobi_draws(p)
+            triples = list(zip(draws[0::3], draws[1::3], draws[2::3]))
+        expected, met = [], set()
+        for e, f, g in triples:
+            for u, v, w in ((e, f, g), (f, g, e), (g, e, f)):
+                fresh = {}
+                _bracket_into(fresh, p, monomials[v], monomials[w])
+                if (v, w) not in met:
+                    met.add((v, w))
+                    expected.append((monomials[v], monomials[w]))
+                if fresh:
+                    expected.append((monomials[u], fresh))
+        assert calls == expected
+        assert len(met) == n * n if full else 0 < len(met) < n * n
+    assert not checks._NO_TERMS
+
+
+@st.composite
+def kernel_maps(draw):
+    """A random (a, b), a kind (int or Fraction) and three maps of nonzero values of that kind.
+
+    The values include 1, so the kernels' skipped product by a unit
+    coefficient is taken as often as the general product.
+    """
+    p = TruncParams(draw(st.integers(2, 6)), draw(st.integers(2, 6)))
+    kind = draw(st.sampled_from((int, Fraction)))
+    values = st.integers(-3, 3).filter(bool)
+    if kind is Fraction:
+        values = values.map(Fraction) | st.fractions(-3, 3, max_denominator=6).filter(bool)
+    keys = st.tuples(st.integers(0, p.a - 1), st.integers(0, p.b - 1))
+    maps = st.dictionaries(keys, values, max_size=8)
+    return p, kind, draw(maps), draw(maps), draw(maps)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(kernel_maps(), st.sampled_from((1, -1)))
+def test_algebra_kernels_add_in_place_like_a_per_term_sum(maps, sign):
+    """_multiply_into and _bracket_into update out as the naive sum of their terms would.
+
+    A key missing from out takes its term, a present one the sum, and a
+    cancelled key is gone; adding the same terms negated restores out, so
+    from an empty out it is empty again.  Values keep the inputs' kind.
+    """
+    p, kind, start, u, v = maps
+    constants = {_multiply_into: lambda i, j, k, l: 1, _bracket_into: lambda i, j, k, l: i * l - j * k}
+    for kernel, constant in constants.items():
+        terms = [
+            ((i + k, j + l), sign * constant(i, j, k, l) * c * d)
+            for (i, j), c in u.items()
+            for (k, l), d in v.items()
+            if i + k < p.a and j + l < p.b
+        ]
+        for before in (start, {}):
+            out = dict(before)
+            kernel(out, p, u, v, sign)
+            assert out == per_term_sum(before, terms)
+            assert all(type(c) is kind and c for c in out.values())
+            kernel(out, p, u, v, -sign)
+            assert out == before
 
 
 def test_leibniz_check_fails_on_a_non_derivation_bracket_kernel(monkeypatch):

@@ -242,27 +242,20 @@ def test_verify_draws_keep_the_randint_and_choice_streams(monkeypatch):
             assert random_element(p, rng) == AlgebraElement(p, coeffs)
         assert rng.random() == twin.random()
 
-    for a, b in [(6, 6), (9, 4)]:
+    for a, b in [(6, 6), (9, 4), (5, 13)]:
         p = TruncParams(a, b)
         assert p.dim > checks.JACOBI_FULL_LIMIT
-        seeded = checks._rng(p, "jacobi")
-        twin = checks._rng(p, "jacobi")
-        sampled = []
-
-        def record(p, maps, inners, e, f, g):
-            sampled.append(tuple(next(iter(maps[k])) for k in (e, f, g)))
-            return True
-
-        monkeypatch.setattr(checks, "_rng", lambda p, tag: seeded)
-        monkeypatch.setattr(checks, "_jacobi_holds", record)
-        checks.check_jacobi(p)
-        monkeypatch.undo()
         monomials = list(p.monomials())
-        assert sampled == [
-            (twin.choice(monomials), twin.choice(monomials), twin.choice(monomials))
-            for _ in range(checks.JACOBI_SAMPLES)
-        ]
-        assert seeded.random() == twin.random()
+        for run in (checks._jacobi_draws, checks.check_jacobi):
+            seeded = checks._rng(p, "jacobi")
+            twin = checks._rng(p, "jacobi")
+            monkeypatch.setattr(checks, "_rng", lambda p, tag: seeded)
+            drawn = run(p)
+            monkeypatch.undo()
+            choices = [twin.choice(monomials) for _ in range(3 * checks.JACOBI_SAMPLES)]
+            if run is checks._jacobi_draws:
+                assert [monomials[k] for k in drawn] == choices
+            assert seeded.random() == twin.random()
 
 
 def test_is_poisson_derivation_agrees_with_kernel():
