@@ -13,20 +13,21 @@ oracle built only from the brackets with the two generators.
 Clean-coefficient invariant: an element's coefficient map holds only
 nonzero Fraction values at keys (i, j) with 0 <= i < a and 0 <= j < b.  The
 public constructor establishes it from arbitrary input; the arithmetic
-kernels _multiply_into and _bracket_into add their terms into out in place,
-a new key taking the term as it is and a present key the sum, dropped as
-soon as it cancels.  _accumulate, that update for one term, serves
-AlgebraElement's + and -.  So their results are wrapped by
-AlgebraElement._clean without re-checking.
+kernels add their terms into out in place, a new key taking the term as it
+is and a present key the sum, dropped as soon as it cancels.  _accumulate,
+that update for one term, serves AlgebraElement's + and -.  So their
+results are wrapped by AlgebraElement._clean without re-checking.
 
-The kernels themselves accept any exact rational maps, int or Fraction
-values, nonzero and at in-bound keys: an int map stays an int map, and
-Fraction inputs give Fraction results.  Only maps with Fraction values are
-wrapped into elements.  The chain and cochain kernels built on them keep
-the same contract: chain._boundary2_into, which writes a 2-chain's boundary
-as its pair of (dX, dY) maps on (i, j), chain._boundary1_into, which reads
-such a pair, both with an integer twist and scale, and cochain._delta1_into.
-verify runs its Jacobi, Leibniz, delta1 . delta0, boundary and
+The kernels: _multiply_into and _bracket_into sum the product and the
+bracket of two maps, and _shift_into sums (const + slope*e) * m*g for a
+generator g, with e = j against X and i against Y.  Both complexes split by
+weight into scalar blocks whose entries are affine in one exponent, so each
+differential is at most two shifts, one per row of the block tables in the
+chain and cochain docstrings.  The kernels accept any exact rational maps,
+int or Fraction values, nonzero and at in-bound keys, and int or Fraction
+constants: int maps with int constants stay int maps, and Fraction maps
+give Fraction results.  Only maps with Fraction values are wrapped into
+elements.  verify runs its Jacobi, Leibniz, delta1 . delta0, boundary and
 cocycle-predicate checks on int maps through these kernels, with the
 denominators of their random elements, twists and derivations cleared.
 """
@@ -97,9 +98,6 @@ class TruncParams:
 
 
 _ZERO = Fraction(0)
-# Coefficient maps of the generators, for the accumulating kernels.
-_X_COEFFS = MappingProxyType({(1, 0): Fraction(1)})
-_Y_COEFFS = MappingProxyType({(0, 1): Fraction(1)})
 
 
 class AlgebraElement:
@@ -243,21 +241,56 @@ def _multiply_into(out: dict, p: TruncParams, u: Mapping, v: Mapping, sign: int 
                     out[key] = term
 
 
-def _bracket_into(out: dict, p: TruncParams, u: Mapping, v: Mapping, sign: int = 1):
-    """out += sign * {u, v} for exact rational maps u, v without zeros, truncated to p."""
+def _bracket_into(out: dict, p: TruncParams, u: Mapping, v: Mapping):
+    """out += {u, v} for exact rational maps u, v without zeros, truncated to p."""
     a, b = p.a, p.b
     for (i, j), c in u.items():
         unit = c == 1
         for (k, l), d in v.items():
             s = i * l - j * k
             if s and i + k < a and j + l < b:
-                term = (d if unit else c * d) * (sign * s)
+                term = (d if unit else c * d) * s
                 key = (i + k, j + l)
                 old = out.get(key)
                 if old is not None and not (term := old + term):
                     del out[key]
                 else:
                     out[key] = term
+
+
+def _shift_into(out: dict, p: TruncParams, m: Mapping, g: str, const, slope):
+    """out += (const + slope*e) * m*g for an exact rational map m without zeros, truncated to p.
+
+    g is 'X' or 'Y', and e is the exponent j of a term X^i Y^j of m against
+    X and its exponent i against Y.  The entry multiplies every term, so a
+    Fraction map gives Fraction values at int constants too.
+    """
+    if g == "X":
+        last = p.a - 1
+        for (i, j), c in m.items():
+            w = const + slope * j
+            if w and i < last:
+                term = c * w
+                key = (i + 1, j)
+                old = out.get(key)
+                if old is not None and not (term := old + term):
+                    del out[key]
+                else:
+                    out[key] = term
+    elif g == "Y":
+        last = p.b - 1
+        for (i, j), c in m.items():
+            w = const + slope * i
+            if w and j < last:
+                term = c * w
+                key = (i, j + 1)
+                old = out.get(key)
+                if old is not None and not (term := old + term):
+                    del out[key]
+                else:
+                    out[key] = term
+    else:
+        raise ValueError("generator must be 'X' or 'Y'")
 
 
 def multiply(u: AlgebraElement, v: AlgebraElement) -> AlgebraElement:
@@ -330,62 +363,41 @@ _TOKEN = r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<var>[XY])(?:\^(?P<exp>\d+))?|(?P<op>[
 
 
 def parse_element(params: TruncParams, text: str) -> AlgebraElement:
-    """Parse the plain-text rendering back into an element (round-trips render)."""
+    """Parse the plain-text rendering back into an element (round-trips render).
+
+    Terms are joined by signs, and a term's factors (numbers and powers of X
+    and Y) by '*' or by nothing.  A sign must be followed by a term, a '*'
+    must sit between two factors, and a term has at most one number.
+    """
     token = re.compile(_TOKEN)  # compiled on first parse, then taken from re's cache
-    pos = 0
-    tokens = []
-    while pos < len(text):
+    terms = []  # [sign, number or None, i, j] of each term, the last one being read
+    last = None  # "op" after a sign or a '*', "factor" after a number or a power
+    pos, end = 0, len(text.rstrip())
+    while pos < end:
         m = token.match(text, pos)
         if not m:
-            if text[pos:].strip():
-                raise ValueError(f"cannot parse element at: {text[pos:]!r}")
-            break
+            raise ValueError(f"cannot parse element at: {text[pos:]!r}")
         pos = m.end()
-        if m.group("num"):
-            try:
-                tokens.append(("num", Fraction(m.group("num"))))
-            except ZeroDivisionError:
-                raise ValueError(f"zero denominator in {m.group('num')!r}") from None
-        elif m.group("var"):
-            tokens.append(("var", (m.group("var"), int(m.group("exp") or 1))))
-        else:
-            tokens.append(("op", m.group("op")))
-
-    coeffs: dict[tuple[int, int], Fraction] = {}
-    sign = Fraction(1)
-    coeff: Fraction | None = None
-    ij: list[int] | None = None
-    started = False
-
-    def flush():
-        nonlocal sign, coeff, ij, started
-        if not started:
-            return
-        c = sign * (coeff if coeff is not None else Fraction(1))
-        i, j = ij if ij is not None else (0, 0)
-        key = (i, j)
-        coeffs[key] = coeffs.get(key, Fraction(0)) + c
-        sign, coeff, ij, started = Fraction(1), None, None, False
-
-    for kind, val in tokens:
-        if kind == "op" and val in "+-":
-            flush()
-            if val == "-":
-                sign = -sign
-        elif kind == "op":  # '*' separator
-            continue
-        elif kind == "num":
-            if started and coeff is not None:
+        num, var, op = m.group("num", "var", "op")
+        if op and (last == "op" or op == "*" and last is None):
+            raise ValueError(f"dangling {op!r} in {text!r}")
+        if op in ("+", "-") or last is None:
+            terms.append([-1 if op == "-" else 1, None, 0, 0])
+        if num:
+            if terms[-1][1] is not None:
                 raise ValueError("two coefficients in one term")
-            coeff = val
-            started = True
-        else:
-            var, exp = val
-            if ij is None:
-                ij = [0, 0]
-            ij[0 if var == "X" else 1] += exp
-            started = True
-    flush()
-    if not tokens and text.strip() != "0":
+            try:
+                terms[-1][1] = Fraction(num)
+            except ZeroDivisionError:
+                raise ValueError(f"zero denominator in {num!r}") from None
+        elif var:
+            terms[-1][2 if var == "X" else 3] += int(m.group("exp") or 1)
+        last = "op" if op else "factor"
+    if last == "op":
+        raise ValueError(f"dangling {op!r} in {text!r}")
+    if not terms:
         raise ValueError(f"empty element text: {text!r}")
+    coeffs: dict[tuple[int, int], Fraction] = {}
+    for sign, coeff, i, j in terms:
+        coeffs[(i, j)] = coeffs.get((i, j), 0) + sign * (1 if coeff is None else coeff)
     return AlgebraElement(params, coeffs)

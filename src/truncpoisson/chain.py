@@ -25,13 +25,16 @@ with scalar entries; an entry is absent when its form is (dX needs k >= 1,
 dY needs l >= 1, dX^dY needs both).  Both entries of b1 vanish only at
 (0, 0), on the row k = 0 when beta = 0, on the column l = 0 when alpha = 0,
 and at (beta, -alpha) when beta is an integer in [1, a-1] and -alpha one in
-[1, b-1]; homology reads its answer off that list of weights.  verify checks
-the complex on sparse int chains through boundary's two kernels, each
-twist's denominators cleared: _boundary2_into writes a 2-chain's boundary as
-the pair of its dX and dY parts, maps on (i, j), and _boundary1_into reads
-that pair as it is, so no 1-form key (i, j, dX) is built on the way.  The
-dense matrices partial1_matrix and partial2_matrix are the reference for the
-tests only.
+[1, b-1]; homology reads its answer off that list of weights.  boundary
+applies each entry as one shift (algebra._shift_into) of a form's
+coefficient map m on (i, j): b1 is -(j+alpha) on m*X from dX and (i-beta)
+on m*Y from dY, and b2 is -(j+alpha+1) on m*X into dY and -(i-beta+1) on
+m*Y into dX.  verify checks the complex on sparse int chains through
+boundary's two kernels, each twist's denominators cleared: _boundary2_into
+writes a 2-chain's boundary as the pair of its dX and dY parts, and
+_boundary1_into reads that pair as it is, so no 1-form key (i, j, dX) is
+built on the way.  The dense matrices partial1_matrix and partial2_matrix
+are the reference for the tests only.
 """
 
 from __future__ import annotations
@@ -45,9 +48,9 @@ from .algebra import (
     TruncParams,
     Vector,
     _frac,
-    _multiply_into,
     _render_monomial,
     _render_sum,
+    _shift_into,
 )
 from .cochain import cohomology
 
@@ -219,47 +222,11 @@ class ChainElement:
         return f"ChainElement(deg={self.degree}: {self.render()})"
 
 
-def _module_bracket_into(
-    out: dict, p: TruncParams, alpha, beta, m: Mapping, g: str, sign: int = 1, scale: int = 1
-):
-    """out += sign * scale * {m, g} at the twist (alpha, beta) / scale, for a map m without zeros.
-
-    The entries are -(scale*j + alpha) against g = 'X' and (scale*i - beta)
-    against g = 'Y'; at scale 1 these are the module bracket's own.
-    """
-    step = sign * scale
-    if g == "X":
-        offset = -alpha if sign > 0 else alpha  # sign * -(scale*j + alpha) = offset - step*j
-        for (i, j), c in m.items():
-            w = offset - step * j
-            if w and i + 1 < p.a:
-                term = w if c == 1 else w * c
-                key = (i + 1, j)
-                old = out.get(key)
-                if old is not None and not (term := old + term):
-                    del out[key]
-                else:
-                    out[key] = term
-    elif g == "Y":
-        offset = -beta if sign > 0 else beta  # sign * (scale*i - beta) = offset + step*i
-        for (i, j), c in m.items():
-            w = offset + step * i
-            if w and j + 1 < p.b:
-                term = w if c == 1 else w * c
-                key = (i, j + 1)
-                old = out.get(key)
-                if old is not None and not (term := old + term):
-                    del out[key]
-                else:
-                    out[key] = term
-    else:
-        raise ValueError("generator must be 'X' or 'Y'")
-
-
 def module_bracket(t: TwistParams, m: AlgebraElement, g: str) -> AlgebraElement:
-    """External bracket of the twisted module against a generator ('X' or 'Y')."""
+    """External bracket of the twisted module against a generator ('X' or 'Y'), one shift."""
     out: dict[tuple[int, int], Fraction] = {}
-    _module_bracket_into(out, m.params, t.alpha, t.beta, m.coeffs, g)
+    const, slope = (-t.alpha, -1) if g == "X" else (-t.beta, 1)
+    _shift_into(out, m.params, m.coeffs, g, const, slope)
     return AlgebraElement._clean(m.params, out)
 
 
@@ -267,30 +234,29 @@ def _boundary1_into(out: dict, p: TruncParams, alpha, beta, scale: int, z_dx: Ma
     """out += scale * boundary at the twist (alpha, beta) / scale of the 1-chain z_dx dX + z_dy dY.
 
     The degree-1 kernel behind boundary, which passes the twist itself and
-    scale 1: out += {z_dx, X} + {z_dy, Y}.  z_dx and z_dy are the chain's
-    dX and dY parts as maps without zeros on (i, j), the pair that
-    _boundary2_into writes, and out is a map on the monomials.  Given an
-    integer scale D with D*alpha and D*beta integers, it runs on int maps in
-    integer arithmetic: the module brackets take D into their entries
-    -(D*j + D*alpha) and (D*i - D*beta).
+    scale 1: out += {z_dx, X} + {z_dy, Y}, the block entries -(l+alpha) and
+    k-beta as shifts.  z_dx and z_dy are the chain's dX and dY parts as maps
+    without zeros on (i, j), the pair that _boundary2_into writes, and out
+    is a map on the monomials.  Given an integer scale D with D*alpha and
+    D*beta integers, it runs on int maps in integer arithmetic, with the
+    entries -(D*j + D*alpha) and (D*i - D*beta).
     """
-    _module_bracket_into(out, p, alpha, beta, z_dx, "X", 1, scale)
-    _module_bracket_into(out, p, alpha, beta, z_dy, "Y", 1, scale)
+    _shift_into(out, p, z_dx, "X", -alpha, -scale)
+    _shift_into(out, p, z_dy, "Y", -beta, scale)
 
 
 def _boundary2_into(on_dx: dict, on_dy: dict, p: TruncParams, alpha, beta, scale: int, z: Mapping):
     """(on_dx, on_dy) += scale * boundary at the twist (alpha, beta) / scale of the 2-chain z.
 
-    The degree-2 kernel behind boundary: on_dx += -{m,Y} - m*Y and on_dy +=
-    {m,X} - m*X, the dX and dY parts of the boundary of m dX^dY, each a map
-    on (i, j).  z is a map without zeros on the 2-form indices (i, j).  Like
-    _boundary1_into it runs on int maps at an integer scale D, and the
-    twist-free products by X and Y are then taken by D*X and D*Y.
+    The degree-2 kernel behind boundary: on_dy += {m,X} - m*X and on_dx +=
+    -{m,Y} - m*Y, the dY and dX parts of the boundary of m dX^dY, each a map
+    on (i, j).  Each part is one shift, the block entry -(l+alpha) or
+    -(k-beta) at the weight (i+1, j+1): -(D*j + D*alpha + D) on m*X and
+    -(D*i - D*beta + D) on m*Y at an integer scale D, as _boundary1_into.
+    z is a map without zeros on the 2-form indices (i, j).
     """
-    _module_bracket_into(on_dy, p, alpha, beta, z, "X", 1, scale)  # {m,X} (x) dY
-    _module_bracket_into(on_dx, p, alpha, beta, z, "Y", -1, scale)  # -{m,Y} (x) dX
-    _multiply_into(on_dy, p, {(1, 0): scale}, z, -1)  # -m*X (x) dY, as -X*m
-    _multiply_into(on_dx, p, {(0, 1): scale}, z, -1)  # -m*Y (x) dX, as -Y*m
+    _shift_into(on_dy, p, z, "X", -alpha - scale, -scale)
+    _shift_into(on_dx, p, z, "Y", beta - scale, -scale)
 
 
 def boundary(t: TwistParams, z: ChainElement) -> ChainElement:

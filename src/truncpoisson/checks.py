@@ -79,29 +79,17 @@ def random_element(p: TruncParams, rng: random.Random, terms: int = 4) -> Algebr
     return AlgebraElement(p, coeffs)
 
 
-def random_derivation(p: TruncParams, rng: random.Random) -> Derivation:
-    """Derivation.from_vector of euler_dims(p).chi1 random rationals, drawn in basis order."""
-    values = []
-    for pairs in chi1_index_pairs(p):
-        coeffs = {}
-        for ij in pairs:
-            q = random_rational(rng)
-            if q:
-                coeffs[ij] = q
-        values.append(AlgebraElement._clean(p, coeffs))
-    return Derivation(p, *values)
-
-
 # Every denominator random_rational draws at its default span 9 divides lcm(1..9) = 2520.
 _DENOMINATOR_LCM = math.lcm(*range(1, 10))
 
 
 def _random_derivation_maps(p: TruncParams, rng: random.Random) -> tuple[dict, dict]:
-    """random_derivation's draws, as its (dx, dy) maps scaled by 2520 to int maps.
+    """A random derivation's (dx, dy) maps, scaled by 2520 to int maps.
 
-    Each draw n/d becomes the integer n * (2520 // d); zeros are dropped.
-    The RNG stream is consumed exactly as random_derivation consumes it:
-    the same getrandbits calls as its randint(-9, 9) and randint(1, 9).
+    One rational n/d per basis derivation, in chi1_index_pairs order, as
+    random_rational draws it: the same getrandbits calls as randint(-9, 9)
+    and randint(1, 9).  Each draw becomes the integer n * (2520 // d);
+    zeros are dropped.
     """
     getrandbits = rng.getrandbits
     maps = []
@@ -139,7 +127,8 @@ def check_delta_complex(p: TruncParams) -> CheckResult:
 
     hamiltonian(m) is the derivation with values {X, m} and {Y, m}; they are
     built with _bracket_into and fed to delta1_apply's kernel _delta1_into,
-    the same kernels those functions run, here on {ij: 1} and integers.
+    the same kernels those functions run, here on {ij: 1} and integers.  So
+    the check composes two different kernels: brackets, then shifts.
     """
     x, y = {(1, 0): 1}, {(0, 1): 1}
     ok = True
@@ -176,8 +165,10 @@ def check_boundary_complex(p: TruncParams, n_random: int = 50) -> CheckResult:
     Every twist runs in integer arithmetic.  With D = lcm(den alpha, den
     beta), boundary's kernels _boundary2_into and _boundary1_into, given the
     integers D*alpha and D*beta and the scale D, compute D * boundary(t, .)
-    exactly: D enters the bracket entries as -(D*j + D*alpha) and (D*i -
-    D*beta) and the twist-free products as D*X and D*Y.  Applied in turn to
+    exactly: each is two shifts whose entries are D times boundary's,
+    -(D*j + D*alpha) on m*X and (D*i - D*beta) on m*Y in degree 1, and
+    -(D*j + D*alpha + D) on m*X and -(D*i - D*beta + D) on m*Y in degree 2,
+    the last D being the twist-free product by X or Y.  Applied in turn to
     the int map {e: 1}, the first writing the (dX, dY) pair the second
     reads, they give D^2 * boundary(t, boundary(t, e)), which is zero
     exactly when the boundary of the boundary is, since D >= 1.  One loop
@@ -315,7 +306,7 @@ def check_predicate_agreement(p: TruncParams, n_random: int = 100) -> CheckResul
     Both sides run through the kernels behind those functions, _is_cocycle
     and _delta1_into, on int maps: the basis derivations as {ij: 1} and each
     random derivation scaled by 2520, a multiple of every drawn denominator
-    (_random_derivation_maps, the same draws as random_derivation).
+    (_random_derivation_maps).
     delta_1 is linear in d and the closed form homogeneous, so scaling d by
     a nonzero constant changes neither side's answer.
     """

@@ -39,13 +39,10 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence, Union
 
 from .algebra import (
-    _X_COEFFS,
-    _Y_COEFFS,
     AlgebraElement,
     TruncParams,
     Vector,
-    _bracket_into,
-    _multiply_into,
+    _shift_into,
     bracket,
     euler_dims,
     multiply,
@@ -273,18 +270,18 @@ def delta0_matrix(p: TruncParams) -> Matrix:
 def _delta1_into(value: dict, p: TruncParams, dx: Mapping, dy: Mapping):
     """value += delta_1(d)(X^Y) for the derivation d with value maps dx = d(X), dy = d(Y).
 
-    The kernel behind delta1_apply: its four convention terms are summed
-    into value.  Like the algebra kernels it runs on int or Fraction maps
-    without zeros, and is linear in (dx, dy).
+    The kernel behind delta1_apply, two shifts.  {X, d(Y)} - X*d(Y) takes
+    X^i Y^j in d(Y) to (j - 1) X^(i+1) Y^j, and -{Y, d(X)} - d(X)*Y takes
+    X^i Y^j in d(X) to (i - 1) X^i Y^(j+1): the block entries l and k at
+    the weight (k, l) of the target's f_{k+1,l+1}.  Like the algebra kernels
+    it runs on int or Fraction maps without zeros, and is linear in (dx, dy).
     """
-    _bracket_into(value, p, _X_COEFFS, dy)  # {X, d(Y)}
-    _bracket_into(value, p, _Y_COEFFS, dx, -1)  # -{Y, d(X)}
-    _multiply_into(value, p, _Y_COEFFS, dx, -1)  # -d(X)*Y, as -Y*d(X)
-    _multiply_into(value, p, _X_COEFFS, dy, -1)  # -X*d(Y)
+    _shift_into(value, p, dy, "X", -1, 1)
+    _shift_into(value, p, dx, "Y", -1, 1)
 
 
 def delta1_apply(d: Derivation) -> Biderivation:
-    """delta_1(d) evaluated on X^Y, its four convention terms summed into one map."""
+    """delta_1(d) evaluated on X^Y, its four convention terms summed into one map by two shifts."""
     p = d.params
     value: dict = {}
     _delta1_into(value, p, d.dx.coeffs, d.dy.coeffs)

@@ -5,7 +5,9 @@ Gauss-Jordan: the bracket oracle expands products one generator at a time
 using only the two generator rules, the delta_1 oracle evaluates the
 convention's four terms with those rules and multiply, and the rank oracle
 is a separate textbook forward elimination.  The per-term sum is the plain
-dict reference for the kernels that add into a map in place.  The argv
+dict reference for the kernels that add into a map in place, and
+random_derivation draws the Fraction derivations whose scaled int maps
+verify's predicate check draws.  The argv
 oracle is the argparse parser that the command line used before its
 table-driven parser, kept verbatim around the same value converters.
 Agreement between library and oracle is the point of the tests, so nothing
@@ -15,7 +17,9 @@ here may call the code path it checks.
 import argparse
 from fractions import Fraction
 
-from truncpoisson import AlgebraElement, TruncParams, cli, multiply
+from truncpoisson import AlgebraElement, Derivation, TruncParams, cli, multiply
+from truncpoisson.checks import random_rational
+from truncpoisson.cochain import chi1_index_pairs
 
 
 def bracket_with_x(m: AlgebraElement) -> AlgebraElement:
@@ -82,6 +86,14 @@ def per_term_sum(start: dict, terms) -> dict:
     for key, term in terms:
         total[key] = total.get(key, 0) + term
     return {key: c for key, c in total.items() if c}
+
+
+def random_derivation(p: TruncParams, rng) -> Derivation:
+    """Derivation.from_vector of euler_dims(p).chi1 random_rational draws, drawn in basis order."""
+    values = [
+        AlgebraElement(p, {ij: random_rational(rng) for ij in pairs}) for pairs in chi1_index_pairs(p)
+    ]
+    return Derivation(p, *values)
 
 
 def independent_rank(rows) -> int:

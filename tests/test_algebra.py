@@ -16,7 +16,7 @@ from truncpoisson import (
     render_element,
 )
 from truncpoisson import checks
-from truncpoisson.algebra import _accumulate, _bracket_into, _multiply_into
+from truncpoisson.algebra import _accumulate, _bracket_into, _multiply_into, _shift_into
 
 from oracles import bracket_with_x, bracket_with_y, leibniz_bracket_monomial, per_term_sum
 
@@ -145,12 +145,12 @@ def test_jacobi_check_fails_on_a_broken_bracket_kernel(monkeypatch):
     enumeration (3x3) and under sampling (6x6 and 9x9).
     """
 
-    def skewed(out, p, u, v, sign=1):
+    def skewed(out, p, u, v):
         for (i, j), c in u.items():
             for (k, l), d in v.items():
                 s = i * l - j * k + i * k
                 if s and i + k < p.a and j + l < p.b:
-                    _accumulate(out, (i + k, j + l), c * d * sign * s)
+                    _accumulate(out, (i + k, j + l), c * d * s)
 
     sizes = [(3, 3), (6, 6), (9, 9)]
     assert TruncParams(3, 3).dim <= checks.JACOBI_FULL_LIMIT < TruncParams(6, 6).dim
@@ -176,9 +176,9 @@ def test_jacobi_memo_holds_the_inner_brackets(monkeypatch):
         p = TruncParams(a, b)
         calls = []
 
-        def recording(out, p, u, v, sign=1):
+        def recording(out, p, u, v):
             calls.append((dict(u), dict(v)))
-            exact(out, p, u, v, sign)
+            exact(out, p, u, v)
 
         monkeypatch.setattr(checks, "_bracket_into", recording)
         assert checks.check_jacobi(p).passed
@@ -222,6 +222,11 @@ def kernel_maps(draw):
     return p, kind, draw(maps), draw(maps), draw(maps)
 
 
+def bracket_signed(out, p, u, v, sign):
+    """out += sign * {u, v}, taken as {v, u} for sign -1 by antisymmetry."""
+    _bracket_into(out, p, *((u, v) if sign > 0 else (v, u)))
+
+
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(kernel_maps(), st.sampled_from((1, -1)))
 def test_algebra_kernels_add_in_place_like_a_per_term_sum(maps, sign):
@@ -232,7 +237,7 @@ def test_algebra_kernels_add_in_place_like_a_per_term_sum(maps, sign):
     from an empty out it is empty again.  Values keep the inputs' kind.
     """
     p, kind, start, u, v = maps
-    constants = {_multiply_into: lambda i, j, k, l: 1, _bracket_into: lambda i, j, k, l: i * l - j * k}
+    constants = {_multiply_into: lambda i, j, k, l: 1, bracket_signed: lambda i, j, k, l: i * l - j * k}
     for kernel, constant in constants.items():
         terms = [
             ((i + k, j + l), sign * constant(i, j, k, l) * c * d)
@@ -249,6 +254,49 @@ def test_algebra_kernels_add_in_place_like_a_per_term_sum(maps, sign):
             assert out == before
 
 
+@st.composite
+def shift_cases(draw):
+    """kernel_maps' (a, b), kind and two maps, with a constant and a slope.
+
+    The constants are ints, which _delta1_into passes on int and Fraction
+    maps alike, or, on Fraction maps, Fractions, as module_bracket passes
+    its twist.
+    """
+    p, kind, start, m, _ = draw(kernel_maps())
+    numbers = st.integers(-6, 6)
+    if kind is Fraction:
+        numbers = numbers | st.fractions(-6, 6, max_denominator=6)
+    return p, kind, start, m, draw(numbers), draw(numbers)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(shift_cases())
+def test_shift_kernel_adds_in_place_like_a_per_term_sum(case):
+    """_shift_into against both generators updates out as the naive sum of its terms.
+
+    The terms are c * (const + slope*j) on (i+1, j) against X and
+    c * (const + slope*i) on (i, j+1) against Y.  A cancelled key is gone;
+    the negated constants restore out, so from an empty out it is empty
+    again.  Values keep the map's kind, also where c is 1 and the
+    constants are ints.  Any other generator is an error.
+    """
+    p, kind, start, m, const, slope = case
+    terms = {
+        "X": [((i + 1, j), c * (const + slope * j)) for (i, j), c in m.items() if i + 1 < p.a],
+        "Y": [((i, j + 1), c * (const + slope * i)) for (i, j), c in m.items() if j + 1 < p.b],
+    }
+    for g in ("X", "Y"):
+        for before in (start, {}):
+            out = dict(before)
+            _shift_into(out, p, m, g, const, slope)
+            assert out == per_term_sum(before, terms[g])
+            assert all(type(c) is kind and c for c in out.values())
+            _shift_into(out, p, m, g, -const, -slope)
+            assert out == before
+    with pytest.raises(ValueError):
+        _shift_into({}, p, m, "Z", const, slope)
+
+
 def test_leibniz_check_fails_on_a_non_derivation_bracket_kernel(monkeypatch):
     """check_leibniz fails once the structure constant i*l - j*k becomes i*l - j*k + i*j*l.
 
@@ -257,12 +305,12 @@ def test_leibniz_check_fails_on_a_non_derivation_bracket_kernel(monkeypatch):
     Jacobi control is linear and would still satisfy the Leibniz rule.
     """
 
-    def skewed(out, p, u, v, sign=1):
+    def skewed(out, p, u, v):
         for (i, j), c in u.items():
             for (k, l), d in v.items():
                 s = i * l - j * k + i * j * l
                 if s and i + k < p.a and j + l < p.b:
-                    _accumulate(out, (i + k, j + l), c * d * sign * s)
+                    _accumulate(out, (i + k, j + l), c * d * s)
 
     sizes = [(3, 3), (8, 8)]
     monkeypatch.setattr(checks, "_bracket_into", skewed)
@@ -314,6 +362,10 @@ def test_parse_rejects_garbage():
         parse_element(p, "3*Z")
     with pytest.raises(ValueError):
         parse_element(p, "")
+    # a sign not followed by a term, or a '*' not between two factors
+    for text in ("-", "+", "*", "X +", "2*", "X - - Y", "*X", "X*-Y", "X + *Y", "X**Y"):
+        with pytest.raises(ValueError, match="dangling"):
+            parse_element(p, text)
 
 
 def test_parse_rejects_zero_denominator():

@@ -2,8 +2,6 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from truncpoisson import (
     AlgebraElement,
@@ -19,11 +17,9 @@ from truncpoisson import (
     partial1_matrix,
     partial2_matrix,
 )
-from truncpoisson import chain
+from truncpoisson import chain, checks
 from truncpoisson.chain import DX, DY, boundary, omega1_indices, omega2_indices
 from truncpoisson.checks import check_boundary_complex, random_twist
-
-from oracles import per_term_sum
 
 
 def count_basis_directly(a, b):
@@ -72,6 +68,10 @@ def test_module_bracket_nakayama_formula():
             m = AlgebraElement.monomial(p, i, j)
             expected = AlgebraElement(p, {(i + 1, j): Fraction(-(j - b + 1))}) if i + 1 < a else AlgebraElement.zero(p)
             assert module_bracket(t, m, "X") == expected
+            expected = AlgebraElement(p, {(i, j + 1): Fraction(i - a + 1)}) if j + 1 < b else AlgebraElement.zero(p)
+            assert module_bracket(t, m, "Y") == expected
+            with pytest.raises(ValueError):
+                module_bracket(t, m, "Z")
 
 
 def test_module_bracket_truncates_at_top_x_power():
@@ -223,25 +223,27 @@ def test_boundary_complex_property():
 
 
 def test_boundary_check_evaluates_its_rational_twists_at_their_scale(monkeypatch):
-    """A kernel that drops the scale on the products by X and Y fails the check.
+    """A degree-2 kernel that drops the scale from the products by X and Y fails the check.
 
-    At an integer twist the scale is 1, so the mutation changes nothing and
-    every integer twist still passes; only the random rational twists,
-    cleared of their denominators, can expose it.
+    The mutant shifts by the constants -alpha - 1 and beta - 1 where
+    _boundary2_into takes -alpha - scale and beta - scale.  At an integer
+    twist the scale is 1, so the mutation changes nothing and every integer
+    twist still passes; only the random rational twists, cleared of their
+    denominators, can expose it.
     """
-    exact = chain._multiply_into
 
-    def unscaled(out, p, u, v, sign=1):
-        exact(out, p, dict.fromkeys(u, 1), v, sign)
+    def unscaled(on_dx, on_dy, p, alpha, beta, scale, z):
+        chain._shift_into(on_dy, p, z, "X", -alpha - 1, -scale)
+        chain._shift_into(on_dx, p, z, "Y", beta - 1, -scale)
 
     def boundary_squared(p, alpha, beta, e):
         on_dx, on_dy, twice = {}, {}, {}
-        chain._boundary2_into(on_dx, on_dy, p, alpha, beta, 1, {e: 1})
+        unscaled(on_dx, on_dy, p, alpha, beta, 1, {e: 1})
         chain._boundary1_into(twice, p, alpha, beta, 1, on_dx, on_dy)
         return twice
 
     sizes = [(2, 2), (3, 4), (5, 3), (4, 6)]
-    monkeypatch.setattr(chain, "_multiply_into", unscaled)
+    monkeypatch.setattr(checks, "_boundary2_into", unscaled)
     for a, b in sizes:
         p = TruncParams(a, b)
         for alpha in range(-b - 1, 3):
@@ -250,52 +252,6 @@ def test_boundary_check_evaluates_its_rational_twists_at_their_scale(monkeypatch
         assert not check_boundary_complex(p).passed
     monkeypatch.undo()
     assert all(check_boundary_complex(TruncParams(a, b)).passed for a, b in sizes)
-
-
-@st.composite
-def module_bracket_cases(draw):
-    """A random (a, b), a twist (alpha, beta) at a scale > 1 and two maps of one kind.
-
-    On int maps the twist entries are ints, as verify passes them; on
-    Fraction maps they are Fractions.  The values include 1, the skipped
-    product.
-    """
-    p = TruncParams(draw(st.integers(2, 6)), draw(st.integers(2, 6)))
-    kind = draw(st.sampled_from((int, Fraction)))
-    values = st.integers(-3, 3).filter(bool)
-    entries = st.integers(-6, 6)
-    if kind is Fraction:
-        values = values.map(Fraction) | st.fractions(-3, 3, max_denominator=6).filter(bool)
-        entries = st.fractions(-6, 6, max_denominator=6)
-    keys = st.tuples(st.integers(0, p.a - 1), st.integers(0, p.b - 1))
-    maps = st.dictionaries(keys, values, max_size=8)
-    twist = (draw(entries), draw(entries), draw(st.integers(2, 5)))
-    return p, kind, twist, draw(maps), draw(maps)
-
-
-@settings(max_examples=80, deadline=None, derandomize=True, database=None)
-@given(module_bracket_cases(), st.sampled_from((1, -1)))
-def test_module_bracket_kernel_adds_in_place_like_a_per_term_sum(case, sign):
-    """_module_bracket_into against both generators updates out as the naive sum of its terms.
-
-    The terms are sign * c * -(scale*j + alpha) on (i+1, j) against X and
-    sign * c * (scale*i - beta) on (i, j+1) against Y.  A cancelled key is
-    gone; adding the terms negated restores out, so from an empty out it is
-    empty again.  Values keep the inputs' kind.
-    """
-    p, kind, (alpha, beta, scale), start, m = case
-    terms = {
-        "X": [((i + 1, j), sign * c * -(scale * j + alpha)) for (i, j), c in m.items() if i + 1 < p.a],
-        "Y": [((i, j + 1), sign * c * (scale * i - beta)) for (i, j), c in m.items() if j + 1 < p.b],
-    }
-    for g in ("X", "Y"):
-        for before in (start, {}):
-            out = dict(before)
-            chain._module_bracket_into(out, p, alpha, beta, m, g, sign, scale)
-            assert out == per_term_sum(before, terms[g])
-            assert all(type(c) is kind and c for c in out.values())
-            chain._module_bracket_into(out, p, alpha, beta, m, g, -sign, scale)
-            assert out == before
 
 
 def test_trace_dimension_untwisted():

@@ -28,15 +28,14 @@ from truncpoisson.checks import (
     _below,
     _random_derivation_maps,
     random_cocycle,
-    random_derivation,
     random_element,
     random_rational,
     random_twist,
 )
-from truncpoisson.algebra import _bracket_into, _multiply_into
+from truncpoisson.algebra import _bracket_into, _multiply_into, _shift_into
 from truncpoisson.cochain import delta1_apply, fibre_product_table
 
-from oracles import delta1_oracle, independent_rank
+from oracles import delta1_oracle, independent_rank, random_derivation
 
 
 def test_chi1_basis_2_2_order():
@@ -134,31 +133,61 @@ def test_delta_complex_property():
             assert (delta1_matrix(p) @ delta0_matrix(p)).is_zero()
 
 
-@pytest.mark.parametrize("dropped", range(4))
+X_MAP, Y_MAP = {(1, 0): 1}, {(0, 1): 1}
+# delta_1's four convention terms, one pass each: {X, d(Y)}, -{Y, d(X)} as
+# {d(X), Y}, -d(X)*Y and -X*d(Y).
+DELTA1_TERMS = [
+    lambda value, p, dx, dy: _bracket_into(value, p, X_MAP, dy),
+    lambda value, p, dx, dy: _bracket_into(value, p, dx, Y_MAP),
+    lambda value, p, dx, dy: _multiply_into(value, p, Y_MAP, dx, -1),
+    lambda value, p, dx, dy: _multiply_into(value, p, X_MAP, dy, -1),
+]
+# Mutants of the shift kernels: (the checks name patched, the mutant).
+SHIFT_MUTANTS = {
+    "delta1_const_0_on_dy": ("_delta1_into", lambda value, p, dx, dy: (
+        _shift_into(value, p, dy, "X", 0, 1), _shift_into(value, p, dx, "Y", -1, 1))),
+    "delta1_slope_2_on_dx": ("_delta1_into", lambda value, p, dx, dy: (
+        _shift_into(value, p, dy, "X", -1, 1), _shift_into(value, p, dx, "Y", -1, 2))),
+    "delta1_dy_pass_only": ("_delta1_into", lambda value, p, dx, dy: _shift_into(value, p, dy, "X", -1, 1)),
+    "delta1_dx_pass_only": ("_delta1_into", lambda value, p, dx, dy: _shift_into(value, p, dx, "Y", -1, 1)),
+    "boundary2_beta_flipped": ("_boundary2_into", lambda on_dx, on_dy, p, alpha, beta, scale, z: (
+        _shift_into(on_dy, p, z, "X", -alpha - scale, -scale),
+        _shift_into(on_dx, p, z, "Y", -beta - scale, -scale))),
+}
+CHECKS_OF = {
+    "_delta1_into": (checks.check_delta_complex, checks.check_predicate_agreement),
+    "_boundary2_into": (checks.check_boundary_complex,),
+}
+
+
+@pytest.mark.parametrize("dropped", [*range(4), *SHIFT_MUTANTS])
 def test_delta_complex_check_fails_when_delta1_drops_a_term(monkeypatch, dropped):
-    """check_delta_complex fails once _delta1_into leaves out one of its four terms.
+    """The verify checks that run a differential's kernel fail on each mutant of it.
 
-    The terms {X, d(Y)}, -{Y, d(X)}, -d(X)*Y and -X*d(Y) cancel on
-    d = hamiltonian(m) only all together; with all four kept the check passes.
+    An int dropped is one of delta_1's four convention terms, which cancel
+    on d = hamiltonian(m) only all together.  The named mutants change a
+    constant or a slope of the shifts, or drop one shift, of _delta1_into or
+    _boundary2_into.  Each delta_1 mutant fails check_delta_complex and
+    check_predicate_agreement, the boundary mutant check_boundary_complex;
+    the kernels as they are pass all three.
     """
-    x, y = {(1, 0): 1}, {(0, 1): 1}
-    terms = [
-        lambda value, p, dx, dy: _bracket_into(value, p, x, dy),
-        lambda value, p, dx, dy: _bracket_into(value, p, y, dx, -1),
-        lambda value, p, dx, dy: _multiply_into(value, p, y, dx, -1),
-        lambda value, p, dx, dy: _multiply_into(value, p, x, dy, -1),
-    ]
+    if dropped in SHIFT_MUTANTS:
+        name, mutant = SHIFT_MUTANTS[dropped]
+    else:
+        name = "_delta1_into"
+
+        def mutant(value, p, dx, dy):
+            for k, term in enumerate(DELTA1_TERMS):
+                if k != dropped:
+                    term(value, p, dx, dy)
+
     sizes = [(3, 3), (8, 8)]
-    for kept, passes in ([k for k in range(4) if k != dropped], False), (range(4), True):
-
-        def some_terms(value, p, dx, dy):
-            for k in kept:
-                terms[k](value, p, dx, dy)
-
-        monkeypatch.setattr(checks, "_delta1_into", some_terms)
-        for a, b in sizes:
-            assert checks.check_delta_complex(TruncParams(a, b)).passed is passes
-        monkeypatch.undo()
+    monkeypatch.setattr(checks, name, mutant)
+    for a, b in sizes:
+        assert not any(check(TruncParams(a, b)).passed for check in CHECKS_OF[name])
+    monkeypatch.undo()
+    for a, b in sizes:
+        assert all(check(TruncParams(a, b)).passed for check in CHECKS_OF[name])
 
 
 def test_canonical_one_cocycles_in_kernel():

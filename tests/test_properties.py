@@ -29,7 +29,7 @@ from truncpoisson import (
     parse_element,
     render_element,
 )
-from truncpoisson.algebra import _bracket_into, _multiply_into
+from truncpoisson.algebra import _bracket_into, _multiply_into, _shift_into
 from truncpoisson.chain import (
     DX,
     DY,
@@ -143,11 +143,23 @@ def as_fractions(m: dict) -> dict:
 @PROPERTY
 @given(int_maps(), st.sampled_from((1, -1)))
 def test_kernels_agree_on_int_and_fraction_maps(maps, sign):
+    """Each kernel gives equal values on int maps and on their Fraction copies, of each kind.
+
+    _shift_into takes int constants on both, as _delta1_into does, and a
+    unit coefficient on the first map, whose term must still be a Fraction.
+    """
     p, start, u, v = maps
-    for kernel in (_multiply_into, _bracket_into):
+    with_unit = {**u, (0, 0): 1}
+    runs = (
+        (lambda out, u, v: _multiply_into(out, p, u, v, sign), u, v),
+        (lambda out, u, v: _bracket_into(out, p, *((u, v) if sign > 0 else (v, u))), u, v),
+        (lambda out, m, _: _shift_into(out, p, m, "X", sign, -2), with_unit, v),
+        (lambda out, m, _: _shift_into(out, p, m, "Y", 3, sign), with_unit, v),
+    )
+    for kernel, x, y in runs:
         on_ints, on_fractions = dict(start), as_fractions(start)
-        kernel(on_ints, p, u, v, sign)
-        kernel(on_fractions, p, as_fractions(u), as_fractions(v), sign)
+        kernel(on_ints, x, y)
+        kernel(on_fractions, as_fractions(x), as_fractions(y))
         assert on_ints == on_fractions
         assert all(type(c) is int and c for c in on_ints.values())
         assert all(type(c) is Fraction and c for c in on_fractions.values())
