@@ -27,9 +27,10 @@ chain and cochain docstrings.  The kernels accept any exact rational maps,
 int or Fraction values, nonzero and at in-bound keys, and int or Fraction
 constants: int maps with int constants stay int maps, and Fraction maps
 give Fraction results.  Only maps with Fraction values are wrapped into
-elements.  verify runs its Jacobi, Leibniz, delta1 . delta0, boundary and
-cocycle-predicate checks on int maps through these kernels, with the
-denominators of their random elements, twists and derivations cleared.
+elements.  verify runs its Jacobi, Leibniz, delta1 . delta0, boundary,
+cocycle-predicate and normalization checks on int maps through these
+kernels, with the denominators of their random elements, twists,
+derivations and cocycles cleared.
 """
 
 from __future__ import annotations

@@ -15,17 +15,7 @@ from types import MappingProxyType
 
 from .algebra import AlgebraElement, TruncParams, _bracket_into, _multiply_into, euler_dims
 from .chain import TwistParams, _boundary1_into, _boundary2_into, homology, omega2_indices, omega_dims
-from .cochain import (
-    Derivation,
-    _delta1_into,
-    _is_cocycle,
-    _normal_form,
-    chi1_index_pairs,
-    cohomology,
-    hamiltonian,
-    normalize_one_cocycle,
-    ring_table,
-)
+from .cochain import _delta1_into, _is_cocycle, _normalize, chi1_index_pairs, cohomology, ring_table
 from .reporting import CheckResult
 
 # Full Jacobi enumeration is cubic in the algebra dimension; past this bound
@@ -81,6 +71,8 @@ def random_element(p: TruncParams, rng: random.Random, terms: int = 4) -> Algebr
 
 # Every denominator random_rational draws at its default span 9 divides lcm(1..9) = 2520.
 _DENOMINATOR_LCM = math.lcm(*range(1, 10))
+# 2520 // d for the denominators d = 1..9, at the index d - 1 that a 4-bit draw gives.
+_SCALES = tuple(_DENOMINATOR_LCM // d for d in range(1, 10))
 
 
 def _random_derivation_maps(p: TruncParams, rng: random.Random) -> tuple[dict, dict]:
@@ -88,8 +80,8 @@ def _random_derivation_maps(p: TruncParams, rng: random.Random) -> tuple[dict, d
 
     One rational n/d per basis derivation, in chi1_index_pairs order, as
     random_rational draws it: the same getrandbits calls as randint(-9, 9)
-    and randint(1, 9).  Each draw becomes the integer n * (2520 // d);
-    zeros are dropped.
+    and randint(1, 9).  Each draw becomes the integer n * (2520 // d), the
+    factor looked up in _SCALES; zeros are dropped.
     """
     getrandbits = rng.getrandbits
     maps = []
@@ -106,20 +98,13 @@ def _random_derivation_maps(p: TruncParams, rng: random.Random) -> tuple[dict, d
             while d >= 9:
                 d = getrandbits(4)
             if n != 9:
-                coeffs[ij] = (n - 9) * (_DENOMINATOR_LCM // (d + 1))
+                coeffs[ij] = (n - 9) * _SCALES[d]
         maps.append(coeffs)
     return maps[0], maps[1]
 
 
 def random_twist(rng: random.Random) -> TwistParams:
     return TwistParams(random_rational(rng), random_rational(rng))
-
-
-def random_cocycle(p: TruncParams, rng: random.Random) -> tuple[Derivation, Fraction, Fraction]:
-    """A synthesized cocycle c10*d_{1,0} + c01*d'_{0,1} + delta_0(random)."""
-    c10 = random_rational(rng)
-    c01 = random_rational(rng)
-    return _normal_form(p, c10, c01) + hamiltonian(random_element(p, rng)), c10, c01
 
 
 def check_delta_complex(p: TruncParams) -> CheckResult:
@@ -265,9 +250,14 @@ def _jacobi_draws(p: TruncParams) -> list[int]:
     return draws
 
 
+def _scaled(q: Fraction) -> int:
+    """q times 2520, an integer when q's denominator divides 2520."""
+    return q.numerator * (_DENOMINATOR_LCM // q.denominator)
+
+
 def _scaled_map(u: AlgebraElement) -> dict:
     """u's coefficient map times 2520, an int map when every denominator divides 2520."""
-    return {ij: c.numerator * (_DENOMINATOR_LCM // c.denominator) for ij, c in u.coeffs.items()}
+    return {ij: _scaled(c) for ij, c in u.coeffs.items()}
 
 
 def check_leibniz(p: TruncParams, n: int = 25) -> CheckResult:
@@ -329,15 +319,49 @@ def check_predicate_agreement(p: TruncParams, n_random: int = 100) -> CheckResul
     )
 
 
+def _cocycle_maps(p: TruncParams, c10, c01, m: dict) -> tuple[dict, dict]:
+    """The value maps of c10*d_{1,0} + c01*d'_{0,1} + delta_0(m), built with _bracket_into.
+
+    delta_0(m) = hamiltonian(m) has the values {X, m} and {Y, m}, neither of
+    which has a term at X or at Y, so c10 and c01 stay where they are put.
+    """
+    dx = {(1, 0): c10} if c10 else {}
+    dy = {(0, 1): c01} if c01 else {}
+    _bracket_into(dx, p, {(1, 0): 1}, m)
+    _bracket_into(dy, p, {(0, 1): 1}, m)
+    return dx, dy
+
+
 def check_normalization(p: TruncParams, n: int = 20) -> CheckResult:
+    """n seeded cocycles normalize back to their class coordinates and rebuild, on int maps.
+
+    Each draw is c10, c01 and m = random_element, in that order; each is
+    scaled by 2520, a multiple of every denominator random_rational draws.
+    The cocycle c10*d_{1,0} + c01*d'_{0,1} + delta_0(m) is linear in
+    (c10, c01, m), so its scaled value maps, built with _bracket_into, are
+    2520 times its own.  _normalize, the solve of normalize_one_cocycle, is
+    homogeneous wherever its int divisions are exact; they are, because the
+    potential it finds differs from the scaled m only by the constant and
+    the top monomial, which delta_0 kills.  So it must return the scaled
+    (c10, c01) and a potential whose cocycle, built again, is the input.
+    The derivation d_{2,0} + d'_{0,2}, its terms kept as far as the bounds
+    allow, has k*dx_{k+1,l} + l*dy_{k,l+1} = 1 at the weights (1, 0) and
+    (0, 1).  So it is no cocycle, and _normalize must refuse it, unless
+    a = b = 2, when it is 0.
+    """
     rng = _rng(p, "normalize")
     ok = True
     for _ in range(n):
-        d, c10, c01 = random_cocycle(p, rng)
-        res = normalize_one_cocycle(d)
-        if (res.c10, res.c01) != (c10, c01) or _normal_form(p, c10, c01) + hamiltonian(res.potential) != d:
+        c10 = _scaled(random_rational(rng))
+        c01 = _scaled(random_rational(rng))
+        dx, dy = _cocycle_maps(p, c10, c01, _scaled_map(random_element(p, rng)))
+        solved = _normalize(p, dx, dy)
+        if solved is None or solved[:2] != (c10, c01) or _cocycle_maps(p, *solved) != (dx, dy):
             ok = False
             break
+    dx = {(2, 0): 1} if p.a > 2 else {}
+    dy = {(0, 2): 1} if p.b > 2 else {}
+    ok = ok and (_normalize(p, dx, dy) is None) == bool(dx or dy)
     return CheckResult("cocycle_normalization", ok, f"{n} synthesized cocycles")
 
 

@@ -8,8 +8,9 @@ wins, and a value that starts with "-" and is not a negative number is read
 as an option.  Exit codes: 0 on success with all embedded checks passing,
 1 if any check fails, 2 on usage errors, each one stderr line
 "truncpoisson[ <command>]: error: ...", 3 on an internal error (out of
-memory, or a RuntimeError from one of the engine's self-checks), reported as
-one line on stderr with nothing on stdout.  A failed write of the output (to
+memory, a RuntimeError from one of the engine's self-checks, or any other
+exception, named by its type, from building or rendering the report), reported
+as one line on stderr with nothing on stdout.  A failed write of the output (to
 a full disk, say) is an internal error too: exit 3 and one stderr line,
 though part of the output may already be written.  No environment variable
 changes the output.  The process (run(): python -m truncpoisson, the installed
@@ -51,8 +52,9 @@ SWEEP_MAX = 32
 # Caps on a*b.  The instance commands answer from closed forms, so at the cap
 # only homology at the trivial twist with its a+b-1 degree-0 representatives
 # takes long (-a 2 -b 180000: about 2.6 s, 194 MB); the others take about
-# 0.07 s, mostly start-up.  verify -a 50 -b 50 takes about 1.0 s and 18 MB.
-# (Median of 5 on a 2-core Intel Xeon VM, Python 3.11, where python -c pass takes 0.05 s.)
+# 0.07 s, mostly start-up.  verify -a 50 -b 50 takes about 0.9 s and 18 MB.
+# (Median of 5, of 7 for verify, on a 2-core Intel Xeon VM, Python 3.11, where
+# python -c pass takes 0.05 to 0.06 s.)
 INSTANCE_MAX_AB = 360_000
 VERIFY_MAX_AB = 2_500
 # Python's default limit on int <-> str conversion; a twist entry must print.
@@ -291,6 +293,9 @@ def main(argv=None) -> int:
             return _internal_error("out of memory")
         except RuntimeError as e:
             return _internal_error(" ".join(str(e).split()) or type(e).__name__)
+        except Exception as e:  # a fault of the program, not of its input, which the parse has checked
+            message = " ".join(str(e).split())
+            return _internal_error(f"{type(e).__name__}: {message}" if message else type(e).__name__)
     try:
         sys.stdout.write(text)
         sys.stdout.flush()

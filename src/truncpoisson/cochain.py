@@ -6,9 +6,11 @@ generators.  This module builds the coboundary matrices, computes the
 cohomology spaces with canonical representatives, normalizes 1-cocycles
 constructively, and assembles the cup-product ring table.  The cocycles
 behind the five classes 1, t, v, w, m are built in one function,
-_class_representatives, and the normal form c10*d_{1,0} + c01*d'_{0,1} of a
-1-class in one, _normal_form; the reports and the checks take them from
-there.
+_class_representatives, which the reports take them from, and the normal
+form c10*d_{1,0} + c01*d'_{0,1} of a 1-class in one, _normal_form.  The
+solve behind normalize_one_cocycle, _normalize, and the closed-form cocycle
+test behind is_poisson_derivation, _is_cocycle, run on int or Fraction
+value maps, and verify's checks run them on int maps.
 
 The complex splits by weight.  X^k Y^l, d_{k+1,l}, d'_{k,l+1} and
 f_{k+1,l+1} all have weight (k, l), and every coboundary preserves it, so
@@ -327,14 +329,22 @@ def _derivation_weights(dx: Mapping, dy: Mapping) -> set[tuple[int, int]]:
 def _is_cocycle(p: TruncParams, dx: Mapping, dy: Mapping) -> bool:
     """The closed-form cocycle test of is_poisson_derivation on value maps dx, dy.
 
-    Runs on int or Fraction maps without zeros; the test is homogeneous, so
-    scaling both maps by a nonzero constant keeps its answer.
+    Walks dx and then dy, and tests the weight (k, l) of each key as it
+    meets it: a key of dx at (k + 1, l) and a key of dy at (k, l + 1) sit
+    in the block of weight (k, l), whose delta_1 = (k, l) exists when
+    k <= a-2 and l <= b-2.  The first nonzero k*dx_{k+1,l} + l*dy_{k,l+1}
+    answers False; a weight both maps reach is tested twice, to the same
+    answer.  Runs on int or Fraction maps without zeros; the test is
+    homogeneous, so scaling both maps by a nonzero constant keeps its answer.
     """
-    return all(
-        not k * dx.get((k + 1, l), 0) + l * dy.get((k, l + 1), 0)
-        for (k, l) in _derivation_weights(dx, dy)
-        if k <= p.a - 2 and l <= p.b - 2
-    )
+    last_d, last_dprime = p.a - 2, p.b - 2
+    for (i, l), x in dx.items():  # k = i - 1 <= a-2 for every key of dx
+        if l <= last_dprime and (i - 1) * x + l * dy.get((i - 1, l + 1), 0):
+            return False
+    for (k, j), y in dy.items():  # l = j - 1 <= b-2 for every key of dy
+        if k <= last_d and k * dx.get((k + 1, j - 1), 0) + (j - 1) * y:
+            return False
+    return True
 
 
 def is_poisson_derivation(d: Derivation) -> bool:
@@ -415,6 +425,35 @@ class NormalizedCocycle(NamedTuple):
     potential: AlgebraElement
 
 
+def _normalize(p: TruncParams, dx: Mapping, dy: Mapping):
+    """(c10, c01, potential map) of the 1-cocycle with value maps dx = d(X), dy = d(Y), or None.
+
+    The solve of normalize_one_cocycle, on int or Fraction maps without
+    zeros: d - delta_0(potential) = c10*d_{1,0} + c01*d'_{0,1}, with c10 and
+    c01 the component of d in the weight-(0, 0) block (0 where d has no such
+    term).  Only the blocks in the support of d are visited.  At any other
+    weight (k, l) a cocycle's component is q * delta_0 = q * (l, -k), a
+    truncated entry being 0, with q the potential's coefficient of X^k Y^l;
+    delta_0 vanishes only at (0, 0) and at (a-1, b-1), which no derivation
+    reaches.  q is read off the first nonzero entry, and the remainder test
+    asks that the division is exact and that the other entry is q times its
+    own.  It fails where d is no cocycle or an int division leaves a
+    remainder; the answer is then None.  Ints are divided with divmod, since
+    / gives a float, and Fractions with /, since divmod floors.
+    """
+    potential = {}
+    for k, l, d0, _ in _blocks(p, _derivation_weights(dx, dy)):
+        if not (k or l):
+            continue
+        x, y = dx.get((k + 1, l), 0), dy.get((k, l + 1), 0)
+        (n, e), (m, f) = ((x, d0[0]), (y, d0[1])) if d0[0] else ((y, d0[1]), (x, d0[0]))
+        q, r = divmod(n, e) if type(n) is int else (n / e, 0)
+        if r or m != q * f:
+            return None
+        potential[(k, l)] = q
+    return dx.get((1, 0), 0), dy.get((0, 1), 0), potential
+
+
 def normalize_one_cocycle(d: Derivation) -> NormalizedCocycle:
     """Split a 1-cocycle into its class coordinates and an exact part.
 
@@ -422,28 +461,17 @@ def normalize_one_cocycle(d: Derivation) -> NormalizedCocycle:
 
         d - delta_0(potential) = c10 * d_{1,0} + c01 * d'_{0,1}
 
-    exactly.  The solve visits only the blocks in the support of d:
-    c10 and c01 are the component of d in the weight-(0, 0) block, and at
-    every other weight the component of a cocycle is a multiple of
-    delta_0 = (l, -k), which vanishes elsewhere only at (a-1, b-1), a weight
-    no derivation reaches; so the potential's coefficient of X^k Y^l is that
-    component divided by a nonzero entry.  The potential has no constant and
-    no top monomial term.
+    exactly, from the solve _normalize on d's Fraction maps (its docstring
+    has the argument), and raises ValueError when d is not a cocycle.  The
+    potential has no constant and no top monomial term.  The identity is
+    checked once more on the elements; a failure there raises RuntimeError.
     """
-    if not is_poisson_derivation(d):
-        raise ValueError("input derivation is not a cocycle")
     p = d.params
-    c10 = c01 = Fraction(0)
-    coeffs: dict[tuple[int, int], Fraction] = {}
-    for k, l, d0, _ in _blocks(p, _weights(d)):
-        part = (d.dx.coefficient(k + 1, l), d.dy.coefficient(k, l + 1))
-        if (k, l) == (0, 0):
-            c10, c01 = part
-        elif d0[0]:
-            coeffs[(k, l)] = part[0] / d0[0]
-        elif d0[1]:
-            coeffs[(k, l)] = part[1] / d0[1]
-    potential = AlgebraElement(p, coeffs)
+    solved = _normalize(p, d.dx.coeffs, d.dy.coeffs)
+    if solved is None:
+        raise ValueError("input derivation is not a cocycle")
+    c10, c01, coeffs = Fraction(solved[0]), Fraction(solved[1]), solved[2]
+    potential = AlgebraElement._clean(p, coeffs)
     if d - hamiltonian(potential) != _normal_form(p, c10, c01):
         raise RuntimeError("cocycle normalization failed to reach the normal form")
     return NormalizedCocycle(c10, c01, potential)

@@ -7,7 +7,10 @@ convention's four terms with those rules and multiply, and the rank oracle
 is a separate textbook forward elimination.  The per-term sum is the plain
 dict reference for the kernels that add into a map in place, and
 random_derivation draws the Fraction derivations whose scaled int maps
-verify's predicate check draws.  The argv
+verify's predicate check draws; random_cocycle synthesizes the Fraction
+cocycles that the tests normalize.  is_cocycle_by_weights is the closed-form
+cocycle test as it stood before it exited early: it collects the weights of
+the blocks a derivation reaches into a set first.  The argv
 oracle is the argparse parser that the command line used before its
 table-driven parser, kept verbatim around the same value converters.
 Agreement between library and oracle is the point of the tests, so nothing
@@ -17,8 +20,8 @@ here may call the code path it checks.
 import argparse
 from fractions import Fraction
 
-from truncpoisson import AlgebraElement, Derivation, TruncParams, cli, multiply
-from truncpoisson.checks import random_rational
+from truncpoisson import AlgebraElement, Derivation, TruncParams, cli, hamiltonian, multiply
+from truncpoisson.checks import random_element, random_rational
 from truncpoisson.cochain import chi1_index_pairs
 
 
@@ -94,6 +97,27 @@ def random_derivation(p: TruncParams, rng) -> Derivation:
         AlgebraElement(p, {ij: random_rational(rng) for ij in pairs}) for pairs in chi1_index_pairs(p)
     ]
     return Derivation(p, *values)
+
+
+def random_cocycle(p: TruncParams, rng) -> tuple[Derivation, Fraction, Fraction]:
+    """A synthesized cocycle c10*d_{1,0} + c01*d'_{0,1} + delta_0(random_element), with c10 and c01."""
+    c10 = random_rational(rng)
+    c01 = random_rational(rng)
+    normal = Derivation.basis_d(p, 1, 0).scale(c10) + Derivation.basis_dprime(p, 0, 1).scale(c01)
+    return normal + hamiltonian(random_element(p, rng)), c10, c01
+
+
+def is_cocycle_by_weights(p: TruncParams, dx, dy) -> bool:
+    """k*dx_{k+1,l} + l*dy_{k,l+1} = 0 at every weight (k, l) in the set of those dx and dy reach.
+
+    Only the weights with k <= a-2 and l <= b-2 have a delta_1 entry.
+    """
+    weights = {(i - 1, j) for (i, j) in dx} | {(i, j - 1) for (i, j) in dy}
+    return all(
+        not k * dx.get((k + 1, l), 0) + l * dy.get((k, l + 1), 0)
+        for (k, l) in weights
+        if k <= p.a - 2 and l <= p.b - 2
+    )
 
 
 def independent_rank(rows) -> int:

@@ -450,6 +450,9 @@ def _homology_breaking_euler(p, t, include_reps=True):
         ("cohomology_bundle", MemoryError(), ["cohomology"]),
         ("sweep_bundle", MemoryError(), ["sweep"]),
         ("reporting.homology", RuntimeError("homology dims (2, 1, 1) break the Euler identity"), ["homology"]),
+        ("verify_bundle", ValueError("input derivation is not a cocycle"), ["verify"]),
+        ("duality_bundle", KeyError((2, 3)), ["duality"]),
+        ("cohomology_bundle", ZeroDivisionError(), ["cohomology"]),
     ],
 )
 def test_internal_errors_exit_3_with_one_stderr_line(capsys, monkeypatch, builder, error, argv):
@@ -469,8 +472,33 @@ def test_internal_errors_exit_3_with_one_stderr_line(capsys, monkeypatch, builde
     assert "Traceback" not in err
     if isinstance(error, MemoryError):
         assert "out of memory" in err
-    else:
+    elif isinstance(error, RuntimeError):
         assert " ".join(str(error).split()) in err
+    else:  # any other exception is named by its type
+        assert err == f"truncpoisson: internal error: {type(error).__name__}{': ' * bool(str(error))}{error}\n"
+
+
+def test_a_crashing_check_exits_3_and_a_wrong_cocycle_test_fails_its_row(capsys, monkeypatch):
+    """A check that raises ends verify with exit 3 and one stderr line, not a traceback and exit 1;
+    a wrong closed-form cocycle test is a failed check: a fail row and exit 1."""
+    import truncpoisson.checks as checks
+    import truncpoisson.cochain as cochain
+
+    def refuse(p, dx, dy):
+        raise ValueError("input derivation is not a cocycle")
+
+    monkeypatch.setattr(checks, "_normalize", refuse)
+    code, out, err = run_cli(capsys, ["verify", "-a", "3", "-b", "3"])
+    assert (code, out) == (3, "")
+    assert err == "truncpoisson: internal error: ValueError: input derivation is not a cocycle\n"
+    monkeypatch.undo()
+
+    for module in (checks, cochain):
+        monkeypatch.setattr(module, "_is_cocycle", lambda p, dx, dy: False)
+    code, out, err = run_cli(capsys, ["verify", "-a", "3", "-b", "3", "--format", "csv"])
+    assert (code, err) == (1, "")
+    failed = [row.split(",")[0] for row in out.splitlines() if ",fail," in row]
+    assert failed == ["cocycle_predicate_matches_kernel"]
 
 
 class FullDisk:

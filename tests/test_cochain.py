@@ -1,3 +1,4 @@
+import inspect
 import random
 from fractions import Fraction
 
@@ -22,12 +23,11 @@ from truncpoisson import (
     ring_table,
     solve,
 )
-from truncpoisson import checks
+from truncpoisson import checks, cochain
 from truncpoisson.chain import TwistParams
 from truncpoisson.checks import (
     _below,
     _random_derivation_maps,
-    random_cocycle,
     random_element,
     random_rational,
     random_twist,
@@ -35,7 +35,7 @@ from truncpoisson.checks import (
 from truncpoisson.algebra import _bracket_into, _multiply_into, _shift_into
 from truncpoisson.cochain import delta1_apply, fibre_product_table
 
-from oracles import delta1_oracle, independent_rank, random_derivation
+from oracles import delta1_oracle, independent_rank, random_cocycle, random_derivation
 
 
 def test_chi1_basis_2_2_order():
@@ -382,6 +382,49 @@ def test_normalize_rejects_non_cocycle():
     p = TruncParams(2, 3)
     with pytest.raises(ValueError):
         normalize_one_cocycle(Derivation.basis_dprime(p, 0, 2))
+
+
+# Mutants of _normalize, each one edit of its source: (text, replacement).
+NORMALIZE_MUTANTS = {
+    "class_block_dropped": ("return dx.get((1, 0), 0), dy.get((0, 1), 0), potential", "return 0, 0, potential"),
+    "dy_part_divided_by_d0_0": ("((x, d0[0]), (y, d0[1])) if", "((y, d0[0]), (x, d0[1])) if"),
+    "remainder_test_skipped": ("if r or m != q * f:", "if False:"),
+    "potential_sign_flipped": ("potential[(k, l)] = q", "potential[(k, l)] = -q"),
+}
+
+
+@pytest.mark.parametrize("mutant", [None, *NORMALIZE_MUTANTS])
+def test_normalization_check_fails_on_each_mutant_of_its_kernel(monkeypatch, mutant):
+    """check_normalization fails when _normalize drops the class block, divides the wrong part,
+    skips its remainder test or flips the potential's sign; the source as it is (None) passes."""
+    source = inspect.getsource(cochain._normalize)
+    if mutant is not None:
+        text, replacement = NORMALIZE_MUTANTS[mutant]
+        assert source.count(text) == 1
+        source = source.replace(text, replacement)
+    namespace = dict(vars(cochain))
+    exec(source, namespace)
+    monkeypatch.setattr(checks, "_normalize", namespace["_normalize"])
+    results = [checks.check_normalization(TruncParams(a, b)).passed for a, b in [(3, 3), (4, 7), (8, 8)]]
+    assert results == [mutant is None] * 3
+
+
+def test_normalization_check_and_normalize_one_cocycle_run_one_kernel(monkeypatch):
+    kernel = cochain._normalize
+    assert checks._normalize is kernel
+    calls = []
+
+    def spy(p, dx, dy):
+        calls.append(type(next(iter(dx.values()))))
+        return kernel(p, dx, dy)
+
+    monkeypatch.setattr(checks, "_normalize", spy)
+    monkeypatch.setattr(cochain, "_normalize", spy)
+    p = TruncParams(4, 5)
+    assert checks.check_normalization(p, n=3).passed
+    assert calls == [int] * 4  # three cocycles and the refused d_{2,0} + d'_{0,2}
+    res = normalize_one_cocycle(Derivation.basis_d(p, 1, 0) + hamiltonian(AlgebraElement.monomial(p, 1, 2)))
+    assert calls[4:] == [Fraction] and (res.c10, res.c01) == (1, 0)
 
 
 def test_cup_d10_d01_is_f11():

@@ -39,9 +39,9 @@ from truncpoisson.chain import (
     omega1_indices,
     omega2_indices,
 )
-from truncpoisson.cochain import _delta1_into, _is_cocycle, chi1_index_pairs, delta1_apply
+from truncpoisson.cochain import _delta1_into, _is_cocycle, _normal_form, _normalize, chi1_index_pairs, delta1_apply
 
-from oracles import leibniz_bracket_monomial
+from oracles import is_cocycle_by_weights, leibniz_bracket_monomial
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -238,3 +238,67 @@ def test_delta1_kernel_on_cleared_maps_is_scaled_delta1(d):
 def test_cocycle_test_on_cleared_maps_agrees_with_is_poisson_derivation(d):
     _, dx, dy = cleared(d)
     assert _is_cocycle(d.params, dx, dy) == is_poisson_derivation(d)
+
+
+@st.composite
+def derivation_maps(draw):
+    """(p, dx, dy): the value maps of a derivation, all int or all Fraction, drawn block by block.
+
+    Each drawn weight (k, l) gets its component (dx_{k+1,l}, dy_{k,l+1})
+    as one of: an X-part only, a Y-part only, both, or a cancelling pair
+    (l*t, -k*t) with k*dx + l*dy = 0.  Terms on truncated basis elements
+    are left out, so the weights with k = a-1 or l = b-1, which have no
+    delta_1 entry, carry one part; weight (0, l) puts pure-Y terms in dy
+    and weight (k, 0) pure-X terms in dx.
+    """
+    p = TruncParams(draw(st.integers(2, 6)), draw(st.integers(2, 6)))
+    values = (st.integers(-12, 12) if draw(st.booleans()) else RATIONALS).filter(bool)
+    weights = st.tuples(st.integers(0, p.a - 1), st.integers(0, p.b - 1))
+    dx, dy = {}, {}
+    for k, l in draw(st.lists(weights, max_size=8, unique=True)):
+        kind = draw(st.sampled_from(("x", "y", "both", "cancel")))
+        if kind == "cancel":
+            t = draw(values)
+            x, y = l * t, -k * t
+        else:
+            x = draw(values) if kind != "y" else 0
+            y = draw(values) if kind != "x" else 0
+        if x and k <= p.a - 2:
+            dx[(k + 1, l)] = x
+        if y and l <= p.b - 2:
+            dy[(k, l + 1)] = y
+    return p, dx, dy
+
+
+@PROPERTY
+@given(derivation_maps())
+def test_cocycle_test_agrees_with_the_weight_set_oracle(maps):
+    p, dx, dy = maps
+    assert _is_cocycle(p, dx, dy) == is_cocycle_by_weights(p, dx, dy)
+
+
+@PROPERTY
+@given(derivation_maps())
+def test_normalize_kernel_solves_exactly_the_cocycles(maps):
+    """On Fraction maps _normalize refuses exactly the non-cocycles and its answer rebuilds d.
+
+    On int maps it gives the same answer when every coefficient of the
+    potential is an integer, its values then ints, and refuses otherwise.
+    """
+    p, dx, dy = maps
+    fx, fy = ({key: Fraction(c) for key, c in m.items()} for m in (dx, dy))
+    exact = _normalize(p, fx, fy)
+    assert (exact is None) == (not is_cocycle_by_weights(p, dx, dy))
+    if exact is not None:
+        c10, c01, potential = exact
+        assert all(type(c) is Fraction and c for c in potential.values())
+        d = Derivation(p, AlgebraElement(p, fx), AlgebraElement(p, fy))
+        assert d - hamiltonian(AlgebraElement(p, potential)) == _normal_form(p, Fraction(c10), Fraction(c01))
+    solved = _normalize(p, dx, dy)
+    if all(type(c) is Fraction for c in (*dx.values(), *dy.values())):
+        assert solved == exact
+    elif exact is None or any(c.denominator != 1 for c in exact[2].values()):
+        assert solved is None
+    else:
+        assert solved == exact
+        assert all(type(c) is int for c in (*solved[:2], *solved[2].values()))
