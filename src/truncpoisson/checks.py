@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import chain, product
 from types import MappingProxyType
 
-from .algebra import AlgebraElement, TruncParams, _bracket_into, _multiply_into, euler_dims
+from .algebra import TruncParams, _bracket_into, _multiply_into, euler_dims
 from .chain import TwistParams, _boundary1_into, _boundary2_into, homology, omega2_indices, omega_dims
 from .cochain import _delta1_into, _is_cocycle, _normalize, chi1_index_pairs, cohomology, ring_table
 from .reporting import CheckResult
@@ -61,31 +61,51 @@ def random_rational(rng: random.Random, span: int = 9) -> Fraction:
     return q
 
 
-def random_element(p: TruncParams, rng: random.Random, terms: int = 4) -> AlgebraElement:
-    getrandbits = rng.getrandbits
-    coeffs = {}
-    for _ in range(terms):
-        coeffs[(_below(getrandbits, p.a), _below(getrandbits, p.b))] = random_rational(rng)
-    return AlgebraElement(p, coeffs)
-
-
 # Every denominator random_rational draws at its default span 9 divides lcm(1..9) = 2520.
 _DENOMINATOR_LCM = math.lcm(*range(1, 10))
 # 2520 // d for the denominators d = 1..9, at the index d - 1 that a 4-bit draw gives.
 _SCALES = tuple(_DENOMINATOR_LCM // d for d in range(1, 10))
 
 
-def _random_derivation_maps(p: TruncParams, rng: random.Random) -> tuple[dict, dict]:
+def _random_scaled(getrandbits) -> int:
+    """random_rational's draw times 2520, from the same getrandbits calls.
+
+    n = _below(19) - 9 and then d = 1 + _below(9), as random_rational draws
+    them; n/d times 2520 is the integer n * (2520 // d), the factor looked
+    up in _SCALES.
+    """
+    n = _below(getrandbits, 19) - 9
+    return n * _SCALES[_below(getrandbits, 9)]
+
+
+def _random_scaled_map(p: TruncParams, getrandbits) -> dict:
+    """A random element's coefficient map times 2520, an int map, from the same getrandbits calls.
+
+    Each of its four terms draws its value before its key (i, j), as the
+    assignment coeffs[key] = value of the Fraction form evaluates its
+    right-hand side first.  A key drawn again takes the later value, and
+    zeros are dropped at the end, as the element's constructor drops them.
+    """
+    a, b = p.a, p.b
+    coeffs = {}
+    for _ in range(4):
+        c = _random_scaled(getrandbits)
+        coeffs[(_below(getrandbits, a), _below(getrandbits, b))] = c
+    return {ij: c for ij, c in coeffs.items() if c}
+
+
+def _random_derivation_maps(rng: random.Random, d_pairs: list, dprime_pairs: list) -> tuple[dict, dict]:
     """A random derivation's (dx, dy) maps, scaled by 2520 to int maps.
 
-    One rational n/d per basis derivation, in chi1_index_pairs order, as
-    random_rational draws it: the same getrandbits calls as randint(-9, 9)
-    and randint(1, 9).  Each draw becomes the integer n * (2520 // d), the
-    factor looked up in _SCALES; zeros are dropped.
+    d_pairs and dprime_pairs are chi1_index_pairs(p), which the caller
+    builds once for all its draws.  One rational n/d per basis derivation,
+    in that order, as random_rational draws it: the same getrandbits calls
+    as randint(-9, 9) and randint(1, 9).  Each draw becomes the integer
+    n * (2520 // d), the factor looked up in _SCALES; zeros are dropped.
     """
     getrandbits = rng.getrandbits
     maps = []
-    for pairs in chi1_index_pairs(p):
+    for pairs in (d_pairs, dprime_pairs):
         coeffs = {}
         for ij in pairs:
             # _below(getrandbits, 19) - 9 and 1 + _below(getrandbits, 9),
@@ -107,28 +127,45 @@ def random_twist(rng: random.Random) -> TwistParams:
     return TwistParams(random_rational(rng), random_rational(rng))
 
 
+def _delta_complex_maps(p: TruncParams, m: dict) -> tuple[dict, dict, dict]:
+    """({X, m}, {Y, m}, delta_1 of that derivation): delta_0 and then delta_1 of the int map m."""
+    dx: dict = {}
+    dy: dict = {}
+    _bracket_into(dx, p, {(1, 0): 1}, m)
+    _bracket_into(dy, p, {(0, 1): 1}, m)
+    value: dict = {}
+    _delta1_into(value, p, dx, dy)
+    return dx, dy, value
+
+
 def check_delta_complex(p: TruncParams) -> CheckResult:
-    """delta_1(hamiltonian(m)) = 0 for every basis monomial m, on int maps.
+    """delta_1(hamiltonian(m)) = 0 for every basis monomial m, in one pass on int maps.
 
     hamiltonian(m) is the derivation with values {X, m} and {Y, m}; they are
     built with _bracket_into and fed to delta1_apply's kernel _delta1_into,
-    the same kernels those functions run, here on {ij: 1} and integers.  So
-    the check composes two different kernels: brackets, then shifts.
+    the same kernels those functions run, here on integers.  So the check
+    composes two different kernels: brackets, then shifts.
+
+    It runs them once, on the sum of all monomials {ij: 1 for every ij}.
+    That is exact, because every step moves a term from (i, j) to (i+1, j)
+    or to (i, j+1): X^i Y^j writes (i+1, j) in {X, m} and (i, j+1) in
+    {Y, m}, and delta_1 takes both of those to (i+1, j+1).  So no two
+    monomials share a key at either stage, and the maps of the sum are the
+    per-monomial maps side by side, with the same integer products and sums
+    term for term.  Its delta_1 is zero exactly when every monomial's is.
     """
-    x, y = {(1, 0): 1}, {(0, 1): 1}
-    ok = True
-    for ij in p.monomials():
-        m = {ij: 1}
-        dx: dict = {}
-        dy: dict = {}
-        _bracket_into(dx, p, x, m)
-        _bracket_into(dy, p, y, m)
-        value: dict = {}
-        _delta1_into(value, p, dx, dy)
-        if value:
-            ok = False
-            break
-    return CheckResult("delta_complex", ok, "delta1 . delta0 = 0")
+    value = _delta_complex_maps(p, {ij: 1 for ij in p.monomials()})[2]
+    return CheckResult("delta_complex", not value, "delta1 . delta0 = 0")
+
+
+def _boundary_complex_maps(p: TruncParams, alpha, beta, scale: int, z: dict) -> tuple[dict, dict, dict]:
+    """(dX part, dY part, boundary_1 of those): boundary_2 and then boundary_1 of the 2-chain z, at scale."""
+    on_dx: dict = {}
+    on_dy: dict = {}
+    _boundary2_into(on_dx, on_dy, p, alpha, beta, scale, z)
+    twice: dict = {}
+    _boundary1_into(twice, p, alpha, beta, scale, on_dx, on_dy)
+    return on_dx, on_dy, twice
 
 
 def check_boundary_complex(p: TruncParams, n_random: int = 50) -> CheckResult:
@@ -156,8 +193,17 @@ def check_boundary_complex(p: TruncParams, n_random: int = 50) -> CheckResult:
     the last D being the twist-free product by X or Y.  Applied in turn to
     the int map {e: 1}, the first writing the (dX, dY) pair the second
     reads, they give D^2 * boundary(t, boundary(t, e)), which is zero
-    exactly when the boundary of the boundary is, since D >= 1.  One loop
-    over the twists x forms stops at the first nonzero result.
+    exactly when the boundary of the boundary is, since D >= 1.
+
+    Each twist runs the two kernels once, on the sum of all basis forms
+    {e: 1 for every e}.  That is exact, because every shift moves a term
+    from (i, j) to (i+1, j) or to (i, j+1): the form at (i, j) writes
+    (i+1, j) on dY and (i, j+1) on dX, and the degree-1 kernel takes both
+    of those to (i+1, j+1).  So no two forms share a key at either stage,
+    and the maps of the sum are the per-form maps side by side, with the
+    same integer products and sums term for term.  Its composite is zero
+    exactly when every form's is.  The loop over the twists stops at the
+    first nonzero composite.
     """
     rng = _rng(p, "boundary")
     twists = [TwistParams.trivial(), TwistParams.nakayama(p)]
@@ -169,17 +215,8 @@ def check_boundary_complex(p: TruncParams, n_random: int = 50) -> CheckResult:
         alpha = t.alpha.numerator * (scale // t.alpha.denominator)
         beta = t.beta.numerator * (scale // t.beta.denominator)
         scaled.append((alpha, beta, scale))
-    forms = [{e: 1} for e in omega2_indices(p)]
-    ok = True
-    twice: dict = {}  # empty again whenever the loop goes on
-    for (alpha, beta, scale), form in product(scaled, forms):
-        on_dx: dict = {}
-        on_dy: dict = {}
-        _boundary2_into(on_dx, on_dy, p, alpha, beta, scale, form)
-        _boundary1_into(twice, p, alpha, beta, scale, on_dx, on_dy)
-        if twice:
-            ok = False
-            break
+    forms = {e: 1 for e in omega2_indices(p)}
+    ok = not any(_boundary_complex_maps(p, *twist, forms)[2] for twist in scaled)
     return CheckResult("boundary_complex", ok, f"boundary1 . boundary2 = 0 for {len(twists)} twists")
 
 
@@ -250,30 +287,21 @@ def _jacobi_draws(p: TruncParams) -> list[int]:
     return draws
 
 
-def _scaled(q: Fraction) -> int:
-    """q times 2520, an integer when q's denominator divides 2520."""
-    return q.numerator * (_DENOMINATOR_LCM // q.denominator)
-
-
-def _scaled_map(u: AlgebraElement) -> dict:
-    """u's coefficient map times 2520, an int map when every denominator divides 2520."""
-    return {ij: _scaled(c) for ij, c in u.coeffs.items()}
-
-
 def check_leibniz(p: TruncParams, n: int = 25) -> CheckResult:
-    """{uv, w} = u{v,w} + {u,w}v on n seeded triples of random_element draws, on int maps.
+    """{uv, w} = u{v,w} + {u,w}v on n seeded triples of random elements, on int maps.
 
-    Each element is scaled by 2520, a multiple of every denominator
-    random_rational draws.  Both sides are trilinear in (u, v, w), so on the
+    Each element has four random_rational terms, drawn as their values
+    times 2520, a multiple of every denominator random_rational draws, by
+    _random_scaled_map.  Both sides are trilinear in (u, v, w), so on the
     scaled maps each is 2520^3 times its value on the elements, and the
     two agree exactly when they agree on the elements.  The products and
     brackets run through _multiply_into and _bracket_into, the kernels of
     multiply and bracket, in integer arithmetic.
     """
-    rng = _rng(p, "leibniz")
+    getrandbits = _rng(p, "leibniz").getrandbits
     ok = True
     for _ in range(n):
-        u, v, w = (_scaled_map(random_element(p, rng)) for _ in range(3))
+        u, v, w = (_random_scaled_map(p, getrandbits) for _ in range(3))
         uv: dict = {}
         vw: dict = {}
         uw: dict = {}
@@ -305,7 +333,7 @@ def check_predicate_agreement(p: TruncParams, n_random: int = 100) -> CheckResul
     derivations = chain(  # one at a time, each dropped once checked
         (({ij: 1}, {}) for ij in d_pairs),
         (({}, {ij: 1}) for ij in dprime_pairs),
-        (_random_derivation_maps(p, rng) for _ in range(n_random)),
+        (_random_derivation_maps(rng, d_pairs, dprime_pairs) for _ in range(n_random)),
     )
     ok = True
     for dx, dy in derivations:
@@ -335,11 +363,12 @@ def _cocycle_maps(p: TruncParams, c10, c01, m: dict) -> tuple[dict, dict]:
 def check_normalization(p: TruncParams, n: int = 20) -> CheckResult:
     """n seeded cocycles normalize back to their class coordinates and rebuild, on int maps.
 
-    Each draw is c10, c01 and m = random_element, in that order; each is
-    scaled by 2520, a multiple of every denominator random_rational draws.
-    The cocycle c10*d_{1,0} + c01*d'_{0,1} + delta_0(m) is linear in
-    (c10, c01, m), so its scaled value maps, built with _bracket_into, are
-    2520 times its own.  _normalize, the solve of normalize_one_cocycle, is
+    Each draw is c10, c01 (random_rational) and a random element m, in that
+    order; each is drawn as its value times 2520, a multiple of every
+    denominator random_rational draws, by _random_scaled and
+    _random_scaled_map.  The cocycle c10*d_{1,0} + c01*d'_{0,1} +
+    delta_0(m) is linear in (c10, c01, m), so its scaled value maps, built
+    with _bracket_into, are 2520 times its own.  _normalize, the solve of normalize_one_cocycle, is
     homogeneous wherever its int divisions are exact; they are, because the
     potential it finds differs from the scaled m only by the constant and
     the top monomial, which delta_0 kills.  So it must return the scaled
@@ -349,12 +378,12 @@ def check_normalization(p: TruncParams, n: int = 20) -> CheckResult:
     (0, 1).  So it is no cocycle, and _normalize must refuse it, unless
     a = b = 2, when it is 0.
     """
-    rng = _rng(p, "normalize")
+    getrandbits = _rng(p, "normalize").getrandbits
     ok = True
     for _ in range(n):
-        c10 = _scaled(random_rational(rng))
-        c01 = _scaled(random_rational(rng))
-        dx, dy = _cocycle_maps(p, c10, c01, _scaled_map(random_element(p, rng)))
+        c10 = _random_scaled(getrandbits)
+        c01 = _random_scaled(getrandbits)
+        dx, dy = _cocycle_maps(p, c10, c01, _random_scaled_map(p, getrandbits))
         solved = _normalize(p, dx, dy)
         if solved is None or solved[:2] != (c10, c01) or _cocycle_maps(p, *solved) != (dx, dy):
             ok = False

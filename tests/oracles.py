@@ -5,12 +5,13 @@ Gauss-Jordan: the bracket oracle expands products one generator at a time
 using only the two generator rules, the delta_1 oracle evaluates the
 convention's four terms with those rules and multiply, and the rank oracle
 is a separate textbook forward elimination.  The per-term sum is the plain
-dict reference for the kernels that add into a map in place, and
-random_derivation draws the Fraction derivations whose scaled int maps
-verify's predicate check draws; random_cocycle synthesizes the Fraction
-cocycles that the tests normalize.  is_cocycle_by_weights is the closed-form
-cocycle test as it stood before it exited early: it collects the weights of
-the blocks a derivation reaches into a set first.  The argv
+dict reference for the kernels that add into a map in place.
+random_element and random_derivation draw the Fraction elements and
+derivations whose int maps, scaled by 2520 (scaled_map), verify's Leibniz,
+normalization and predicate checks draw; random_cocycle synthesizes the
+Fraction cocycles that the tests normalize.  is_cocycle_by_weights is the
+closed-form cocycle test as it stood before it exited early: it collects
+the weights of the blocks a derivation reaches into a set first.  The argv
 oracle is the argparse parser that the command line used before its
 table-driven parser, kept verbatim around the same value converters.
 Agreement between library and oracle is the point of the tests, so nothing
@@ -21,7 +22,7 @@ import argparse
 from fractions import Fraction
 
 from truncpoisson import AlgebraElement, Derivation, TruncParams, cli, hamiltonian, multiply
-from truncpoisson.checks import random_element, random_rational
+from truncpoisson.checks import random_rational
 from truncpoisson.cochain import chi1_index_pairs
 
 
@@ -89,6 +90,33 @@ def per_term_sum(start: dict, terms) -> dict:
     for key, term in terms:
         total[key] = total.get(key, 0) + term
     return {key: c for key, c in total.items() if c}
+
+
+def disjoint_union(maps) -> dict:
+    """The union of maps whose key sets are pairwise disjoint; a shared key fails the test."""
+    union = {}
+    for m in maps:
+        assert not union.keys() & m.keys()
+        union.update(m)
+    return union
+
+
+def random_element(p: TruncParams, rng, terms: int = 4) -> AlgebraElement:
+    """terms random_rational values at random keys (i, j), each value drawn before its key."""
+    coeffs = {}
+    for _ in range(terms):
+        coeffs[(rng.randrange(p.a), rng.randrange(p.b))] = random_rational(rng)
+    return AlgebraElement(p, coeffs)
+
+
+def scaled(q: Fraction) -> int:
+    """q times 2520, an integer when q's denominator divides 2520."""
+    return q.numerator * (2520 // q.denominator)
+
+
+def scaled_map(u: AlgebraElement) -> dict:
+    """u's coefficient map times 2520, an int map when every denominator divides 2520."""
+    return {ij: scaled(c) for ij, c in u.coeffs.items()}
 
 
 def random_derivation(p: TruncParams, rng) -> Derivation:

@@ -36,9 +36,9 @@ from truncpoisson import (
     ring_table,
     solve,
 )
-from truncpoisson.checks import random_element, random_twist
+from truncpoisson.checks import random_twist
 
-from oracles import random_cocycle, random_derivation
+from oracles import random_cocycle, random_derivation, random_element
 
 GRID = [(a, b) for a in range(2, 11) for b in range(2, 11)]
 SMALL_GRID = [(a, b) for a in range(2, 7) for b in range(2, 7)]

@@ -1,4 +1,5 @@
 import inspect
+import math
 import random
 from fractions import Fraction
 
@@ -23,19 +24,27 @@ from truncpoisson import (
     ring_table,
     solve,
 )
-from truncpoisson import checks, cochain
-from truncpoisson.chain import TwistParams
+from truncpoisson import chain, checks, cochain
+from truncpoisson.chain import TwistParams, omega2_indices
 from truncpoisson.checks import (
     _below,
     _random_derivation_maps,
-    random_element,
     random_rational,
     random_twist,
 )
 from truncpoisson.algebra import _bracket_into, _multiply_into, _shift_into
 from truncpoisson.cochain import delta1_apply, fibre_product_table
 
-from oracles import delta1_oracle, independent_rank, random_cocycle, random_derivation
+from oracles import (
+    delta1_oracle,
+    disjoint_union,
+    independent_rank,
+    random_cocycle,
+    random_derivation,
+    random_element,
+    scaled,
+    scaled_map,
+)
 
 
 def test_chi1_basis_2_2_order():
@@ -190,6 +199,103 @@ def test_delta_complex_check_fails_when_delta1_drops_a_term(monkeypatch, dropped
         assert all(check(TruncParams(a, b)).passed for check in CHECKS_OF[name])
 
 
+def scaled_twist(t: TwistParams) -> tuple[int, int, int]:
+    """(D*alpha, D*beta, D) with D = lcm(den alpha, den beta), as check_boundary_complex scales a twist."""
+    scale = math.lcm(t.alpha.denominator, t.beta.denominator)
+    return int(t.alpha * scale), int(t.beta * scale), scale
+
+
+@pytest.mark.parametrize("mutant", [None, "boundary2_beta_flipped"])
+def test_boundary_check_batch_is_the_union_of_its_forms(monkeypatch, mutant):
+    """The maps of the sum of all basis 2-forms are the per-form maps, key-disjoint, side by side.
+
+    At the four grid twists and at rational twists with scale > 1, for
+    2 <= a, b <= 8: the dX part, the dY part and the composite of the sum
+    equal the union of each form's own, and no two forms share a key.  With
+    the kernels as they are the composites are empty, so the mutant with
+    beta's sign flipped, whose composites are not, repeats the test.
+    """
+    if mutant:
+        monkeypatch.setattr(checks, *SHIFT_MUTANTS[mutant])
+    rational = [TwistParams(Fraction(1, 2), Fraction(-2, 3)), TwistParams(Fraction(-7, 4), 3),
+                TwistParams(5, Fraction(9, 7)), TwistParams(Fraction(-3, 5), Fraction(5, 6))]
+    nonzero = 0
+    for a in range(2, 9):
+        for b in range(2, 9):
+            p = TruncParams(a, b)
+            forms = omega2_indices(p)
+            grid = [TwistParams(0, 0), TwistParams(1 - b, a - 1), TwistParams(0, a - 1), TwistParams(1 - b, 0)]
+            for t in grid + rational:
+                alpha, beta, scale = scaled_twist(t)
+                assert all(type(x) is int for x in (alpha, beta)) and (scale > 1) == (t in rational)
+                batched = checks._boundary_complex_maps(p, alpha, beta, scale, {e: 1 for e in forms})
+                single = [checks._boundary_complex_maps(p, alpha, beta, scale, {e: 1}) for e in forms]
+                for k in range(3):
+                    assert batched[k] == disjoint_union(maps[k] for maps in single)
+                nonzero += bool(batched[2])
+    assert bool(nonzero) == bool(mutant)
+
+
+@pytest.mark.parametrize("mutant", [None, "delta1_const_0_on_dy"])
+def test_delta_check_batch_is_the_union_of_its_monomials(monkeypatch, mutant):
+    """({X, m}, {Y, m}, delta_1) of the sum of all monomials are the per-monomial maps side by side.
+
+    For 2 <= a, b <= 8, each of the three maps of the sum equals the union of
+    each monomial's own, and no two monomials share a key.  The value is
+    empty with the kernels as they are, so a delta_1 mutant, whose value is
+    not, repeats the test.
+    """
+    if mutant:
+        monkeypatch.setattr(checks, *SHIFT_MUTANTS[mutant])
+    nonzero = 0
+    for a in range(2, 9):
+        for b in range(2, 9):
+            p = TruncParams(a, b)
+            batched = checks._delta_complex_maps(p, {ij: 1 for ij in p.monomials()})
+            single = [checks._delta_complex_maps(p, {ij: 1}) for ij in p.monomials()]
+            for k in range(3):
+                assert batched[k] == disjoint_union(maps[k] for maps in single)
+            nonzero += bool(batched[2])
+    assert bool(nonzero) == bool(mutant)
+
+
+def shift_off_at(weight):
+    """_shift_into with the one term it writes at the key weight off by one."""
+
+    def mutant(out, p, m, g, const, slope):
+        for (i, j), c in m.items():
+            e, key, inside = (j, (i + 1, j), i < p.a - 1) if g == "X" else (i, (i, j + 1), j < p.b - 1)
+            w = const + slope * e
+            if w and inside:
+                out[key] = out.get(key, 0) + c * w + (key == weight)
+                if not out[key]:
+                    del out[key]
+
+    return mutant
+
+
+def test_complex_checks_fail_on_a_term_off_at_one_weight(monkeypatch):
+    """A shift kernel that is wrong at one weight alone fails both batched complex checks.
+
+    The weight (k, l) has k, l >= 2, so a term lands there in delta_1's and
+    in boundary's passes.  In the sum of all basis elements that term comes
+    from one monomial or form only, and no other one's term can cancel it.
+    """
+    for a, b in [(3, 3), (4, 5), (8, 8), (9, 4)]:
+        p = TruncParams(a, b)
+        for weight in {(2, 2), (a - 1, b - 1), (a - 1, 2), (2, b - 1)}:
+            mutant = shift_off_at(weight)
+            monkeypatch.setattr(cochain, "_shift_into", mutant)
+            monkeypatch.setattr(chain, "_shift_into", mutant)
+            assert not checks.check_delta_complex(p).passed
+            assert not checks.check_boundary_complex(p).passed
+            monkeypatch.undo()
+        monkeypatch.setattr(cochain, "_shift_into", shift_off_at(None))
+        monkeypatch.setattr(chain, "_shift_into", shift_off_at(None))
+        assert checks.check_delta_complex(p).passed and checks.check_boundary_complex(p).passed
+        monkeypatch.undo()
+
+
 def test_canonical_one_cocycles_in_kernel():
     for a, b in [(2, 2), (4, 5)]:
         p = TruncParams(a, b)
@@ -225,13 +331,55 @@ def test_scaled_derivation_draws_are_2520_times_random_derivation():
     for a, b in [(2, 2), (2, 5), (3, 4), (6, 3)]:
         p = TruncParams(a, b)
         rng, twin = random.Random(f"draws:{a}:{b}"), random.Random(f"draws:{a}:{b}")
+        pairs = cochain.chi1_index_pairs(p)
         for _ in range(30):
             d = random_derivation(p, rng)
-            dx, dy = _random_derivation_maps(p, twin)
+            dx, dy = _random_derivation_maps(twin, *pairs)
             assert dx == {key: 2520 * c for key, c in d.dx.coeffs.items()}
             assert dy == {key: 2520 * c for key, c in d.dy.coeffs.items()}
             assert all(type(c) is int for c in (*dx.values(), *dy.values()))
         assert rng.random() == twin.random()
+
+
+def test_scaled_element_draws_are_2520_times_random_element(monkeypatch):
+    """_random_scaled and _random_scaled_map draw random_rational and random_element times 2520.
+
+    They make the same getrandbits calls, so each draw equals the oracle's
+    on a twin of the RNG, and both RNGs end in the same state.  A random
+    element draws each value before its key, so a map drawn key first
+    differs.  check_leibniz and check_normalization, which draw through
+    them, leave their RNG where the oracle draws of the same elements and
+    rationals leave its twin.
+    """
+    for a, b in [(2, 2), (2, 5), (3, 4), (7, 3), (9, 9)]:
+        p = TruncParams(a, b)
+        rng, twin = random.Random(f"scaled:{a}:{b}"), random.Random(f"scaled:{a}:{b}")
+        for _ in range(60):
+            c = checks._random_scaled(rng.getrandbits)
+            assert c == scaled(random_rational(twin)) and type(c) is int
+            m = checks._random_scaled_map(p, rng.getrandbits)
+            assert m == scaled_map(random_element(p, twin))
+            assert all(type(c) is int and c for c in m.values())
+        assert rng.random() == twin.random()
+
+    def leibniz_draws(p, twin):
+        for _ in range(3 * 25):
+            random_element(p, twin)
+
+    def normalization_draws(p, twin):
+        for _ in range(20):
+            random_rational(twin), random_rational(twin), random_element(p, twin)
+
+    for check, tag, draws in ((checks.check_leibniz, "leibniz", leibniz_draws),
+                              (checks.check_normalization, "normalize", normalization_draws)):
+        for a, b in [(2, 2), (3, 4), (8, 6)]:
+            p = TruncParams(a, b)
+            seeded, twin = checks._rng(p, tag), checks._rng(p, tag)
+            monkeypatch.setattr(checks, "_rng", lambda p, tag: seeded)
+            assert check(p).passed
+            monkeypatch.undo()
+            draws(p, twin)
+            assert seeded.random() == twin.random()
 
 
 def test_verify_draws_keep_the_randint_and_choice_streams(monkeypatch):
