@@ -29,8 +29,8 @@ constants: int maps with int constants stay int maps, and Fraction maps
 give Fraction results.  Only maps with Fraction values are wrapped into
 elements.  verify runs its Jacobi, Leibniz, delta1 . delta0, boundary,
 cocycle-predicate and normalization checks on int maps through these
-kernels, with the denominators of their random elements, twists,
-derivations and cocycles cleared.
+kernels: their random elements, derivations and cocycles are drawn as ints,
+and only the twists have their denominators cleared.
 """
 
 from __future__ import annotations

@@ -22,15 +22,16 @@ from .reporting import CheckResult
 # the verify command samples triples instead (still exact, still seeded).
 JACOBI_FULL_LIMIT = 30
 JACOBI_SAMPLES = 5000
+# The other sampled checks' draw counts.  Their int coefficients are each
+# getrandbits(9) - 256 with the zeros dropped: 511 nonzero values in [-256, 256).
+BOUNDARY_RANDOM_TWISTS = 50
+LEIBNIZ_TRIPLES = 25
+PREDICATE_RANDOM_DERIVATIONS = 100
+NORMALIZATION_COCYCLES = 20
 
 
 def _rng(p: TruncParams, tag: str) -> random.Random:
     return random.Random(f"truncpoisson:{tag}:{p.a}:{p.b}")
-
-
-# random_rational's values, interned per drawn (numerator, denominator): with
-# the default span there are at most 19 * 9 = 171 of them.
-_RATIONALS: dict[tuple[int, int], Fraction] = {}
 
 
 def _below(getrandbits, n: int) -> int:
@@ -47,80 +48,25 @@ def _below(getrandbits, n: int) -> int:
     return r
 
 
-def random_rational(rng: random.Random, span: int = 9) -> Fraction:
-    """n/d with n in [-span, span] and d in [1, span].
+def random_rational(rng: random.Random) -> Fraction:
+    """n/d with n in [-9, 9] and d in [1, 9].
 
-    The draws make the same getrandbits calls as rng.randint(-span, span)
-    followed by rng.randint(1, span), so the stream matches the randint form.
+    The draws make the same getrandbits calls as rng.randint(-9, 9)
+    followed by rng.randint(1, 9), so the stream matches the randint form.
     """
     getrandbits = rng.getrandbits
-    key = (_below(getrandbits, 2 * span + 1) - span, 1 + _below(getrandbits, span))
-    q = _RATIONALS.get(key)
-    if q is None:
-        q = _RATIONALS[key] = Fraction(*key)
-    return q
+    return Fraction(_below(getrandbits, 19) - 9, 1 + _below(getrandbits, 9))
 
 
-# Every denominator random_rational draws at its default span 9 divides lcm(1..9) = 2520.
-_DENOMINATOR_LCM = math.lcm(*range(1, 10))
-# 2520 // d for the denominators d = 1..9, at the index d - 1 that a 4-bit draw gives.
-_SCALES = tuple(_DENOMINATOR_LCM // d for d in range(1, 10))
+def _random_map(p: TruncParams, getrandbits) -> dict:
+    """A random element's int map: four values at uniform keys, a key drawn again taking the later one."""
+    m = {(_below(getrandbits, p.a), _below(getrandbits, p.b)): getrandbits(9) - 256 for _ in range(4)}
+    return {ij: c for ij, c in m.items() if c}
 
 
-def _random_scaled(getrandbits) -> int:
-    """random_rational's draw times 2520, from the same getrandbits calls.
-
-    n = _below(19) - 9 and then d = 1 + _below(9), as random_rational draws
-    them; n/d times 2520 is the integer n * (2520 // d), the factor looked
-    up in _SCALES.
-    """
-    n = _below(getrandbits, 19) - 9
-    return n * _SCALES[_below(getrandbits, 9)]
-
-
-def _random_scaled_map(p: TruncParams, getrandbits) -> dict:
-    """A random element's coefficient map times 2520, an int map, from the same getrandbits calls.
-
-    Each of its four terms draws its value before its key (i, j), as the
-    assignment coeffs[key] = value of the Fraction form evaluates its
-    right-hand side first.  A key drawn again takes the later value, and
-    zeros are dropped at the end, as the element's constructor drops them.
-    """
-    a, b = p.a, p.b
-    coeffs = {}
-    for _ in range(4):
-        c = _random_scaled(getrandbits)
-        coeffs[(_below(getrandbits, a), _below(getrandbits, b))] = c
-    return {ij: c for ij, c in coeffs.items() if c}
-
-
-def _random_derivation_maps(rng: random.Random, d_pairs: list, dprime_pairs: list) -> tuple[dict, dict]:
-    """A random derivation's (dx, dy) maps, scaled by 2520 to int maps.
-
-    d_pairs and dprime_pairs are chi1_index_pairs(p), which the caller
-    builds once for all its draws.  One rational n/d per basis derivation,
-    in that order, as random_rational draws it: the same getrandbits calls
-    as randint(-9, 9) and randint(1, 9).  Each draw becomes the integer
-    n * (2520 // d), the factor looked up in _SCALES; zeros are dropped.
-    """
-    getrandbits = rng.getrandbits
-    maps = []
-    for pairs in (d_pairs, dprime_pairs):
-        coeffs = {}
-        for ij in pairs:
-            # _below(getrandbits, 19) - 9 and 1 + _below(getrandbits, 9),
-            # inlined: 19 takes 5 bits and 9 takes 4, and this loop draws
-            # every random derivation of check_predicate_agreement.
-            n = getrandbits(5)
-            while n >= 19:
-                n = getrandbits(5)
-            d = getrandbits(4)
-            while d >= 9:
-                d = getrandbits(4)
-            if n != 9:
-                coeffs[ij] = (n - 9) * _SCALES[d]
-        maps.append(coeffs)
-    return maps[0], maps[1]
+def _random_derivation_maps(getrandbits, d_pairs: list, dprime_pairs: list) -> list[dict]:
+    """A random derivation's [dx, dy] int maps: one value at each key of chi1_index_pairs(p)."""
+    return [{ij: c for ij in pairs if (c := getrandbits(9) - 256)} for pairs in (d_pairs, dprime_pairs)]
 
 
 def random_twist(rng: random.Random) -> TwistParams:
@@ -168,7 +114,7 @@ def _boundary_complex_maps(p: TruncParams, alpha, beta, scale: int, z: dict) -> 
     return on_dx, on_dy, twice
 
 
-def check_boundary_complex(p: TruncParams, n_random: int = 50) -> CheckResult:
+def check_boundary_complex(p: TruncParams) -> CheckResult:
     """boundary(t, boundary(t, e)) = 0 for every basis 2-form e: a proof for every twist.
 
     In boundary's general formula the twist enters only through the module
@@ -207,7 +153,7 @@ def check_boundary_complex(p: TruncParams, n_random: int = 50) -> CheckResult:
     """
     rng = _rng(p, "boundary")
     twists = [TwistParams.trivial(), TwistParams.nakayama(p)]
-    twists += [random_twist(rng) for _ in range(n_random)]
+    twists += [random_twist(rng) for _ in range(BOUNDARY_RANDOM_TWISTS)]
     twists[-2:] = [TwistParams(0, p.a - 1), TwistParams(1 - p.b, 0)]
     scaled = []
     for t in twists:
@@ -287,21 +233,17 @@ def _jacobi_draws(p: TruncParams) -> list[int]:
     return draws
 
 
-def check_leibniz(p: TruncParams, n: int = 25) -> CheckResult:
-    """{uv, w} = u{v,w} + {u,w}v on n seeded triples of random elements, on int maps.
+def check_leibniz(p: TruncParams) -> CheckResult:
+    """{uv, w} = u{v,w} + {u,w}v on LEIBNIZ_TRIPLES seeded triples of random int maps.
 
-    Each element has four random_rational terms, drawn as their values
-    times 2520, a multiple of every denominator random_rational draws, by
-    _random_scaled_map.  Both sides are trilinear in (u, v, w), so on the
-    scaled maps each is 2520^3 times its value on the elements, and the
-    two agree exactly when they agree on the elements.  The products and
-    brackets run through _multiply_into and _bracket_into, the kernels of
-    multiply and bracket, in integer arithmetic.
+    Each element is a _random_map.  The products and brackets run through
+    _multiply_into and _bracket_into, the kernels of multiply and bracket,
+    in exact integer arithmetic.
     """
     getrandbits = _rng(p, "leibniz").getrandbits
     ok = True
-    for _ in range(n):
-        u, v, w = (_random_scaled_map(p, getrandbits) for _ in range(3))
+    for _ in range(LEIBNIZ_TRIPLES):
+        u, v, w = (_random_map(p, getrandbits) for _ in range(3))
         uv: dict = {}
         vw: dict = {}
         uw: dict = {}
@@ -315,25 +257,23 @@ def check_leibniz(p: TruncParams, n: int = 25) -> CheckResult:
         if difference:
             ok = False
             break
-    return CheckResult("leibniz_rule", ok, f"{n} random triples")
+    return CheckResult("leibniz_rule", ok, f"{LEIBNIZ_TRIPLES} random triples")
 
 
-def check_predicate_agreement(p: TruncParams, n_random: int = 100) -> CheckResult:
+def check_predicate_agreement(p: TruncParams) -> CheckResult:
     """is_poisson_derivation(d) == delta1_apply(d).is_zero() on the basis and random derivations.
 
     Both sides run through the kernels behind those functions, _is_cocycle
-    and _delta1_into, on int maps: the basis derivations as {ij: 1} and each
-    random derivation scaled by 2520, a multiple of every drawn denominator
-    (_random_derivation_maps).
-    delta_1 is linear in d and the closed form homogeneous, so scaling d by
-    a nonzero constant changes neither side's answer.
+    and _delta1_into, on int maps: the basis derivations as {ij: 1} and
+    PREDICATE_RANDOM_DERIVATIONS seeded _random_derivation_maps.
     """
-    rng = _rng(p, "predicate")
+    getrandbits = _rng(p, "predicate").getrandbits
     d_pairs, dprime_pairs = chi1_index_pairs(p)
     derivations = chain(  # one at a time, each dropped once checked
         (({ij: 1}, {}) for ij in d_pairs),
         (({}, {ij: 1}) for ij in dprime_pairs),
-        (_random_derivation_maps(rng, d_pairs, dprime_pairs) for _ in range(n_random)),
+        (_random_derivation_maps(getrandbits, d_pairs, dprime_pairs)
+         for _ in range(PREDICATE_RANDOM_DERIVATIONS)),
     )
     ok = True
     for dx, dy in derivations:
@@ -343,7 +283,7 @@ def check_predicate_agreement(p: TruncParams, n_random: int = 100) -> CheckResul
             ok = False
             break
     return CheckResult(
-        "cocycle_predicate_matches_kernel", ok, f"basis + {n_random} random derivations"
+        "cocycle_predicate_matches_kernel", ok, f"basis + {PREDICATE_RANDOM_DERIVATIONS} random derivations"
     )
 
 
@@ -360,19 +300,17 @@ def _cocycle_maps(p: TruncParams, c10, c01, m: dict) -> tuple[dict, dict]:
     return dx, dy
 
 
-def check_normalization(p: TruncParams, n: int = 20) -> CheckResult:
-    """n seeded cocycles normalize back to their class coordinates and rebuild, on int maps.
+def check_normalization(p: TruncParams) -> CheckResult:
+    """NORMALIZATION_COCYCLES seeded cocycles normalize back to their class coordinates and rebuild.
 
-    Each draw is c10, c01 (random_rational) and a random element m, in that
-    order; each is drawn as its value times 2520, a multiple of every
-    denominator random_rational draws, by _random_scaled and
-    _random_scaled_map.  The cocycle c10*d_{1,0} + c01*d'_{0,1} +
-    delta_0(m) is linear in (c10, c01, m), so its scaled value maps, built
-    with _bracket_into, are 2520 times its own.  _normalize, the solve of normalize_one_cocycle, is
-    homogeneous wherever its int divisions are exact; they are, because the
-    potential it finds differs from the scaled m only by the constant and
-    the top monomial, which delta_0 kills.  So it must return the scaled
-    (c10, c01) and a potential whose cocycle, built again, is the input.
+    Each draw is the int coefficients c10 and c01 and then an int map m
+    (_random_map).  The cocycle c10*d_{1,0} + c01*d'_{0,1} +
+    delta_0(m) has int value maps, built with _bracket_into.  _normalize,
+    the solve of normalize_one_cocycle, divides them exactly: the
+    potential it finds differs from m only by the constant and the top
+    monomial, which delta_0 kills, so each quotient is an int coefficient
+    of m.  So it must return (c10, c01) and a potential whose cocycle,
+    built again, is the input.
     The derivation d_{2,0} + d'_{0,2}, its terms kept as far as the bounds
     allow, has k*dx_{k+1,l} + l*dy_{k,l+1} = 1 at the weights (1, 0) and
     (0, 1).  So it is no cocycle, and _normalize must refuse it, unless
@@ -380,10 +318,10 @@ def check_normalization(p: TruncParams, n: int = 20) -> CheckResult:
     """
     getrandbits = _rng(p, "normalize").getrandbits
     ok = True
-    for _ in range(n):
-        c10 = _random_scaled(getrandbits)
-        c01 = _random_scaled(getrandbits)
-        dx, dy = _cocycle_maps(p, c10, c01, _random_scaled_map(p, getrandbits))
+    for _ in range(NORMALIZATION_COCYCLES):
+        c10 = getrandbits(9) - 256
+        c01 = getrandbits(9) - 256
+        dx, dy = _cocycle_maps(p, c10, c01, _random_map(p, getrandbits))
         solved = _normalize(p, dx, dy)
         if solved is None or solved[:2] != (c10, c01) or _cocycle_maps(p, *solved) != (dx, dy):
             ok = False
@@ -391,7 +329,7 @@ def check_normalization(p: TruncParams, n: int = 20) -> CheckResult:
     dx = {(2, 0): 1} if p.a > 2 else {}
     dy = {(0, 2): 1} if p.b > 2 else {}
     ok = ok and (_normalize(p, dx, dy) is None) == bool(dx or dy)
-    return CheckResult("cocycle_normalization", ok, f"{n} synthesized cocycles")
+    return CheckResult("cocycle_normalization", ok, f"{NORMALIZATION_COCYCLES} synthesized cocycles")
 
 
 def check_euler(p: TruncParams) -> CheckResult:

@@ -6,14 +6,14 @@ using only the two generator rules, the delta_1 oracle evaluates the
 convention's four terms with those rules and multiply, and the rank oracle
 is a separate textbook forward elimination.  The per-term sum is the plain
 dict reference for the kernels that add into a map in place.
-random_element and random_derivation draw the Fraction elements and
-derivations whose int maps, scaled by 2520 (scaled_map), verify's Leibniz,
-normalization and predicate checks draw; random_cocycle synthesizes the
-Fraction cocycles that the tests normalize.  is_cocycle_by_weights is the
-closed-form cocycle test as it stood before it exited early: it collects
-the weights of the blocks a derivation reaches into a set first.  The argv
-oracle is the argparse parser that the command line used before its
-table-driven parser, kept verbatim around the same value converters.
+random_element and random_derivation draw Fraction elements and
+derivations from random_rational, the draw behind verify's twists;
+random_cocycle synthesizes the Fraction cocycles that the tests normalize.
+is_cocycle_by_weights is the closed-form cocycle test as it stood before
+it exited early: it collects the weights of the blocks a derivation
+reaches into a set first.  The argv oracle is the argparse parser that
+the command line used before its table-driven parser, kept verbatim
+around the same value converters.
 Agreement between library and oracle is the point of the tests, so nothing
 here may call the code path it checks.
 """
@@ -107,16 +107,6 @@ def random_element(p: TruncParams, rng, terms: int = 4) -> AlgebraElement:
     for _ in range(terms):
         coeffs[(rng.randrange(p.a), rng.randrange(p.b))] = random_rational(rng)
     return AlgebraElement(p, coeffs)
-
-
-def scaled(q: Fraction) -> int:
-    """q times 2520, an integer when q's denominator divides 2520."""
-    return q.numerator * (2520 // q.denominator)
-
-
-def scaled_map(u: AlgebraElement) -> dict:
-    """u's coefficient map times 2520, an int map when every denominator divides 2520."""
-    return {ij: scaled(c) for ij, c in u.coeffs.items()}
 
 
 def random_derivation(p: TruncParams, rng) -> Derivation:

@@ -42,8 +42,6 @@ from oracles import (
     random_cocycle,
     random_derivation,
     random_element,
-    scaled,
-    scaled_map,
 )
 
 
@@ -326,64 +324,70 @@ def test_random_derivation_equals_from_vector_of_the_same_draws():
         assert rng.random() == twin.random()
 
 
-def test_scaled_derivation_draws_are_2520_times_random_derivation():
-    """_random_derivation_maps consumes random_derivation's RNG stream and clears its denominators."""
-    for a, b in [(2, 2), (2, 5), (3, 4), (6, 3)]:
+DRAW_SIZES = [(2, 2), (2, 5), (7, 3), (9, 9)]
+
+
+def assert_int_draws(m: dict, keys) -> None:
+    """Values are nonzero ints in [-256, 256), at keys from keys: what the kernels take."""
+    assert m.keys() <= set(keys)
+    assert all(type(c) is int and c and -256 <= c < 256 for c in m.values())
+
+
+def test_random_map_draws_nonzero_ints_at_monomials():
+    for a, b in DRAW_SIZES:
         p = TruncParams(a, b)
-        rng, twin = random.Random(f"draws:{a}:{b}"), random.Random(f"draws:{a}:{b}")
-        pairs = cochain.chi1_index_pairs(p)
-        for _ in range(30):
-            d = random_derivation(p, rng)
-            dx, dy = _random_derivation_maps(twin, *pairs)
-            assert dx == {key: 2520 * c for key, c in d.dx.coeffs.items()}
-            assert dy == {key: 2520 * c for key, c in d.dy.coeffs.items()}
-            assert all(type(c) is int for c in (*dx.values(), *dy.values()))
-        assert rng.random() == twin.random()
-
-
-def test_scaled_element_draws_are_2520_times_random_element(monkeypatch):
-    """_random_scaled and _random_scaled_map draw random_rational and random_element times 2520.
-
-    They make the same getrandbits calls, so each draw equals the oracle's
-    on a twin of the RNG, and both RNGs end in the same state.  A random
-    element draws each value before its key, so a map drawn key first
-    differs.  check_leibniz and check_normalization, which draw through
-    them, leave their RNG where the oracle draws of the same elements and
-    rationals leave its twin.
-    """
-    for a, b in [(2, 2), (2, 5), (3, 4), (7, 3), (9, 9)]:
-        p = TruncParams(a, b)
-        rng, twin = random.Random(f"scaled:{a}:{b}"), random.Random(f"scaled:{a}:{b}")
+        rng, twin = checks._rng(p, "map"), checks._rng(p, "map")
         for _ in range(60):
-            c = checks._random_scaled(rng.getrandbits)
-            assert c == scaled(random_rational(twin)) and type(c) is int
-            m = checks._random_scaled_map(p, rng.getrandbits)
-            assert m == scaled_map(random_element(p, twin))
-            assert all(type(c) is int and c for c in m.values())
-        assert rng.random() == twin.random()
+            m = checks._random_map(p, rng.getrandbits)
+            assert_int_draws(m, p.monomials())
+            assert m == checks._random_map(p, twin.getrandbits)
 
-    def leibniz_draws(p, twin):
-        for _ in range(3 * 25):
-            random_element(p, twin)
 
-    def normalization_draws(p, twin):
-        for _ in range(20):
-            random_rational(twin), random_rational(twin), random_element(p, twin)
+def test_random_derivation_maps_draw_nonzero_ints_at_the_pairs_passed():
+    for a, b in DRAW_SIZES:
+        p = TruncParams(a, b)
+        pairs = cochain.chi1_index_pairs(p)
+        rng, twin = checks._rng(p, "derivation"), checks._rng(p, "derivation")
+        for _ in range(30):
+            maps = _random_derivation_maps(rng.getrandbits, *pairs)
+            assert len(maps) == 2
+            for m, keys in zip(maps, pairs):
+                assert_int_draws(m, keys)
+            assert maps == _random_derivation_maps(twin.getrandbits, *pairs)
 
-    for check, tag, draws in ((checks.check_leibniz, "leibniz", leibniz_draws),
-                              (checks.check_normalization, "normalize", normalization_draws)):
-        for a, b in [(2, 2), (3, 4), (8, 6)]:
-            p = TruncParams(a, b)
-            seeded, twin = checks._rng(p, tag), checks._rng(p, tag)
-            monkeypatch.setattr(checks, "_rng", lambda p, tag: seeded)
-            assert check(p).passed
-            monkeypatch.undo()
-            draws(p, twin)
-            assert seeded.random() == twin.random()
+
+def test_verify_details_print_the_draws_it_makes(monkeypatch):
+    """run_verify at 8x8 draws what the sample-count constants say, and its details print them.
+
+    check_euler draws one random twist beside the boundary check's.
+    """
+    counts = {name: 0 for name in ("random_twist", "_random_map", "_random_derivation_maps")}
+
+    def spy(name):
+        draw = getattr(checks, name)
+
+        def counted(*args):
+            counts[name] += 1
+            return draw(*args)
+
+        return counted
+
+    for name in counts:
+        monkeypatch.setattr(checks, name, spy(name))
+    details = {r.name: r.detail for r in checks.run_verify(TruncParams(8, 8))}
+    assert counts == {
+        "random_twist": checks.BOUNDARY_RANDOM_TWISTS + 1,
+        "_random_map": 3 * checks.LEIBNIZ_TRIPLES + checks.NORMALIZATION_COCYCLES,
+        "_random_derivation_maps": checks.PREDICATE_RANDOM_DERIVATIONS,
+    }
+    assert details["boundary_complex"] == "boundary1 . boundary2 = 0 for 52 twists"
+    assert details["leibniz_rule"] == "25 random triples"
+    assert details["cocycle_predicate_matches_kernel"] == "basis + 100 random derivations"
+    assert details["cocycle_normalization"] == "20 synthesized cocycles"
 
 
 def test_verify_draws_keep_the_randint_and_choice_streams(monkeypatch):
-    """Every verify draw makes the getrandbits calls of its randint/randrange/choice form.
+    """verify's rational, twist and Jacobi draws make the getrandbits calls of their randint/choice forms.
 
     Each comparison ends with rng.random() == twin.random(), so the two
     streams are also consumed to the same point.
@@ -395,14 +399,13 @@ def test_verify_draws_keep_the_randint_and_choice_streams(monkeypatch):
             assert r == twin.randrange(n) == choices.choice(range(n))
         assert rng.random() == twin.random() == choices.random()
 
-    def old_rational(rng, span=9):
-        return Fraction(rng.randint(-span, span), rng.randint(1, span))
+    def old_rational(rng):
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
 
-    for span in (1, 3, 9):
-        rng, twin = random.Random(f"rational:{span}"), random.Random(f"rational:{span}")
-        for _ in range(200):
-            assert random_rational(rng, span) == old_rational(twin, span)
-        assert rng.random() == twin.random()
+    rng, twin = random.Random("rational"), random.Random("rational")
+    for _ in range(200):
+        assert random_rational(rng) == old_rational(twin)
+    assert rng.random() == twin.random()
 
     rng, twin = random.Random("twist"), random.Random("twist")
     for _ in range(100):
@@ -569,10 +572,11 @@ def test_normalization_check_and_normalize_one_cocycle_run_one_kernel(monkeypatc
     monkeypatch.setattr(checks, "_normalize", spy)
     monkeypatch.setattr(cochain, "_normalize", spy)
     p = TruncParams(4, 5)
-    assert checks.check_normalization(p, n=3).passed
-    assert calls == [int] * 4  # three cocycles and the refused d_{2,0} + d'_{0,2}
+    assert checks.check_normalization(p).passed
+    n = checks.NORMALIZATION_COCYCLES
+    assert calls == [int] * (n + 1)  # the cocycles and the refused d_{2,0} + d'_{0,2}
     res = normalize_one_cocycle(Derivation.basis_d(p, 1, 0) + hamiltonian(AlgebraElement.monomial(p, 1, 2)))
-    assert calls[4:] == [Fraction] and (res.c10, res.c01) == (1, 0)
+    assert calls[n + 1:] == [Fraction] and (res.c10, res.c01) == (1, 0)
 
 
 def test_cup_d10_d01_is_f11():

@@ -2,9 +2,12 @@
 
 tests/test_digests.py replays perfbench/digests.json, whose verify ops are
 the 6..10 sizes.  These pins add both Jacobi paths and the cap: 2x2, 3x3 and
-5x6 have dim <= JACOBI_FULL_LIMIT, so every monomial triple runs; 2x16 is
-just past the limit and samples; 2x1250 and 50x50 are at VERIFY_MAX_AB.
-Each op goes through cli.main and must exit 0.
+5x6 have dim <= JACOBI_FULL_LIMIT, so every monomial triple runs; 2x16 and
+16x2 are just past the limit and sample; 2x1250, 1250x2 and 50x50 are at
+VERIFY_MAX_AB.  The csv names neither a nor b and each detail it prints is
+the same under (a, b) -> (b, a), so a size and its transpose share a digest,
+while each runs every check in its own orientation.  Each op goes through
+cli.main and must exit 0.
 """
 
 import hashlib
@@ -19,7 +22,9 @@ PINS = {
     (3, 3): "11e6012eaf27980f294cea0bf257fa2efd9aed87a2c86a7109d6088c9eaae962",
     (5, 6): "410927aae6f2f4c4b57c3936bae7c5c72e416edfa1ded139fafc8061438def40",
     (2, 16): "3273a71fdc146ad74299265f7b52f174432be9e0ecf4c53e849c3cec0f499e64",
+    (16, 2): "3273a71fdc146ad74299265f7b52f174432be9e0ecf4c53e849c3cec0f499e64",
     (2, 1250): "64a29b81f6ce939aaa53339518cbb8ba28619d4851f97bb414f61ebe5905a49f",
+    (1250, 2): "64a29b81f6ce939aaa53339518cbb8ba28619d4851f97bb414f61ebe5905a49f",
     (50, 50): "930ea26914e673f76f06d6faebac56a48bfe4910c4a020a8af22be3d8ff23437",
 }
 
