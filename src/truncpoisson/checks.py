@@ -11,7 +11,6 @@ import math
 import random
 from fractions import Fraction
 from itertools import chain, product
-from types import MappingProxyType
 
 from .algebra import TruncParams, _bracket_into, _multiply_into, euler_dims
 from .chain import TwistParams, _boundary1_into, _boundary2_into, homology, omega2_indices, omega_dims
@@ -166,30 +165,54 @@ def check_boundary_complex(p: TruncParams) -> CheckResult:
     return CheckResult("boundary_complex", ok, f"boundary1 . boundary2 = 0 for {len(twists)} twists")
 
 
-# The memoised value of an inner bracket that vanishes: one shared map, never written.
-_NO_TERMS = MappingProxyType({})
+def _bracket_table(p: TruncParams, monomials: list) -> list[list[int]] | None:
+    """Every monomial pair's structure constant s(v, w), in rows of ints: one kernel call per row v.
+
+    Row v = (i, j) brackets {(i, j): 1} with the sum of all n monomials.
+    Distinct columns w = (k, l) land on distinct keys (i + k, j + l), so the
+    map holds each pair's 1 * s(v, w) side by side; each in-box key is
+    popped into its column, and a column out of the box reads 0.  A key
+    left after the pops is off the grading or out of the box, and the table
+    is None.  Each row's n entries, in monomial order, end in n zeros.
+    """
+    a, b = p.a, p.b
+    every = dict.fromkeys(monomials, 1)
+    padding = [0] * len(monomials)
+    rows = []
+    for i, j in monomials:
+        row: dict = {}
+        _bracket_into(row, p, {(i, j): 1}, every)
+        entries = [row.pop((i + k, j + l), 0) if i + k < a and j + l < b else 0 for k, l in monomials]
+        if row:
+            return None
+        rows.append(entries + padding)
+    return rows
 
 
 def check_jacobi(p: TruncParams) -> CheckResult:
     """The Jacobi identity on every monomial triple, or on JACOBI_SAMPLES seeded ones.
 
     The sampled triples are _jacobi_draws(p) taken three at a time: the
-    same triples as rng.choice(monomials).  For each triple (e, f, g) one
-    loop sums {e,{f,g}} + {f,{g,e}} + {g,{e,f}} into one map with
-    _bracket_into and stops at the first nonzero sum.  The monomials are
-    {(i, j): 1} int maps, so every coefficient is an integer product of
-    structure constants i*l - j*k.
+    same triples as rng.choice(monomials).  All three terms of
+    {e,{f,g}} + {f,{g,e}} + {g,{e,f}} land on the monomial e + f + g, each
+    the integer product s(v, w) * s(u, v + w) over the rotations (u, v, w),
+    so the loop stops at the first triple whose sum of products is nonzero.
 
-    Each ordered pair's inner bracket {v, w} is computed once per call and
-    memoised under v * dim + w, a zero one as _NO_TERMS, whose outer
-    bracket is skipped.  A full enumeration meets every pair 3 * dim
-    times, and the 15000 inner pairs of the samples repeat often while
-    dim^2 is not far above that.  The memo is a dict local to the call, so
-    it holds only the pairs met: a dim^2 list would take 6.25 million
-    slots, about 50 MB, at the verify cap (dim 2500).
+    While n^2 <= 3 * JACOBI_SAMPLES, that is, while the table has no more
+    entries than the samples' inner brackets (every full enumeration and
+    every n <= 122), the constants come from _bracket_table, and a table
+    that fails its guard fails the check.  Indices are row-major, i*b + j,
+    and a nonzero s(v, w) was read from an in-box key, so the index v + w
+    is {v, w}'s monomial and row u's entry v + w is s(u, v + w).  When
+    s(v, w) is zero the product is zero whatever that entry reads, and
+    v + w <= 2n - 2 stays within the row's n zeros.
+
+    Past that the table would cost n^2 (6.25 million entries at 50x50), so
+    each rotation brackets its pair with _bracket_into and, unless that is
+    zero, u with it into one total map.
     """
-    maps = [{ij: 1} for ij in p.monomials()]
-    n = len(maps)
+    monomials = list(p.monomials())
+    n = len(monomials)
     if n <= JACOBI_FULL_LIMIT:
         triples = product(range(n), repeat=3)
         detail = f"all {n ** 3} monomial triples"
@@ -197,22 +220,38 @@ def check_jacobi(p: TruncParams) -> CheckResult:
         draws = iter(_jacobi_draws(p))
         triples = zip(draws, draws, draws)
         detail = f"{JACOBI_SAMPLES} sampled monomial triples"
-    inners: dict = {}
     ok = True
-    total: dict = {}  # empty again whenever the loop goes on
-    for e, f, g in triples:
-        for u, v, w in ((e, f, g), (f, g, e), (g, e, f)):
-            key = v * n + w
-            inner = inners.get(key)
-            if inner is None:
-                inner = {}
-                _bracket_into(inner, p, maps[v], maps[w])
-                inners[key] = inner = inner or _NO_TERMS
-            if inner:  # {u, 0} = 0; most monomial pairs bracket to zero
-                _bracket_into(total, p, maps[u], inner)
-        if total:
+    if n * n <= 3 * JACOBI_SAMPLES:
+        rows = _bracket_table(p, monomials)
+        if rows is None:
             ok = False
-            break
+        else:
+            for e, f, g in triples:
+                ce, cf, cg = rows[e], rows[f], rows[g]
+                if cf[g] * ce[f + g] + cg[e] * cf[g + e] + ce[f] * cg[e + f]:
+                    ok = False
+                    break
+    else:
+        maps = [{ij: 1} for ij in monomials]
+        total: dict = {}  # empty again whenever the loop goes on
+        for e, f, g in triples:
+            me, mf, mg = maps[e], maps[f], maps[g]
+            # the rotations (u, v, w), unrolled; {u, 0} = 0, and most monomial pairs bracket to zero
+            inner: dict = {}
+            _bracket_into(inner, p, mf, mg)
+            if inner:
+                _bracket_into(total, p, me, inner)
+            inner = {}
+            _bracket_into(inner, p, mg, me)
+            if inner:
+                _bracket_into(total, p, mf, inner)
+            inner = {}
+            _bracket_into(inner, p, me, mf)
+            if inner:
+                _bracket_into(total, p, mg, inner)
+            if total:
+                ok = False
+                break
     return CheckResult("jacobi_identity", ok, detail)
 
 

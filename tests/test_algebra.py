@@ -140,9 +140,13 @@ def test_jacobi_identity_all_triples():
 def test_jacobi_check_fails_on_a_broken_bracket_kernel(monkeypatch):
     """check_jacobi fails once the structure constant i*l - j*k becomes i*l - j*k + i*k.
 
-    check_jacobi skips the outer bracket of a zero inner bracket, so this
-    control shows that the skip cannot hide a broken kernel, both under full
-    enumeration (3x3) and under sampling (6x6 and 9x9).
+    Both paths skip a product whose inner constant is zero: the bracket
+    table reads it as a zero factor and the per-pair loop skips the outer
+    bracket of an empty inner one.  This control shows that the skip cannot
+    hide a broken kernel on either path: the table under full enumeration
+    (3x3) and under sampling (6x6 and 9x9), the per-pair loop at 11x12,
+    past the table's size rule.  A size with a = 2 could not show the skew,
+    since i*k = 0 for every pair in bounds.
     """
 
     def skewed(out, p, u, v):
@@ -152,8 +156,9 @@ def test_jacobi_check_fails_on_a_broken_bracket_kernel(monkeypatch):
                 if s and i + k < p.a and j + l < p.b:
                     _accumulate(out, (i + k, j + l), c * d * s)
 
-    sizes = [(3, 3), (6, 6), (9, 9)]
+    sizes = [(3, 3), (6, 6), (9, 9), (11, 12)]
     assert TruncParams(3, 3).dim <= checks.JACOBI_FULL_LIMIT < TruncParams(6, 6).dim
+    assert TruncParams(9, 9).dim ** 2 <= 3 * checks.JACOBI_SAMPLES < TruncParams(11, 12).dim ** 2
     monkeypatch.setattr(checks, "_bracket_into", skewed)
     for a, b in sizes:
         assert not checks.check_jacobi(TruncParams(a, b)).passed
@@ -161,48 +166,62 @@ def test_jacobi_check_fails_on_a_broken_bracket_kernel(monkeypatch):
     assert all(checks.check_jacobi(TruncParams(a, b)).passed for a, b in sizes)
 
 
-def test_jacobi_memo_holds_the_inner_brackets(monkeypatch):
-    """check_jacobi's _bracket_into calls are those of a fresh, unmemoised Jacobi sum.
+def test_jacobi_bracket_table_holds_every_pair_bracket(monkeypatch):
+    """_bracket_table's entry (v, w) is the coefficient of a fresh {v, w}, and its padding is zeros.
 
-    A recording wrapper sees every call.  For each triple, enumerated (3x3
-    and 5x6, at JACOBI_FULL_LIMIT) or drawn by _jacobi_draws (8x8), and for
-    each of its rotations (u, v, w), the inner bracket {v, w} must be
-    computed on the first meeting of the pair only, and the outer bracket
-    must receive a map equal to a fresh {v, w}, or be skipped when that is
-    zero.  Full enumeration meets all n^2 pairs.
+    At 3x3 and 5x6 (full enumeration), 8x8 and 11x11 (sampled; 11x11 is the
+    largest square on the table path) every entry of row v is compared with
+    _bracket_into of {v: 1} and {w: 1} alone: the coefficient at v + w, or
+    0 when that bracket is empty.  Each row ends in dim zeros.
+
+    Two kernels that write each term one Y step too far make the table path
+    fail.  One writes past the box, to (i + k, b) when j + l = b - 1: that
+    key is left after the row's pops, so the table is None.  The other is
+    Y * {,} truncated to the box, itself a Poisson bracket in two variables,
+    so the Jacobi identity holds for it: the per-pair path (11x12) and
+    check_leibniz pass it, and only delta_complex and cocycle_normalization
+    catch it.  Its keys are all in the box, each the key of the column one
+    Y step over, so the pops leave nothing; the table then reads its
+    constants against the wrong pairs, and the cyclic sums fail.
     """
-    exact = checks._bracket_into
-    for a, b, full in [(3, 3, True), (5, 6, True), (8, 8, False)]:
+    for a, b in [(3, 3), (5, 6), (8, 8), (11, 11)]:
         p = TruncParams(a, b)
-        calls = []
-
-        def recording(out, p, u, v):
-            calls.append((dict(u), dict(v)))
-            exact(out, p, u, v)
-
-        monkeypatch.setattr(checks, "_bracket_into", recording)
-        assert checks.check_jacobi(p).passed
-        monkeypatch.undo()
-        monomials = [{ij: 1} for ij in p.monomials()]
+        monomials = list(p.monomials())
         n = len(monomials)
-        if full:
-            triples = list(product(range(n), repeat=3))
-        else:
-            draws = checks._jacobi_draws(p)
-            triples = list(zip(draws[0::3], draws[1::3], draws[2::3]))
-        expected, met = [], set()
-        for e, f, g in triples:
-            for u, v, w in ((e, f, g), (f, g, e), (g, e, f)):
+        assert n * n <= 3 * checks.JACOBI_SAMPLES
+        rows = checks._bracket_table(p, monomials)
+        assert len(rows) == n
+        for (i, j), row in zip(monomials, rows):
+            assert len(row) == 2 * n and row[n:] == [0] * n
+            for (k, l), entry in zip(monomials, row):
                 fresh = {}
-                _bracket_into(fresh, p, monomials[v], monomials[w])
-                if (v, w) not in met:
-                    met.add((v, w))
-                    expected.append((monomials[v], monomials[w]))
-                if fresh:
-                    expected.append((monomials[u], fresh))
-        assert calls == expected
-        assert len(met) == n * n if full else 0 < len(met) < n * n
-    assert not checks._NO_TERMS
+                _bracket_into(fresh, p, {(i, j): 1}, {(k, l): 1})
+                assert entry == fresh.get((i + k, j + l), 0) and len(fresh) <= 1
+
+    def past_the_box(out, p, u, v):
+        for (i, j), c in u.items():
+            for (k, l), d in v.items():
+                s = i * l - j * k
+                if s and i + k < p.a and j + l < p.b:
+                    _accumulate(out, (i + k, j + l + 1), c * d * s)
+
+    def y_times_bracket(out, p, u, v):
+        for (i, j), c in u.items():
+            for (k, l), d in v.items():
+                s = i * l - j * k
+                if s and i + k < p.a and j + l + 1 < p.b:
+                    _accumulate(out, (i + k, j + l + 1), c * d * s)
+
+    for a, b in [(3, 3), (5, 6), (8, 8), (11, 11)]:
+        p = TruncParams(a, b)
+        monomials = list(p.monomials())
+        monkeypatch.setattr(checks, "_bracket_into", past_the_box)
+        assert checks._bracket_table(p, monomials) is None
+        assert not checks.check_jacobi(p).passed
+        monkeypatch.setattr(checks, "_bracket_into", y_times_bracket)
+        assert checks._bracket_table(p, monomials) is not None
+        assert not checks.check_jacobi(p).passed
+        monkeypatch.undo()
 
 
 @st.composite

@@ -422,7 +422,8 @@ def test_verify_draws_keep_the_randint_and_choice_streams(monkeypatch):
             assert random_element(p, rng) == AlgebraElement(p, coeffs)
         assert rng.random() == twin.random()
 
-    for a, b in [(6, 6), (9, 4), (5, 13)]:
+    # 6x6, 9x4 and 5x13 read the bracket table; 11x12 brackets each sampled pair
+    for a, b in [(6, 6), (9, 4), (5, 13), (11, 12)]:
         p = TruncParams(a, b)
         assert p.dim > checks.JACOBI_FULL_LIMIT
         monomials = list(p.monomials())
