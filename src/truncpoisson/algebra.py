@@ -37,14 +37,70 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from operator import itemgetter
 from types import MappingProxyType
-from typing import Iterator, Mapping, NamedTuple
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Iterator, Mapping
 
 Vector = tuple[Fraction, ...]
 
 
 def _frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
+
+
+class _Record(tuple):
+    """A tuple with named fields, the base of every class that _record builds."""
+
+    __slots__ = ()
+    _fields = ()
+
+    def __new__(cls, *args, **kwargs):
+        if kwargs:
+            try:
+                args += tuple(map(kwargs.pop, cls._fields[len(args):]))
+            except KeyError as missing:
+                raise TypeError(f"{cls.__name__}() missing argument {missing}") from None
+            if kwargs:
+                raise TypeError(f"{cls.__name__}() got unexpected arguments {sorted(kwargs)}")
+        if len(args) != len(cls._fields):
+            raise TypeError(f"{cls.__name__}() takes {len(cls._fields)} arguments ({len(args)} given)")
+        return tuple.__new__(cls, args)
+
+    def __repr__(self):
+        return f"{type(self).__name__}({', '.join(f'{f}={v!r}' for f, v in zip(self._fields, self))})"
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    def _asdict(self) -> dict:
+        return dict(zip(self._fields, self))
+
+    def _replace(self, **changes):
+        new = type(self)(*map(changes.pop, self._fields, self))
+        if changes:
+            raise ValueError(f"Got unexpected field names: {list(changes)!r}")
+        return new
+
+
+def _record(cls) -> type:
+    """Class decorator: the immutable record whose fields are cls's annotations, in order.
+
+    The record is a tuple subclass rebuilt from cls's namespace (what
+    typing.NamedTuple gives, at a fraction of its import and class-building
+    cost): it equals the plain tuple of its values, constructs from positional
+    or keyword arguments, and has _fields, _asdict, _replace, a repr naming
+    its fields and pickling.  Methods of cls may not use super() or
+    __class__, which would name the discarded class.
+    """
+    ns = dict(vars(cls))
+    del ns["__dict__"], ns["__weakref__"]
+    fields = tuple(ns.get("__annotations__", ()))
+    ns.update({f: property(itemgetter(i)) for i, f in enumerate(fields)}, __slots__=(), _fields=fields)
+    ns["__doc__"] = ns["__doc__"] or f"{cls.__name__}({', '.join(fields)})"
+    return type(cls.__name__, (_Record,), ns)
 
 
 class TruncParams:
@@ -310,7 +366,8 @@ def bracket(u: AlgebraElement, v: AlgebraElement) -> AlgebraElement:
     return AlgebraElement._clean(u.params, out)
 
 
-class EulerDims(NamedTuple):
+@_record
+class EulerDims:
     chi0: int
     chi1: int
     chi2: int

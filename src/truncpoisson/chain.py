@@ -41,20 +41,23 @@ from __future__ import annotations
 
 from fractions import Fraction
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Mapping, NamedTuple, Optional, Sequence
 
 from .algebra import (
     AlgebraElement,
     TruncParams,
     Vector,
     _frac,
+    _record,
     _render_monomial,
     _render_sum,
     _shift_into,
 )
 from .cochain import cohomology
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
+    from typing import Mapping, Optional, Sequence
+
     from .linalg import Matrix
 
 DX, DY, DXDY = "dX", "dY", "dX^dY"
@@ -305,24 +308,21 @@ def partial2_matrix(p: TruncParams, t: TwistParams) -> Matrix:
     return Matrix.from_columns(cols, ambient_dim=len(omega1_indices(p)))
 
 
-class _HomologyFields(NamedTuple):
+@_record
+class HomologyReport:
+    """Dimensions, boundary ranks and representatives of one twisted complex."""
+
     params: TruncParams
     twist: TwistParams
     dims: tuple[int, int, int]
     ranks: tuple[int, int]
     representatives: Optional[tuple[tuple[ChainElement, ...], ...]]
 
-
-class HomologyReport(_HomologyFields):
-    """Dimensions, boundary ranks and representatives of one twisted complex."""
-
-    __slots__ = ()
-
     def __new__(cls, params, twist, dims, ranks, representatives):
         h0, h1, h2 = dims
         if h0 - h1 + h2 != 1:
             raise RuntimeError(f"homology dims {dims} break the Euler identity")
-        return super().__new__(cls, params, twist, dims, ranks, representatives)
+        return tuple.__new__(cls, (params, twist, dims, ranks, representatives))
 
 
 def homology(p: TruncParams, t: TwistParams, include_reps: bool = True) -> HomologyReport:
@@ -358,7 +358,8 @@ def homology(p: TruncParams, t: TwistParams, include_reps: bool = True) -> Homol
     return HomologyReport(p, t, dims, ranks, (reps0, tuple(reps1), reps2))
 
 
-class DegreeComparison(NamedTuple):
+@_record
+class DegreeComparison:
     degree: int
     cohomology_dim: int
     nakayama_homology_dim: int
@@ -368,7 +369,8 @@ class DegreeComparison(NamedTuple):
     poincare_match: bool
 
 
-class DualityReport(NamedTuple):
+@_record
+class DualityReport:
     """Degreewise duality data: the twisted match and the untwisted failure."""
 
     params: TruncParams

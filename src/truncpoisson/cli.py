@@ -51,10 +51,10 @@ from .reporting import (
 SWEEP_MAX = 32
 # Caps on a*b.  The instance commands answer from closed forms, so at the cap
 # only homology at the trivial twist with its a+b-1 degree-0 representatives
-# takes long (-a 2 -b 180000: about 2.6 s, 194 MB); the others take about
-# 0.07 s, mostly start-up.  verify -a 50 -b 50 takes about 0.6 s and 18 MB.
-# (Median of 5, of 7 for verify, on a 2-core Intel Xeon VM, Python 3.11, where
-# python -c pass takes 0.05 to 0.06 s.)
+# takes long (-a 2 -b 180000: about 2.2 s, 194 MB); the others take about
+# 0.05 s, almost all of it start-up.  verify -a 50 -b 50 takes about 0.4 s and
+# 16 MB.  (Median of 5, of 7 for verify and of 10 for -a 2 -b 180000, on a
+# 2-core Intel Xeon VM, Python 3.11, where python -c pass takes about 0.05 s.)
 INSTANCE_MAX_AB = 360_000
 VERIFY_MAX_AB = 2_500
 # Python's default limit on int <-> str conversion; a twist entry must print.

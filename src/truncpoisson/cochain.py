@@ -38,20 +38,25 @@ well-definedness tests):
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence, Union
 
 from .algebra import (
     AlgebraElement,
     TruncParams,
     Vector,
+    _record,
     _shift_into,
     bracket,
     euler_dims,
     multiply,
 )
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
+    from typing import Mapping, Sequence, Union
+
     from .linalg import Matrix
+
+    Cochain = Union[AlgebraElement, "Derivation", "Biderivation"]
 
 
 def chi1_index_pairs(p: TruncParams) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
@@ -231,9 +236,6 @@ class Biderivation:
         return f"Biderivation({self.label()})"
 
 
-Cochain = Union[AlgebraElement, Derivation, Biderivation]
-
-
 def cochain_degree(x: Cochain) -> int:
     if isinstance(x, AlgebraElement):
         return 0
@@ -383,7 +385,8 @@ def _normal_form(p: TruncParams, c10: Fraction, c01: Fraction) -> Derivation:
     return Derivation(p, dx, AlgebraElement._clean(p, {(0, 1): c01} if c01 else {}))
 
 
-class CohomologyReport(NamedTuple):
+@_record
+class CohomologyReport:
     """Dimensions, ranks and canonical representatives for one degree."""
 
     params: TruncParams
@@ -419,7 +422,8 @@ def cohomology(p: TruncParams, k: int, include_reps: bool = True) -> CohomologyR
     return CohomologyReport(p, k, cocycle_dim - rank, reps, rank, cocycle_dim)
 
 
-class NormalizedCocycle(NamedTuple):
+@_record
+class NormalizedCocycle:
     c10: Fraction
     c01: Fraction
     potential: AlgebraElement
@@ -501,7 +505,8 @@ def cup(x: Cochain, y: Cochain) -> Cochain:
     raise ValueError(f"cup product of degrees {dp} and {dq} lands in a zero space")
 
 
-class RingTable(NamedTuple):
+@_record
+class RingTable:
     """All 25 products of the five cohomology classes, in class coordinates."""
 
     params: TruncParams

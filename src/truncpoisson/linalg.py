@@ -13,9 +13,12 @@ byte.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .algebra import Vector, _frac
+from .algebra import Vector, _frac, _record
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Iterable, Optional, Sequence
 
 
 def as_vector(entries: Iterable) -> Vector:
@@ -118,7 +121,8 @@ class Matrix:
         return Matrix._raw(self.rows, other.cols, tuple(tuple(r) for r in out))
 
 
-class RrefResult(NamedTuple):
+@_record
+class RrefResult:
     reduced: Matrix
     pivots: tuple[int, ...]
     rank: int

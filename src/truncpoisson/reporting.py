@@ -6,30 +6,36 @@ pass/fail checks.  For every command but ring and verify the table is read
 off the JSON records by _rows, so each fact is stated once.  Serialization
 is deterministic: fixed key order, fixed row order, rationals rendered as
 "p/q" strings, never floats, no timestamps.
-The renderers import json or csv, and verify_bundle the checks, when called,
-so a command loads only the modules it runs.
+The JSON and CSV writers produce json.dumps(envelope, indent=2) and
+csv.writer(lineterminator="\n") bytes themselves, and import json or csv
+only for a value they do not cover; verify_bundle imports the checks when
+called.  So a command loads only the modules it runs.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
-
-from .algebra import AlgebraElement, TruncParams, render_element
+from .algebra import AlgebraElement, TruncParams, _record, render_element
 from .chain import DegreeComparison, TwistParams, duality_report, homology
 from .cochain import _class_representatives, cohomology, cup, ring_table
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Optional
 
 SCHEMA_VERSION = "1.0"
 
 THEORY_COHOMOLOGY_DIMS = (2, 2, 1)
 
 
-class CheckResult(NamedTuple):
+@_record
+class CheckResult:
     name: str
     passed: bool
     detail: str
 
 
-class ReportBundle(NamedTuple):
+@_record
+class ReportBundle:
     command: str
     params: dict
     payload: dict
@@ -271,21 +277,90 @@ def verify_bundle(p: TruncParams) -> ReportBundle:
 
 # Serialization.
 
+def _json_value(x, nl: str, strings: list) -> str:
+    """x as json.dumps(x, indent=2) writes it at the line break nl, its strings unescaped.
+
+    Every string written, keys included, is appended to strings: the text is
+    json's only when all of them are printable ASCII without '"' or '\\'.  A
+    leaf that is not a str, int, bool or None raises TypeError.
+    """
+    if isinstance(x, str):
+        strings.append(x)
+        return '"' + x + '"'
+    if x is None:
+        return "null"
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    inner = nl + "  "
+    if isinstance(x, (list, tuple)):
+        if not x:
+            return "[]"
+        try:  # a list of strings, such as the representatives, in one join
+            body = ('",' + inner + '"').join(x)
+        except TypeError:
+            return "[" + ",".join([inner + _json_value(v, inner, strings) for v in x]) + nl + "]"
+        strings += x
+        return "[" + inner + '"' + body + '"' + nl + "]"
+    if isinstance(x, dict):
+        if not x:
+            return "{}"
+        strings += x
+        items = [inner + '"' + k + '": ' + _json_value(v, inner, strings) for k, v in x.items()]
+        return "{" + ",".join(items) + nl + "}"
+    raise TypeError(type(x).__name__)
+
+
 def to_json(bundle: ReportBundle) -> str:
+    """The envelope as json.dumps(envelope, indent=2) writes it, with json imported only when needed.
+
+    The writer covers str, int, bool and None leaves, str keys and the
+    strings json writes unescaped; anything else goes to json.dumps itself,
+    so its bytes and its errors stay json's.
+    """
+    envelope = bundle.envelope()
+    strings: list = []
+    try:
+        text = _json_value(envelope, "\n", strings)
+    except TypeError:  # a value json writes its own way, or refuses
+        pass
+    else:
+        plain = "".join(strings)
+        if plain.isascii() and plain.isprintable() and '"' not in plain and "\\" not in plain:
+            return text + "\n"
     import json
 
-    return json.dumps(bundle.envelope(), indent=2) + "\n"
+    return json.dumps(envelope, indent=2) + "\n"
+
+
+def _csv_field(x) -> str:
+    s = "" if x is None else str(x)
+    if '"' in s:
+        return '"' + s.replace('"', '""') + '"'
+    if "," in s or "\n" in s:
+        return '"' + s + '"'
+    return s
 
 
 def to_csv(bundle: ReportBundle) -> str:
+    """The table as csv.writer(lineterminator="\\n") writes it, with csv imported only when needed.
+
+    A field is quoted when it holds a comma, a quote or a line feed, and a
+    row of one empty field is written '""'.  csv's handling of CR and NUL
+    differs between Python versions, so a table with either goes to csv.
+    """
+    lines = [",".join(map(_csv_field, row)) or ('""' if row else "") for row in (bundle.headers, *bundle.rows)]
+    text = "\n".join(lines) + "\n"
+    if "\r" not in text and "\0" not in text:
+        return text
     import csv
     import io
 
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(bundle.headers)
-    for row in bundle.rows:
-        writer.writerow(row)
+    csv.writer(buf, lineterminator="\n").writerows((bundle.headers, *bundle.rows))
     return buf.getvalue()
 
 

@@ -555,7 +555,8 @@ def test_normalization_check_fails_on_each_mutant_of_its_kernel(monkeypatch, mut
         assert source.count(text) == 1
         source = source.replace(text, replacement)
     namespace = dict(vars(cochain))
-    exec(source, namespace)
+    # compiled as the module is, so the annotations stay strings
+    exec("from __future__ import annotations\n" + source, namespace)
     monkeypatch.setattr(checks, "_normalize", namespace["_normalize"])
     results = [checks.check_normalization(TruncParams(a, b)).passed for a, b in [(3, 3), (4, 7), (8, 8)]]
     assert results == [mutant is None] * 3

@@ -6,10 +6,15 @@ for the clean-coefficient invariant (nonzero Fraction values at in-bound
 keys).  The accumulating kernels give equal maps on int maps and on the
 same maps as Fractions.  The boundary and delta_1 kernels, run on int maps
 with the denominators cleared, give the scaled results of boundary and
-delta1_apply, and the closed-form cocycle test keeps its answer.  Examples
-are derandomized so that runs are reproducible.
+delta1_apply, and the closed-form cocycle test keeps its answer.  The
+report writers give the bytes of json.dumps(indent=2) and csv.writer, or
+raise their errors.  Examples are derandomized so that runs are
+reproducible.
 """
 
+import csv
+import io
+import json
 import math
 from fractions import Fraction
 
@@ -40,6 +45,7 @@ from truncpoisson.chain import (
     omega2_indices,
 )
 from truncpoisson.cochain import _delta1_into, _is_cocycle, _normal_form, _normalize, chi1_index_pairs, delta1_apply
+from truncpoisson.reporting import CheckResult, ReportBundle, to_csv, to_json
 
 from oracles import is_cocycle_by_weights, leibniz_bracket_monomial
 
@@ -302,3 +308,88 @@ def test_normalize_kernel_solves_exactly_the_cocycles(maps):
     else:
         assert solved == exact
         assert all(type(c) is int for c in (*solved[:2], *solved[2].values()))
+
+
+# Strings json writes as they are, and strings it escapes or that csv quotes.
+PLAIN_TEXT = st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E, blacklist_characters='"\\'))
+ODD_TEXT = st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\t", "\r", "\n", "\r\n", ",", "", "é", "\U0001F600"])
+TEXT = st.one_of(PLAIN_TEXT, st.lists(st.one_of(PLAIN_TEXT, ODD_TEXT), max_size=4).map("".join), st.text(max_size=6))
+JSON_LEAVES = st.one_of(TEXT, st.integers(), st.integers(-(10**40), 10**40), st.booleans(), st.none())
+# leaves and keys that only json.dumps writes (floats, non-str keys) or refuses (Fractions, sets)
+FALLBACK_LEAVES = st.one_of(st.floats(allow_nan=True), RATIONALS, st.just({1}))
+FALLBACK_KEYS = st.one_of(st.integers(), st.booleans(), st.none(), st.floats(allow_nan=False), st.just((1, 2)))
+
+
+def json_documents(leaves, keys):
+    return st.recursive(
+        leaves,
+        lambda inner: st.one_of(
+            st.lists(inner, max_size=4),
+            st.lists(inner, max_size=4).map(tuple),
+            st.dictionaries(keys, inner, max_size=4),
+        ),
+        max_leaves=20,
+    )
+
+
+def outcome(write):
+    """write()'s text, or the type and message of what it raised."""
+    try:
+        return write()
+    except Exception as error:  # any error: the writers must raise what json and csv raise
+        return type(error), str(error)
+
+
+def bundle_of(payload, headers=(), rows=()) -> ReportBundle:
+    return ReportBundle("x", {"a": 2}, payload, headers, rows, (CheckResult("c", True, "d"),))
+
+
+@PROPERTY
+@given(json_documents(JSON_LEAVES, TEXT))
+def test_to_json_writes_the_bytes_of_json_dumps(payload):
+    bundle = bundle_of(payload)
+    assert to_json(bundle) == json.dumps(bundle.envelope(), indent=2) + "\n"
+
+
+@PROPERTY
+@given(json_documents(st.one_of(JSON_LEAVES, FALLBACK_LEAVES), st.one_of(TEXT, FALLBACK_KEYS)))
+def test_to_json_hands_other_values_to_json_dumps(payload):
+    bundle = bundle_of(payload)
+    assert outcome(lambda: to_json(bundle)) == outcome(lambda: json.dumps(bundle.envelope(), indent=2) + "\n")
+
+
+def test_to_json_containers_and_leaves():
+    payload = {"": [], "e": {}, "t": (), "n": [None, True, False, -0, -(10**30)], "s": ["", "a b"], "l": [[[]], [{}]]}
+    bundle = bundle_of(payload)
+    assert to_json(bundle) == json.dumps(bundle.envelope(), indent=2) + "\n"
+    assert outcome(lambda: to_json(bundle_of({"f": Fraction(1, 2)}))) == (
+        TypeError, "Object of type Fraction is not JSON serializable"
+    )
+
+
+CSV_FIELDS = st.one_of(TEXT, st.integers(), st.booleans(), st.none(), RATIONALS)
+
+
+def csv_writer_text(headers, rows) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(headers)
+    for row in rows:
+        writer.writerow(row)
+    return buf.getvalue()
+
+
+@PROPERTY
+@given(st.lists(TEXT, max_size=4).map(tuple), st.lists(st.lists(CSV_FIELDS, max_size=4).map(tuple), max_size=5))
+def test_to_csv_writes_the_bytes_of_csv_writer(headers, rows):
+    bundle = bundle_of({}, headers, tuple(rows))
+    assert outcome(lambda: to_csv(bundle)) == outcome(lambda: csv_writer_text(headers, rows))
+
+
+def test_to_csv_quoting_and_empty_rows():
+    headers = ("a,b", 'say "hi"', "two\nlines", "")
+    rows = (("",), (None,), (), ("", ""), (None, None), (1, True, None, Fraction(-1, 2), "x"))
+    # csv quotes a CR or not by Python version, so a table with one goes to csv itself
+    for more in ((), (("cr\r", "crlf\r\n"),)):
+        assert to_csv(bundle_of({}, headers, rows + more)) == csv_writer_text(headers, rows + more)
+    assert to_csv(bundle_of({}, ("h",), (("",), ("",)))) == 'h\n""\n""\n'

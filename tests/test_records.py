@@ -15,16 +15,23 @@ from truncpoisson import (
     CheckResult,
     CohomologyReport,
     DualityReport,
+    EulerDims,
     HomologyReport,
+    NormalizedCocycle,
     RingTable,
     TruncParams,
     TwistParams,
     cohomology,
     duality_report,
+    euler_dims,
+    hamiltonian,
     homology,
+    normalize_one_cocycle,
+    parse_element,
     ring_table,
 )
 from truncpoisson.chain import DegreeComparison
+from truncpoisson.linalg import Matrix, RrefResult, rref
 from truncpoisson.reporting import ReportBundle, ring_bundle
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -34,11 +41,14 @@ P = TruncParams(3, 4)
 RECORDS = {
     "TruncParams": (lambda: TruncParams(3, 4), "a", True),
     "TwistParams": (lambda: TwistParams(Fraction(1, 2), -3), "beta", True),
+    "EulerDims": (lambda: euler_dims(P), "chi1", True),
     "HomologyReport": (lambda: HomologyReport(P, TwistParams(0, 0), (2, 1, 0), (10, 6), ((), (), ())), "dims", True),
     "DegreeComparison": (lambda: duality_report(P).comparisons[1], "nakayama_match", True),
     "DualityReport": (lambda: duality_report(P), "euler_chain", True),
     "CohomologyReport": (lambda: cohomology(P, 3), "dimension", True),
+    "NormalizedCocycle": (lambda: normalize_one_cocycle(hamiltonian(parse_element(P, "X*Y"))), "c10", False),
     "RingTable": (lambda: ring_table(P), "products", True),
+    "RrefResult": (lambda: rref(Matrix.from_rows([[1, 2], [2, 4]])), "rank", False),
     "CheckResult": (lambda: CheckResult("euler", True, "euler 1"), "passed", True),
     # payload and params are dicts, so a bundle has never been hashable
     "ReportBundle": (lambda: ring_bundle(P), "rows", False),
@@ -58,6 +68,48 @@ def test_records_are_immutable_values(name):
     with pytest.raises(AttributeError):
         x.extra = 1
     assert x == y
+
+
+RECORD_FIELDS = {
+    EulerDims: ("chi0", "chi1", "chi2"),
+    HomologyReport: ("params", "twist", "dims", "ranks", "representatives"),
+    DegreeComparison: (
+        "degree", "cohomology_dim", "nakayama_homology_dim", "nakayama_match", "complement_degree",
+        "trivial_homology_dim", "poincare_match",
+    ),
+    DualityReport: (
+        "params", "comparisons", "euler_cochain", "euler_chain", "nakayama_duality_holds", "poincare_duality_fails",
+    ),
+    CohomologyReport: ("params", "degree", "dimension", "representatives", "coboundary_rank", "cocycle_dim"),
+    NormalizedCocycle: ("c10", "c01", "potential"),
+    RingTable: ("params", "basis_labels", "degrees", "products"),
+    CheckResult: ("name", "passed", "detail"),
+    ReportBundle: ("command", "params", "payload", "headers", "rows", "verification"),
+    RrefResult: ("reduced", "pivots", "rank"),
+}
+# AlgebraElement and Matrix do not pickle, so these fields are dropped before the round-trip
+UNPICKLABLE_FIELD = {NormalizedCocycle: "potential", RrefResult: "reduced"}
+
+
+@pytest.mark.parametrize("name", [name for name in RECORDS if name not in ("TruncParams", "TwistParams")])
+def test_records_are_tuples_with_named_fields(name):
+    x = RECORDS[name][0]()
+    cls = type(x)
+    fields = RECORD_FIELDS[cls]
+    assert isinstance(x, tuple) and x == tuple(x) and tuple(x) == x
+    assert cls._fields == fields and len(x) == len(fields)
+    assert tuple(getattr(x, f) for f in fields) == tuple(x)
+    assert x._asdict() == dict(zip(fields, x)) and list(x._asdict()) == list(fields)
+    assert cls(**x._asdict()) == x and cls(*x) == x
+    last = fields[-1]
+    replaced = x._replace(**{last: "new"})
+    assert type(replaced) is cls and replaced[:-1] == x[:-1] and replaced[-1] == "new" and x[-1] != "new"
+    with pytest.raises(ValueError):
+        x._replace(no_such_field=1)
+    plain = x._replace(**{UNPICKLABLE_FIELD[cls]: None}) if cls in UNPICKLABLE_FIELD else x
+    back = pickle.loads(pickle.dumps(plain))
+    assert type(back) is cls and back == plain
+    assert repr(x) == f"{name}(" + ", ".join(f"{f}={v!r}" for f, v in zip(fields, x)) + ")"
 
 
 def test_record_reprs_name_their_fields():
@@ -99,12 +151,12 @@ def test_record_validation_still_raises():
 
 def test_cli_import_leaves_out_dataclasses():
     # -S keeps site-specific start-up imports out of the measurement
-    code = "import sys, truncpoisson.cli; print('dataclasses' in sys.modules)"
+    code = "import sys, truncpoisson.cli; print('dataclasses' in sys.modules, 'typing' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=str(SRC))
     out = subprocess.run(
         [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env, check=True
     ).stdout
-    assert out == "False\n"
+    assert out == "False False\n"
 
 
 PUBLIC_NAMES = {
