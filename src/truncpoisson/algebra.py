@@ -31,6 +31,14 @@ elements.  verify runs its Jacobi, Leibniz, delta1 . delta0, boundary,
 cocycle-predicate and normalization checks on int maps through these
 kernels: their random elements, derivations and cocycles are drawn as ints,
 and only the twists have their denominators cleared.
+
+Values: the parameters, the elements, the cochains, the chains and the
+dense matrices subclass _Value.  Their fields are their __slots__, set once
+by _Value._make after the public constructor has validated its input; any
+later write or delete raises AttributeError.  A value equals only a value of
+its own class with equal fields, hashes by its fields (so elements, whose
+coefficient maps are read-only MappingProxyType views, are unhashable) and
+pickles by its fields, a coefficient map travelling as its dict.
 """
 
 from __future__ import annotations
@@ -103,42 +111,59 @@ def _record(cls) -> type:
     return type(cls.__name__, (_Record,), ns)
 
 
-class TruncParams:
-    """Exponent bounds (a, b): X^a = 0 and Y^b = 0, both at least 2.
+class _Value:
+    """The base of the immutable value classes: the fields are the subclass's __slots__."""
 
-    An immutable value, equal (and hashed) by (a, b) and equal only to
-    another TruncParams, never to a plain tuple.
-    """
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, *values):
+        """Trusted constructor: the value with these fields, in __slots__ order, taken as they are."""
+        self = object.__new__(cls)
+        for name, value in zip(cls.__slots__, values):
+            object.__setattr__(self, name, value)
+        return self
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __reduce__(self):
+        values = tuple(dict(v) if type(v) is MappingProxyType else v for v in self._values())
+        return (_load, (self.__class__, values))
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._values()))
+        return f"{type(self).__name__}({fields})"
+
+
+def _load(cls, values: tuple) -> _Value:
+    """Unpickle a _Value: a dict field is a coefficient map, read-only again once loaded."""
+    return cls._make(*(MappingProxyType(v) if type(v) is dict else v for v in values))
+
+
+class TruncParams(_Value):
+    """Exponent bounds (a, b): X^a = 0 and Y^b = 0, both at least 2."""
 
     __slots__ = ("a", "b")
 
     def __new__(cls, a: int, b: int):
         if a < 2 or b < 2:
             raise ValueError(f"need two integers a,b ≥ 2, got ({a}, {b})")
-        self = object.__new__(cls)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        return self
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TruncParams is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("TruncParams is immutable")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.a == other.a and self.b == other.b
-
-    def __hash__(self):
-        return hash((self.a, self.b))
-
-    def __reduce__(self):
-        return (self.__class__, (self.a, self.b))
-
-    def __repr__(self):
-        return f"TruncParams(a={self.a!r}, b={self.b!r})"
+        return cls._make(a, b)
 
     @property
     def dim(self) -> int:
@@ -157,12 +182,12 @@ class TruncParams:
 _ZERO = Fraction(0)
 
 
-class AlgebraElement:
+class AlgebraElement(_Value):
     """A linear combination of basis monomials, stored sparsely without zeros."""
 
     __slots__ = ("params", "coeffs")
 
-    def __init__(self, params: TruncParams, coeffs: Mapping[tuple[int, int], Fraction]):
+    def __new__(cls, params: TruncParams, coeffs: Mapping[tuple[int, int], Fraction]):
         clean: dict[tuple[int, int], Fraction] = {}
         a, b = params.a, params.b
         for (i, j), c in coeffs.items():
@@ -171,19 +196,12 @@ class AlgebraElement:
             c = _frac(c)
             if c and i < a and j < b:
                 clean[(i, j)] = c
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "coeffs", MappingProxyType(clean))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("AlgebraElement is immutable")
+        return cls._make(params, MappingProxyType(clean))
 
     @classmethod
     def _clean(cls, params: TruncParams, coeffs: dict) -> "AlgebraElement":
         """Wrap a coefficient dict that already satisfies the clean-coefficient invariant."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "coeffs", MappingProxyType(coeffs))
-        return self
+        return cls._make(params, MappingProxyType(coeffs))
 
     @classmethod
     def zero(cls, params: TruncParams) -> "AlgebraElement":
@@ -214,11 +232,6 @@ class AlgebraElement:
     def _check_params(self, other: "AlgebraElement"):
         if self.params is not other.params and self.params != other.params:
             raise ValueError(f"mismatched algebra parameters {self.params} vs {other.params}")
-
-    def __eq__(self, other):
-        if not isinstance(other, AlgebraElement):
-            return NotImplemented
-        return self.params == other.params and self.coeffs == other.coeffs
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._check_params(other)

@@ -46,6 +46,7 @@ from .algebra import (
     AlgebraElement,
     TruncParams,
     Vector,
+    _Value,
     _frac,
     _record,
     _render_monomial,
@@ -63,40 +64,13 @@ if TYPE_CHECKING:
 DX, DY, DXDY = "dX", "dY", "dX^dY"
 
 
-class TwistParams:
-    """Diagonal twist (alpha, beta); arbitrary rationals are allowed.
-
-    An immutable value, stored as Fractions, equal (and hashed) by
-    (alpha, beta) and equal only to another TwistParams.
-    """
+class TwistParams(_Value):
+    """Diagonal twist (alpha, beta); arbitrary rationals are allowed, stored as Fractions."""
 
     __slots__ = ("alpha", "beta")
 
     def __new__(cls, alpha, beta):
-        self = object.__new__(cls)
-        object.__setattr__(self, "alpha", _frac(alpha))
-        object.__setattr__(self, "beta", _frac(beta))
-        return self
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TwistParams is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("TwistParams is immutable")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.alpha == other.alpha and self.beta == other.beta
-
-    def __hash__(self):
-        return hash((self.alpha, self.beta))
-
-    def __reduce__(self):
-        return (self.__class__, (self.alpha, self.beta))
-
-    def __repr__(self):
-        return f"TwistParams(alpha={self.alpha!r}, beta={self.beta!r})"
+        return cls._make(_frac(alpha), _frac(beta))
 
     @classmethod
     def trivial(cls) -> "TwistParams":
@@ -141,12 +115,12 @@ def _is_form_index(p: TruncParams, degree: int, key) -> bool:
     return all(isinstance(e, int) and 0 <= e < n for e, n in zip(key, bounds))
 
 
-class ChainElement:
+class ChainElement(_Value):
     """A chain: coefficients over the form basis of one degree."""
 
     __slots__ = ("params", "degree", "coeffs")
 
-    def __init__(self, params: TruncParams, degree: int, coeffs: Mapping):
+    def __new__(cls, params: TruncParams, degree: int, coeffs: Mapping):
         if degree not in (0, 1, 2):
             raise ValueError("chain degree must be 0, 1 or 2")
         clean = {}
@@ -157,30 +131,12 @@ class ChainElement:
             if not _is_form_index(params, degree, key):
                 raise ValueError(f"invalid degree-{degree} form index {key!r}")
             clean[key] = c
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "coeffs", MappingProxyType(clean))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ChainElement is immutable")
+        return cls._make(params, degree, MappingProxyType(clean))
 
     @classmethod
     def _clean(cls, params: TruncParams, degree: int, coeffs: dict) -> "ChainElement":
         """Wrap nonzero Fraction coefficients already on valid degree-`degree` form indices."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "coeffs", MappingProxyType(coeffs))
-        return self
-
-    def __eq__(self, other):
-        if not isinstance(other, ChainElement):
-            return NotImplemented
-        return (
-            self.params == other.params
-            and self.degree == other.degree
-            and self.coeffs == other.coeffs
-        )
+        return cls._make(params, degree, MappingProxyType(coeffs))
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -350,11 +306,12 @@ def homology(p: TruncParams, t: TwistParams, include_reps: bool = True) -> Homol
     weights += [(i, 0) for i in range(1, column + 1)]
     if inner:
         weights.append((int(ki), int(li)))
-    one = Fraction(1)
-    reps0 = tuple(ChainElement._clean(p, 0, {(k, l): one}) for k, l in weights)
-    reps1 = [ChainElement._clean(p, 1, {(k - 1, l, DX): one}) for k, l in weights if k]
-    reps1 += [ChainElement._clean(p, 1, {(k, l - 1, DY): one}) for k, l in weights if l]
-    reps2 = tuple(ChainElement._clean(p, 2, {(k - 1, l - 1): one}) for k, l in weights if k and l)
+    # _make without _clean's extra call: the cap row builds 360001 chains here
+    one, make = Fraction(1), ChainElement._make
+    reps0 = tuple(make(p, 0, MappingProxyType({w: one})) for w in weights)
+    reps1 = [make(p, 1, MappingProxyType({(k - 1, l, DX): one})) for k, l in weights if k]
+    reps1 += [make(p, 1, MappingProxyType({(k, l - 1, DY): one})) for k, l in weights if l]
+    reps2 = tuple(make(p, 2, MappingProxyType({(k - 1, l - 1): one})) for k, l in weights if k and l)
     return HomologyReport(p, t, dims, ranks, (reps0, tuple(reps1), reps2))
 
 

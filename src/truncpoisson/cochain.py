@@ -43,7 +43,9 @@ from .algebra import (
     AlgebraElement,
     TruncParams,
     Vector,
+    _Value,
     _record,
+    _render_sum,
     _shift_into,
     bracket,
     euler_dims,
@@ -70,7 +72,7 @@ def chi2_index_pairs(p: TruncParams) -> list[tuple[int, int]]:
     return [(i, j) for i in range(1, p.a) for j in range(1, p.b)]
 
 
-class Derivation:
+class Derivation(_Value):
     """A derivation, determined by its values on the generators.
 
     The value on X can have no pure-Y terms and the value on Y no pure-X
@@ -79,19 +81,14 @@ class Derivation:
 
     __slots__ = ("params", "dx", "dy")
 
-    def __init__(self, params: TruncParams, dx: AlgebraElement, dy: AlgebraElement):
+    def __new__(cls, params: TruncParams, dx: AlgebraElement, dy: AlgebraElement):
         if dx.params != params or dy.params != params:
             raise ValueError("derivation values carry mismatched parameters")
         if any(i == 0 for (i, _) in dx.coeffs):
             raise ValueError("value on X has a pure-Y term; not a derivation")
         if any(j == 0 for (_, j) in dy.coeffs):
             raise ValueError("value on Y has a pure-X term; not a derivation")
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "dx", dx)
-        object.__setattr__(self, "dy", dy)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Derivation is immutable")
+        return cls._make(params, dx, dy)
 
     @classmethod
     def zero(cls, params: TruncParams) -> "Derivation":
@@ -107,11 +104,6 @@ class Derivation:
     def basis_dprime(cls, params: TruncParams, i: int, j: int) -> "Derivation":
         """The derivation X |-> 0, Y |-> X^i Y^j (requires j >= 1)."""
         return cls(params, AlgebraElement.zero(params), AlgebraElement.monomial(params, i, j))
-
-    def __eq__(self, other):
-        if not isinstance(other, Derivation):
-            return NotImplemented
-        return self.params == other.params and self.dx == other.dx and self.dy == other.dy
 
     def __add__(self, other: "Derivation") -> "Derivation":
         return Derivation(self.params, self.dx + other.dx, self.dy + other.dy)
@@ -143,29 +135,16 @@ class Derivation:
         return cls(params, dx, dy)
 
     def label(self) -> str:
-        """Short name: 'd_{i,j}' / \"d'_{i,j}\" for basis vectors, else a sum."""
-        if len(self.dx.coeffs) == 1 and self.dy.is_zero():
-            ((i, j), c) = next(iter(self.dx.coeffs.items()))
-            if c == 1:
-                return f"d_{{{i},{j}}}"
-        if len(self.dy.coeffs) == 1 and self.dx.is_zero():
-            ((i, j), c) = next(iter(self.dy.coeffs.items()))
-            if c == 1:
-                return f"d'_{{{i},{j}}}"
-        if self.is_zero():
-            return "0"
-        parts = []
-        for (i, j) in sorted(self.dx.coeffs):
-            parts.append(f"{self.dx.coeffs[(i, j)]}*d_{{{i},{j}}}")
-        for (i, j) in sorted(self.dy.coeffs):
-            parts.append(f"{self.dy.coeffs[(i, j)]}*d'_{{{i},{j}}}")
-        return " + ".join(parts)
+        """Short name: 'd_{i,j}' / \"d'_{i,j}\" for basis vectors, else a sum of them."""
+        terms = [(c, f"d_{{{i},{j}}}") for (i, j), c in sorted(self.dx.coeffs.items())]
+        terms += [(c, f"d'_{{{i},{j}}}") for (i, j), c in sorted(self.dy.coeffs.items())]
+        return _render_sum(terms)
 
     def __repr__(self):
         return f"Derivation({self.label()})"
 
 
-class Biderivation:
+class Biderivation(_Value):
     """A skew biderivation, determined by its value on X^Y.
 
     The value must lie in the ideal generated by X*Y (no pure-X and no
@@ -174,16 +153,12 @@ class Biderivation:
 
     __slots__ = ("params", "value")
 
-    def __init__(self, params: TruncParams, value: AlgebraElement):
+    def __new__(cls, params: TruncParams, value: AlgebraElement):
         if value.params != params:
             raise ValueError("biderivation value carries mismatched parameters")
         if any(i == 0 or j == 0 for (i, j) in value.coeffs):
             raise ValueError("biderivation value must lie in the ideal generated by X*Y")
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "value", value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Biderivation is immutable")
+        return cls._make(params, value)
 
     @classmethod
     def zero(cls, params: TruncParams) -> "Biderivation":
@@ -192,11 +167,6 @@ class Biderivation:
     @classmethod
     def basis_f(cls, params: TruncParams, i: int, j: int) -> "Biderivation":
         return cls(params, AlgebraElement.monomial(params, i, j))
-
-    def __eq__(self, other):
-        if not isinstance(other, Biderivation):
-            return NotImplemented
-        return self.params == other.params and self.value == other.value
 
     def __add__(self, other: "Biderivation") -> "Biderivation":
         return Biderivation(self.params, self.value + other.value)
@@ -222,15 +192,8 @@ class Biderivation:
         return cls(params, AlgebraElement(params, dict(zip(pairs, v))))
 
     def label(self) -> str:
-        if len(self.value.coeffs) == 1:
-            ((i, j), c) = next(iter(self.value.coeffs.items()))
-            if c == 1:
-                return f"f_{{{i},{j}}}"
-        if self.is_zero():
-            return "0"
-        return " + ".join(
-            f"{self.value.coeffs[(i, j)]}*f_{{{i},{j}}}" for (i, j) in sorted(self.value.coeffs)
-        )
+        """Short name: 'f_{i,j}' for basis vectors, else a sum of them."""
+        return _render_sum((c, f"f_{{{i},{j}}}") for (i, j), c in sorted(self.value.coeffs.items()))
 
     def __repr__(self):
         return f"Biderivation({self.label()})"

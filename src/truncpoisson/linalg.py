@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import Vector, _frac, _record
+from .algebra import Vector, _Value, _frac, _record
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -25,29 +25,15 @@ def as_vector(entries: Iterable) -> Vector:
     return tuple(_frac(x) for x in entries)
 
 
-class Matrix:
-    """Immutable dense matrix of rationals, stored as a tuple of row tuples."""
+class Matrix(_Value):
+    """Dense matrix of rationals, stored as a tuple of Fraction row tuples."""
 
     __slots__ = ("rows", "cols", "data")
 
-    def __init__(self, rows: int, cols: int, data: Sequence[Sequence]):
+    def __new__(cls, rows: int, cols: int, data: Sequence[Sequence]):
         if len(data) != rows or any(len(r) != cols for r in data):
             raise ValueError(f"data does not match shape {rows}x{cols}")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "data", tuple(as_vector(r) for r in data))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Matrix is immutable")
-
-    @classmethod
-    def _raw(cls, rows: int, cols: int, data: tuple) -> "Matrix":
-        """Trusted constructor: data must already be a tuple of Fraction row tuples."""
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "rows", rows)
-        object.__setattr__(obj, "cols", cols)
-        object.__setattr__(obj, "data", data)
-        return obj
+        return cls._make(rows, cols, tuple(as_vector(r) for r in data))
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "Matrix":
@@ -71,11 +57,6 @@ class Matrix:
         n = len(cols[0])
         return cls(n, len(cols), [[_frac(c[i]) for c in cols] for i in range(n)])
 
-    def __eq__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        return self.rows == other.rows and self.cols == other.cols and self.data == other.data
-
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols})"
 
@@ -85,7 +66,7 @@ class Matrix:
     def transpose(self) -> "Matrix":
         if not self.data:
             return Matrix.zero(self.cols, self.rows)
-        return Matrix._raw(self.cols, self.rows, tuple(zip(*self.data)))
+        return Matrix._make(self.cols, self.rows, tuple(zip(*self.data)))
 
     def is_zero(self) -> bool:
         return all(not x for row in self.data for x in row)
@@ -118,7 +99,7 @@ class Matrix:
                 for j, b in enumerate(brow):
                     if b:
                         acc[j] += a * b
-        return Matrix._raw(self.rows, other.cols, tuple(tuple(r) for r in out))
+        return Matrix._make(self.rows, other.cols, tuple(tuple(r) for r in out))
 
 
 @_record
@@ -162,10 +143,10 @@ def rref(m: Matrix) -> RrefResult:
         r += 1
         if r == nrows:
             break
-    return RrefResult(Matrix._raw(nrows, ncols, tuple(tuple(row) for row in rows)), tuple(pivots), r)
+    return RrefResult(Matrix._make(nrows, ncols, tuple(tuple(row) for row in rows)), tuple(pivots), r)
 
 
-class SubspaceBasis:
+class SubspaceBasis(_Value):
     """Canonical (reduced-echelon) basis of a subspace of Q^n.
 
     The stored vectors are the nonzero rows of the unique RREF of any
@@ -174,21 +155,8 @@ class SubspaceBasis:
 
     __slots__ = ("ambient_dim", "vectors", "pivots")
 
-    def __init__(self, ambient_dim: int, vectors: Sequence[Vector], pivots: Sequence[int]):
-        object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "vectors", tuple(as_vector(v) for v in vectors))
-        object.__setattr__(self, "pivots", tuple(pivots))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SubspaceBasis is immutable")
-
-    @classmethod
-    def _raw(cls, ambient_dim: int, vectors: tuple, pivots: tuple) -> "SubspaceBasis":
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "ambient_dim", ambient_dim)
-        object.__setattr__(obj, "vectors", vectors)
-        object.__setattr__(obj, "pivots", pivots)
-        return obj
+    def __new__(cls, ambient_dim: int, vectors: Sequence[Vector], pivots: Sequence[int]):
+        return cls._make(ambient_dim, tuple(as_vector(v) for v in vectors), tuple(pivots))
 
     @classmethod
     def from_vectors(cls, ambient_dim: int, vectors: Sequence[Sequence]) -> "SubspaceBasis":
@@ -199,16 +167,11 @@ class SubspaceBasis:
         if not vecs:
             return cls(ambient_dim, (), ())
         red, piv, rank = rref(Matrix.from_rows(vecs))
-        return cls._raw(ambient_dim, red.data[:rank], piv)
+        return cls._make(ambient_dim, red.data[:rank], piv)
 
     @property
     def dim(self) -> int:
         return len(self.vectors)
-
-    def __eq__(self, other):
-        if not isinstance(other, SubspaceBasis):
-            return NotImplemented
-        return self.ambient_dim == other.ambient_dim and self.vectors == other.vectors
 
     def __repr__(self):
         return f"SubspaceBasis(dim={self.dim}, ambient={self.ambient_dim})"
@@ -229,8 +192,8 @@ def nullspace(m: Matrix) -> SubspaceBasis:
         raw.append(tuple(v))
     if not raw:
         return SubspaceBasis(m.cols, (), ())
-    red2, piv2, rank2 = rref(Matrix._raw(len(raw), m.cols, tuple(raw)))
-    return SubspaceBasis._raw(m.cols, red2.data[:rank2], piv2)
+    red2, piv2, rank2 = rref(Matrix._make(len(raw), m.cols, tuple(raw)))
+    return SubspaceBasis._make(m.cols, red2.data[:rank2], piv2)
 
 
 def column_space(m: Matrix) -> SubspaceBasis:
@@ -238,7 +201,7 @@ def column_space(m: Matrix) -> SubspaceBasis:
     if m.cols == 0:
         return SubspaceBasis(m.rows, (), ())
     red, piv, rank = rref(m.transpose())
-    return SubspaceBasis._raw(m.rows, red.data[:rank], piv)
+    return SubspaceBasis._make(m.rows, red.data[:rank], piv)
 
 
 class EchelonAccumulator:
@@ -284,7 +247,7 @@ def solve(m: Matrix, rhs: Sequence) -> Optional[Vector]:
     b = as_vector(rhs)
     if len(b) != m.rows:
         raise ValueError(f"rhs length {len(b)} != rows {m.rows}")
-    aug = Matrix._raw(m.rows, m.cols + 1, tuple(row + (b[i],) for i, row in enumerate(m.data)))
+    aug = Matrix._make(m.rows, m.cols + 1, tuple(row + (b[i],) for i, row in enumerate(m.data)))
     red, piv, rank = rref(aug)
     if piv and piv[-1] == m.cols:
         return None

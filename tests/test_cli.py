@@ -376,9 +376,8 @@ def test_no_command_constructs_a_dense_matrix(capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a command built a dense Matrix")
 
-    monkeypatch.setattr(Matrix, "__init__", refuse)
-    monkeypatch.setattr(Matrix, "_raw", classmethod(refuse))
-    monkeypatch.setattr(Matrix, "from_columns", classmethod(refuse))
+    # every way of building a Matrix ends in _Value._make
+    monkeypatch.setattr(Matrix, "_make", classmethod(refuse))
     for argv in COMMAND_ARGVS:
         code, _, _ = run_cli(capsys, argv)
         assert code == 0, argv

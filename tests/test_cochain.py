@@ -51,6 +51,19 @@ def test_chi1_basis_2_2_order():
     assert labels == ["d_{1,0}", "d_{1,1}", "d'_{0,1}", "d'_{1,1}"]
 
 
+def test_cochain_labels_render_signed_sums():
+    p = TruncParams(3, 4)
+    d = Derivation(
+        p, AlgebraElement(p, {(1, 0): Fraction(1, 2), (2, 1): -3}), AlgebraElement(p, {(0, 1): -1})
+    )
+    assert d.label() == "1/2*d_{1,0} - 3*d_{2,1} - d'_{0,1}"
+    f = Biderivation(p, AlgebraElement(p, {(1, 1): -1, (2, 2): Fraction(2, 3)}))
+    assert f.label() == "-f_{1,1} + 2/3*f_{2,2}"
+    assert Derivation.basis_dprime(p, 2, 3).label() == "d'_{2,3}"
+    assert Biderivation.basis_f(p, 2, 3).label() == "f_{2,3}"
+    assert Derivation.zero(p).label() == "0" and Biderivation.zero(p).label() == "0"
+
+
 def test_chi1_basis_counts():
     assert len(chi1_basis(TruncParams(2, 3))) == 7
     for a, b in [(2, 2), (3, 5), (6, 4)]:

@@ -7,13 +7,18 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from types import MappingProxyType
 
 import pytest
 
 import truncpoisson
 from truncpoisson import (
+    AlgebraElement,
+    Biderivation,
+    ChainElement,
     CheckResult,
     CohomologyReport,
+    Derivation,
     DualityReport,
     EulerDims,
     HomologyReport,
@@ -31,7 +36,7 @@ from truncpoisson import (
     ring_table,
 )
 from truncpoisson.chain import DegreeComparison
-from truncpoisson.linalg import Matrix, RrefResult, rref
+from truncpoisson.linalg import Matrix, RrefResult, SubspaceBasis, rref
 from truncpoisson.reporting import ReportBundle, ring_bundle
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -87,8 +92,6 @@ RECORD_FIELDS = {
     ReportBundle: ("command", "params", "payload", "headers", "rows", "verification"),
     RrefResult: ("reduced", "pivots", "rank"),
 }
-# AlgebraElement and Matrix do not pickle, so these fields are dropped before the round-trip
-UNPICKLABLE_FIELD = {NormalizedCocycle: "potential", RrefResult: "reduced"}
 
 
 @pytest.mark.parametrize("name", [name for name in RECORDS if name not in ("TruncParams", "TwistParams")])
@@ -106,10 +109,60 @@ def test_records_are_tuples_with_named_fields(name):
     assert type(replaced) is cls and replaced[:-1] == x[:-1] and replaced[-1] == "new" and x[-1] != "new"
     with pytest.raises(ValueError):
         x._replace(no_such_field=1)
-    plain = x._replace(**{UNPICKLABLE_FIELD[cls]: None}) if cls in UNPICKLABLE_FIELD else x
-    back = pickle.loads(pickle.dumps(plain))
-    assert type(back) is cls and back == plain
+    back = pickle.loads(pickle.dumps(x))
+    assert type(back) is cls and back == x
     assert repr(x) == f"{name}(" + ", ".join(f"{f}={v!r}" for f, v in zip(fields, x)) + ")"
+
+
+# (factory building a fresh instance, one of its fields, the coefficient maps it holds)
+VALUES = {
+    "TruncParams": (lambda: TruncParams(3, 4), "a", lambda v: []),
+    "TwistParams": (lambda: TwistParams(Fraction(1, 2), -3), "alpha", lambda v: []),
+    "AlgebraElement": (lambda: parse_element(P, "X*Y - 1/2*Y^2"), "coeffs", lambda v: [v.coeffs]),
+    "ChainElement": (lambda: ChainElement(P, 1, {(0, 1, "dX"): 2, (1, 0, "dY"): -1}), "degree",
+                     lambda v: [v.coeffs]),
+    "Derivation": (lambda: hamiltonian(parse_element(P, "X*Y")), "dx", lambda v: [v.dx.coeffs, v.dy.coeffs]),
+    "Biderivation": (lambda: Biderivation.basis_f(P, 1, 2), "value", lambda v: [v.value.coeffs]),
+    "Matrix": (lambda: Matrix.from_rows([[1, 2], [3, Fraction(1, 4)]]), "data", lambda v: []),
+    "SubspaceBasis": (lambda: SubspaceBasis.from_vectors(3, [[1, 2, 0], [2, 4, 1]]), "vectors", lambda v: []),
+}
+
+
+@pytest.mark.parametrize("name", VALUES)
+def test_values_refuse_writes_and_pickle_by_their_fields(name):
+    factory, field, maps = VALUES[name]
+    x, y = factory(), factory()
+    cls = type(x)
+    assert cls.__name__ == name and x is not y and x == y
+    refused = f"^{name} is immutable$"
+    with pytest.raises(AttributeError, match=refused):
+        setattr(x, field, getattr(y, field))
+    with pytest.raises(AttributeError, match=refused):
+        x.extra = 1
+    with pytest.raises(AttributeError, match=refused):
+        delattr(x, field)
+    assert x == y
+    fields = tuple(getattr(x, f) for f in cls.__slots__)
+    assert x != fields and fields != x
+    back = pickle.loads(pickle.dumps(x))
+    assert type(back) is cls and back == x
+    assert [dict(m) for m in maps(back)] == [dict(m) for m in maps(x)]
+    for m in maps(back):
+        assert type(m) is MappingProxyType
+    if maps(x):
+        # an element's coefficient map is a read-only view, so elements are unhashable
+        with pytest.raises(TypeError):
+            hash(x)
+    else:
+        assert hash(x) == hash(y) == hash(back)
+
+
+def test_reports_holding_elements_pickle_whole():
+    reports = (homology(P, TwistParams(0, 0)), cohomology(P, 1), cohomology(P, 2), ring_table(P))
+    for report in reports:
+        back = pickle.loads(pickle.dumps(report))
+        assert type(back) is type(report) and back == report
+    assert any(homology(P, TwistParams(0, 0)).representatives)
 
 
 def test_record_reprs_name_their_fields():
