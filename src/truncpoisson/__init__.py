@@ -6,10 +6,9 @@ numerical estimates.
 
 The names below are loaded from their modules on first access, so
 ``import truncpoisson`` loads no module of the package and a command loads
-only the modules it runs.  No command loads ``linalg``: it and the four
-dense operator builders (``delta0_matrix``, ``delta1_matrix``,
-``partial1_matrix``, ``partial2_matrix``) serve the tests and perfbench
-only.  ``checks`` is loaded by verify alone.
+only the modules it runs.  No module of the package imports ``linalg``:
+its dense matrices serve the tests' reference, whose operator builders are
+in ``tests/dense.py``, and perfbench.  ``checks`` is loaded by verify alone.
 """
 
 __version__ = "0.1.0"
@@ -17,11 +16,10 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "algebra": "AlgebraElement EulerDims TruncParams bracket euler_dims multiply parse_element render_element",
     "chain": "ChainElement DualityReport HomologyReport TwistParams duality_report homology module_bracket "
-    "omega_dims partial1_matrix partial2_matrix",
+    "omega_dims",
     "checks": "run_verify",
-    "cochain": "Biderivation CohomologyReport Derivation NormalizedCocycle RingTable chi1_basis cohomology cup "
-    "delta0_matrix delta1_matrix fibre_product_table hamiltonian is_poisson_derivation normalize_one_cocycle "
-    "ring_table",
+    "cochain": "Biderivation CohomologyReport Derivation NormalizedCocycle RingTable cohomology cup "
+    "fibre_product_table hamiltonian is_poisson_derivation normalize_one_cocycle ring_table",
     "linalg": "Matrix RrefResult SubspaceBasis column_space nullspace rref solve",
     "reporting": "CheckResult",
 }

@@ -161,8 +161,8 @@ class TruncParams(_Value):
     __slots__ = ("a", "b")
 
     def __new__(cls, a: int, b: int):
-        if a < 2 or b < 2:
-            raise ValueError(f"need two integers a,b ≥ 2, got ({a}, {b})")
+        if not (isinstance(a, int) and isinstance(b, int) and a >= 2 and b >= 2):
+            raise ValueError(f"need two integers a,b ≥ 2, got ({a!r}, {b!r})")
         return cls._make(a, b)
 
     @property
@@ -174,9 +174,6 @@ class TruncParams(_Value):
         for i in range(self.a):
             for j in range(self.b):
                 yield (i, j)
-
-    def index_of(self, i: int, j: int) -> int:
-        return i * self.b + j
 
 
 _ZERO = Fraction(0)
@@ -191,8 +188,8 @@ class AlgebraElement(_Value):
         clean: dict[tuple[int, int], Fraction] = {}
         a, b = params.a, params.b
         for (i, j), c in coeffs.items():
-            if i < 0 or j < 0:
-                raise ValueError(f"negative exponent ({i},{j})")
+            if not (isinstance(i, int) and isinstance(j, int) and i >= 0 and j >= 0):
+                raise ValueError(f"exponents must be nonnegative integers, got ({i!r}, {j!r})")
             c = _frac(c)
             if c and i < a and j < b:
                 clean[(i, j)] = c
@@ -263,15 +260,6 @@ class AlgebraElement(_Value):
 
     def __rmul__(self, other):
         return self.scale(other)
-
-    def to_vector(self) -> Vector:
-        """Dense coefficient vector in row-major (i,j) order."""
-        zero = Fraction(0)
-        return tuple(self.coeffs.get(ij, zero) for ij in self.params.monomials())
-
-    @classmethod
-    def from_vector(cls, params: TruncParams, v) -> "AlgebraElement":
-        return cls(params, dict(zip(params.monomials(), v)))
 
     def __repr__(self):
         return f"AlgebraElement({self.params.a},{self.params.b}: {render_element(self)})"

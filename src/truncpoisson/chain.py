@@ -33,8 +33,7 @@ m*Y into dX.  verify checks the complex on sparse int chains through
 boundary's two kernels, each twist's denominators cleared: _boundary2_into
 writes a 2-chain's boundary as the pair of its dX and dY parts, and
 _boundary1_into reads that pair as it is, so no 1-form key (i, j, dX) is
-built on the way.  The dense matrices partial1_matrix and partial2_matrix
-are the reference for the tests only.
+built on the way.
 """
 
 from __future__ import annotations
@@ -45,7 +44,6 @@ from types import MappingProxyType
 from .algebra import (
     AlgebraElement,
     TruncParams,
-    Vector,
     _Value,
     _frac,
     _record,
@@ -57,9 +55,7 @@ from .cochain import cohomology
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from typing import Mapping, Optional, Sequence
-
-    from .linalg import Matrix
+    from typing import Mapping, Optional
 
 DX, DY, DXDY = "dX", "dY", "dX^dY"
 
@@ -83,13 +79,6 @@ class TwistParams(_Value):
 
     def __str__(self):
         return f"({self.alpha}, {self.beta})"
-
-
-def omega1_indices(p: TruncParams) -> list[tuple[int, int, str]]:
-    """Degree-1 basis: the dX block then the dY block, lex in (i,j)."""
-    idx = [(i, j, DX) for i in range(p.a - 1) for j in range(p.b)]
-    idx += [(i, j, DY) for i in range(p.a) for j in range(p.b - 1)]
-    return idx
 
 
 def omega2_indices(p: TruncParams) -> list[tuple[int, int]]:
@@ -140,28 +129,6 @@ class ChainElement(_Value):
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def to_vector(self) -> Vector:
-        if self.degree == 0:
-            keys = list(self.params.monomials())
-        elif self.degree == 1:
-            keys = omega1_indices(self.params)
-        else:
-            keys = omega2_indices(self.params)
-        zero = Fraction(0)
-        return tuple(self.coeffs.get(k, zero) for k in keys)
-
-    @classmethod
-    def from_vector(cls, params: TruncParams, degree: int, v: Sequence) -> "ChainElement":
-        if degree == 0:
-            keys = list(params.monomials())
-        elif degree == 1:
-            keys = omega1_indices(params)
-        else:
-            keys = omega2_indices(params)
-        if len(v) != len(keys):
-            raise ValueError("vector length does not match the form basis")
-        return cls(params, degree, dict(zip(keys, v)))
 
     def render(self) -> str:
         if self.degree == 0:
@@ -248,20 +215,6 @@ def boundary(t: TwistParams, z: ChainElement) -> ChainElement:
         out.update({(i, j, DY): c for (i, j), c in on_dy.items()})
         return ChainElement._clean(p, 1, out)
     raise ValueError("boundary is defined on chains of degree 1 and 2")
-
-
-def partial1_matrix(p: TruncParams, t: TwistParams) -> Matrix:
-    """Dense matrix of the boundary from degree 1 to degree 0."""
-    from .linalg import Matrix
-    cols = [boundary(t, ChainElement(p, 1, {key: 1})).to_vector() for key in omega1_indices(p)]
-    return Matrix.from_columns(cols, ambient_dim=p.dim)
-
-
-def partial2_matrix(p: TruncParams, t: TwistParams) -> Matrix:
-    """Dense matrix of the boundary from degree 2 to degree 1."""
-    from .linalg import Matrix
-    cols = [boundary(t, ChainElement(p, 2, {key: 1})).to_vector() for key in omega2_indices(p)]
-    return Matrix.from_columns(cols, ambient_dim=len(omega1_indices(p)))
 
 
 @_record

@@ -61,7 +61,7 @@ VERIFY_MAX_AB = 2_500
 TWIST_MAX_DIGITS = 4300
 EXIT_INTERNAL_ERROR = 3
 
-_EXPONENT = r"[eE]([-+]?\d[\d_]*)\s*\Z"  # compiled on first use, by re's cache
+_EXPONENT = r"[eE]([-+]?\d+)\s*\Z"  # compiled on first use, by re's cache
 
 
 def ab_value(s: str) -> int:
@@ -91,12 +91,16 @@ def range_value(s: str) -> tuple[int, int]:
 def _twist_entry(s: str) -> Fraction:
     """Fraction(s); OverflowError if its numerator or denominator passes TWIST_MAX_DIGITS digits.
 
+    s is read in Python 3.12's Fraction grammar on every supported Python:
+    an '_' between two digits (new in 3.11) and the whitespace around '/'
+    (new in 3.12) are dropped first, which leaves the 3.10 grammar.
     Fraction would build 10**exp for a decimal exponent before reducing.  Here
     the mantissa is parsed with the exponent's digits zeroed (the same
     grammar, so exactly the same inputs parse), and 10**exp is built only
     when |exp| is small enough for the result to fit: past that bound the
     reduced numerator or denominator exceeds the limit whatever the mantissa.
     """
+    s = re.sub(r"\s*/\s*", "/", re.sub(r"(?<=\d)_(?=\d)", "", s))
     m = re.search(_EXPONENT, s)
     if m is None:
         value = Fraction(s)

@@ -2,9 +2,9 @@
 
 chi^0 is the algebra itself, chi^1 its derivations, chi^2 the skew
 biderivations; everything vanishes above degree 2 because the algebra has two
-generators.  This module builds the coboundary matrices, computes the
-cohomology spaces with canonical representatives, normalizes 1-cocycles
-constructively, and assembles the cup-product ring table.  The cocycles
+generators.  This module applies the coboundaries to sparse cochains,
+computes the cohomology spaces with canonical representatives, normalizes
+1-cocycles constructively, and assembles the cup-product ring table.  The cocycles
 behind the five classes 1, t, v, w, m are built in one function,
 _class_representatives, which the reports take them from, and the normal
 form c10*d_{1,0} + c01*d'_{0,1} of a 1-class in one, _normal_form.  The
@@ -24,9 +24,9 @@ vanishes only at (0, 0) and (a-1, b-1), and delta_1, present on the
 (a-1)(b-1) blocks with k <= a-2 and l <= b-2, only at (0, 0): cohomology
 takes rank delta_0 = ab - 2 and rank delta_1 = (a-1)(b-1) - 1 as closed
 forms.  ring_table, normalize_one_cocycle and is_poisson_derivation visit
-only the blocks in the support of their cochain; verify checks the complex
-on sparse cochains through hamiltonian and delta1_apply; the dense matrices
-delta0_matrix and delta1_matrix are the reference for the tests only.
+only the blocks in the support of their cochain, and verify checks the
+complex on int value maps through _bracket_into and _delta1_into, the
+kernels of hamiltonian and delta1_apply.
 
 Conventions (fixed once, verified by the delta.delta = 0 and cup
 well-definedness tests):
@@ -54,9 +54,7 @@ from .algebra import (
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from typing import Mapping, Sequence, Union
-
-    from .linalg import Matrix
+    from typing import Mapping, Union
 
     Cochain = Union[AlgebraElement, "Derivation", "Biderivation"]
 
@@ -66,10 +64,6 @@ def chi1_index_pairs(p: TruncParams) -> tuple[list[tuple[int, int]], list[tuple[
     d_pairs = [(i, j) for i in range(1, p.a) for j in range(p.b)]
     dprime_pairs = [(i, j) for i in range(p.a) for j in range(1, p.b)]
     return d_pairs, dprime_pairs
-
-
-def chi2_index_pairs(p: TruncParams) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(1, p.a) for j in range(1, p.b)]
 
 
 class Derivation(_Value):
@@ -117,23 +111,6 @@ class Derivation(_Value):
     def is_zero(self) -> bool:
         return self.dx.is_zero() and self.dy.is_zero()
 
-    def to_vector(self) -> Vector:
-        d_pairs, dprime_pairs = chi1_index_pairs(self.params)
-        zero = Fraction(0)
-        head = [self.dx.coeffs.get(ij, zero) for ij in d_pairs]
-        tail = [self.dy.coeffs.get(ij, zero) for ij in dprime_pairs]
-        return tuple(head + tail)
-
-    @classmethod
-    def from_vector(cls, params: TruncParams, v: Sequence) -> "Derivation":
-        d_pairs, dprime_pairs = chi1_index_pairs(params)
-        n = len(d_pairs)
-        if len(v) != n + len(dprime_pairs):
-            raise ValueError("vector length does not match the derivation basis")
-        dx = AlgebraElement(params, dict(zip(d_pairs, v[:n])))
-        dy = AlgebraElement(params, dict(zip(dprime_pairs, v[n:])))
-        return cls(params, dx, dy)
-
     def label(self) -> str:
         """Short name: 'd_{i,j}' / \"d'_{i,j}\" for basis vectors, else a sum of them."""
         terms = [(c, f"d_{{{i},{j}}}") for (i, j), c in sorted(self.dx.coeffs.items())]
@@ -180,17 +157,6 @@ class Biderivation(_Value):
     def is_zero(self) -> bool:
         return self.value.is_zero()
 
-    def to_vector(self) -> Vector:
-        zero = Fraction(0)
-        return tuple(self.value.coeffs.get(ij, zero) for ij in chi2_index_pairs(self.params))
-
-    @classmethod
-    def from_vector(cls, params: TruncParams, v: Sequence) -> "Biderivation":
-        pairs = chi2_index_pairs(params)
-        if len(v) != len(pairs):
-            raise ValueError("vector length does not match the biderivation basis")
-        return cls(params, AlgebraElement(params, dict(zip(pairs, v))))
-
     def label(self) -> str:
         """Short name: 'f_{i,j}' for basis vectors, else a sum of them."""
         return _render_sum((c, f"f_{{{i},{j}}}") for (i, j), c in sorted(self.value.coeffs.items()))
@@ -209,14 +175,6 @@ def cochain_degree(x: Cochain) -> int:
     raise TypeError(f"not a cochain: {x!r}")
 
 
-def chi1_basis(p: TruncParams) -> list[Derivation]:
-    """The derivation basis: X-block (lex in (i,j)) then Y-block."""
-    d_pairs, dprime_pairs = chi1_index_pairs(p)
-    basis = [Derivation.basis_d(p, i, j) for (i, j) in d_pairs]
-    basis += [Derivation.basis_dprime(p, i, j) for (i, j) in dprime_pairs]
-    return basis
-
-
 def hamiltonian(lam: AlgebraElement) -> Derivation:
     """The derivation f |-> {f, lam}; image of lam under delta_0."""
     p = lam.params
@@ -225,13 +183,6 @@ def hamiltonian(lam: AlgebraElement) -> Derivation:
         bracket(AlgebraElement.gen_x(p), lam),
         bracket(AlgebraElement.gen_y(p), lam),
     )
-
-
-def delta0_matrix(p: TruncParams) -> Matrix:
-    """Matrix of delta_0 from the monomial basis to the derivation basis."""
-    from .linalg import Matrix
-    cols = [hamiltonian(AlgebraElement.monomial(p, i, j)).to_vector() for (i, j) in p.monomials()]
-    return Matrix.from_columns(cols, ambient_dim=len(chi1_basis(p)))
 
 
 def _delta1_into(value: dict, p: TruncParams, dx: Mapping, dy: Mapping):
@@ -253,13 +204,6 @@ def delta1_apply(d: Derivation) -> Biderivation:
     value: dict = {}
     _delta1_into(value, p, d.dx.coeffs, d.dy.coeffs)
     return Biderivation(p, AlgebraElement._clean(p, value))
-
-
-def delta1_matrix(p: TruncParams) -> Matrix:
-    """Matrix of delta_1 from the derivation basis to the biderivation basis."""
-    from .linalg import Matrix
-    cols = [delta1_apply(d).to_vector() for d in chi1_basis(p)]
-    return Matrix.from_columns(cols, ambient_dim=len(chi2_index_pairs(p)))
 
 
 def _blocks(p: TruncParams, weights):

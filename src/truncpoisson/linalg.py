@@ -3,8 +3,9 @@
 Dense matrices over ``fractions.Fraction`` with elimination and kernel
 primitives.  No command uses them: the (co)homology engines work block by
 block and the verify checks apply the differentials to sparse elements.
-They are the dense reference for the tests only, together with the operator
-builders that return them.  Everything is exact: ranks are true ranks,
+No module of the package imports this one: it is the elimination behind the
+tests' dense reference, whose operator builders are in tests/dense.py, and
+perfbench times it.  Everything is exact: ranks are true ranks,
 equality means equality.  Pivoting is deterministic (first nonzero entry in
 column order), so reduced forms and subspace bases are reproducible byte for
 byte.

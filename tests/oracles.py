@@ -110,7 +110,7 @@ def random_element(p: TruncParams, rng, terms: int = 4) -> AlgebraElement:
 
 
 def random_derivation(p: TruncParams, rng) -> Derivation:
-    """Derivation.from_vector of euler_dims(p).chi1 random_rational draws, drawn in basis order."""
+    """The derivation whose coordinates are euler_dims(p).chi1 random_rational draws, in basis order."""
     values = [
         AlgebraElement(p, {ij: random_rational(rng) for ij in pairs}) for pairs in chi1_index_pairs(p)
     ]

@@ -19,11 +19,8 @@ from truncpoisson import (
     TruncParams,
     TwistParams,
     bracket,
-    chi1_basis,
     cohomology,
     cup,
-    delta0_matrix,
-    delta1_matrix,
     euler_dims,
     hamiltonian,
     homology,
@@ -31,13 +28,13 @@ from truncpoisson import (
     multiply,
     normalize_one_cocycle,
     omega_dims,
-    partial1_matrix,
-    partial2_matrix,
     ring_table,
     solve,
 )
 from truncpoisson.checks import random_twist
 
+import dense
+from dense import to_vector
 from oracles import random_cocycle, random_derivation, random_element
 
 GRID = [(a, b) for a in range(2, 11) for b in range(2, 11)]
@@ -86,11 +83,11 @@ def test_criterion_3_cocycle_condition_equivalence():
     ok = True
     for (a, b) in SMALL_GRID:
         p = TruncParams(a, b)
-        d1 = delta1_matrix(p)
+        d1 = dense.delta1_matrix(p)
         rng = random.Random(f"acceptance3:{a}:{b}")
-        derivations = chi1_basis(p) + [random_derivation(p, rng) for _ in range(100)]
+        derivations = dense.chi1_basis(p) + [random_derivation(p, rng) for _ in range(100)]
         for d in derivations:
-            in_kernel = not any(d1.apply(d.to_vector()))
+            in_kernel = not any(d1.apply(to_vector(d)))
             if is_poisson_derivation(d) != in_kernel:
                 ok = False
     report(3, ok, "coefficient predicate == Ker(delta1) on basis + 100 random derivations, (a,b) in 2..6")
@@ -126,8 +123,8 @@ def test_criterion_6_f11_not_exact(grid_data):
     ok = True
     for (a, b), d in grid_data.items():
         p = d["params"]
-        target = Biderivation.basis_f(p, 1, 1).to_vector()
-        ok = ok and solve(delta1_matrix(p), target) is None
+        target = to_vector(Biderivation.basis_f(p, 1, 1))
+        ok = ok and solve(dense.delta1_matrix(p), target) is None
     report(6, ok, "delta1(P)(X^Y) = X*Y has no solution, all 2 <= a,b <= 10")
 
 
@@ -169,7 +166,7 @@ def test_criterion_11_complex_and_structure_properties():
     for a in range(2, 13):
         for b in range(2, 13):
             p = TruncParams(a, b)
-            if not (delta1_matrix(p) @ delta0_matrix(p)).is_zero():
+            if not (dense.delta1_matrix(p) @ dense.delta0_matrix(p)).is_zero():
                 ok = False
     # boundary complex for 50 random twists on representative instances
     rng = random.Random("acceptance11")
@@ -177,7 +174,7 @@ def test_criterion_11_complex_and_structure_properties():
         p = TruncParams(a, b)
         for _ in range(50):
             t = random_twist(rng)
-            if not (partial1_matrix(p, t) @ partial2_matrix(p, t)).is_zero():
+            if not (dense.partial1_matrix(p, t) @ dense.partial2_matrix(p, t)).is_zero():
                 ok = False
     # Jacobi on all monomial triples for a,b <= 5
     for a in range(2, 6):

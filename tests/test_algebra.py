@@ -8,9 +8,13 @@ from hypothesis import strategies as st
 
 from truncpoisson import (
     AlgebraElement,
+    ChainElement,
     TruncParams,
+    TwistParams,
     bracket,
+    cohomology,
     euler_dims,
+    homology,
     multiply,
     parse_element,
     render_element,
@@ -35,6 +39,32 @@ def test_params_validation():
         TruncParams(1, 4)
     with pytest.raises(ValueError):
         TruncParams(3, 0)
+
+
+# A bound or an exponent that is no int is refused, by name, before any computation.
+def test_params_refuse_a_float_bound():
+    with pytest.raises(ValueError, match=r"got \(3\.0, 3\)"):
+        cohomology(TruncParams(3.0, 3), 1)
+
+
+def test_params_refuse_a_fractional_bound():
+    with pytest.raises(ValueError, match=r"got \(2\.5, 3\)"):
+        homology(TruncParams(2.5, 3), TwistParams.trivial())
+
+
+def test_params_refuse_a_string_bound():
+    with pytest.raises(ValueError, match=r"got \('3', 3\)"):
+        TruncParams("3", 3)
+
+
+def test_element_refuses_a_fractional_exponent_as_a_chain_does():
+    p = TruncParams(3, 3)
+    with pytest.raises(ValueError, match=r"got \(1\.5, 0\)"):
+        AlgebraElement(p, {(1.5, 0): 1})
+    with pytest.raises(ValueError, match=r"\(1\.5, 0\)"):
+        ChainElement(p, 0, {(1.5, 0): 1})
+    with pytest.raises(ValueError, match=r"got \(0, -1\)"):
+        AlgebraElement(p, {(0, -1): 1})
 
 
 def test_multiply_truncation_relation():

@@ -27,21 +27,19 @@ from truncpoisson import (
     TwistParams,
     cohomology,
     column_space,
-    delta0_matrix,
-    delta1_matrix,
     duality_report,
     euler_dims,
     hamiltonian,
     homology,
     normalize_one_cocycle,
     nullspace,
-    partial1_matrix,
-    partial2_matrix,
 )
 from truncpoisson import cochain
-from truncpoisson.chain import DX, DY, omega1_indices
+from truncpoisson.chain import DX, DY
 from truncpoisson.linalg import EchelonAccumulator
 
+import dense
+from dense import chain_from_vector
 from oracles import independent_rank
 
 
@@ -94,7 +92,7 @@ def closed_form(p: TruncParams, t: TwistParams):
 
 
 def dense_homology(p: TruncParams, t: TwistParams):
-    b1, b2 = partial1_matrix(p, t), partial2_matrix(p, t)
+    b1, b2 = dense.partial1_matrix(p, t), dense.partial2_matrix(p, t)
     im1, ker1 = column_space(b1), nullspace(b1)
     im2, ker2 = column_space(b2), nullspace(b2)
     pivots = set(im1.pivots)
@@ -103,9 +101,9 @@ def dense_homology(p: TruncParams, t: TwistParams):
         for n, ij in enumerate(p.monomials())
         if n not in pivots
     )
-    sieve = EchelonAccumulator(len(omega1_indices(p)), seed=im2.vectors)
-    reps1 = tuple(ChainElement.from_vector(p, 1, v) for v in ker1.vectors if sieve.add(v))
-    reps2 = tuple(ChainElement.from_vector(p, 2, v) for v in ker2.vectors)
+    sieve = EchelonAccumulator(len(dense.omega1_indices(p)), seed=im2.vectors)
+    reps1 = tuple(chain_from_vector(p, 1, v) for v in ker1.vectors if sieve.add(v))
+    reps2 = tuple(chain_from_vector(p, 2, v) for v in ker2.vectors)
     dims = (p.dim - im1.dim, ker1.dim - im2.dim, ker2.dim)
     assert dims == (len(reps0), len(reps1), len(reps2))
     return dims, (im1.dim, im2.dim), (reps0, reps1, reps2)
@@ -136,8 +134,8 @@ def test_block_cohomology_ranks_equal_dense():
         for b in range(2, 13):
             p = TruncParams(a, b)
             chi = euler_dims(p)
-            rank0 = independent_rank(delta0_matrix(p).data)
-            rank1 = independent_rank(delta1_matrix(p).data)
+            rank0 = independent_rank(dense.delta0_matrix(p).data)
+            rank1 = independent_rank(dense.delta1_matrix(p).data)
             assert block_cohomology_ranks(p) == (rank0, rank1), (a, b)
             reports = [cohomology(p, k) for k in range(3)]
             assert [r.coboundary_rank for r in reports] == [0, rank0, rank1], (a, b)

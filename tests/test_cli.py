@@ -15,6 +15,8 @@ from truncpoisson.cli import main, twist_value
 from truncpoisson.checks import CheckResult
 from truncpoisson.reporting import ReportBundle
 
+from twist_grammar import TWIST_ENTRIES, mismatches
+
 SCHEMA_PATH = Path(__file__).resolve().parent.parent / "docs" / "report-schema.json"
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -226,6 +228,18 @@ def test_usage_error_twist_past_digit_limit(capsys, argv):
 )
 def test_twist_entries_within_digit_limit_keep_their_value(entry, value):
     assert twist_value(f"{entry},{entry}") == ("explicit", TwistParams(value, value))
+
+
+@pytest.mark.parametrize("entry, value", TWIST_ENTRIES, ids=repr)
+def test_twist_entries_take_the_3_12_grammar_on_every_python(entry, value):
+    assert mismatches(entry, value) == []
+
+
+@pytest.mark.parametrize("twist, alpha, beta", [("1_0,2", "10", "2"), ("1 / 2,3", "1/2", "3")])
+def test_homology_answers_underscores_and_spaced_slashes(capsys, twist, alpha, beta):
+    code, out, _ = run_cli(capsys, ["homology", "-a", "3", "-b", "3", f"--twist={twist}"])
+    assert code == 0
+    assert json.loads(out)["payload"]["twist"] == {"kind": "explicit", "alpha": alpha, "beta": beta}
 
 
 @pytest.mark.parametrize(

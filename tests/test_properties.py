@@ -41,12 +41,12 @@ from truncpoisson.chain import (
     _boundary1_into,
     _boundary2_into,
     boundary,
-    omega1_indices,
     omega2_indices,
 )
 from truncpoisson.cochain import _delta1_into, _is_cocycle, _normal_form, _normalize, chi1_index_pairs, delta1_apply
 from truncpoisson.reporting import CheckResult, ReportBundle, to_csv, to_json
 
+import dense
 from oracles import is_cocycle_by_weights, leibniz_bracket_monomial
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -180,7 +180,7 @@ def twisted_chains(draw):
     p = TruncParams(draw(st.integers(2, 6)), draw(st.integers(2, 6)))
     t = TwistParams(draw(RATIONALS), draw(RATIONALS))
     degree = draw(st.sampled_from((1, 2)))
-    keys = st.sampled_from(omega1_indices(p) if degree == 1 else omega2_indices(p))
+    keys = st.sampled_from(dense.omega1_indices(p) if degree == 1 else omega2_indices(p))
     return p, t, degree, draw(st.dictionaries(keys, NONZERO_INTS, max_size=8))
 
 

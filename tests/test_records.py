@@ -1,6 +1,8 @@
 """The package's surface and immutable records: value semantics, validation, import cost."""
 
+import ast
 import importlib
+import json
 import os
 import pickle
 import subprocess
@@ -215,11 +217,10 @@ def test_cli_import_leaves_out_dataclasses():
 PUBLIC_NAMES = {
     "algebra": "AlgebraElement EulerDims TruncParams bracket euler_dims multiply parse_element render_element",
     "chain": "ChainElement DualityReport HomologyReport TwistParams duality_report homology module_bracket "
-    "omega_dims partial1_matrix partial2_matrix",
+    "omega_dims",
     "checks": "CheckResult run_verify",
-    "cochain": "Biderivation CohomologyReport Derivation NormalizedCocycle RingTable chi1_basis cohomology cup "
-    "delta0_matrix delta1_matrix fibre_product_table hamiltonian is_poisson_derivation normalize_one_cocycle "
-    "ring_table",
+    "cochain": "Biderivation CohomologyReport Derivation NormalizedCocycle RingTable cohomology cup "
+    "fibre_product_table hamiltonian is_poisson_derivation normalize_one_cocycle ring_table",
     "linalg": "Matrix RrefResult SubspaceBasis column_space nullspace rref solve",
 }
 
@@ -236,3 +237,31 @@ def test_package_names_resolve_to_their_modules_objects():
     with pytest.raises(AttributeError, match="no_such_name"):
         truncpoisson.no_such_name
     assert not hasattr(truncpoisson, "_frac")
+
+
+def test_no_package_module_imports_linalg():
+    # ast.walk reaches function bodies and TYPE_CHECKING blocks too
+    for path in sorted((SRC / "truncpoisson").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""] + [f"{node.module or ''}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            assert not any("linalg" in module.split(".") for module in modules), (path.name, node.lineno)
+
+
+def test_package_runs_from_src_alone(tmp_path):
+    # src is the whole path (-S drops the site directories) and the cwd is empty, so no test module is reachable
+    code = (
+        "import truncpoisson, truncpoisson.cli as cli; "
+        "[getattr(truncpoisson, name) for name in truncpoisson.__all__]; "
+        "raise SystemExit(cli.main(['cohomology', '-a', '3', '-b', '3']))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env, cwd=tmp_path
+    )
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    assert json.loads(proc.stdout)["payload"]["dims"] == [2, 2, 1]
