@@ -54,9 +54,48 @@ if TYPE_CHECKING:
 
 Vector = tuple[Fraction, ...]
 
+# Python's default limit on int <-> str conversion; a rational read from text must print.
+TWIST_MAX_DIGITS = 4300
+
+_EXPONENT = r"[eE]([-+]?\d+)\s*\Z"  # compiled on first use, by re's cache
+
 
 def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+    """x as an exact Fraction: the reader of every twist entry and coefficient given from outside.
+
+    A float is refused with a ValueError, since its binary value is rarely
+    the decimal it was written as.  Text is read in Python 3.12's Fraction
+    grammar on every supported Python: an '_' between two digits (new in
+    3.11) and the whitespace around '/' (new in 3.12) are dropped first,
+    which leaves the 3.10 grammar.  A zero denominator is a ValueError, and
+    a numerator or denominator past TWIST_MAX_DIGITS digits an OverflowError.
+    Fraction would build 10**exp for a decimal exponent before reducing.
+    Here the mantissa is parsed with the exponent's digits zeroed (the same
+    grammar, so exactly the same inputs parse), and 10**exp is built only
+    when |exp| is small enough for the result to fit: past that bound the
+    reduced numerator or denominator exceeds the limit whatever the mantissa.
+    """
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, float):
+        raise ValueError(f"need an exact rational, not the float {x!r}")
+    if not isinstance(x, str):
+        return Fraction(x)
+    s = re.sub(r"\s*/\s*", "/", re.sub(r"(?<=\d)_(?=\d)", "", x))
+    m = re.search(_EXPONENT, s)
+    try:
+        value = Fraction(s if m is None else s[: m.start(1)] + re.sub(r"\d", "0", m[1]) + s[m.end(1):])
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {x!r}") from None
+    if m is not None:
+        exp = int(m[1])
+        if value:
+            if abs(exp) > TWIST_MAX_DIGITS + value.numerator.bit_length() + value.denominator.bit_length():
+                raise OverflowError(f"more than {TWIST_MAX_DIGITS} digits in numerator or denominator")
+            value *= Fraction(10) ** exp
+    if max(abs(value.numerator), value.denominator) >= 10**TWIST_MAX_DIGITS:
+        raise OverflowError(f"more than {TWIST_MAX_DIGITS} digits in numerator or denominator")
+    return value
 
 
 class _Record(tuple):

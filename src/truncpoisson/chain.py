@@ -61,7 +61,7 @@ DX, DY, DXDY = "dX", "dY", "dX^dY"
 
 
 class TwistParams(_Value):
-    """Diagonal twist (alpha, beta); arbitrary rationals are allowed, stored as Fractions."""
+    """Diagonal twist (alpha, beta) of any rationals, read by algebra._frac and stored as Fractions."""
 
     __slots__ = ("alpha", "beta")
 

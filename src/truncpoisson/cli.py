@@ -32,10 +32,9 @@ from __future__ import annotations
 import os
 import re
 import sys
-from fractions import Fraction
 from types import SimpleNamespace
 
-from .algebra import TruncParams
+from .algebra import TWIST_MAX_DIGITS, TruncParams
 from .chain import TwistParams
 from .reporting import (
     ReportBundle,
@@ -57,11 +56,7 @@ SWEEP_MAX = 32
 # 2-core Intel Xeon VM, Python 3.11, where python -c pass takes about 0.05 s.)
 INSTANCE_MAX_AB = 360_000
 VERIFY_MAX_AB = 2_500
-# Python's default limit on int <-> str conversion; a twist entry must print.
-TWIST_MAX_DIGITS = 4300
 EXIT_INTERNAL_ERROR = 3
-
-_EXPONENT = r"[eE]([-+]?\d+)\s*\Z"  # compiled on first use, by re's cache
 
 
 def ab_value(s: str) -> int:
@@ -88,42 +83,14 @@ def range_value(s: str) -> tuple[int, int]:
     return (lo_i, hi_i)
 
 
-def _twist_entry(s: str) -> Fraction:
-    """Fraction(s); OverflowError if its numerator or denominator passes TWIST_MAX_DIGITS digits.
-
-    s is read in Python 3.12's Fraction grammar on every supported Python:
-    an '_' between two digits (new in 3.11) and the whitespace around '/'
-    (new in 3.12) are dropped first, which leaves the 3.10 grammar.
-    Fraction would build 10**exp for a decimal exponent before reducing.  Here
-    the mantissa is parsed with the exponent's digits zeroed (the same
-    grammar, so exactly the same inputs parse), and 10**exp is built only
-    when |exp| is small enough for the result to fit: past that bound the
-    reduced numerator or denominator exceeds the limit whatever the mantissa.
-    """
-    s = re.sub(r"\s*/\s*", "/", re.sub(r"(?<=\d)_(?=\d)", "", s))
-    m = re.search(_EXPONENT, s)
-    if m is None:
-        value = Fraction(s)
-    else:
-        value = Fraction(s[: m.start(1)] + re.sub(r"\d", "0", m[1]) + s[m.end(1):])
-        exp = int(m[1])
-        if value:
-            if abs(exp) > TWIST_MAX_DIGITS + value.numerator.bit_length() + value.denominator.bit_length():
-                raise OverflowError
-            value *= Fraction(10) ** exp
-    if max(abs(value.numerator), value.denominator) >= 10**TWIST_MAX_DIGITS:
-        raise OverflowError
-    return value
-
-
 def twist_value(s: str) -> tuple[str, TwistParams | None]:
     if s in ("trivial", "nakayama"):
         return (s, None)
     parts = s.split(",")
     if len(parts) == 2:
         try:
-            return ("explicit", TwistParams(_twist_entry(parts[0].strip()), _twist_entry(parts[1].strip())))
-        except (ValueError, ZeroDivisionError):
+            return ("explicit", TwistParams(parts[0].strip(), parts[1].strip()))
+        except ValueError:
             pass
         except OverflowError:
             limit = f"at most {TWIST_MAX_DIGITS} digits in numerator and denominator"

@@ -10,7 +10,10 @@ _class_representatives, which the reports take them from, and the normal
 form c10*d_{1,0} + c01*d'_{0,1} of a 1-class in one, _normal_form.  The
 solve behind normalize_one_cocycle, _normalize, and the closed-form cocycle
 test behind is_poisson_derivation, _is_cocycle, run on int or Fraction
-value maps, and verify's checks run them on int maps.
+value maps, and verify's checks run them on int maps; ring_table reads the
+v and w coordinates of its degree-1 products through _normalize too.
+Derivation and Biderivation share their arithmetic, component-wise on
+their value fields, through the private base _Cochain.
 
 The complex splits by weight.  X^k Y^l, d_{k+1,l}, d'_{k,l+1} and
 f_{k+1,l+1} all have weight (k, l), and every coboundary preserves it, so
@@ -23,8 +26,8 @@ away (d needs k <= a-2, d' needs l <= b-2, f needs both).  So delta_0
 vanishes only at (0, 0) and (a-1, b-1), and delta_1, present on the
 (a-1)(b-1) blocks with k <= a-2 and l <= b-2, only at (0, 0): cohomology
 takes rank delta_0 = ab - 2 and rank delta_1 = (a-1)(b-1) - 1 as closed
-forms.  ring_table, normalize_one_cocycle and is_poisson_derivation visit
-only the blocks in the support of their cochain, and verify checks the
+forms.  normalize_one_cocycle and is_poisson_derivation, and so ring_table,
+visit only the blocks in the support of their cochain, and verify checks the
 complex on int value maps through _bracket_into and _delta1_into, the
 kernels of hamiltonian and delta1_apply.
 
@@ -66,7 +69,45 @@ def chi1_index_pairs(p: TruncParams) -> tuple[list[tuple[int, int]], list[tuple[
     return d_pairs, dprime_pairs
 
 
-class Derivation(_Value):
+class _Cochain(_Value):
+    """The base of the cochains of degree `degree` >= 1: params, then AlgebraElement values.
+
+    The arithmetic works component-wise on the value fields and rebuilds
+    through the subclass's checking constructor.  A cochain adds to and
+    subtracts only a cochain of its own class; any other operand is a
+    TypeError.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def zero(cls, params: TruncParams):
+        return cls(params, *[AlgebraElement.zero(params)] * (len(cls.__slots__) - 1))
+
+    def _parts(self) -> tuple:
+        return self._values()[1:]
+
+    def __add__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.__class__(self.params, *map(AlgebraElement.__add__, self._parts(), other._parts()))
+
+    def __sub__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.__class__(self.params, *map(AlgebraElement.__sub__, self._parts(), other._parts()))
+
+    def scale(self, s):
+        return self.__class__(self.params, *(u.scale(s) for u in self._parts()))
+
+    def is_zero(self) -> bool:
+        return all(u.is_zero() for u in self._parts())
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.label()})"
+
+
+class Derivation(_Cochain):
     """A derivation, determined by its values on the generators.
 
     The value on X can have no pure-Y terms and the value on Y no pure-X
@@ -74,6 +115,7 @@ class Derivation(_Value):
     """
 
     __slots__ = ("params", "dx", "dy")
+    degree = 1
 
     def __new__(cls, params: TruncParams, dx: AlgebraElement, dy: AlgebraElement):
         if dx.params != params or dy.params != params:
@@ -85,11 +127,6 @@ class Derivation(_Value):
         return cls._make(params, dx, dy)
 
     @classmethod
-    def zero(cls, params: TruncParams) -> "Derivation":
-        z = AlgebraElement.zero(params)
-        return cls(params, z, z)
-
-    @classmethod
     def basis_d(cls, params: TruncParams, i: int, j: int) -> "Derivation":
         """The derivation X |-> X^i Y^j, Y |-> 0 (requires i >= 1)."""
         return cls(params, AlgebraElement.monomial(params, i, j), AlgebraElement.zero(params))
@@ -99,29 +136,14 @@ class Derivation(_Value):
         """The derivation X |-> 0, Y |-> X^i Y^j (requires j >= 1)."""
         return cls(params, AlgebraElement.zero(params), AlgebraElement.monomial(params, i, j))
 
-    def __add__(self, other: "Derivation") -> "Derivation":
-        return Derivation(self.params, self.dx + other.dx, self.dy + other.dy)
-
-    def __sub__(self, other: "Derivation") -> "Derivation":
-        return Derivation(self.params, self.dx - other.dx, self.dy - other.dy)
-
-    def scale(self, s) -> "Derivation":
-        return Derivation(self.params, self.dx.scale(s), self.dy.scale(s))
-
-    def is_zero(self) -> bool:
-        return self.dx.is_zero() and self.dy.is_zero()
-
     def label(self) -> str:
         """Short name: 'd_{i,j}' / \"d'_{i,j}\" for basis vectors, else a sum of them."""
         terms = [(c, f"d_{{{i},{j}}}") for (i, j), c in sorted(self.dx.coeffs.items())]
         terms += [(c, f"d'_{{{i},{j}}}") for (i, j), c in sorted(self.dy.coeffs.items())]
         return _render_sum(terms)
 
-    def __repr__(self):
-        return f"Derivation({self.label()})"
 
-
-class Biderivation(_Value):
+class Biderivation(_Cochain):
     """A skew biderivation, determined by its value on X^Y.
 
     The value must lie in the ideal generated by X*Y (no pure-X and no
@@ -129,6 +151,7 @@ class Biderivation(_Value):
     """
 
     __slots__ = ("params", "value")
+    degree = 2
 
     def __new__(cls, params: TruncParams, value: AlgebraElement):
         if value.params != params:
@@ -138,40 +161,19 @@ class Biderivation(_Value):
         return cls._make(params, value)
 
     @classmethod
-    def zero(cls, params: TruncParams) -> "Biderivation":
-        return cls(params, AlgebraElement.zero(params))
-
-    @classmethod
     def basis_f(cls, params: TruncParams, i: int, j: int) -> "Biderivation":
         return cls(params, AlgebraElement.monomial(params, i, j))
-
-    def __add__(self, other: "Biderivation") -> "Biderivation":
-        return Biderivation(self.params, self.value + other.value)
-
-    def __sub__(self, other: "Biderivation") -> "Biderivation":
-        return Biderivation(self.params, self.value - other.value)
-
-    def scale(self, s) -> "Biderivation":
-        return Biderivation(self.params, self.value.scale(s))
-
-    def is_zero(self) -> bool:
-        return self.value.is_zero()
 
     def label(self) -> str:
         """Short name: 'f_{i,j}' for basis vectors, else a sum of them."""
         return _render_sum((c, f"f_{{{i},{j}}}") for (i, j), c in sorted(self.value.coeffs.items()))
 
-    def __repr__(self):
-        return f"Biderivation({self.label()})"
-
 
 def cochain_degree(x: Cochain) -> int:
+    if isinstance(x, _Cochain):
+        return x.degree
     if isinstance(x, AlgebraElement):
         return 0
-    if isinstance(x, Derivation):
-        return 1
-    if isinstance(x, Biderivation):
-        return 2
     raise TypeError(f"not a cochain: {x!r}")
 
 
@@ -219,20 +221,6 @@ def _blocks(p: TruncParams, weights):
         has_dprime = l <= last_dprime
         d0 = (l if has_d else 0, -k if has_dprime else 0)
         yield k, l, d0, (k, l) if has_d and has_dprime else (0, 0)
-
-
-def _weights(z: Cochain) -> set[tuple[int, int]]:
-    """The weights (k, l) of the blocks in which the cochain z has a nonzero component."""
-    if isinstance(z, AlgebraElement):
-        return set(z.coeffs)
-    if isinstance(z, Derivation):
-        return _derivation_weights(z.dx.coeffs, z.dy.coeffs)
-    return {(i - 1, j - 1) for (i, j) in z.value.coeffs}
-
-
-def _derivation_weights(dx: Mapping, dy: Mapping) -> set[tuple[int, int]]:
-    """The weights of the blocks reached by a derivation with value maps dx = d(X), dy = d(Y)."""
-    return {(i - 1, j) for (i, j) in dx} | {(i, j - 1) for (i, j) in dy}
 
 
 def _is_cocycle(p: TruncParams, dx: Mapping, dy: Mapping) -> bool:
@@ -353,7 +341,7 @@ def _normalize(p: TruncParams, dx: Mapping, dy: Mapping):
     / gives a float, and Fractions with /, since divmod floors.
     """
     potential = {}
-    for k, l, d0, _ in _blocks(p, _derivation_weights(dx, dy)):
+    for k, l, d0, _ in _blocks(p, {(i - 1, j) for (i, j) in dx} | {(i, j - 1) for (i, j) in dy}):
         if not (k or l):
             continue
         x, y = dx.get((k + 1, l), 0), dy.get((k, l + 1), 0)
@@ -403,9 +391,7 @@ def cup(x: Cochain, y: Cochain) -> Cochain:
     if dp == 0:
         if dq == 0:
             return multiply(x, y)
-        if dq == 1:
-            return Derivation(y.params, multiply(x, y.dx), multiply(x, y.dy))
-        return Biderivation(y.params, multiply(x, y.value))
+        return y.__class__(y.params, *(multiply(x, u) for u in y._parts()))
     if dp == 1 and dq == 1:
         value = multiply(x.dx, y.dy) - multiply(x.dy, y.dx)
         return Biderivation(x.params, value)
@@ -457,39 +443,33 @@ def ring_table(p: TruncParams) -> RingTable:
     """Compute the cup-product table of the five basis classes.
 
     Each product is computed at cochain level and reduced to class
-    coordinates block by block, visiting only the blocks in its support: the
-    representatives sit in blocks that no coboundary reaches, so their
-    coefficients are the coordinates, and every other block of the product
-    must lie in the image of the incoming coboundary.  Graded commutativity
-    is enforced (a violation would be an internal bug); whether the table
-    equals the reference ring is reported by matches_reference().
+    coordinates by its degree.  Nothing maps into C^0, so a degree-0 product
+    may have terms only at 1 and X^(a-1) Y^(b-1), and those are its
+    coordinates.  A degree-1 product goes through _normalize, whose c10 and
+    c01 are its v and w coordinates; a product that is no cocycle is refused
+    there.  A degree-2 product's m coordinate is its f_{1,1} coefficient,
+    since every other biderivation weight (k, l) has delta_1 = (k, l) != 0
+    and so lies in the image.  Graded commutativity is enforced (a violation
+    would be an internal bug); whether the table equals the reference ring
+    is reported by matches_reference().
     """
     reps = _class_representatives(p)
-    # (degree, weight) -> slots of the representatives living in that block
-    slots = {
-        (0, (0, 0)): (0,), (0, (p.a - 1, p.b - 1)): (1,), (1, (0, 0)): (2, 3), (2, (0, 0)): (4,),
-    }
     n = len(RING_LABELS)
 
     def class_coords(z: Cochain) -> Vector:
         deg = cochain_degree(z)
-        out = [Fraction(0)] * n
-        for k, l, d0, d1 in _blocks(p, _weights(z)):
-            if deg == 0:
-                part, image = (z.coefficient(k, l),), (0,)
-            elif deg == 1:
-                part = (z.dx.coefficient(k + 1, l), z.dy.coefficient(k, l + 1))
-                image = d0
-            else:
-                part = (z.value.coefficient(k + 1, l + 1),)
-                image = (int(any(d1)),)
-            where = slots.get((deg, (k, l)))
-            if where:
-                for s, c in zip(where, part):
-                    out[s] = c
-            elif any(part) and (not any(image) or part[0] * image[-1] != part[-1] * image[0]):
-                raise RuntimeError("cup product leaves the span of coboundaries and representatives")
-        return tuple(out)
+        if deg == 0:
+            top = (p.a - 1, p.b - 1)
+            stray = z.coeffs.keys() - {(0, 0), top}  # nothing maps into C^0
+            coords = None if stray else (z.coefficient(0, 0), z.coefficient(*top), 0, 0, 0)
+        elif deg == 1:
+            solved = _normalize(p, z.dx.coeffs, z.dy.coeffs)
+            coords = solved and (0, 0, solved[0], solved[1], 0)
+        else:
+            coords = (0, 0, 0, 0, z.value.coefficient(1, 1))
+        if coords is None:
+            raise RuntimeError("cup product leaves the span of coboundaries and representatives")
+        return tuple(map(Fraction, coords))
 
     zero = tuple([Fraction(0)] * n)
     table = []

@@ -23,6 +23,7 @@ from truncpoisson import checks
 from truncpoisson.algebra import _accumulate, _bracket_into, _multiply_into, _shift_into
 
 from oracles import bracket_with_x, bracket_with_y, leibniz_bracket_monomial, per_term_sum
+from twist_grammar import TWIST_ENTRIES
 
 
 def random_element(p, rng, terms=4):
@@ -65,6 +66,61 @@ def test_element_refuses_a_fractional_exponent_as_a_chain_does():
         ChainElement(p, 0, {(1.5, 0): 1})
     with pytest.raises(ValueError, match=r"got \(0, -1\)"):
         AlgebraElement(p, {(0, -1): 1})
+
+
+def _read_or_none(make):
+    try:
+        return make()
+    except ValueError:
+        return None
+
+
+# The library reads rationals given as text as --twist does, on every supported Python.
+def test_library_twists_and_coefficients_read_the_twist_grammar():
+    p = TruncParams(3, 3)
+    wrong = []
+    for entry, value in TWIST_ENTRIES:
+        got = (
+            _read_or_none(lambda: TwistParams(entry, 0).alpha),
+            _read_or_none(lambda: TwistParams(0, entry).beta),
+            _read_or_none(lambda: AlgebraElement(p, {(1, 0): entry}).coefficient(1, 0)),
+            _read_or_none(lambda: ChainElement(p, 0, {(1, 0): entry}).coeffs[(1, 0)]),
+        )
+        if got != (value,) * 4:
+            wrong.append(f"{entry!r}: got {got}, want {value}")
+    assert wrong == []
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda p: TwistParams(0.1, 0),
+        lambda p: TwistParams(0, 0.1),
+        lambda p: AlgebraElement(p, {(1, 0): 0.1}),
+        lambda p: AlgebraElement.monomial(p, 1, 0, 0.1),
+        lambda p: AlgebraElement.gen_x(p).scale(0.1),
+        lambda p: ChainElement(p, 0, {(1, 0): 0.1}),
+    ],
+    ids=["alpha", "beta", "coefficient", "monomial", "scale", "chain coefficient"],
+)
+def test_library_refuses_a_float_rational_by_its_value(make):
+    with pytest.raises(ValueError, match=r"float 0\.1$"):
+        make(TruncParams(3, 3))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda p: TwistParams("1/0", 0),
+        lambda p: TwistParams(0, " 0 / 0 "),
+        lambda p: AlgebraElement(p, {(1, 0): "1/0"}),
+        lambda p: ChainElement(p, 0, {(1, 0): "-3/0"}),
+    ],
+    ids=["alpha", "beta", "coefficient", "chain coefficient"],
+)
+def test_library_refuses_a_zero_denominator_with_a_value_error(make):
+    with pytest.raises(ValueError, match="zero denominator"):
+        make(TruncParams(3, 3))
 
 
 def test_multiply_truncation_relation():

@@ -155,9 +155,9 @@ RATIONALS = st.fractions(min_value=-14, max_value=14, max_denominator=6)
 
 
 @st.composite
-def twisted_instances(draw):
-    """A size in 2..12 and a rational twist, often on a rank-drop line alpha = -l or beta = k."""
-    p = TruncParams(draw(st.integers(2, 12)), draw(st.integers(2, 12)))
+def twisted_instances(draw, largest=12):
+    """A size in 2..largest and a rational twist, often on a rank-drop line alpha = -l or beta = k."""
+    p = TruncParams(draw(st.integers(2, largest)), draw(st.integers(2, largest)))
     alpha = draw(st.one_of(st.integers(-p.b, 1).map(Fraction), RATIONALS))
     beta = draw(st.one_of(st.integers(-1, p.a).map(Fraction), RATIONALS))
     return p, TwistParams(alpha, beta)
@@ -170,6 +170,13 @@ def test_closed_form_homology_equals_block_evaluation_at_rational_twists(instanc
     assert closed_form(p, t) == block_homology(p, t.alpha, t.beta)
     bare = homology(p, t, include_reps=False)
     assert (bare.dims, bare.ranks, bare.representatives) == (*closed_form(p, t)[:2], None)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(twisted_instances(largest=5))
+def test_closed_form_homology_equals_dense_at_rational_twists(instance):
+    p, t = instance
+    assert closed_form(p, t) == dense_homology(p, t)
 
 
 def test_no_command_scans_all_weight_blocks(monkeypatch):

@@ -87,6 +87,29 @@ def test_derivation_constructor_rejects_bad_values():
         Derivation(p, AlgebraElement.zero(p), AlgebraElement.monomial(p, 1, 0))
 
 
+def test_cochains_add_only_to_cochains_of_their_own_class():
+    p = TruncParams(3, 4)
+    d, f, one = Derivation.basis_d(p, 1, 0), Biderivation.basis_f(p, 1, 1), AlgebraElement.one(p)
+    for x, y in [(d, f), (f, d), (d, one), (f, one)]:
+        with pytest.raises(TypeError):
+            x + y
+        with pytest.raises(TypeError):
+            x - y
+
+
+def test_cochain_arithmetic_is_component_wise():
+    p = TruncParams(3, 4)
+    d, g, f = Derivation.basis_d(p, 1, 0), Derivation.basis_dprime(p, 0, 1), Biderivation.basis_f(p, 1, 1)
+    assert repr(d - g) == "Derivation(d_{1,0} - d'_{0,1})" and (d - g) + g == d
+    assert repr(d.scale(Fraction(-1, 2)) + g.scale(3)) == "Derivation(-1/2*d_{1,0} + 3*d'_{0,1})"
+    assert repr(f + f.scale(2)) == "Biderivation(3*f_{1,1})"
+    assert (f - f).is_zero() and f - f == Biderivation.zero(p) and not f.is_zero()
+    assert d.scale(0) == Derivation.zero(p) and not (d - g).is_zero()
+    assert [cochain.cochain_degree(x) for x in (AlgebraElement.one(p), d, f)] == [0, 1, 2]
+    with pytest.raises(TypeError, match="not a cochain"):
+        cochain.cochain_degree(Fraction(1))
+
+
 def test_hamiltonian_of_constants_is_zero():
     for a, b in [(2, 2), (4, 3)]:
         p = TruncParams(a, b)
