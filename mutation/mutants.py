@@ -19,13 +19,18 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-COCHAIN = "src/truncpoisson/cochain.py"
+ALGEBRA = "src/truncpoisson/algebra.py"
 CHAIN = "src/truncpoisson/chain.py"
+CHECKS = "src/truncpoisson/checks.py"
+CLI = "src/truncpoisson/cli.py"
+COCHAIN = "src/truncpoisson/cochain.py"
 
 RING_IDENTITIES = "tests/test_cochain.py::test_ring_table_identities"
 BLOCK_EVALUATION = "tests/test_blocks.py::test_closed_form_homology_equals_block_evaluation"
 DENSE_AT_RATIONAL_TWISTS = "tests/test_blocks.py::test_closed_form_homology_equals_dense_at_rational_twists"
 NO_BLOCK_SCAN = "tests/test_blocks.py::test_no_command_scans_all_weight_blocks"
+# verify's csv at 11 sizes: a mutant that a sampled check catches exits 1 there
+VERIFY_DIGESTS = "tests/test_verify_digests.py::test_verify_csv_digest"
 
 # (name, file, old, new, tests)
 MUTANTS = (
@@ -95,6 +100,79 @@ MUTANTS = (
         "rank1 = (p.a - 1) * (p.b - 1) - 1",
         "rank1 = (p.a - 1) * (p.b - 1)",
         ["tests/test_cochain.py::test_cohomology_dimensions_and_reps", NO_BLOCK_SCAN],
+    ),
+    # the element kernels, which verify's checks run on int maps
+    (
+        "_bracket_into's structure constant gains + i*k",
+        ALGEBRA,
+        "s = i * l - j * k",
+        "s = i * l - j * k + i * k",
+        [VERIFY_DIGESTS, "tests/test_properties.py::test_bracket_matches_leibniz_oracle"],
+    ),
+    (
+        "_multiply_into drops the sign < 0 negation",
+        ALGEBRA,
+        "term = -term",
+        "term = +term",
+        [VERIFY_DIGESTS, "tests/test_algebra.py::test_algebra_kernels_add_in_place_like_a_per_term_sum"],
+    ),
+    (
+        "_accumulate keeps a cancelled key",
+        ALGEBRA,
+        "if c:",
+        "if True:",
+        [
+            "tests/test_properties.py::test_sum_and_difference_match_dict_reference",
+            "tests/test_cochain.py::test_cochain_arithmetic_is_component_wise",
+        ],
+    ),
+    # the differentials' shifts
+    (
+        "_boundary1_into drops the scale against X",
+        CHAIN,
+        '_shift_into(out, p, z_dx, "X", -alpha, -scale)',
+        '_shift_into(out, p, z_dx, "X", -alpha, -1)',
+        [VERIFY_DIGESTS, "tests/test_properties.py::test_boundary_kernel_at_scale_is_scaled_boundary"],
+    ),
+    (
+        "_delta1_into drops its shift of d(Y)",
+        COCHAIN,
+        '    _shift_into(value, p, dy, "X", -1, 1)\n',
+        "",
+        [VERIFY_DIGESTS, "tests/test_cochain.py::test_delta1_apply_matches_generator_oracle"],
+    ),
+    # verify's checks and the normalization kernel
+    (
+        "the boundary check evaluates only its first two twists",
+        CHECKS,
+        "for twist in scaled)",
+        "for twist in scaled[:2])",
+        ["tests/test_chain.py::test_boundary_check_evaluates_its_rational_twists_at_their_scale"],
+    ),
+    (
+        "_normalize skips its remainder test",
+        COCHAIN,
+        "if r or m != q * f:",
+        "if False:",
+        [VERIFY_DIGESTS, "tests/test_cochain.py::test_normalize_rejects_non_cocycle"],
+    ),
+    # the records and the command's imports
+    (
+        "_Record takes a record's fields in reverse order",
+        ALGEBRA,
+        "cls._fields = tuple(cls.__annotations__)",
+        "cls._fields = tuple(reversed(cls.__annotations__))",
+        [
+            "tests/test_records.py::test_a_record_may_call_super_and_name_its_class",
+            "tests/test_records.py::test_records_are_tuples_with_named_fields",
+        ],
+    ),
+    (
+        "cli imports json",
+        CLI,
+        "import gc\n",
+        "import gc\nimport json\n",
+        ["tests/test_cli.py::test_each_command_loads_only_the_modules_it_runs"],
     ),
 )
 

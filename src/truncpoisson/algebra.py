@@ -99,10 +99,24 @@ def _frac(x) -> Fraction:
 
 
 class _Record(tuple):
-    """A tuple with named fields, the base of every class that _record builds."""
+    """The base of the immutable records: a tuple whose fields are the subclass's annotations.
+
+    class Name(_Record) with __slots__ = () and one annotation per field, in
+    order, declares a record (what typing.NamedTuple gives, at a fraction of
+    its cost): it equals the plain tuple of its values, constructs from
+    positional or keyword arguments, and has _fields, _asdict, _replace, a
+    repr naming its fields and pickling.
+    """
 
     __slots__ = ()
     _fields = ()
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(cls.__annotations__)
+        for i, field in enumerate(cls._fields):
+            setattr(cls, field, property(itemgetter(i)))
+        if cls.__doc__ is None:
+            cls.__doc__ = f"{cls.__name__}({', '.join(cls._fields)})"
 
     def __new__(cls, *args, **kwargs):
         if kwargs:
@@ -130,24 +144,6 @@ class _Record(tuple):
         if changes:
             raise ValueError(f"Got unexpected field names: {list(changes)!r}")
         return new
-
-
-def _record(cls) -> type:
-    """Class decorator: the immutable record whose fields are cls's annotations, in order.
-
-    The record is a tuple subclass rebuilt from cls's namespace (what
-    typing.NamedTuple gives, at a fraction of its import and class-building
-    cost): it equals the plain tuple of its values, constructs from positional
-    or keyword arguments, and has _fields, _asdict, _replace, a repr naming
-    its fields and pickling.  Methods of cls may not use super() or
-    __class__, which would name the discarded class.
-    """
-    ns = dict(vars(cls))
-    del ns["__dict__"], ns["__weakref__"]
-    fields = tuple(ns.get("__annotations__", ()))
-    ns.update({f: property(itemgetter(i)) for i, f in enumerate(fields)}, __slots__=(), _fields=fields)
-    ns["__doc__"] = ns["__doc__"] or f"{cls.__name__}({', '.join(fields)})"
-    return type(cls.__name__, (_Record,), ns)
 
 
 class _Value:
@@ -406,8 +402,8 @@ def bracket(u: AlgebraElement, v: AlgebraElement) -> AlgebraElement:
     return AlgebraElement._clean(u.params, out)
 
 
-@_record
-class EulerDims:
+class EulerDims(_Record):
+    __slots__ = ()
     chi0: int
     chi1: int
     chi2: int

@@ -44,9 +44,9 @@ from types import MappingProxyType
 from .algebra import (
     AlgebraElement,
     TruncParams,
+    _Record,
     _Value,
     _frac,
-    _record,
     _render_monomial,
     _render_sum,
     _shift_into,
@@ -217,10 +217,10 @@ def boundary(t: TwistParams, z: ChainElement) -> ChainElement:
     raise ValueError("boundary is defined on chains of degree 1 and 2")
 
 
-@_record
-class HomologyReport:
+class HomologyReport(_Record):
     """Dimensions, boundary ranks and representatives of one twisted complex."""
 
+    __slots__ = ()
     params: TruncParams
     twist: TwistParams
     dims: tuple[int, int, int]
@@ -231,7 +231,7 @@ class HomologyReport:
         h0, h1, h2 = dims
         if h0 - h1 + h2 != 1:
             raise RuntimeError(f"homology dims {dims} break the Euler identity")
-        return tuple.__new__(cls, (params, twist, dims, ranks, representatives))
+        return super().__new__(cls, params, twist, dims, ranks, representatives)
 
 
 def homology(p: TruncParams, t: TwistParams, include_reps: bool = True) -> HomologyReport:
@@ -268,8 +268,8 @@ def homology(p: TruncParams, t: TwistParams, include_reps: bool = True) -> Homol
     return HomologyReport(p, t, dims, ranks, (reps0, tuple(reps1), reps2))
 
 
-@_record
-class DegreeComparison:
+class DegreeComparison(_Record):
+    __slots__ = ()
     degree: int
     cohomology_dim: int
     nakayama_homology_dim: int
@@ -279,10 +279,10 @@ class DegreeComparison:
     poincare_match: bool
 
 
-@_record
-class DualityReport:
+class DualityReport(_Record):
     """Degreewise duality data: the twisted match and the untwisted failure."""
 
+    __slots__ = ()
     params: TruncParams
     comparisons: tuple[DegreeComparison, ...]
     euler_cochain: int

@@ -16,7 +16,12 @@ though part of the output may already be written.  No environment variable
 changes the output.  The process (run(): python -m truncpoisson, the installed
 script) ends with os._exit right after flushing its output, skipping interpreter
 teardown, or normally under a tracer, profiler or sys.monitoring tool; library
-callers use main(argv), which returns the exit code.
+callers use main(argv), which returns the exit code.  The process runs without
+the cyclic garbage collector (run() turns it off, and __main__ before it
+imports the package): the commands build acyclic maps, which reference
+counting frees, and the process ends in os._exit after its flush, so the
+collector would only walk the live set: over a third of the time of homology
+-a 2 -b 180000 with it on.  main(argv) leaves the caller's collector as it is.
 
 Size limits, each a usage error with a "resource limit:" message: a*b is at
 most INSTANCE_MAX_AB (360000) for cohomology, homology, ring and duality and
@@ -29,6 +34,7 @@ power of ten is built.
 
 from __future__ import annotations
 
+import gc
 import os
 import re
 import sys
@@ -50,10 +56,10 @@ from .reporting import (
 SWEEP_MAX = 32
 # Caps on a*b.  The instance commands answer from closed forms, so at the cap
 # only homology at the trivial twist with its a+b-1 degree-0 representatives
-# takes long (-a 2 -b 180000: about 2.2 s, 194 MB); the others take about
-# 0.05 s, almost all of it start-up.  verify -a 50 -b 50 takes about 0.4 s and
-# 16 MB.  (Median of 5, of 7 for verify and of 10 for -a 2 -b 180000, on a
-# 2-core Intel Xeon VM, Python 3.11, where python -c pass takes about 0.05 s.)
+# takes long (-a 2 -b 180000: about 1.1 s, 195 MB); the others take about
+# 0.05 s, almost all of it start-up.  verify -a 50 -b 50 takes about 0.3 s and
+# 16 MB.  (Median of 5, of 10 for verify and for -a 2 -b 180000, on a 2-core
+# Intel Xeon VM, Python 3.11, where python -c pass takes about 0.05 s.)
 INSTANCE_MAX_AB = 360_000
 VERIFY_MAX_AB = 2_500
 EXIT_INTERNAL_ERROR = 3
@@ -276,7 +282,8 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
-    """main(), a flush and os._exit; the normal exit under a tracer or profiler, so that it reports."""
+    """main() without the cyclic collector, a flush and os._exit; the normal exit under a tracer or profiler."""
+    gc.disable()
     code = main()
     for stream in filter(None, (sys.stdout, sys.stderr)):  # None: started with that fd closed
         try:

@@ -46,8 +46,8 @@ from .algebra import (
     AlgebraElement,
     TruncParams,
     Vector,
+    _Record,
     _Value,
-    _record,
     _render_sum,
     _shift_into,
     bracket,
@@ -280,10 +280,10 @@ def _normal_form(p: TruncParams, c10: Fraction, c01: Fraction) -> Derivation:
     return Derivation(p, dx, AlgebraElement._clean(p, {(0, 1): c01} if c01 else {}))
 
 
-@_record
-class CohomologyReport:
+class CohomologyReport(_Record):
     """Dimensions, ranks and canonical representatives for one degree."""
 
+    __slots__ = ()
     params: TruncParams
     degree: int
     dimension: int
@@ -317,8 +317,8 @@ def cohomology(p: TruncParams, k: int, include_reps: bool = True) -> CohomologyR
     return CohomologyReport(p, k, cocycle_dim - rank, reps, rank, cocycle_dim)
 
 
-@_record
-class NormalizedCocycle:
+class NormalizedCocycle(_Record):
+    __slots__ = ()
     c10: Fraction
     c01: Fraction
     potential: AlgebraElement
@@ -398,10 +398,10 @@ def cup(x: Cochain, y: Cochain) -> Cochain:
     raise ValueError(f"cup product of degrees {dp} and {dq} lands in a zero space")
 
 
-@_record
-class RingTable:
+class RingTable(_Record):
     """All 25 products of the five cohomology classes, in class coordinates."""
 
+    __slots__ = ()
     params: TruncParams
     basis_labels: tuple[str, ...]
     degrees: tuple[int, ...]

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import Vector, _Value, _frac, _record
+from .algebra import Vector, _Record, _Value, _frac
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -103,8 +103,8 @@ class Matrix(_Value):
         return Matrix._make(self.rows, other.cols, tuple(tuple(r) for r in out))
 
 
-@_record
-class RrefResult:
+class RrefResult(_Record):
+    __slots__ = ()
     reduced: Matrix
     pivots: tuple[int, ...]
     rank: int

@@ -14,7 +14,7 @@ called.  So a command loads only the modules it runs.
 
 from __future__ import annotations
 
-from .algebra import AlgebraElement, TruncParams, _record, render_element
+from .algebra import AlgebraElement, TruncParams, _Record, render_element
 from .chain import DegreeComparison, TwistParams, duality_report, homology
 from .cochain import _class_representatives, cohomology, cup, ring_table
 
@@ -27,15 +27,15 @@ SCHEMA_VERSION = "1.0"
 THEORY_COHOMOLOGY_DIMS = (2, 2, 1)
 
 
-@_record
-class CheckResult:
+class CheckResult(_Record):
+    __slots__ = ()
     name: str
     passed: bool
     detail: str
 
 
-@_record
-class ReportBundle:
+class ReportBundle(_Record):
+    __slots__ = ()
     command: str
     params: dict
     payload: dict

@@ -1,6 +1,7 @@
 import ast
 import errno
 import functools
+import gc
 import json
 import os
 import subprocess
@@ -10,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import truncpoisson
 from truncpoisson.chain import HomologyReport, TwistParams
 from truncpoisson.cli import main, twist_value
 from truncpoisson.checks import CheckResult
@@ -18,7 +20,8 @@ from truncpoisson.reporting import ReportBundle
 from twist_grammar import TWIST_ENTRIES, mismatches
 
 SCHEMA_PATH = Path(__file__).resolve().parent.parent / "docs" / "report-schema.json"
-SRC = Path(__file__).resolve().parent.parent / "src"
+# the package under test, which need not be the checkout's src/ (the mutation gate tests a copy)
+SRC = Path(truncpoisson.__file__).resolve().parents[1]
 
 
 def run_cli(capsys, argv):
@@ -592,6 +595,47 @@ def test_process_started_with_a_closed_std_stream_keeps_the_exit_of_main(capsys,
     )
     assert proc.returncode == code, proc.stderr
     assert (proc.stdout, proc.stderr)[2 - closed_fd] == (out, err)[2 - closed_fd].encode()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_leaves_the_callers_collector_as_it_found_it(capsys, enabled):
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        code, out, _ = run_cli(capsys, ["homology", "-a", "3", "-b", "3"])
+        assert code == 0 and out and gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+# Runs the package as python -m does and reports, on stderr, whether the cyclic
+# collector was on when truncpoisson.cli was imported and each collection after that.
+COLLECTOR_PROBE = """
+import gc, runpy, sys
+
+def report(phase, info):
+    if phase == "start":
+        sys.stderr.write("collection\\n")
+
+class CliImport:
+    def find_spec(self, name, path=None, target=None):
+        if name == "truncpoisson.cli":
+            sys.stderr.write(f"collector on at import: {gc.isenabled()}\\n")
+            gc.callbacks.append(report)
+        return None
+
+sys.meta_path.insert(0, CliImport())
+runpy.run_module("truncpoisson", run_name="__main__", alter_sys=True)
+"""
+
+
+def test_python_m_imports_and_runs_main_without_the_collector(capsys):
+    # 40001 representatives: a few hundred collections with the collector on
+    argv = ["homology", "-a", "2", "-b", "20000", "--format", "csv"]
+    code, out, _ = run_cli(capsys, argv)
+    proc = subprocess.run([sys.executable, "-c", COLLECTOR_PROBE, *argv], capture_output=True, env=BUFFERED_ENV)
+    assert (proc.returncode, proc.stdout) == (code, out.encode())
+    assert proc.stderr.decode() == "collector on at import: False\n"
 
 
 def test_profiled_run_exits_normally_and_writes_the_profile(capsys):

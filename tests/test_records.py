@@ -37,12 +37,31 @@ from truncpoisson import (
     parse_element,
     ring_table,
 )
+from truncpoisson.algebra import _Record
 from truncpoisson.chain import DegreeComparison
 from truncpoisson.linalg import Matrix, RrefResult, SubspaceBasis, rref
 from truncpoisson.reporting import ReportBundle, ring_bundle
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+# the package under test, which need not be the checkout's src/ (the mutation gate tests a copy)
+SRC = Path(truncpoisson.__file__).resolve().parents[1]
 P = TruncParams(3, 4)
+
+
+# A record declared as the package's are, with a checking __new__ that calls
+# super().__new__ and a method that names its class through __class__.
+class Interval(_Record):
+    __slots__ = ()
+    lo: int
+    hi: int
+
+    def __new__(cls, lo, hi):
+        if lo > hi:
+            raise ValueError("empty interval")
+        return super().__new__(cls, lo, hi)
+
+    def widened(self):
+        return __class__(self.lo - 1, self.hi + 1)
+
 
 # (factory building a fresh instance, one of its fields, whether its fields are hashable)
 RECORDS = {
@@ -114,6 +133,21 @@ def test_records_are_tuples_with_named_fields(name):
     back = pickle.loads(pickle.dumps(x))
     assert type(back) is cls and back == x
     assert repr(x) == f"{name}(" + ", ".join(f"{f}={v!r}" for f, v in zip(fields, x)) + ")"
+
+
+def test_a_record_may_call_super_and_name_its_class():
+    x = Interval(1, 3)
+    assert Interval._fields == ("lo", "hi") and Interval.__doc__ == "Interval(lo, hi)"
+    assert x == (1, 3) and (1, 3) == x and (x.lo, x.hi) == (1, 3) and Interval(hi=3, lo=1) == x
+    assert type(x.widened()) is Interval and x.widened() == (0, 4)
+    back = pickle.loads(pickle.dumps(x))
+    assert type(back) is Interval and back == x
+    with pytest.raises(AttributeError):
+        x.extra = 1
+    with pytest.raises(AttributeError):
+        x.lo = 0
+    with pytest.raises(ValueError, match="empty"):
+        Interval(3, 1)
 
 
 # (factory building a fresh instance, one of its fields, the coefficient maps it holds)
