@@ -31,6 +31,7 @@ DENSE_AT_RATIONAL_TWISTS = "tests/test_blocks.py::test_closed_form_homology_equa
 NO_BLOCK_SCAN = "tests/test_blocks.py::test_no_command_scans_all_weight_blocks"
 # verify's csv at 11 sizes: a mutant that a sampled check catches exits 1 there
 VERIFY_DIGESTS = "tests/test_verify_digests.py::test_verify_csv_digest"
+FORM_KEYS = "tests/test_chain.py::test_chain_element_refuses_every_key_off_its_basis"
 
 # (name, file, old, new, tests)
 MUTANTS = (
@@ -86,6 +87,42 @@ MUTANTS = (
         "0 <= ki < p.a and 0 < li < p.b",
         [BLOCK_EVALUATION],
     ),
+    # the form-basis test behind ChainElement's constructor: a bound loosened by one, a shape test by or
+    (
+        "a degree-1 dY key may reach Y^(b-1)",
+        CHAIN,
+        "else (p.a, p.b - 1)",
+        "else (p.a, p.b)",
+        [FORM_KEYS],
+    ),
+    (
+        "a degree-2 key may reach X^(a-1)",
+        CHAIN,
+        "else (p.a - 1, p.b - 1)",
+        "else (p.a, p.b - 1)",
+        [FORM_KEYS],
+    ),
+    (
+        "a degree-2 key may reach Y^(b-1)",
+        CHAIN,
+        "else (p.a - 1, p.b - 1)",
+        "else (p.a - 1, p.b)",
+        [FORM_KEYS],
+    ),
+    (
+        "a degree-1 key needs only one of its shape tests",
+        CHAIN,
+        "isinstance(key, tuple) and len(key) == 3 and key[2] in (DX, DY)",
+        "isinstance(key, tuple) or len(key) == 3 or key[2] in (DX, DY)",
+        [FORM_KEYS],
+    ),
+    (
+        "a degree-0 or degree-2 key needs only one of its shape tests",
+        CHAIN,
+        "elif isinstance(key, tuple) and len(key) == 2:",
+        "elif isinstance(key, tuple) or len(key) == 2:",
+        [FORM_KEYS],
+    ),
     # cohomology's closed-form ranks
     (
         "cohomology's rank delta_0 is ab - 1",
@@ -100,6 +137,13 @@ MUTANTS = (
         "rank1 = (p.a - 1) * (p.b - 1) - 1",
         "rank1 = (p.a - 1) * (p.b - 1)",
         ["tests/test_cochain.py::test_cohomology_dimensions_and_reps", NO_BLOCK_SCAN],
+    ),
+    (
+        "cohomology walks every monomial",
+        COCHAIN,
+        "rank0 = p.dim - 2",
+        "rank0 = sum(1 for _ in p.monomials()) - 2",
+        ["tests/test_cost.py::test_closed_form_commands_cost_the_same_at_every_size"],
     ),
     # the element kernels, which verify's checks run on int maps
     (

@@ -14,7 +14,7 @@ in ``tests/dense.py``, and perfbench.  ``checks`` is loaded by verify alone.
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "algebra": "AlgebraElement EulerDims TruncParams bracket euler_dims multiply parse_element render_element",
+    "algebra": "AlgebraElement EulerDims TruncParams bracket euler_dims multiply render_element",
     "chain": "ChainElement DualityReport HomologyReport TwistParams duality_report homology module_bracket "
     "omega_dims",
     "checks": "run_verify",

@@ -222,9 +222,10 @@ class AlgebraElement(_Value):
     def __new__(cls, params: TruncParams, coeffs: Mapping[tuple[int, int], Fraction]):
         clean: dict[tuple[int, int], Fraction] = {}
         a, b = params.a, params.b
-        for (i, j), c in coeffs.items():
-            if not (isinstance(i, int) and isinstance(j, int) and i >= 0 and j >= 0):
-                raise ValueError(f"exponents must be nonnegative integers, got ({i!r}, {j!r})")
+        for key, c in coeffs.items():
+            if not (isinstance(key, tuple) and len(key) == 2 and all(isinstance(e, int) and e >= 0 for e in key)):
+                raise ValueError(f"exponents must be nonnegative integers, got {key!r}")
+            i, j = key
             c = _frac(c)
             if c and i < a and j < b:
                 clean[(i, j)] = c
@@ -414,7 +415,7 @@ def euler_dims(p: TruncParams) -> EulerDims:
     return EulerDims(p.a * p.b, p.b * (p.a - 1) + p.a * (p.b - 1), (p.a - 1) * (p.b - 1))
 
 
-# Plain-text rendering / parsing, e.g. "3*X^2*Y + 1/2*X".
+# Plain-text rendering, e.g. "3*X^2*Y + 1/2*X".
 
 def _render_monomial(i: int, j: int) -> str:
     parts = []
@@ -452,46 +453,3 @@ def _render_sum(terms) -> str:
 def render_element(u: AlgebraElement) -> str:
     return _render_sum((u.coeffs[ij], _render_monomial(*ij)) for ij in sorted(u.coeffs, reverse=True))
 
-
-_TOKEN = r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<var>[XY])(?:\^(?P<exp>\d+))?|(?P<op>[+\-*]))"
-
-
-def parse_element(params: TruncParams, text: str) -> AlgebraElement:
-    """Parse the plain-text rendering back into an element (round-trips render).
-
-    Terms are joined by signs, and a term's factors (numbers and powers of X
-    and Y) by '*' or by nothing.  A sign must be followed by a term, a '*'
-    must sit between two factors, and a term has at most one number.
-    """
-    token = re.compile(_TOKEN)  # compiled on first parse, then taken from re's cache
-    terms = []  # [sign, number or None, i, j] of each term, the last one being read
-    last = None  # "op" after a sign or a '*', "factor" after a number or a power
-    pos, end = 0, len(text.rstrip())
-    while pos < end:
-        m = token.match(text, pos)
-        if not m:
-            raise ValueError(f"cannot parse element at: {text[pos:]!r}")
-        pos = m.end()
-        num, var, op = m.group("num", "var", "op")
-        if op and (last == "op" or op == "*" and last is None):
-            raise ValueError(f"dangling {op!r} in {text!r}")
-        if op in ("+", "-") or last is None:
-            terms.append([-1 if op == "-" else 1, None, 0, 0])
-        if num:
-            if terms[-1][1] is not None:
-                raise ValueError("two coefficients in one term")
-            try:
-                terms[-1][1] = Fraction(num)
-            except ZeroDivisionError:
-                raise ValueError(f"zero denominator in {num!r}") from None
-        elif var:
-            terms[-1][2 if var == "X" else 3] += int(m.group("exp") or 1)
-        last = "op" if op else "factor"
-    if last == "op":
-        raise ValueError(f"dangling {op!r} in {text!r}")
-    if not terms:
-        raise ValueError(f"empty element text: {text!r}")
-    coeffs: dict[tuple[int, int], Fraction] = {}
-    for sign, coeff, i, j in terms:
-        coeffs[(i, j)] = coeffs.get((i, j), 0) + sign * (1 if coeff is None else coeff)
-    return AlgebraElement(params, coeffs)

@@ -114,12 +114,11 @@ class ChainElement(_Value):
             raise ValueError("chain degree must be 0, 1 or 2")
         clean = {}
         for key, c in coeffs.items():
-            c = _frac(c)
-            if not c:
-                continue
             if not _is_form_index(params, degree, key):
                 raise ValueError(f"invalid degree-{degree} form index {key!r}")
-            clean[key] = c
+            c = _frac(c)
+            if c:
+                clean[key] = c
         return cls._make(params, degree, MappingProxyType(clean))
 
     @classmethod
@@ -127,18 +126,10 @@ class ChainElement(_Value):
         """Wrap nonzero Fraction coefficients already on valid degree-`degree` form indices."""
         return cls._make(params, degree, MappingProxyType(coeffs))
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def render(self) -> str:
-        if self.degree == 0:
-            keys = sorted(self.coeffs, reverse=True)
-        elif self.degree == 1:
-            keys = sorted(self.coeffs, key=lambda k: (k[2] == DY, k[0], k[1]))  # basis order
-        else:
-            keys = sorted(self.coeffs)
+        """The chain as a signed sum, its terms in decreasing key order, as render_element orders them."""
         terms = []
-        for key in keys:
+        for key in sorted(self.coeffs, reverse=True):
             mono = _render_monomial(key[0], key[1])
             form = key[2] if self.degree == 1 else DXDY if self.degree == 2 else ""
             terms.append((self.coeffs[key], f"{mono}*{form}" if mono and form else mono or form))

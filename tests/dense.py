@@ -43,24 +43,30 @@ def chi1_basis(p: TruncParams) -> list[Derivation]:
     return basis + [Derivation.basis_dprime(p, i, j) for i, j in dprime_pairs]
 
 
-def _parts(x) -> list:
-    """(coefficient map, basis keys) pairs that give x's coordinates in order."""
+def _maps(x) -> list:
+    """x's coefficient maps, one per block of its basis (see _bases)."""
+    if isinstance(x, Derivation):
+        return [x.dx.coeffs, x.dy.coeffs]
+    return [x.value.coeffs if isinstance(x, Biderivation) else x.coeffs]
+
+
+def _bases(x) -> list:
+    """The basis keys of each of x's coefficient maps, which give its coordinates in order."""
     p = x.params
     if isinstance(x, AlgebraElement):
-        return [(x.coeffs, monomials(p))]
+        return [monomials(p)]
     if isinstance(x, ChainElement):
-        return [(x.coeffs, chain_basis(p, x.degree))]
+        return [chain_basis(p, x.degree)]
     if isinstance(x, Derivation):
-        d_pairs, dprime_pairs = chi1_index_pairs(p)
-        return [(x.dx.coeffs, d_pairs), (x.dy.coeffs, dprime_pairs)]
+        return list(chi1_index_pairs(p))
     if isinstance(x, Biderivation):
-        return [(x.value.coeffs, [(i, j) for i in range(1, p.a) for j in range(1, p.b)])]
+        return [[(i, j) for i in range(1, p.a) for j in range(1, p.b)]]
     raise TypeError(f"no basis for {x!r}")
 
 
 def to_vector(x) -> tuple[Fraction, ...]:
     """The coordinates of an element, derivation, biderivation or chain in its basis."""
-    return tuple(Fraction(coeffs.get(key, 0)) for coeffs, keys in _parts(x) for key in keys)
+    return tuple(Fraction(coeffs.get(key, 0)) for coeffs, keys in zip(_maps(x), _bases(x)) for key in keys)
 
 
 def chain_from_vector(p: TruncParams, degree: int, v) -> ChainElement:
@@ -71,7 +77,23 @@ def chain_from_vector(p: TruncParams, degree: int, v) -> ChainElement:
 
 
 def _matrix(images: list, rows: int) -> Matrix:
-    return Matrix.from_columns([to_vector(x) for x in images], ambient_dim=rows)
+    """The matrix whose columns are the coordinates of the images, which share one basis.
+
+    Each column is filled from its image's nonzero coefficients, Fractions
+    already, over one shared Fraction(0), and the basis's rows are numbered
+    once: no column is written out in full, and no entry is read twice.
+    """
+    zero = Fraction(0)
+    data = [[zero] * len(images) for _ in range(rows)]
+    row_of, start = [], 0
+    for keys in _bases(images[0]) if images else ():
+        row_of.append({key: r for r, key in enumerate(keys, start)})
+        start += len(keys)
+    for col, x in enumerate(images):
+        for coeffs, index in zip(_maps(x), row_of):
+            for key, c in coeffs.items():
+                data[index[key]][col] = c
+    return Matrix._make(rows, len(images), tuple(map(tuple, data)))
 
 
 def delta0_matrix(p: TruncParams) -> Matrix:

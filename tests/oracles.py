@@ -5,7 +5,10 @@ Gauss-Jordan: the bracket oracle expands products one generator at a time
 using only the two generator rules, the delta_1 oracle evaluates the
 convention's four terms with those rules and multiply, and the rank oracle
 is a separate textbook forward elimination.  The per-term sum is the plain
-dict reference for the kernels that add into a map in place.
+dict reference for the kernels that add into a map in place.  The element
+evaluator reads a rendering back as a sum of products of X, Y and Fraction
+numbers, computed with the package's multiply and + and -, not with its
+renderer.
 random_element and random_derivation draw Fraction elements and
 derivations from random_rational, the draw behind verify's twists;
 random_cocycle synthesizes the Fraction cocycles that the tests normalize.
@@ -19,6 +22,7 @@ here may call the code path it checks.
 """
 
 import argparse
+import re
 from fractions import Fraction
 
 from truncpoisson import AlgebraElement, Derivation, TruncParams, cli, hamiltonian, multiply
@@ -82,6 +86,18 @@ def delta1_oracle(d) -> AlgebraElement:
     p = d.params
     x, y = AlgebraElement.gen_x(p), AlgebraElement.gen_y(p)
     return bracket_with_y(d.dx) - bracket_with_x(d.dy) - multiply(d.dx, y) - multiply(x, d.dy)
+
+
+def evaluate_element(p: TruncParams, text: str) -> AlgebraElement:
+    """The element a rendering such as "3*X^2*Y - 1/2*X" names, evaluated by the package's X, Y, +, - and *."""
+    gens, total = {"X": AlgebraElement.gen_x(p), "Y": AlgebraElement.gen_y(p)}, AlgebraElement.zero(p)
+    for sign, term in re.findall(r"(-?)\s*([^\s+-]+)", text):
+        u = AlgebraElement.one(p)
+        for name, _, exp in (factor.partition("^") for factor in term.split("*")):
+            for _ in range(int(exp or 1)):
+                u = u * gens[name] if name in gens else u * Fraction(name)
+        total = total - u if sign else total + u
+    return total
 
 
 def per_term_sum(start: dict, terms) -> dict:

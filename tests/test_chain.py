@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -16,7 +17,7 @@ from truncpoisson import (
     omega_dims,
 )
 from truncpoisson import chain, checks
-from truncpoisson.chain import DX, DY, boundary, omega2_indices
+from truncpoisson.chain import DX, DXDY, DY, boundary, omega2_indices
 from truncpoisson.checks import check_boundary_complex, random_twist
 
 import dense
@@ -340,6 +341,49 @@ def test_chain_element_validation():
         ChainElement(p, 1, {(1, 0, DX): Fraction(1)})  # dX exponent out of range
     with pytest.raises(ValueError):
         ChainElement(p, 2, {(1, 1): Fraction(1)})
+
+
+# The keys on the far edge of each degree's basis at (a, b) = (3, 4), each key
+# one past a bound, and keys of the wrong shape.
+EDGE_KEYS = {0: [(2, 3)], 1: [(1, 3, DX), (2, 2, DY)], 2: [(1, 2)]}
+OFF_BY_ONE_KEYS = {
+    0: [(3, 0), (0, 4), (-1, 0), (0, -1)],
+    1: [(2, 0, DX), (0, 4, DX), (3, 0, DY), (0, 3, DY), (-1, 0, DX), (0, -1, DY)],
+    2: [(2, 0), (0, 3), (-1, 0), (0, -1)],
+}
+MISSHAPEN_KEYS = {
+    0: [(0,), (0, 0, 0), (0, 0, DX)],
+    1: [(0, 0), (0, 0, DX, 0), (0, 0, DXDY), (0, 0, "dZ"), (0, Fraction(0), DX), "garbage"],
+    2: [(0,), (0, 0, 0), (0, 0, DXDY), (0, 0.0), range(2), "00"],
+}
+
+
+def test_chain_element_refuses_every_key_off_its_basis():
+    p = TruncParams(3, 4)
+    for degree, keys in EDGE_KEYS.items():
+        assert ChainElement(p, degree, {key: 1 for key in keys}).coeffs.keys() == set(keys)
+    for degree in (0, 1, 2):
+        for key in OFF_BY_ONE_KEYS[degree] + MISSHAPEN_KEYS[degree]:
+            with pytest.raises(ValueError, match=f"invalid degree-{degree} form index"):
+                ChainElement(p, degree, {key: 1})
+
+
+def test_chain_element_refuses_a_malformed_key_with_a_zero_coefficient():
+    p = TruncParams(3, 4)
+    for degree, key in ((1, "garbage"), (2, (7, 7)), (0, (3, 0)), (1, (0, 0, DX, 0))):
+        with pytest.raises(ValueError, match=re.escape(f"invalid degree-{degree} form index {key!r}")):
+            ChainElement(p, degree, {key: 0})
+
+
+def test_chain_render_orders_terms_by_decreasing_key_at_every_degree():
+    p = TruncParams(3, 3)
+    cases = (
+        (0, {(0, 0): 1, (2, 1): -2, (1, 2): Fraction(1, 2)}, "-2*X^2*Y + 1/2*X*Y^2 + 1"),
+        (1, {(0, 1, DY): 3, (1, 0, DX): 1, (1, 0, DY): -1, (0, 2, DX): 1}, "-X*dY + X*dX + Y^2*dX + 3*Y*dY"),
+        (2, {(0, 0): 1, (1, 1): -1, (0, 1): 2}, "-X*Y*dX^dY + 2*Y*dX^dY + dX^dY"),
+    )
+    for degree, coeffs, text in cases:
+        assert ChainElement(p, degree, coeffs).render() == text
 
 
 def test_chain_element_render_and_vectors():

@@ -34,7 +34,6 @@ from truncpoisson import (
     hamiltonian,
     homology,
     normalize_one_cocycle,
-    parse_element,
     ring_table,
 )
 from truncpoisson.algebra import _Record
@@ -72,7 +71,7 @@ RECORDS = {
     "DegreeComparison": (lambda: duality_report(P).comparisons[1], "nakayama_match", True),
     "DualityReport": (lambda: duality_report(P), "euler_chain", True),
     "CohomologyReport": (lambda: cohomology(P, 3), "dimension", True),
-    "NormalizedCocycle": (lambda: normalize_one_cocycle(hamiltonian(parse_element(P, "X*Y"))), "c10", False),
+    "NormalizedCocycle": (lambda: normalize_one_cocycle(hamiltonian(AlgebraElement.monomial(P, 1, 1))), "c10", False),
     "RingTable": (lambda: ring_table(P), "products", True),
     "RrefResult": (lambda: rref(Matrix.from_rows([[1, 2], [2, 4]])), "rank", False),
     "CheckResult": (lambda: CheckResult("euler", True, "euler 1"), "passed", True),
@@ -154,10 +153,10 @@ def test_a_record_may_call_super_and_name_its_class():
 VALUES = {
     "TruncParams": (lambda: TruncParams(3, 4), "a", lambda v: []),
     "TwistParams": (lambda: TwistParams(Fraction(1, 2), -3), "alpha", lambda v: []),
-    "AlgebraElement": (lambda: parse_element(P, "X*Y - 1/2*Y^2"), "coeffs", lambda v: [v.coeffs]),
+    "AlgebraElement": (lambda: AlgebraElement(P, {(1, 1): 1, (0, 2): Fraction(-1, 2)}), "coeffs", lambda v: [v.coeffs]),
     "ChainElement": (lambda: ChainElement(P, 1, {(0, 1, "dX"): 2, (1, 0, "dY"): -1}), "degree",
                      lambda v: [v.coeffs]),
-    "Derivation": (lambda: hamiltonian(parse_element(P, "X*Y")), "dx", lambda v: [v.dx.coeffs, v.dy.coeffs]),
+    "Derivation": (lambda: hamiltonian(AlgebraElement.monomial(P, 1, 1)), "dx", lambda v: [v.dx.coeffs, v.dy.coeffs]),
     "Biderivation": (lambda: Biderivation.basis_f(P, 1, 2), "value", lambda v: [v.value.coeffs]),
     "Matrix": (lambda: Matrix.from_rows([[1, 2], [3, Fraction(1, 4)]]), "data", lambda v: []),
     "SubspaceBasis": (lambda: SubspaceBasis.from_vectors(3, [[1, 2, 0], [2, 4, 1]]), "vectors", lambda v: []),
@@ -249,7 +248,7 @@ def test_cli_import_leaves_out_dataclasses():
 
 
 PUBLIC_NAMES = {
-    "algebra": "AlgebraElement EulerDims TruncParams bracket euler_dims multiply parse_element render_element",
+    "algebra": "AlgebraElement EulerDims TruncParams bracket euler_dims multiply render_element",
     "chain": "ChainElement DualityReport HomologyReport TwistParams duality_report homology module_bracket "
     "omega_dims",
     "checks": "CheckResult run_verify",
