@@ -11,6 +11,9 @@ Run from the repository root:
 
     python -m pytest mutation       # the table still matches the source (cheap)
     python mutation/run.py          # every mutant is killed (the full gate)
+
+mutation/census.py is the wider, slower survey behind this table: every
+one-token flip of a module, reported in mutation/CENSUS.md.
 """
 
 from __future__ import annotations
@@ -161,10 +164,12 @@ MUTANTS = (
         [VERIFY_DIGESTS, "tests/test_algebra.py::test_algebra_kernels_add_in_place_like_a_per_term_sum"],
     ),
     (
-        "_accumulate keeps a cancelled key",
+        "_multiply_into keeps a cancelled key",
         ALGEBRA,
-        "if c:",
-        "if True:",
+        "term = -term\n                key = (i + k, j + l)\n                old = out.get(key)\n"
+        "                if old is not None and not (term := old + term):\n                    del out[key]",
+        "term = -term\n                key = (i + k, j + l)\n                old = out.get(key)\n"
+        "                if old is not None and not (term := old + term):\n                    out[key] = term",
         [
             "tests/test_properties.py::test_sum_and_difference_match_dict_reference",
             "tests/test_cochain.py::test_cochain_arithmetic_is_component_wise",

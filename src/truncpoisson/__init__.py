@@ -6,9 +6,10 @@ numerical estimates.
 
 The names below are loaded from their modules on first access, so
 ``import truncpoisson`` loads no module of the package and a command loads
-only the modules it runs.  No module of the package imports ``linalg``:
-its dense matrices serve the tests' reference, whose operator builders are
-in ``tests/dense.py``, and perfbench.  ``checks`` is loaded by verify alone.
+only the modules it runs.  ``truncpoisson.linalg`` is importable but not
+exported, and no module of the package imports it: its dense matrices serve
+the tests' reference, whose operator builders are in ``tests/dense.py``, and
+perfbench.  ``checks`` is loaded by verify alone.
 """
 
 __version__ = "0.1.0"
@@ -20,7 +21,6 @@ _EXPORTS = {
     "checks": "run_verify",
     "cochain": "Biderivation CohomologyReport Derivation NormalizedCocycle RingTable cohomology cup "
     "fibre_product_table hamiltonian is_poisson_derivation normalize_one_cocycle ring_table",
-    "linalg": "Matrix RrefResult SubspaceBasis column_space nullspace rref solve",
     "reporting": "CheckResult",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}

@@ -14,9 +14,9 @@ Clean-coefficient invariant: an element's coefficient map holds only
 nonzero Fraction values at keys (i, j) with 0 <= i < a and 0 <= j < b.  The
 public constructor establishes it from arbitrary input; the arithmetic
 kernels add their terms into out in place, a new key taking the term as it
-is and a present key the sum, dropped as soon as it cancels.  _accumulate,
-that update for one term, serves AlgebraElement's + and -.  So their
-results are wrapped by AlgebraElement._clean without re-checking.
+is and a present key the sum, dropped as soon as it cancels; + and - are
+products by the unit.  So their results are wrapped by AlgebraElement._clean
+without re-checking.
 
 The kernels: _multiply_into and _bracket_into sum the product and the
 bracket of two maps, and _shift_into sums (const + slope*e) * m*g for a
@@ -269,15 +269,13 @@ class AlgebraElement(_Value):
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._check_params(other)
         out = dict(self.coeffs)
-        for key, c in other.coeffs.items():
-            _accumulate(out, key, c)
+        _multiply_into(out, self.params, {(0, 0): 1}, other.coeffs)
         return AlgebraElement._clean(self.params, out)
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._check_params(other)
         out = dict(self.coeffs)
-        for key, c in other.coeffs.items():
-            _accumulate(out, key, c, -1)
+        _multiply_into(out, self.params, {(0, 0): 1}, other.coeffs, -1)
         return AlgebraElement._clean(self.params, out)
 
     def __neg__(self) -> "AlgebraElement":
@@ -302,19 +300,6 @@ class AlgebraElement(_Value):
 
     def __str__(self):
         return render_element(self)
-
-
-def _accumulate(out: dict, key, c: Fraction, sign: int = 1):
-    """out[key] += sign * c for a nonzero c; a key whose coefficient cancels is removed."""
-    old = out.get(key)
-    if old is None:
-        out[key] = c if sign > 0 else -c
-    else:
-        c = old + c if sign > 0 else old - c
-        if c:
-            out[key] = c
-        else:
-            del out[key]
 
 
 def _multiply_into(out: dict, p: TruncParams, u: Mapping, v: Mapping, sign: int = 1):

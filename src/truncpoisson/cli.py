@@ -29,7 +29,8 @@ at most VERIFY_MAX_AB (2500) for verify; sweep ranges end at SWEEP_MAX (32).
 Each twist entry, reduced to lowest terms, may have at most TWIST_MAX_DIGITS
 (4300, Python's default int/str conversion limit) digits in its numerator and
 in its denominator, so an exponent such as 1e5000 is refused before any
-power of ten is built.
+power of ten is built.  An integer argument past that many digits is refused
+with its digit count.
 """
 
 from __future__ import annotations
@@ -65,11 +66,19 @@ VERIFY_MAX_AB = 2_500
 EXIT_INTERNAL_ERROR = 3
 
 
-def ab_value(s: str) -> int:
+def _integer(token: str, error: str) -> int:
+    """int(token); else a ValueError with error, or with the digit count if int refused an integer that long."""
     try:
-        v = int(s)
+        return int(token)
     except ValueError:
-        raise ValueError(f"not an integer: {s!r}")
+        if not re.fullmatch(r"\s*[-+]?\d+(?:_\d+)*\s*", token):
+            raise ValueError(error) from None
+    digits = len(re.findall(r"\d", token))
+    raise ValueError(f"an integer of {digits} digits; at most {TWIST_MAX_DIGITS} digits are read")
+
+
+def ab_value(s: str) -> int:
+    v = _integer(s, f"not an integer: {s!r}")
     if v < 2:
         raise ValueError(f"need two integers a,b ≥ 2; got {v}")
     return v
@@ -77,11 +86,9 @@ def ab_value(s: str) -> int:
 
 def range_value(s: str) -> tuple[int, int]:
     lo, sep, hi = s.partition("..")
-    try:
-        lo_i = int(lo)
-        hi_i = int(hi) if sep else lo_i
-    except ValueError:
-        raise ValueError(f"not an integer range: {s!r} (use N or LO..HI)")
+    error = f"not an integer range: {s!r} (use N or LO..HI)"
+    lo_i = _integer(lo, error)
+    hi_i = _integer(hi, error) if sep else lo_i
     if lo_i < 2 or hi_i < lo_i:
         raise ValueError(f"need two integers a,b ≥ 2 and LO ≤ HI; got {s!r}")
     if hi_i > SWEEP_MAX:

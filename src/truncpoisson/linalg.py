@@ -51,13 +51,6 @@ class Matrix(_Value):
     def identity(cls, n: int) -> "Matrix":
         return cls(n, n, [[Fraction(int(i == j)) for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def from_columns(cls, cols: Sequence[Sequence], ambient_dim: Optional[int] = None) -> "Matrix":
-        if not cols:
-            return cls.zero(ambient_dim or 0, 0)
-        n = len(cols[0])
-        return cls(n, len(cols), [[_frac(c[i]) for c in cols] for i in range(n)])
-
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols})"
 

@@ -5,7 +5,8 @@ Gauss-Jordan: the bracket oracle expands products one generator at a time
 using only the two generator rules, the delta_1 oracle evaluates the
 convention's four terms with those rules and multiply, and the rank oracle
 is a separate textbook forward elimination.  The per-term sum is the plain
-dict reference for the kernels that add into a map in place.  The element
+dict reference for the kernels that add into a map in place, and add_term
+the one-term update behind the tests' fake kernels.  The element
 evaluator reads a rendering back as a sum of products of X, Y and Fraction
 numbers, computed with the package's multiply and + and -, not with its
 renderer.
@@ -108,6 +109,15 @@ def per_term_sum(start: dict, terms) -> dict:
     return {key: c for key, c in total.items() if c}
 
 
+def add_term(out: dict, key, term):
+    """out[key] += term for a nonzero term, the key dropped when its coefficient cancels."""
+    total = out.get(key, 0) + term
+    if total:
+        out[key] = total
+    else:
+        del out[key]
+
+
 def disjoint_union(maps) -> dict:
     """The union of maps whose key sets are pairwise disjoint; a shared key fails the test."""
     union = {}
@@ -155,8 +165,12 @@ def is_cocycle_by_weights(p: TruncParams, dx, dy) -> bool:
 
 
 def independent_rank(rows) -> int:
-    """Textbook forward elimination, separate from the library's rref."""
-    work = [[Fraction(x) for x in row] for row in rows]
+    """Textbook forward elimination, separate from the library's rref.
+
+    Only entries that are not Fractions already are converted, and the row
+    update skips the zero entries of the pivot row.
+    """
+    work = [[x if type(x) is Fraction else Fraction(x) for x in row] for row in rows]
     if not work:
         return 0
     ncols = len(work[0])
@@ -164,16 +178,17 @@ def independent_rank(rows) -> int:
     for c in range(ncols):
         pivot = None
         for r in range(rank, len(work)):
-            if work[r][c] != 0:
+            if work[r][c]:
                 pivot = r
                 break
         if pivot is None:
             continue
         work[rank], work[pivot] = work[pivot], work[rank]
+        top = work[rank]
         for r in range(rank + 1, len(work)):
-            if work[r][c] != 0:
-                factor = work[r][c] / work[rank][c]
-                work[r] = [x - factor * y for x, y in zip(work[r], work[rank])]
+            if work[r][c]:
+                factor = work[r][c] / top[c]
+                work[r] = [x - factor * y if y else x for x, y in zip(work[r], top)]
         rank += 1
     return rank
 

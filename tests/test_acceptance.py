@@ -29,9 +29,9 @@ from truncpoisson import (
     normalize_one_cocycle,
     omega_dims,
     ring_table,
-    solve,
 )
 from truncpoisson.checks import random_twist
+from truncpoisson.linalg import solve
 
 import dense
 from dense import to_vector

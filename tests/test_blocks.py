@@ -26,17 +26,15 @@ from truncpoisson import (
     TruncParams,
     TwistParams,
     cohomology,
-    column_space,
     duality_report,
     euler_dims,
     hamiltonian,
     homology,
     normalize_one_cocycle,
-    nullspace,
 )
 from truncpoisson import cochain
 from truncpoisson.chain import DX, DY
-from truncpoisson.linalg import EchelonAccumulator
+from truncpoisson.linalg import EchelonAccumulator, column_space, nullspace
 
 import dense
 from dense import chain_from_vector

@@ -122,7 +122,7 @@ def test_partial1_hand_images_at_2_2():
 
 def test_partial1_ranks_at_2_2():
     p = TruncParams(2, 2)
-    from truncpoisson import column_space
+    from truncpoisson.linalg import column_space
 
     triv = column_space(dense.partial1_matrix(p, TwistParams.trivial()))
     assert triv.dim == 1
@@ -201,7 +201,7 @@ def test_partial2_trivial_and_shifted_at_2_2():
     m = dense.partial2_matrix(p, TwistParams.trivial())
     img = chain_from_vector(p, 1, m.column(0))
     assert img.coeffs == {(1, 0, DY): Fraction(-1), (0, 1, DX): Fraction(-1)}
-    from truncpoisson import column_space, nullspace
+    from truncpoisson.linalg import column_space, nullspace
 
     assert column_space(m).dim == 1
     m2 = dense.partial2_matrix(p, TwistParams(Fraction(-2), Fraction(2)))

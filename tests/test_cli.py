@@ -15,7 +15,8 @@ import truncpoisson
 from truncpoisson.chain import HomologyReport, TwistParams
 from truncpoisson.cli import main, twist_value
 from truncpoisson.checks import CheckResult
-from truncpoisson.reporting import ReportBundle
+from truncpoisson.algebra import TruncParams
+from truncpoisson.reporting import ReportBundle, homology_bundle, sweep_bundle
 
 from twist_grammar import TWIST_ENTRIES, mismatches
 
@@ -213,6 +214,23 @@ def test_usage_error_twist_past_digit_limit(capsys, argv):
     assert code == 2
     assert out == ""
     assert "4300 digits" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cohomology", "-a", "7" * 4400, "-b", "3"],
+        ["ring", "-a", "3", "-b", f" +{'0' * 4399}_7 "],
+        ["sweep", "-a", f"2..{'7' * 4400}", "-b", "3"],
+        ["sweep", "-a", "2", "-b", f"{'7' * 4400}..{'7' * 4400}"],
+    ],
+)
+def test_usage_error_integer_past_digit_limit_names_the_count(capsys, argv):
+    # Python's int/str limit refuses such a token, but it is an integer: name the limit, not the token
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.endswith(": an integer of 4400 digits; at most 4300 digits are read\n")
+    assert err.count("\n") == 1 and len(err) < 200
 
 
 @pytest.mark.parametrize(
@@ -453,6 +471,20 @@ def test_usage_error_twist_on_cohomology_sweep(capsys, argv):
     assert code == 2
     assert out == ""
     assert err == "truncpoisson sweep: error: --twist applies only to --kind homology\n"
+
+
+@pytest.mark.parametrize("kind", ["trivial", "nakayama"])
+def test_sweep_bundle_refuses_an_explicit_twist_with_a_named_kind(kind):
+    # the rows would be computed at the named twist, and params would report the explicit one
+    with pytest.raises(ValueError, match=f"the {kind} twist takes no explicit parameters"):
+        sweep_bundle("homology", (2, 3), (2, 2), kind, TwistParams(1, 2))
+
+
+@pytest.mark.parametrize("kind", ["trivial", "nakayama"])
+def test_homology_bundle_refuses_an_explicit_twist_with_a_named_kind(kind):
+    with pytest.raises(ValueError, match=f"the {kind} twist takes no explicit parameters"):
+        homology_bundle(TruncParams(3, 3), kind, TwistParams(1, 2))
+    assert homology_bundle(TruncParams(3, 3), "explicit", TwistParams(1, 2)).params["twist"]["alpha"] == "1"
 
 
 def _homology_breaking_euler(p, t, include_reps=True):

@@ -9,17 +9,14 @@ from truncpoisson import (
     AlgebraElement,
     Biderivation,
     Derivation,
-    Matrix,
     TruncParams,
     cohomology,
-    column_space,
     cup,
     hamiltonian,
     is_poisson_derivation,
     multiply,
     normalize_one_cocycle,
     ring_table,
-    solve,
 )
 from truncpoisson import chain, checks, cochain
 from truncpoisson.chain import TwistParams, omega2_indices
@@ -31,6 +28,7 @@ from truncpoisson.checks import (
 )
 from truncpoisson.algebra import _bracket_into, _multiply_into, _shift_into
 from truncpoisson.cochain import delta1_apply, fibre_product_table
+from truncpoisson.linalg import Matrix, column_space, solve
 
 import dense
 from dense import to_vector

@@ -3,8 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from truncpoisson import Matrix, SubspaceBasis, column_space, nullspace, rref, solve
-from truncpoisson.linalg import EchelonAccumulator
+from truncpoisson.linalg import EchelonAccumulator, Matrix, SubspaceBasis, column_space, nullspace, rref, solve
 
 from oracles import independent_rank
 

@@ -254,7 +254,6 @@ PUBLIC_NAMES = {
     "checks": "CheckResult run_verify",
     "cochain": "Biderivation CohomologyReport Derivation NormalizedCocycle RingTable cohomology cup "
     "fibre_product_table hamiltonian is_poisson_derivation normalize_one_cocycle ring_table",
-    "linalg": "Matrix RrefResult SubspaceBasis column_space nullspace rref solve",
 }
 
 
@@ -270,6 +269,12 @@ def test_package_names_resolve_to_their_modules_objects():
     with pytest.raises(AttributeError, match="no_such_name"):
         truncpoisson.no_such_name
     assert not hasattr(truncpoisson, "_frac")
+
+
+def test_dense_reference_is_importable_but_not_exported():
+    assert importlib.import_module("truncpoisson.linalg").Matrix is Matrix
+    with pytest.raises(ImportError, match="Matrix"):
+        exec("from truncpoisson import Matrix", {})
 
 
 def test_no_package_module_imports_linalg():
