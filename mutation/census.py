@@ -2,18 +2,20 @@
 
 Run from the repository root (standard library and pytest only):
 
-    python mutation/census.py src/truncpoisson/reporting.py --tests tests/test_digests.py ...
+    python mutation/census.py src/truncpoisson/reporting.py
 
 It walks the module's syntax tree and flips one thing at a time: each + and
 - into the other (+= and -= too), * into +, a comparison into its opposite
 (< and <=, > and >=, == and !=, in and not in, is and is not), and into or
 and back, a not or a unary minus dropped, an int constant plus one.
-Docstrings and other strings are left alone.  Each flip is applied to a
-copy of src/ by run.py's copy_src and run by its run_tests against the
-named tests, stopping at the first failure.  The survivors then run against
-all of tests/ (Tier-1).  The report, one row per flip with its verdicts and
-the reason for each survivor that EXPLAINED accounts for, replaces the
-module's section of mutation/CENSUS.md.  The census stays out of CI and
+Docstrings and other strings are left alone.  First run.py's
+baseline_fault checks that all of tests/ (Tier-1) imports and passes on an
+unedited copy of src/.  Then each flip is applied to a copy of src/ by
+run.py's copy_src and run by its run_tests against SUBSET, stopping at the
+first failure; a run cut at run.py's TIMEOUT_S counts as killed.  The
+survivors then run against all of tests/.  The report, one row per flip
+with its verdicts and the reason for each survivor that EXPLAINED accounts
+for, replaces the module's section of mutation/CENSUS.md.  The census stays out of CI and
 Tier-1: it takes minutes per module.
 """
 
@@ -28,7 +30,7 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from mutants import ROOT
-from run import copy_src, run_tests
+from run import KILLED, baseline_fault, copy_src, run_tests
 
 SUBSET = [
     "tests/test_digests.py",
@@ -164,11 +166,10 @@ def verdict(row: dict, tests: list) -> str:
         src = copy_src(Path(tmp))
         (src / "truncpoisson" / row["module"]).write_text(row["mutated"])
         code = run_tests(src, tests)
-    # 1: a test failed; any other code (passed, no tests, usage error) leaves the mutant alive
-    return "killed" if code == 1 else "survived" if code == 0 else f"pytest exit {code}"
+    return "killed" if code in KILLED else "survived" if code == 0 else f"pytest exit {code}"
 
 
-def section(module: str, rows: list, tests: list) -> str:
+def section(module: str, rows: list) -> str:
     """The report's section on one module: how it ran, the counts, and a row per flip."""
     left = [r for r in rows if r["tier1"] != "killed"]
     by_subset = sum(r["subset"] == "killed" for r in rows)
@@ -176,7 +177,7 @@ def section(module: str, rows: list, tests: list) -> str:
         f"## `{module}`",
         "",
         f"`python mutation/census.py src/truncpoisson/{module}` on Python {sys.version.split()[0]}.",
-        f"Each flip ran first against {', '.join(f'`{t}`' for t in tests)} (with `-x`),",
+        f"Each flip ran first against {', '.join(f'`{t}`' for t in SUBSET)} (with `-x`),",
         "and each survivor then against all of `tests/` (Tier-1).",
         f"{len(rows)} flips: {by_subset} killed by the subset, {len(rows) - len(left) - by_subset} more by Tier-1;",
         f"{len(left)} survive Tier-1, {sum(not r['reason'] for r in left)} of them unexplained.",
@@ -207,7 +208,6 @@ def write_report(sections: dict):
 def main(argv: list) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("modules", nargs="+", help="module files under src/truncpoisson/")
-    parser.add_argument("--tests", nargs="+", default=SUBSET, help="the first, quick test run")
     args = parser.parse_args(argv)
     rows = []
     for path in args.modules:
@@ -217,8 +217,11 @@ def main(argv: list) -> int:
     ambiguous = [key for key in EXPLAINED if keys.count(key) > 1]
     if ambiguous:
         raise SystemExit(f"EXPLAINED names more than one flip: {ambiguous}")
+    fault = baseline_fault(["tests"])
+    if fault:
+        raise SystemExit(fault)
     with ThreadPoolExecutor(JOBS) as pool:
-        for row, first in zip(rows, pool.map(lambda r: verdict(r, args.tests), rows)):
+        for row, first in zip(rows, pool.map(lambda r: verdict(r, SUBSET), rows)):
             row["subset"] = row["tier1"] = first
         left = [r for r in rows if r["subset"] != "killed"]
         for row, full in zip(left, pool.map(lambda r: verdict(r, ["tests"]), left)):
@@ -227,7 +230,7 @@ def main(argv: list) -> int:
         row["reason"] = EXPLAINED.get(key, "") if row["tier1"] != "killed" else ""
         print(f"{row['module']}:{row['line']}  {row['flip']:<16} {row['subset']:<10} {row['tier1']}")
     modules = dict.fromkeys(r["module"] for r in rows)
-    write_report({m: section(m, [r for r in rows if r["module"] == m], args.tests) for m in modules})
+    write_report({m: section(m, [r for r in rows if r["module"] == m]) for m in modules})
     return 1 if any(r["tier1"] != "killed" and not r["reason"] for r in rows) else 0
 
 

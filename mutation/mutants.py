@@ -157,19 +157,19 @@ MUTANTS = (
         [VERIFY_DIGESTS, "tests/test_properties.py::test_bracket_matches_leibniz_oracle"],
     ),
     (
-        "_multiply_into drops the sign < 0 negation",
+        "_multiply_into drops the sign < 0 negation of a new key",
         ALGEBRA,
-        "term = -term",
-        "term = +term",
+        "out[key] = term if sign > 0 else -term",
+        "out[key] = term if sign > 0 else +term",
         [VERIFY_DIGESTS, "tests/test_algebra.py::test_algebra_kernels_add_in_place_like_a_per_term_sum"],
     ),
     (
         "_multiply_into keeps a cancelled key",
         ALGEBRA,
-        "term = -term\n                key = (i + k, j + l)\n                old = out.get(key)\n"
-        "                if old is not None and not (term := old + term):\n                    del out[key]",
-        "term = -term\n                key = (i + k, j + l)\n                old = out.get(key)\n"
-        "                if old is not None and not (term := old + term):\n                    out[key] = term",
+        "old - term:  # one Fraction op where old is present\n                    out[key] = term\n"
+        "                else:\n                    del out[key]",
+        "old - term:  # one Fraction op where old is present\n                    out[key] = term\n"
+        "                else:\n                    out[key] = term",
         [
             "tests/test_properties.py::test_sum_and_difference_match_dict_reference",
             "tests/test_cochain.py::test_cochain_arithmetic_is_component_wise",

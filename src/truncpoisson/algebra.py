@@ -310,14 +310,14 @@ def _multiply_into(out: dict, p: TruncParams, u: Mapping, v: Mapping, sign: int 
         for (k, l), d in v.items():
             if i + k < a and j + l < b:
                 term = d if unit else c * d
-                if sign < 0:
-                    term = -term
                 key = (i + k, j + l)
                 old = out.get(key)
-                if old is not None and not (term := old + term):
-                    del out[key]
-                else:
+                if old is None:
+                    out[key] = term if sign > 0 else -term
+                elif term := old + term if sign > 0 else old - term:  # one Fraction op where old is present
                     out[key] = term
+                else:
+                    del out[key]
 
 
 def _bracket_into(out: dict, p: TruncParams, u: Mapping, v: Mapping):

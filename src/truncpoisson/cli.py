@@ -29,8 +29,8 @@ at most VERIFY_MAX_AB (2500) for verify; sweep ranges end at SWEEP_MAX (32).
 Each twist entry, reduced to lowest terms, may have at most TWIST_MAX_DIGITS
 (4300, Python's default int/str conversion limit) digits in its numerator and
 in its denominator, so an exponent such as 1e5000 is refused before any
-power of ten is built.  An integer argument past that many digits is refused
-with its digit count.
+power of ten is built.  An integer argument that Python's int/str limit
+refuses is reported with its digit count and that limit.
 """
 
 from __future__ import annotations
@@ -74,7 +74,7 @@ def _integer(token: str, error: str) -> int:
         if not re.fullmatch(r"\s*[-+]?\d+(?:_\d+)*\s*", token):
             raise ValueError(error) from None
     digits = len(re.findall(r"\d", token))
-    raise ValueError(f"an integer of {digits} digits; at most {TWIST_MAX_DIGITS} digits are read")
+    raise ValueError(f"an integer of {digits} digits; at most {sys.get_int_max_str_digits()} digits are read")
 
 
 def ab_value(s: str) -> int:

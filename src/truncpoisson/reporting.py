@@ -82,14 +82,9 @@ def twist_dict(kind: str, t: Optional[TwistParams]) -> dict:
     return out
 
 
-def _check_twist_kind(kind: str, explicit: Optional[TwistParams]):
-    """A trivial or nakayama twist is fixed by its name: parameters given with it would be misreported."""
-    if explicit is not None and kind in ("trivial", "nakayama"):
-        raise ValueError(f"the {kind} twist takes no explicit parameters; got {explicit}")
-
-
 def resolve_twist(kind: str, explicit: Optional[TwistParams], p: TruncParams) -> TwistParams:
-    _check_twist_kind(kind, explicit)
+    if explicit is not None and kind in ("trivial", "nakayama"):  # the report would name a twist not computed
+        raise ValueError(f"the {kind} twist takes no explicit parameters; got {explicit}")
     if kind == "trivial":
         return TwistParams.trivial()
     if kind == "nakayama":
@@ -245,7 +240,6 @@ def sweep_bundle(
     twist_kind: str = "trivial",
     explicit: Optional[TwistParams] = None,
 ) -> ReportBundle:
-    _check_twist_kind(twist_kind, explicit)
     records = [
         _sweep_row(kind, a, b, twist_kind, explicit)
         for a in range(a_range[0], a_range[1] + 1)

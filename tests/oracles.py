@@ -5,8 +5,7 @@ Gauss-Jordan: the bracket oracle expands products one generator at a time
 using only the two generator rules, the delta_1 oracle evaluates the
 convention's four terms with those rules and multiply, and the rank oracle
 is a separate textbook forward elimination.  The per-term sum is the plain
-dict reference for the kernels that add into a map in place, and add_term
-the one-term update behind the tests' fake kernels.  The element
+dict reference for the kernels that add into a map in place.  The element
 evaluator reads a rendering back as a sum of products of X, Y and Fraction
 numbers, computed with the package's multiply and + and -, not with its
 renderer.
@@ -107,15 +106,6 @@ def per_term_sum(start: dict, terms) -> dict:
     for key, term in terms:
         total[key] = total.get(key, 0) + term
     return {key: c for key, c in total.items() if c}
-
-
-def add_term(out: dict, key, term):
-    """out[key] += term for a nonzero term, the key dropped when its coefficient cancels."""
-    total = out.get(key, 0) + term
-    if total:
-        out[key] = total
-    else:
-        del out[key]
 
 
 def disjoint_union(maps) -> dict:

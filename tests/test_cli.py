@@ -233,6 +233,18 @@ def test_usage_error_integer_past_digit_limit_names_the_count(capsys, argv):
     assert err.count("\n") == 1 and len(err) < 200
 
 
+def test_usage_error_integer_past_a_lowered_digit_limit_names_that_limit(capsys):
+    # the limit is the interpreter's, which -X int_max_str_digits or PYTHONINTMAXSTRDIGITS may lower
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out, err = run_cli(capsys, ["cohomology", "-a", "7" * 700, "-b", "3"])
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 2 and out == ""
+    assert err.endswith(": an integer of 700 digits; at most 640 digits are read\n")
+
+
 @pytest.mark.parametrize(
     "entry, value",
     [
