@@ -27,6 +27,7 @@ CHAIN = "src/truncpoisson/chain.py"
 CHECKS = "src/truncpoisson/checks.py"
 CLI = "src/truncpoisson/cli.py"
 COCHAIN = "src/truncpoisson/cochain.py"
+REPORTING = "src/truncpoisson/reporting.py"
 
 RING_IDENTITIES = "tests/test_cochain.py::test_ring_table_identities"
 BLOCK_EVALUATION = "tests/test_blocks.py::test_closed_form_homology_equals_block_evaluation"
@@ -215,6 +216,21 @@ MUTANTS = (
             "tests/test_records.py::test_a_record_may_call_super_and_name_its_class",
             "tests/test_records.py::test_records_are_tuples_with_named_fields",
         ],
+    ),
+    # the twist, one value from the command line to the report
+    (
+        "resolve_twist computes the trivial twist for nakayama",
+        REPORTING,
+        "        return TwistParams.nakayama(p)\n",
+        "        return TwistParams.trivial()\n",
+        ["tests/test_cli.py::test_homology_nakayama_matches_cohomology", "tests/test_digests.py::test_recorded_digest"],
+    ),
+    (
+        "twist_dict names an explicit twist trivial",
+        REPORTING,
+        'twist, t = "explicit", twist',
+        'twist, t = "trivial", twist',
+        ["tests/test_cli.py::test_homology_explicit_twist_rationals"],
     ),
     (
         "cli imports json",

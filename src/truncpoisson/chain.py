@@ -77,9 +77,6 @@ class TwistParams(_Value):
         """The twist (1-b, a-1) induced by the Nakayama automorphism."""
         return cls(Fraction(1 - p.b), Fraction(p.a - 1))
 
-    def __str__(self):
-        return f"({self.alpha}, {self.beta})"
-
 
 def omega2_indices(p: TruncParams) -> list[tuple[int, int]]:
     return [(i, j) for i in range(p.a - 1) for j in range(p.b - 1)]

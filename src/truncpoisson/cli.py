@@ -30,7 +30,9 @@ Each twist entry, reduced to lowest terms, may have at most TWIST_MAX_DIGITS
 (4300, Python's default int/str conversion limit) digits in its numerator and
 in its denominator, so an exponent such as 1e5000 is refused before any
 power of ten is built.  An integer argument that Python's int/str limit
-refuses is reported with its digit count and that limit.
+refuses is reported with its digit count and that limit.  An error line
+quotes a token whole up to 40 characters, a longer one by its first 20 and
+its length, and an integer of more than 20 digits by its digit count.
 """
 
 from __future__ import annotations
@@ -66,6 +68,14 @@ VERIFY_MAX_AB = 2_500
 EXIT_INTERNAL_ERROR = 3
 
 
+def _shown(token, quote=repr) -> str:
+    """token as an error line quotes it (text through quote: repr or str), a long one shortened as above."""
+    if isinstance(token, int):
+        digits = len(str(abs(token)))
+        return str(token) if digits <= 20 else f"an integer of {digits} digits"
+    return quote(token) if len(token) <= 40 else f"{quote(token[:20])}... ({len(token)} characters)"
+
+
 def _integer(token: str, error: str) -> int:
     """int(token); else a ValueError with error, or with the digit count if int refused an integer that long."""
     try:
@@ -78,38 +88,38 @@ def _integer(token: str, error: str) -> int:
 
 
 def ab_value(s: str) -> int:
-    v = _integer(s, f"not an integer: {s!r}")
+    v = _integer(s, f"not an integer: {_shown(s)}")
     if v < 2:
-        raise ValueError(f"need two integers a,b ≥ 2; got {v}")
+        raise ValueError(f"need two integers a,b ≥ 2; got {_shown(v)}")
     return v
 
 
 def range_value(s: str) -> tuple[int, int]:
     lo, sep, hi = s.partition("..")
-    error = f"not an integer range: {s!r} (use N or LO..HI)"
+    error = f"not an integer range: {_shown(s)} (use N or LO..HI)"
     lo_i = _integer(lo, error)
     hi_i = _integer(hi, error) if sep else lo_i
     if lo_i < 2 or hi_i < lo_i:
-        raise ValueError(f"need two integers a,b ≥ 2 and LO ≤ HI; got {s!r}")
+        raise ValueError(f"need two integers a,b ≥ 2 and LO ≤ HI; got {_shown(s)}")
     if hi_i > SWEEP_MAX:
-        raise ValueError(f"resource limit: sweep range bounds are capped at {SWEEP_MAX}; got {hi_i}")
+        raise ValueError(f"resource limit: sweep range bounds are capped at {SWEEP_MAX}; got {_shown(hi_i)}")
     return (lo_i, hi_i)
 
 
-def twist_value(s: str) -> tuple[str, TwistParams | None]:
+def twist_value(s: str) -> str | TwistParams:
     if s in ("trivial", "nakayama"):
-        return (s, None)
+        return s
     parts = s.split(",")
     if len(parts) == 2:
         try:
-            return ("explicit", TwistParams(parts[0].strip(), parts[1].strip()))
+            return TwistParams(parts[0].strip(), parts[1].strip())
         except ValueError:
             pass
         except OverflowError:
             limit = f"at most {TWIST_MAX_DIGITS} digits in numerator and denominator"
-            raise ValueError(f"twist entries need {limit}; got {s!r}") from None
+            raise ValueError(f"twist entries need {limit}; got {_shown(s)}") from None
     expected = "'trivial', 'nakayama' or 'ALPHA,BETA' with rational entries like -1,3/2"
-    raise ValueError(f"twist must be {expected}; got {s!r}")
+    raise ValueError(f"twist must be {expected}; got {_shown(s)}")
 
 
 _DESCRIPTION = "Exact Poisson (co)homology of truncated polynomial algebras in two variables."
@@ -126,7 +136,7 @@ def build_parser() -> dict:
     b = ("-b", ab_value, ..., "Y-exponent bound (at least 2)")
     fmt = ("--format", ("json", "csv", "markdown"), "json", "output format")
     no_reps = ("--no-representatives", None, False, "omit representative labels")
-    twist = ("--twist", twist_value, ("trivial", None), "trivial | nakayama | ALPHA,BETA (rationals)")
+    twist = ("--twist", twist_value, "trivial", "trivial | nakayama | ALPHA,BETA (rationals)")
     return {
         "cohomology": ("cohomology dimensions and representatives", (a, b, fmt, no_reps)),
         "homology": ("twisted homology dimensions and representatives", (a, b, fmt, twist, no_reps)),
@@ -158,7 +168,8 @@ def _classify(prog: str, opts: dict, tok: str):
     hits = ([(opts[f], f, value if eq else None) for f in opts if f.startswith(flag)] if tok[1] == "-"
             else [(opts[tok[:2]], tok[:2], tok[2:])] if tok[:2] in opts else [])  # a prefix, or -a5
     if len(hits) > 1:
-        raise _error(prog, f"ambiguous option: {tok} could match {', '.join(hit[1] for hit in hits)}")
+        matches = ", ".join(hit[1] for hit in hits)
+        raise _error(prog, f"ambiguous option: {_shown(tok, str)} could match {matches}")
     negative = re.match(r"^-\d+$|^-\d*\.\d+$", tok)  # such a token, like one with a space, is a value
     return hits[0] if hits else None if negative or " " in tok else (None, tok, None)
 
@@ -167,7 +178,7 @@ def _value(prog: str, flag: str, convert, tok: str):
     """The value of an option's token: True for a flag, a checked choice or the converter's result."""
     try:
         if isinstance(convert, tuple) and tok not in convert:
-            raise ValueError(f"invalid choice: {tok!r} (choose from {', '.join(map(repr, convert))})")
+            raise ValueError(f"invalid choice: {_shown(tok)} (choose from {', '.join(map(repr, convert))})")
         return True if convert is None else tok if isinstance(convert, tuple) else convert(tok)
     except ValueError as e:
         raise _error(prog, f"argument {flag}: {e}") from None
@@ -193,7 +204,7 @@ def _parse(table: dict, argv: list, command: str = ""):
             taken.append((opt, None))
             opt, flag, explicit = opts["-" + explicit[0]], "-" + explicit[0], explicit[1:] or None
         if explicit is not None and opt[1] is None:
-            raise _error(prog, f"argument {opt[0]}: ignored explicit argument {explicit!r}")
+            raise _error(prog, f"argument {opt[0]}: ignored explicit argument {_shown(explicit)}")
         if explicit is None and opt[1] is not None:
             if i == end or kinds[i] is not None:
                 raise _error(prog, f"argument {opt[0]}: expected one argument")
@@ -211,7 +222,7 @@ def _parse(table: dict, argv: list, command: str = ""):
     command = _value(prog, "command", tuple(table), argv[i])
     values, more = _parse(table, argv[i + 1:], command)
     if extras + more:
-        raise _error(prog, f"unrecognized arguments: {' '.join(extras + more)}")
+        raise _error(prog, f"unrecognized arguments: {' '.join(_shown(t, str) for t in extras + more)}")
     dests = {o[0].lstrip("-").replace("-", "_"): values.get(o[0], o[2]) for o in table[command][1]}
     return SimpleNamespace(command=command, **dests)
 
@@ -240,12 +251,12 @@ def _help(table: dict, command: str) -> str:
 
 def _bundle(args: SimpleNamespace) -> ReportBundle:
     if args.command == "sweep":
-        return sweep_bundle(args.kind, args.a, args.b, *(args.twist or ("trivial", None)))
+        return sweep_bundle(args.kind, args.a, args.b, args.twist or "trivial")
     p = TruncParams(args.a, args.b)
     if args.command == "cohomology":
         return cohomology_bundle(p, include_reps=not args.no_representatives)
     if args.command == "homology":
-        return homology_bundle(p, *args.twist, include_reps=not args.no_representatives)
+        return homology_bundle(p, args.twist, include_reps=not args.no_representatives)
     return {"ring": ring_bundle, "duality": duality_bundle, "verify": verify_bundle}[args.command](p)
 
 
@@ -259,7 +270,8 @@ def main(argv=None) -> int:
         args = _parse(build_parser(), sys.argv[1:] if argv is None else list(argv))
         cap = VERIFY_MAX_AB if args.command == "verify" else INSTANCE_MAX_AB
         if args.command != "sweep" and args.a * args.b > cap:
-            message = f"resource limit: a*b is capped at {cap} for {args.command}; got {args.a}*{args.b}"
+            got = f"{_shown(args.a)}*{_shown(args.b)}"
+            message = f"resource limit: a*b is capped at {cap} for {args.command}; got {got}"
             raise _error("truncpoisson", message)
         if args.command == "sweep" and args.kind == "cohomology" and args.twist is not None:
             raise _error("truncpoisson sweep", "--twist applies only to --kind homology")

@@ -18,10 +18,6 @@ from .algebra import AlgebraElement, TruncParams, _Record, render_element
 from .chain import DegreeComparison, TwistParams, duality_report, homology
 from .cochain import _class_representatives, cohomology, cup, ring_table
 
-TYPE_CHECKING = False
-if TYPE_CHECKING:
-    from typing import Optional
-
 SCHEMA_VERSION = "1.0"
 
 THEORY_COHOMOLOGY_DIMS = (2, 2, 1)
@@ -74,24 +70,26 @@ def _rows(headers: tuple[str, ...], records) -> tuple[tuple, ...]:
     )
 
 
-def twist_dict(kind: str, t: Optional[TwistParams]) -> dict:
-    out = {"kind": kind}
+def twist_dict(twist: str | TwistParams, t: TwistParams | None = None) -> dict:
+    """The report's twist: its kind (the name, or "explicit"), with alpha and beta of t or the explicit twist."""
+    if isinstance(twist, TwistParams):
+        twist, t = "explicit", twist
+    out = {"kind": twist}
     if t is not None:
         out["alpha"] = str(t.alpha)
         out["beta"] = str(t.beta)
     return out
 
 
-def resolve_twist(kind: str, explicit: Optional[TwistParams], p: TruncParams) -> TwistParams:
-    if explicit is not None and kind in ("trivial", "nakayama"):  # the report would name a twist not computed
-        raise ValueError(f"the {kind} twist takes no explicit parameters; got {explicit}")
-    if kind == "trivial":
+def resolve_twist(twist: str | TwistParams, p: TruncParams) -> TwistParams:
+    """The twist "trivial", "nakayama" (the Nakayama twist (1-b, a-1) at p) or a TwistParams, as a TwistParams."""
+    if isinstance(twist, TwistParams):
+        return twist
+    if twist == "trivial":
         return TwistParams.trivial()
-    if kind == "nakayama":
+    if twist == "nakayama":
         return TwistParams.nakayama(p)
-    if explicit is None:
-        raise ValueError("explicit twist requires parameters")
-    return explicit
+    raise ValueError(f"twist must be 'trivial', 'nakayama' or a TwistParams; got {twist!r}")
 
 
 def cohomology_bundle(p: TruncParams, include_reps: bool = True) -> ReportBundle:
@@ -125,9 +123,9 @@ def cohomology_bundle(p: TruncParams, include_reps: bool = True) -> ReportBundle
 
 
 def homology_bundle(
-    p: TruncParams, twist_kind: str, explicit: Optional[TwistParams] = None, include_reps: bool = True
+    p: TruncParams, twist: str | TwistParams = "trivial", include_reps: bool = True
 ) -> ReportBundle:
-    t = resolve_twist(twist_kind, explicit, p)
+    t = resolve_twist(twist, p)
     rep = homology(p, t, include_reps)
     h0, h1, h2 = rep.dims
     euler = h0 - h1 + h2
@@ -140,23 +138,23 @@ def homology_bundle(
         for k in range(3)
     ]
     payload = {
-        "twist": twist_dict(twist_kind, t),
+        "twist": twist_dict(twist, t),
         "dims": list(rep.dims),
         "ranks": {"boundary1": rep.ranks[0], "boundary2": rep.ranks[1]},
         "euler_characteristic": euler,
         "degrees": degrees,
     }
     checks = [CheckResult("euler_characteristic", euler == 1, f"euler {euler}")]
-    if twist_kind == "trivial":
+    if twist == "trivial":
         checks.append(
             CheckResult("trace_dimension", h0 == p.a + p.b - 1, f"h0 = {h0} vs a+b-1 = {p.a + p.b - 1}")
         )
-    elif twist_kind == "nakayama":
+    elif twist == "nakayama":
         codims = tuple(cohomology(p, k, include_reps=False).dimension for k in range(3))
         checks.append(
             CheckResult("twisted_duality_dims", rep.dims == codims, f"{rep.dims} vs {codims}")
         )
-    params = {"a": p.a, "b": p.b, "twist": twist_dict(twist_kind, t)}
+    params = {"a": p.a, "b": p.b, "twist": twist_dict(twist, t)}
     headers = ("degree", "dimension", "representatives")
     return ReportBundle("homology", params, payload, headers, _rows(headers, degrees), tuple(checks))
 
@@ -214,17 +212,17 @@ def duality_bundle(p: TruncParams) -> ReportBundle:
 _SWEEP_HEADERS = ("a", "b", "h0", "h1", "h2", "euler", "theorem_checks")
 
 
-def _sweep_row(kind: str, a: int, b: int, twist_kind: str, explicit: Optional[TwistParams]) -> dict:
+def _sweep_row(kind: str, a: int, b: int, twist: str | TwistParams) -> dict:
     p = TruncParams(a, b)
     if kind == "cohomology":
         dims = tuple(cohomology(p, k, include_reps=False).dimension for k in range(3))
         ok = dims == THEORY_COHOMOLOGY_DIMS
     else:
-        t = resolve_twist(twist_kind, explicit, p)
+        t = resolve_twist(twist, p)
         dims = homology(p, t, include_reps=False).dims
-        if twist_kind == "trivial":
+        if twist == "trivial":
             ok = dims[0] == a + b - 1
-        elif twist_kind == "nakayama":
+        elif twist == "nakayama":
             ok = dims == THEORY_COHOMOLOGY_DIMS
         else:
             ok = True
@@ -237,11 +235,10 @@ def sweep_bundle(
     kind: str,
     a_range: tuple[int, int],
     b_range: tuple[int, int],
-    twist_kind: str = "trivial",
-    explicit: Optional[TwistParams] = None,
+    twist: str | TwistParams = "trivial",
 ) -> ReportBundle:
     records = [
-        _sweep_row(kind, a, b, twist_kind, explicit)
+        _sweep_row(kind, a, b, twist)
         for a in range(a_range[0], a_range[1] + 1)
         for b in range(b_range[0], b_range[1] + 1)
     ]
@@ -251,7 +248,7 @@ def sweep_bundle(
         "b_range": list(b_range),
     }
     if kind == "homology":
-        params["twist"] = twist_dict(twist_kind, explicit)
+        params["twist"] = twist_dict(twist)
     n_fail = sum(1 for r in records if r["theorem_checks"] != "pass")
     checks = (
         CheckResult("all_rows_pass", n_fail == 0, f"{len(records)} rows, {n_fail} failing"),

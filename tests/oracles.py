@@ -230,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_instance_args(p_hom)
     _add_format_arg(p_hom)
     p_hom.add_argument(
-        "--twist", type=twist_value, default=("trivial", None),
+        "--twist", type=twist_value, default="trivial",
         help="trivial | nakayama | ALPHA,BETA (rationals)",
     )
     p_hom.add_argument(

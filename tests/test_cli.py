@@ -13,7 +13,7 @@ import pytest
 
 import truncpoisson
 from truncpoisson.chain import HomologyReport, TwistParams
-from truncpoisson.cli import main, twist_value
+from truncpoisson.cli import _shown, main, twist_value
 from truncpoisson.checks import CheckResult
 from truncpoisson.algebra import TruncParams
 from truncpoisson.reporting import ReportBundle, homology_bundle, sweep_bundle
@@ -245,6 +245,45 @@ def test_usage_error_integer_past_a_lowered_digit_limit_names_that_limit(capsys)
     assert err.endswith(": an integer of 700 digits; at most 640 digits are read\n")
 
 
+JUNK_9000 = "x" * 9000
+TWO_BY_TWO = ["-a", "2", "-b", "2"]
+# (argv, what the error line shows of its long token), each refused with exit 2
+LONG_TOKEN_ARGVS = {
+    "cap": (
+        ["cohomology", "-a", "7" * 4300, "-b", "7" * 4300],
+        "got an integer of 4300 digits*an integer of 4300 digits",
+    ),
+    "sweep cap": (["sweep", "-a", f"2..{'7' * 4300}", "-b", "2"], "got an integer of 4300 digits"),
+    "twist digits": (
+        ["homology", *TWO_BY_TWO, f"--twist={'1' * 3000}.{'1' * 3000},0"],
+        "got '11111111111111111111'... (6003 characters)",
+    ),
+    "twist": (["homology", *TWO_BY_TWO, "--twist", JUNK_9000], "got 'xxxxxxxxxxxxxxxxxxxx'... (9000 characters)"),
+    "-a": (["cohomology", "-a", JUNK_9000, "-b", "2"], "not an integer: 'xxxxxxxxxxxxxxxxxxxx'... (9000 characters)"),
+    "--format": (
+        ["cohomology", *TWO_BY_TWO, "--format", JUNK_9000],
+        "invalid choice: 'xxxxxxxxxxxxxxxxxxxx'... (9000 characters) (choose from",
+    ),
+    "extra": (
+        ["cohomology", *TWO_BY_TWO, JUNK_9000], "unrecognized arguments: xxxxxxxxxxxxxxxxxxxx... (9000 characters)"
+    ),
+    "command": ([JUNK_9000], "argument command: invalid choice: 'xxxxxxxxxxxxxxxxxxxx'... (9000 characters)"),
+}
+
+
+@pytest.mark.parametrize("argv, shown", LONG_TOKEN_ARGVS.values(), ids=LONG_TOKEN_ARGVS)
+def test_usage_error_shortens_a_long_token(capsys, argv, shown):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and len(err.encode()) <= 300 and shown in err, err
+
+
+def test_usage_error_shows_tokens_up_to_40_characters_and_integers_up_to_20_digits_whole():
+    assert _shown("x" * 40) == repr("x" * 40) and _shown("x" * 40, str) == "x" * 40
+    assert _shown("y\n" * 21) == repr("y\n" * 10) + "... (42 characters)"
+    assert _shown(-10**19) == str(-10**19) and _shown(10**20) == "an integer of 21 digits"
+
+
 @pytest.mark.parametrize(
     "entry, value",
     [
@@ -260,7 +299,7 @@ def test_usage_error_integer_past_a_lowered_digit_limit_names_that_limit(capsys)
     ],
 )
 def test_twist_entries_within_digit_limit_keep_their_value(entry, value):
-    assert twist_value(f"{entry},{entry}") == ("explicit", TwistParams(value, value))
+    assert twist_value(f"{entry},{entry}") == TwistParams(value, value)
 
 
 @pytest.mark.parametrize("entry, value", TWIST_ENTRIES, ids=repr)
@@ -406,6 +445,8 @@ AB = ["-a", "4", "-b", "5"]
 # Every command, and homology at each kind of twist.
 COMMAND_ARGVS = (
     ["cohomology", *AB],
+    ["homology", *AB],
+    ["homology", *AB, "--no-representatives"],
     ["homology", *AB, "--twist", "trivial"],
     ["homology", *AB, "--twist", "nakayama"],
     ["homology", *AB, "--twist=-1,2"],
@@ -485,18 +526,20 @@ def test_usage_error_twist_on_cohomology_sweep(capsys, argv):
     assert err == "truncpoisson sweep: error: --twist applies only to --kind homology\n"
 
 
-@pytest.mark.parametrize("kind", ["trivial", "nakayama"])
-def test_sweep_bundle_refuses_an_explicit_twist_with_a_named_kind(kind):
-    # the rows would be computed at the named twist, and params would report the explicit one
-    with pytest.raises(ValueError, match=f"the {kind} twist takes no explicit parameters"):
-        sweep_bundle("homology", (2, 3), (2, 2), kind, TwistParams(1, 2))
+def test_homology_bundle_reports_the_explicit_twist_it_computed():
+    assert homology_bundle(TruncParams(3, 3), TwistParams(1, 2)).params["twist"] == {
+        "kind": "explicit", "alpha": "1", "beta": "2"
+    }
 
 
-@pytest.mark.parametrize("kind", ["trivial", "nakayama"])
-def test_homology_bundle_refuses_an_explicit_twist_with_a_named_kind(kind):
-    with pytest.raises(ValueError, match=f"the {kind} twist takes no explicit parameters"):
-        homology_bundle(TruncParams(3, 3), kind, TwistParams(1, 2))
-    assert homology_bundle(TruncParams(3, 3), "explicit", TwistParams(1, 2)).params["twist"]["alpha"] == "1"
+@pytest.mark.parametrize("bundle", [
+    lambda twist: homology_bundle(TruncParams(3, 3), twist),
+    lambda twist: sweep_bundle("homology", (2, 3), (2, 2), twist),
+], ids=["homology", "sweep"])
+@pytest.mark.parametrize("twist", ["explicit", "Nakayama", None, (1, 2)], ids=repr)
+def test_bundles_refuse_a_twist_that_is_neither_a_name_nor_a_twist_params(bundle, twist):
+    with pytest.raises(ValueError, match="twist must be 'trivial', 'nakayama' or a TwistParams; got "):
+        bundle(twist)
 
 
 def _homology_breaking_euler(p, t, include_reps=True):

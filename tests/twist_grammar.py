@@ -68,7 +68,7 @@ TWIST_ENTRIES = [
 def twist_answer(text: str):
     """(alpha, beta) of the twist text, or None where twist_value refuses it."""
     try:
-        t = twist_value(text)[1]
+        t = twist_value(text)
     except ValueError:
         return None
     return (t.alpha, t.beta)
