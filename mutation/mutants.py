@@ -189,7 +189,7 @@ MUTANTS = (
         COCHAIN,
         '    _shift_into(value, p, dy, "X", -1, 1)\n',
         "",
-        [VERIFY_DIGESTS, "tests/test_cochain.py::test_delta1_apply_matches_generator_oracle"],
+        [VERIFY_DIGESTS, "tests/test_cochain.py::test_delta1_kernel_matches_generator_oracle"],
     ),
     # verify's checks and the normalization kernel
     (

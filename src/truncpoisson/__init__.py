@@ -16,8 +16,7 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "algebra": "AlgebraElement EulerDims TruncParams bracket euler_dims multiply render_element",
-    "chain": "ChainElement DualityReport HomologyReport TwistParams duality_report homology module_bracket "
-    "omega_dims",
+    "chain": "ChainElement DualityReport HomologyReport TwistParams duality_report homology omega_dims",
     "checks": "run_verify",
     "cochain": "Biderivation CohomologyReport Derivation NormalizedCocycle RingTable cohomology cup "
     "fibre_product_table hamiltonian is_poisson_derivation normalize_one_cocycle ring_table",

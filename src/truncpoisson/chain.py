@@ -25,15 +25,15 @@ with scalar entries; an entry is absent when its form is (dX needs k >= 1,
 dY needs l >= 1, dX^dY needs both).  Both entries of b1 vanish only at
 (0, 0), on the row k = 0 when beta = 0, on the column l = 0 when alpha = 0,
 and at (beta, -alpha) when beta is an integer in [1, a-1] and -alpha one in
-[1, b-1]; homology reads its answer off that list of weights.  boundary
+[1, b-1]; homology reads its answer off that list of weights.  The
+boundary, m dg |-> {m, g} and m dX^dY |-> {m,X} dY - {m,Y} dX - m d(X*Y),
 applies each entry as one shift (algebra._shift_into) of a form's
 coefficient map m on (i, j): b1 is -(j+alpha) on m*X from dX and (i-beta)
 on m*Y from dY, and b2 is -(j+alpha+1) on m*X into dY and -(i-beta+1) on
-m*Y into dX.  verify checks the complex on sparse int chains through
-boundary's two kernels, each twist's denominators cleared: _boundary2_into
-writes a 2-chain's boundary as the pair of its dX and dY parts, and
-_boundary1_into reads that pair as it is, so no 1-form key (i, j, dX) is
-built on the way.
+m*Y into dX.  verify checks the complex on sparse int chains through its
+two kernels, each twist's denominators cleared: _boundary2_into writes a
+2-chain's boundary as the pair of its dX and dY parts, and _boundary1_into
+reads that pair as it is, so no 1-form key (i, j, dX) is built on the way.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ from fractions import Fraction
 from types import MappingProxyType
 
 from .algebra import (
-    AlgebraElement,
     TruncParams,
     _Record,
     _Value,
@@ -118,11 +117,6 @@ class ChainElement(_Value):
                 clean[key] = c
         return cls._make(params, degree, MappingProxyType(clean))
 
-    @classmethod
-    def _clean(cls, params: TruncParams, degree: int, coeffs: dict) -> "ChainElement":
-        """Wrap nonzero Fraction coefficients already on valid degree-`degree` form indices."""
-        return cls._make(params, degree, MappingProxyType(coeffs))
-
     def render(self) -> str:
         """The chain as a signed sum, its terms in decreasing key order, as render_element orders them."""
         terms = []
@@ -136,19 +130,11 @@ class ChainElement(_Value):
         return f"ChainElement(deg={self.degree}: {self.render()})"
 
 
-def module_bracket(t: TwistParams, m: AlgebraElement, g: str) -> AlgebraElement:
-    """External bracket of the twisted module against a generator ('X' or 'Y'), one shift."""
-    out: dict[tuple[int, int], Fraction] = {}
-    const, slope = (-t.alpha, -1) if g == "X" else (-t.beta, 1)
-    _shift_into(out, m.params, m.coeffs, g, const, slope)
-    return AlgebraElement._clean(m.params, out)
-
-
 def _boundary1_into(out: dict, p: TruncParams, alpha, beta, scale: int, z_dx: Mapping, z_dy: Mapping):
     """out += scale * boundary at the twist (alpha, beta) / scale of the 1-chain z_dx dX + z_dy dY.
 
-    The degree-1 kernel behind boundary, which passes the twist itself and
-    scale 1: out += {z_dx, X} + {z_dy, Y}, the block entries -(l+alpha) and
+    The degree-1 kernel of the boundary, at scale 1 and the twist itself:
+    out += {z_dx, X} + {z_dy, Y}, the block entries -(l+alpha) and
     k-beta as shifts.  z_dx and z_dy are the chain's dX and dY parts as maps
     without zeros on (i, j), the pair that _boundary2_into writes, and out
     is a map on the monomials.  Given an integer scale D with D*alpha and
@@ -162,7 +148,7 @@ def _boundary1_into(out: dict, p: TruncParams, alpha, beta, scale: int, z_dx: Ma
 def _boundary2_into(on_dx: dict, on_dy: dict, p: TruncParams, alpha, beta, scale: int, z: Mapping):
     """(on_dx, on_dy) += scale * boundary at the twist (alpha, beta) / scale of the 2-chain z.
 
-    The degree-2 kernel behind boundary: on_dy += {m,X} - m*X and on_dx +=
+    The degree-2 kernel of the boundary: on_dy += {m,X} - m*X and on_dx +=
     -{m,Y} - m*Y, the dY and dX parts of the boundary of m dX^dY, each a map
     on (i, j).  Each part is one shift, the block entry -(l+alpha) or
     -(k-beta) at the weight (i+1, j+1): -(D*j + D*alpha + D) on m*X and
@@ -171,38 +157,6 @@ def _boundary2_into(on_dx: dict, on_dy: dict, p: TruncParams, alpha, beta, scale
     """
     _shift_into(on_dy, p, z, "X", -alpha - scale, -scale)
     _shift_into(on_dx, p, z, "Y", beta - scale, -scale)
-
-
-def boundary(t: TwistParams, z: ChainElement) -> ChainElement:
-    """Boundary of a chain of degree 1 or 2, from the general formula
-
-        m (x) dg     |-> {m, g}
-        m (x) dX^dY  |-> {m,X} (x) dY - {m,Y} (x) dX - m (x) d(X*Y)
-
-    with d(X*Y) = X dY + Y dX; each term is summed into one coefficient map
-    per form.  A 2-form X^i Y^j dX^dY has i <= a-2 and j <= b-2, so every
-    term lands on a degree-1 form index and the torsion drops nothing.  The
-    expanded closed form
-    -(j+alpha+1) X^(i+1)Y^j (x) dY - (i-beta+1) X^i Y^(j+1) (x) dX of the
-    degree-2 case is the test oracle for this operator.  The kernels work on
-    the (dX, dY) pair of maps on (i, j); only here are the 1-form keys
-    (i, j, dX) and (i, j, dY) split off or put back.
-    """
-    p, coeffs = z.params, z.coeffs
-    if z.degree == 1:
-        out: dict = {}
-        z_dx = {(i, j): c for (i, j, f), c in coeffs.items() if f == DX}
-        z_dy = {(i, j): c for (i, j, f), c in coeffs.items() if f == DY}
-        _boundary1_into(out, p, t.alpha, t.beta, 1, z_dx, z_dy)
-        return ChainElement._clean(p, 0, out)
-    if z.degree == 2:
-        on_dx: dict = {}
-        on_dy: dict = {}
-        _boundary2_into(on_dx, on_dy, p, t.alpha, t.beta, 1, coeffs)
-        out = {(i, j, DX): c for (i, j), c in on_dx.items()}
-        out.update({(i, j, DY): c for (i, j), c in on_dy.items()})
-        return ChainElement._clean(p, 1, out)
-    raise ValueError("boundary is defined on chains of degree 1 and 2")
 
 
 class HomologyReport(_Record):
@@ -247,7 +201,7 @@ def homology(p: TruncParams, t: TwistParams, include_reps: bool = True) -> Homol
     weights += [(i, 0) for i in range(1, column + 1)]
     if inner:
         weights.append((int(ki), int(li)))
-    # _make without _clean's extra call: the cap row builds 360001 chains here
+    # _make without the constructor's checks: the cap row builds 360001 chains here
     one, make = Fraction(1), ChainElement._make
     reps0 = tuple(make(p, 0, MappingProxyType({w: one})) for w in weights)
     reps1 = [make(p, 1, MappingProxyType({(k - 1, l, DX): one})) for k, l in weights if k]

@@ -87,7 +87,7 @@ def check_delta_complex(p: TruncParams) -> CheckResult:
     """delta_1(hamiltonian(m)) = 0 for every basis monomial m, in one pass on int maps.
 
     hamiltonian(m) is the derivation with values {X, m} and {Y, m}; they are
-    built with _bracket_into and fed to delta1_apply's kernel _delta1_into,
+    built with _bracket_into and fed to delta_1's kernel _delta1_into,
     the same kernels those functions run, here on integers.  So the check
     composes two different kernels: brackets, then shifts.
 
@@ -300,10 +300,10 @@ def check_leibniz(p: TruncParams) -> CheckResult:
 
 
 def check_predicate_agreement(p: TruncParams) -> CheckResult:
-    """is_poisson_derivation(d) == delta1_apply(d).is_zero() on the basis and random derivations.
+    """is_poisson_derivation(d) == (delta_1(d) == 0) on the basis and random derivations.
 
-    Both sides run through the kernels behind those functions, _is_cocycle
-    and _delta1_into, on int maps: the basis derivations as {ij: 1} and
+    Both sides run through their kernels, _is_cocycle and _delta1_into, on
+    int maps: the basis derivations as {ij: 1} and
     PREDICATE_RANDOM_DERIVATIONS seeded _random_derivation_maps.
     """
     getrandbits = _rng(p, "predicate").getrandbits

@@ -12,7 +12,7 @@ solve behind normalize_one_cocycle, _normalize, and the closed-form cocycle
 test behind is_poisson_derivation, _is_cocycle, run on int or Fraction
 value maps, and verify's checks run them on int maps; ring_table reads the
 v and w coordinates of its degree-1 products through _normalize too.
-Derivation and Biderivation share their arithmetic, component-wise on
+Derivation and Biderivation share their subtraction, component-wise on
 their value fields, through the private base _Cochain.
 
 The complex splits by weight.  X^k Y^l, d_{k+1,l}, d'_{k,l+1} and
@@ -29,7 +29,7 @@ takes rank delta_0 = ab - 2 and rank delta_1 = (a-1)(b-1) - 1 as closed
 forms.  normalize_one_cocycle and is_poisson_derivation, and so ring_table,
 visit only the blocks in the support of their cochain, and verify checks the
 complex on int value maps through _bracket_into and _delta1_into, the
-kernels of hamiltonian and delta1_apply.
+kernels of hamiltonian and delta_1.
 
 Conventions (fixed once, verified by the delta.delta = 0 and cup
 well-definedness tests):
@@ -72,36 +72,20 @@ def chi1_index_pairs(p: TruncParams) -> tuple[list[tuple[int, int]], list[tuple[
 class _Cochain(_Value):
     """The base of the cochains of degree `degree` >= 1: params, then AlgebraElement values.
 
-    The arithmetic works component-wise on the value fields and rebuilds
-    through the subclass's checking constructor.  A cochain adds to and
-    subtracts only a cochain of its own class; any other operand is a
-    TypeError.
+    Subtraction works component-wise on the value fields and rebuilds
+    through the subclass's checking constructor.  A cochain subtracts only
+    a cochain of its own class; any other operand is a TypeError.
     """
 
     __slots__ = ()
 
-    @classmethod
-    def zero(cls, params: TruncParams):
-        return cls(params, *[AlgebraElement.zero(params)] * (len(cls.__slots__) - 1))
-
     def _parts(self) -> tuple:
         return self._values()[1:]
-
-    def __add__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.__class__(self.params, *map(AlgebraElement.__add__, self._parts(), other._parts()))
 
     def __sub__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
         return self.__class__(self.params, *map(AlgebraElement.__sub__, self._parts(), other._parts()))
-
-    def scale(self, s):
-        return self.__class__(self.params, *(u.scale(s) for u in self._parts()))
-
-    def is_zero(self) -> bool:
-        return all(u.is_zero() for u in self._parts())
 
     def __repr__(self):
         return f"{type(self).__name__}({self.label()})"
@@ -190,7 +174,7 @@ def hamiltonian(lam: AlgebraElement) -> Derivation:
 def _delta1_into(value: dict, p: TruncParams, dx: Mapping, dy: Mapping):
     """value += delta_1(d)(X^Y) for the derivation d with value maps dx = d(X), dy = d(Y).
 
-    The kernel behind delta1_apply, two shifts.  {X, d(Y)} - X*d(Y) takes
+    The kernel of delta_1, two shifts.  {X, d(Y)} - X*d(Y) takes
     X^i Y^j in d(Y) to (j - 1) X^(i+1) Y^j, and -{Y, d(X)} - d(X)*Y takes
     X^i Y^j in d(X) to (i - 1) X^i Y^(j+1): the block entries l and k at
     the weight (k, l) of the target's f_{k+1,l+1}.  Like the algebra kernels
@@ -198,14 +182,6 @@ def _delta1_into(value: dict, p: TruncParams, dx: Mapping, dy: Mapping):
     """
     _shift_into(value, p, dy, "X", -1, 1)
     _shift_into(value, p, dx, "Y", -1, 1)
-
-
-def delta1_apply(d: Derivation) -> Biderivation:
-    """delta_1(d) evaluated on X^Y, its four convention terms summed into one map by two shifts."""
-    p = d.params
-    value: dict = {}
-    _delta1_into(value, p, d.dx.coeffs, d.dy.coeffs)
-    return Biderivation(p, AlgebraElement._clean(p, value))
 
 
 def _blocks(p: TruncParams, weights):
@@ -406,11 +382,6 @@ class RingTable(_Record):
     basis_labels: tuple[str, ...]
     degrees: tuple[int, ...]
     products: tuple[tuple[Vector, ...], ...]
-
-    def product(self, left: str, right: str) -> Vector:
-        i = self.basis_labels.index(left)
-        j = self.basis_labels.index(right)
-        return self.products[i][j]
 
     def matches_reference(self) -> bool:
         """Whether the computed table equals the reference ring's table."""

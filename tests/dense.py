@@ -4,7 +4,8 @@ The package computes on sparse coefficient maps and builds no matrix; the
 tests check its closed forms against dense elimination over the matrices
 built here.  Each basis order is written once, below, and every matrix
 column is the coordinate vector of the image of one basis element under
-the package's own sparse operator (hamiltonian, delta1_apply, boundary).
+the package's own sparse operator: hamiltonian, or the kernels
+_delta1_into, _boundary1_into and _boundary2_into run on {key: 1}.
 
     algebra, 0-chains   X^i Y^j in row-major order (i outermost)
     derivations         d_{i,j} (X |-> X^i Y^j), i >= 1, then d'_{i,j} (Y |-> X^i Y^j), j >= 1
@@ -19,8 +20,8 @@ from fractions import Fraction
 
 from truncpoisson import AlgebraElement, Biderivation, ChainElement, Derivation, TruncParams, TwistParams
 from truncpoisson.algebra import euler_dims
-from truncpoisson.chain import DX, DY, boundary, omega2_indices, omega_dims
-from truncpoisson.cochain import chi1_index_pairs, delta1_apply, hamiltonian
+from truncpoisson.chain import DX, DY, _boundary1_into, _boundary2_into, omega2_indices, omega_dims
+from truncpoisson.cochain import _delta1_into, chi1_index_pairs, hamiltonian
 from truncpoisson.linalg import Matrix
 
 
@@ -102,18 +103,43 @@ def delta0_matrix(p: TruncParams) -> Matrix:
     return _matrix(images, euler_dims(p).chi1)
 
 
+def delta1_value(d: Derivation) -> AlgebraElement:
+    """delta_1(d) evaluated on X^Y, by the kernel _delta1_into."""
+    value: dict = {}
+    _delta1_into(value, d.params, d.dx.coeffs, d.dy.coeffs)
+    return AlgebraElement(d.params, value)
+
+
 def delta1_matrix(p: TruncParams) -> Matrix:
     """delta_1 from the derivations to the biderivations."""
-    return _matrix([delta1_apply(d) for d in chi1_basis(p)], euler_dims(p).chi2)
+    return _matrix([Biderivation(p, delta1_value(d)) for d in chi1_basis(p)], euler_dims(p).chi2)
+
+
+def boundary_map(p: TruncParams, degree: int, z, alpha, beta, scale: int = 1) -> dict:
+    """scale * the boundary at the twist (alpha, beta) / scale of the degree-1 or 2 chain with coefficient map z.
+
+    The kernels work on the pair of a 1-chain's dX and dY parts, maps on
+    (i, j); here the 1-form keys (i, j, dX) and (i, j, dY) are split off or
+    put back.
+    """
+    parts: tuple = ({}, {})
+    if degree == 1:
+        for (i, j, f), c in z.items():
+            parts[f == DY][(i, j)] = c
+        out: dict = {}
+        _boundary1_into(out, p, alpha, beta, scale, *parts)
+        return out
+    _boundary2_into(*parts, p, alpha, beta, scale, z)
+    return {(i, j, f): c for f, part in zip((DX, DY), parts) for (i, j), c in part.items()}
 
 
 def partial1_matrix(p: TruncParams, t: TwistParams) -> Matrix:
     """The boundary from the 1-chains to the 0-chains."""
-    images = [boundary(t, ChainElement(p, 1, {key: 1})) for key in omega1_indices(p)]
+    images = [ChainElement(p, 0, boundary_map(p, 1, {key: 1}, t.alpha, t.beta)) for key in omega1_indices(p)]
     return _matrix(images, p.dim)
 
 
 def partial2_matrix(p: TruncParams, t: TwistParams) -> Matrix:
     """The boundary from the 2-chains to the 1-chains."""
-    images = [boundary(t, ChainElement(p, 2, {key: 1})) for key in omega2_indices(p)]
+    images = [ChainElement(p, 1, boundary_map(p, 2, {key: 1}, t.alpha, t.beta)) for key in omega2_indices(p)]
     return _matrix(images, omega_dims(p)[1])

@@ -137,8 +137,9 @@ def random_cocycle(p: TruncParams, rng) -> tuple[Derivation, Fraction, Fraction]
     """A synthesized cocycle c10*d_{1,0} + c01*d'_{0,1} + delta_0(random_element), with c10 and c01."""
     c10 = random_rational(rng)
     c01 = random_rational(rng)
-    normal = Derivation.basis_d(p, 1, 0).scale(c10) + Derivation.basis_dprime(p, 0, 1).scale(c01)
-    return normal + hamiltonian(random_element(p, rng)), c10, c01
+    h = hamiltonian(random_element(p, rng))
+    dx, dy = AlgebraElement.monomial(p, 1, 0, c10) + h.dx, AlgebraElement.monomial(p, 0, 1, c01) + h.dy
+    return Derivation(p, dx, dy), c10, c01
 
 
 def is_cocycle_by_weights(p: TruncParams, dx, dy) -> bool:

@@ -205,6 +205,7 @@ def test_no_command_scans_all_weight_blocks(monkeypatch):
     monkeypatch.undo()
     x, y = AlgebraElement.gen_x(p), AlgebraElement.gen_y(p)
     lam = x * x * y + y * y * y
-    d = Derivation.basis_d(p, 1, 0).scale(3) + hamiltonian(lam)
+    h = hamiltonian(lam)
+    d = Derivation(p, AlgebraElement.monomial(p, 1, 0, 3) + h.dx, h.dy)
     res = normalize_one_cocycle(d)
     assert (res.c10, res.c01, res.potential) == (3, 0, lam)

@@ -27,7 +27,7 @@ from truncpoisson.checks import (
     random_twist,
 )
 from truncpoisson.algebra import _bracket_into, _multiply_into, _shift_into
-from truncpoisson.cochain import delta1_apply, fibre_product_table
+from truncpoisson.cochain import fibre_product_table
 from truncpoisson.linalg import Matrix, column_space, solve
 
 import dense
@@ -58,7 +58,8 @@ def test_cochain_labels_render_signed_sums():
     assert f.label() == "-f_{1,1} + 2/3*f_{2,2}"
     assert Derivation.basis_dprime(p, 2, 3).label() == "d'_{2,3}"
     assert Biderivation.basis_f(p, 2, 3).label() == "f_{2,3}"
-    assert Derivation.zero(p).label() == "0" and Biderivation.zero(p).label() == "0"
+    zero = AlgebraElement.zero(p)
+    assert Derivation(p, zero, zero).label() == "0" and Biderivation(p, zero).label() == "0"
 
 
 def test_chi1_basis_counts():
@@ -85,12 +86,10 @@ def test_derivation_constructor_rejects_bad_values():
         Derivation(p, AlgebraElement.zero(p), AlgebraElement.monomial(p, 1, 0))
 
 
-def test_cochains_add_only_to_cochains_of_their_own_class():
+def test_cochains_subtract_only_cochains_of_their_own_class():
     p = TruncParams(3, 4)
     d, f, one = Derivation.basis_d(p, 1, 0), Biderivation.basis_f(p, 1, 1), AlgebraElement.one(p)
     for x, y in [(d, f), (f, d), (d, one), (f, one)]:
-        with pytest.raises(TypeError):
-            x + y
         with pytest.raises(TypeError):
             x - y
 
@@ -98,11 +97,9 @@ def test_cochains_add_only_to_cochains_of_their_own_class():
 def test_cochain_arithmetic_is_component_wise():
     p = TruncParams(3, 4)
     d, g, f = Derivation.basis_d(p, 1, 0), Derivation.basis_dprime(p, 0, 1), Biderivation.basis_f(p, 1, 1)
-    assert repr(d - g) == "Derivation(d_{1,0} - d'_{0,1})" and (d - g) + g == d
-    assert repr(d.scale(Fraction(-1, 2)) + g.scale(3)) == "Derivation(-1/2*d_{1,0} + 3*d'_{0,1})"
-    assert repr(f + f.scale(2)) == "Biderivation(3*f_{1,1})"
-    assert (f - f).is_zero() and f - f == Biderivation.zero(p) and not f.is_zero()
-    assert d.scale(0) == Derivation.zero(p) and not (d - g).is_zero()
+    assert repr(d - g) == "Derivation(d_{1,0} - d'_{0,1})" and d - (d - g) == g
+    assert repr(g - d) == "Derivation(-d_{1,0} + d'_{0,1})" and repr(f - f) == "Biderivation(0)"
+    assert not (f - f).value.coeffs and not (d - d).dx.coeffs
     assert [cochain.cochain_degree(x) for x in (AlgebraElement.one(p), d, f)] == [0, 1, 2]
     with pytest.raises(TypeError, match="not a cochain"):
         cochain.cochain_degree(Fraction(1))
@@ -111,8 +108,9 @@ def test_cochain_arithmetic_is_component_wise():
 def test_hamiltonian_of_constants_is_zero():
     for a, b in [(2, 2), (4, 3)]:
         p = TruncParams(a, b)
-        assert hamiltonian(AlgebraElement.one(p)).is_zero()
-        assert hamiltonian(AlgebraElement.monomial(p, a - 1, b - 1)).is_zero()
+        zero = Derivation(p, AlgebraElement.zero(p), AlgebraElement.zero(p))
+        assert hamiltonian(AlgebraElement.one(p)) == zero
+        assert hamiltonian(AlgebraElement.monomial(p, a - 1, b - 1)) == zero
 
 
 def test_hamiltonian_of_x_at_2_2():
@@ -338,7 +336,7 @@ def test_canonical_one_cocycles_in_kernel():
 def test_is_poisson_derivation_examples():
     p = TruncParams(2, 3)
     assert is_poisson_derivation(Derivation.basis_d(p, 1, 0))
-    assert is_poisson_derivation(Derivation.zero(p))
+    assert is_poisson_derivation(Derivation(p, AlgebraElement.zero(p), AlgebraElement.zero(p)))
     assert not is_poisson_derivation(Derivation.basis_dprime(p, 0, 2))
 
 
@@ -533,7 +531,7 @@ def test_normalize_coboundary_to_zero():
             d = hamiltonian(random_element(p, rng))
             res = normalize_one_cocycle(d)
             assert (res.c10, res.c01) == (0, 0)
-            assert d - hamiltonian(res.potential) == Derivation.zero(p)
+            assert d == hamiltonian(res.potential)
 
 
 def test_normalize_recovers_synthesized_coefficients():
@@ -555,12 +553,8 @@ def test_normalize_recovers_synthesized_coefficients():
             res = normalize_one_cocycle(d)
             assert (res.c10, res.c01) == (c10, c01)
             assert to_vector(res.potential) == via_elimination[2:]
-            recon = (
-                Derivation.basis_d(p, 1, 0).scale(res.c10)
-                + Derivation.basis_dprime(p, 0, 1).scale(res.c01)
-                + hamiltonian(res.potential)
-            )
-            assert recon == d
+            normal = Derivation(p, AlgebraElement.monomial(p, 1, 0, res.c10), AlgebraElement.monomial(p, 0, 1, res.c01))
+            assert d - hamiltonian(res.potential) == normal
 
 
 def test_normalize_rejects_non_cocycle():
@@ -610,7 +604,7 @@ def test_normalization_check_and_normalize_one_cocycle_run_one_kernel(monkeypatc
     assert checks.check_normalization(p).passed
     n = checks.NORMALIZATION_COCYCLES
     assert calls == [int] * (n + 1)  # the cocycles and the refused d_{2,0} + d'_{0,2}
-    res = normalize_one_cocycle(Derivation.basis_d(p, 1, 0) + hamiltonian(AlgebraElement.monomial(p, 1, 2)))
+    res = normalize_one_cocycle(Derivation.basis_d(p, 1, 0) - hamiltonian(AlgebraElement.monomial(p, 1, 2, -1)))
     assert calls[n + 1:] == [Fraction] and (res.c10, res.c01) == (1, 0)
 
 
@@ -626,7 +620,7 @@ def test_cup_top_monomial_annihilates_d10():
         p = TruncParams(a, b)
         top = AlgebraElement.monomial(p, a - 1, b - 1)
         prod = cup(top, Derivation.basis_d(p, 1, 0))
-        assert prod.is_zero()
+        assert prod.dx.is_zero() and prod.dy.is_zero()
 
 
 def test_cup_self_product_of_one_cochain_vanishes():
@@ -634,7 +628,7 @@ def test_cup_self_product_of_one_cochain_vanishes():
     p = TruncParams(4, 4)
     for _ in range(10):
         d = random_derivation(p, rng)
-        assert cup(d, d).is_zero()
+        assert cup(d, d).value.is_zero()
 
 
 def test_cup_unit_is_identity():
@@ -664,7 +658,7 @@ def test_cup_well_defined_on_classes():
             z, _, _ = random_cocycle(p, rng)
             zp, _, _ = random_cocycle(p, rng)
             lam = random_element(p, rng)
-            shifted = cup(z + hamiltonian(lam), zp) - cup(z, zp)
+            shifted = cup(z - hamiltonian(-lam), zp) - cup(z, zp)
             assert solve(d1, to_vector(shifted)) is not None
             # a central element times a coboundary stays a coboundary
             centre = AlgebraElement.monomial(p, a - 1, b - 1, Fraction(rng.randint(-3, 3)))
@@ -680,22 +674,22 @@ def test_f11_is_not_a_coboundary():
             assert solve(dense.delta1_matrix(p), target) is None
 
 
-def test_delta1_apply_matches_matrix():
+def test_delta1_kernel_matches_matrix():
     rng = random.Random(24)
     p = TruncParams(4, 3)
     m = dense.delta1_matrix(p)
     for _ in range(10):
         d = random_derivation(p, rng)
-        assert to_vector(delta1_apply(d)) == m.apply(to_vector(d))
+        assert to_vector(Biderivation(p, dense.delta1_value(d))) == m.apply(to_vector(d))
 
 
-def test_delta1_apply_matches_generator_oracle():
+def test_delta1_kernel_matches_generator_oracle():
     rng = random.Random(25)
     for a, b in [(2, 2), (2, 5), (3, 3), (4, 3), (3, 7), (6, 6)]:
         p = TruncParams(a, b)
         for _ in range(10):
             d = random_derivation(p, rng)
-            assert delta1_apply(d).value == delta1_oracle(d)
+            assert dense.delta1_value(d) == delta1_oracle(d)
 
 
 def test_ring_table_matches_reference():
@@ -710,17 +704,19 @@ def test_ring_table_identities():
     table = ring_table(p)
     zero = tuple(Fraction(0) for _ in range(5))
     m_coord = (Fraction(0),) * 4 + (Fraction(1),)
-    assert table.product("v", "w") == m_coord
-    assert table.product("w", "v") == tuple(-c for c in m_coord)
-    assert table.product("t", "t") == zero
+    labels = table.basis_labels
+    product = {(x, y): table.products[i][j] for i, x in enumerate(labels) for j, y in enumerate(labels)}
+    assert product["v", "w"] == m_coord
+    assert product["w", "v"] == tuple(-c for c in m_coord)
+    assert product["t", "t"] == zero
     for other in ("v", "w", "m"):
-        assert table.product("t", other) == zero
-    assert table.product("v", "v") == zero
-    assert table.product("w", "w") == zero
+        assert product["t", other] == zero
+    assert product["v", "v"] == zero
+    assert product["w", "w"] == zero
     for label in ("1", "t", "v", "w", "m"):
         expected = [Fraction(0)] * 5
-        expected[table.basis_labels.index(label)] = Fraction(1)
-        assert table.product("1", label) == tuple(expected)
+        expected[labels.index(label)] = Fraction(1)
+        assert product["1", label] == tuple(expected)
 
 
 @pytest.mark.parametrize(
@@ -738,7 +734,7 @@ def test_ring_table_rejects_a_product_outside_the_span(monkeypatch, extra):
     def off_span_cup(x, y):
         z = real_cup(x, y)
         e = extra(z.params)
-        return z + e if type(z) is type(e) else z
+        return z - e if type(z) is type(e) else z
 
     monkeypatch.setattr(cochain, "cup", off_span_cup)
     with pytest.raises(RuntimeError, match="leaves the span of coboundaries and representatives"):

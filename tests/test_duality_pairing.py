@@ -17,8 +17,8 @@ eps(Y*u); at the trivial twist the adjoint identity fails.  So HP^k(A) is
 dual to HP_k(A; A_nu), and the pairing of cohomology's representatives with
 those of homology(p, nu) shows it class by class.
 
-Only the package's operators are used: hamiltonian and delta1_apply for
-delta, chain.boundary, bracket and multiply.
+Only the package's operators are used: hamiltonian and the kernels of
+delta_1 and of the boundary (through dense), bracket and multiply.
 """
 
 from fractions import Fraction
@@ -37,8 +37,8 @@ from truncpoisson import (
     homology,
     multiply,
 )
-from truncpoisson.chain import DX, DY, boundary
-from truncpoisson.cochain import delta1_apply, hamiltonian
+from truncpoisson.chain import DX, DY
+from truncpoisson.cochain import hamiltonian
 
 import dense
 
@@ -93,8 +93,9 @@ def is_permutation_matrix(rows: list) -> bool:
 
 def adjoint_mismatches(p: TruncParams, t: TwistParams):
     """Yield the basis pairs (phi, c) where <delta phi, c> != <phi, boundary_t c>, in degrees 0 and 1."""
-    for k, delta in ((0, hamiltonian), (1, delta1_apply)):
-        chains = [(c, coefficients(c), coefficients(boundary(t, c))) for c in chain_basis(p, k + 1)]
+    for k, delta in ((0, hamiltonian), (1, lambda d: Biderivation(p, dense.delta1_value(d)))):
+        boundaries = [ChainElement(p, k, dense.boundary_map(p, k + 1, c.coeffs, t.alpha, t.beta)) for c in chain_basis(p, k + 1)]
+        chains = [(c, coefficients(c), coefficients(b)) for c, b in zip(chain_basis(p, k + 1), boundaries)]
         for phi in cochain_basis(p, k):
             image = delta(phi)
             yield from ((phi, c) for c, parts, boundary_parts in chains

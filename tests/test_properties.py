@@ -5,8 +5,8 @@ the bracket with the Leibniz-expansion oracle, and every result is checked
 for the clean-coefficient invariant (nonzero Fraction values at in-bound
 keys).  The accumulating kernels give equal maps on int maps and on the
 same maps as Fractions.  The boundary and delta_1 kernels, run on int maps
-with the denominators cleared, give the scaled results of boundary and
-delta1_apply, and the closed-form cocycle test keeps its answer.  The
+with the denominators cleared, give the scaled results of the same kernels
+on Fractions, and the closed-form cocycle test keeps its answer.  The
 report writers give the bytes of json.dumps(indent=2) and csv.writer, or
 raise their errors.  Examples are derandomized so that runs are
 reproducible.
@@ -35,15 +35,8 @@ from truncpoisson import (
     render_element,
 )
 from truncpoisson.algebra import _bracket_into, _multiply_into, _shift_into
-from truncpoisson.chain import (
-    DX,
-    DY,
-    _boundary1_into,
-    _boundary2_into,
-    boundary,
-    omega2_indices,
-)
-from truncpoisson.cochain import _delta1_into, _is_cocycle, _normal_form, _normalize, chi1_index_pairs, delta1_apply
+from truncpoisson.chain import omega2_indices
+from truncpoisson.cochain import _delta1_into, _is_cocycle, _normal_form, _normalize, chi1_index_pairs
 from truncpoisson.reporting import CheckResult, ReportBundle, to_csv, to_json
 
 import dense
@@ -189,21 +182,9 @@ def twisted_chains(draw):
 def test_boundary_kernel_at_scale_is_scaled_boundary(case):
     p, t, degree, z = case
     scale = math.lcm(t.alpha.denominator, t.beta.denominator)
-    alpha, beta = int(t.alpha * scale), int(t.beta * scale)
-    out: dict = {}
-    if degree == 1:
-        z_dx = {(i, j): c for (i, j, f), c in z.items() if f == DX}
-        z_dy = {(i, j): c for (i, j, f), c in z.items() if f == DY}
-        _boundary1_into(out, p, alpha, beta, scale, z_dx, z_dy)
-    else:
-        on_dx: dict = {}
-        on_dy: dict = {}
-        _boundary2_into(on_dx, on_dy, p, alpha, beta, scale, z)
-        assert all(type(c) is int and c for c in [*on_dx.values(), *on_dy.values()])
-        out = {(i, j, DX): c for (i, j), c in on_dx.items()}
-        out.update({(i, j, DY): c for (i, j), c in on_dy.items()})
-    expected = boundary(t, ChainElement(p, degree, z))
-    assert out == {key: scale * c for key, c in expected.coeffs.items()}
+    out = dense.boundary_map(p, degree, z, int(t.alpha * scale), int(t.beta * scale), scale)
+    expected = dense.boundary_map(p, degree, ChainElement(p, degree, z).coeffs, t.alpha, t.beta)
+    assert out == {key: scale * c for key, c in expected.items()}
     assert all(type(c) is int and c for c in out.values())
 
 
@@ -214,8 +195,8 @@ def derivations(draw):
     if draw(st.booleans()):
         monomials = st.sampled_from(list(p.monomials()))
         potential = AlgebraElement(p, draw(st.dictionaries(monomials, RATIONALS, max_size=6)))
-        d10 = Derivation.basis_d(p, 1, 0).scale(draw(RATIONALS))
-        return d10 + Derivation.basis_dprime(p, 0, 1).scale(draw(RATIONALS)) + hamiltonian(potential)
+        c10, c01, h = draw(RATIONALS), draw(RATIONALS), hamiltonian(potential)
+        return Derivation(p, AlgebraElement.monomial(p, 1, 0, c10) + h.dx, AlgebraElement.monomial(p, 0, 1, c01) + h.dy)
     d_pairs, dprime_pairs = chi1_index_pairs(p)
     dx = draw(st.dictionaries(st.sampled_from(d_pairs), RATIONALS, max_size=8))
     dy = draw(st.dictionaries(st.sampled_from(dprime_pairs), RATIONALS, max_size=8))
@@ -235,7 +216,7 @@ def test_delta1_kernel_on_cleared_maps_is_scaled_delta1(d):
     scale, dx, dy = cleared(d)
     value: dict = {}
     _delta1_into(value, d.params, dx, dy)
-    assert value == {key: scale * c for key, c in delta1_apply(d).value.coeffs.items()}
+    assert value == {key: scale * c for key, c in dense.delta1_value(d).coeffs.items()}
     assert all(type(c) is int and c for c in value.values())
 
 

@@ -249,8 +249,7 @@ def test_cli_import_leaves_out_dataclasses():
 
 PUBLIC_NAMES = {
     "algebra": "AlgebraElement EulerDims TruncParams bracket euler_dims multiply render_element",
-    "chain": "ChainElement DualityReport HomologyReport TwistParams duality_report homology module_bracket "
-    "omega_dims",
+    "chain": "ChainElement DualityReport HomologyReport TwistParams duality_report homology omega_dims",
     "checks": "CheckResult run_verify",
     "cochain": "Biderivation CohomologyReport Derivation NormalizedCocycle RingTable cohomology cup "
     "fibre_product_table hamiltonian is_poisson_derivation normalize_one_cocycle ring_table",
