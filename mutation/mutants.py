@@ -233,6 +233,16 @@ MUTANTS = (
         ["tests/test_cli.py::test_homology_explicit_twist_rationals"],
     ),
     (
+        "unrecognized arguments show 11 tokens",
+        CLI,
+        "unknown[:10]",
+        "unknown[:11]",
+        [
+            "tests/test_cli.py::test_usage_error_shortens_a_long_token",
+            "tests/test_cli.py::test_unrecognized_arguments_show_the_first_10_tokens_and_the_count",
+        ],
+    ),
+    (
         "cli imports json",
         CLI,
         "import gc\n",

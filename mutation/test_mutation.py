@@ -5,8 +5,15 @@ The cheap half of the gate (run.py is the full one):
     python -m pytest mutation
 """
 
-import run
+import importlib.util
+from pathlib import Path
+
 from mutants import stale_entries
+
+# by path, under its own name: perfbench/ has a run.py too, and both suites may run in one session
+_spec = importlib.util.spec_from_file_location("mutation_run", Path(__file__).with_name("run.py"))
+run = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(run)
 
 
 def test_every_old_string_occurs_once_and_every_killer_exists():

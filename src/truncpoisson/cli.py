@@ -221,8 +221,9 @@ def _parse(table: dict, argv: list, command: str = ""):
         raise _error(prog, "the following arguments are required: command")
     command = _value(prog, "command", tuple(table), argv[i])
     values, more = _parse(table, argv[i + 1:], command)
-    if extras + more:
-        raise _error(prog, f"unrecognized arguments: {' '.join(_shown(t, str) for t in extras + more)}")
+    if unknown := extras + more:
+        count = f" ... ({len(unknown)} in all)" if unknown[10:] else ""
+        raise _error(prog, f"unrecognized arguments: {' '.join(_shown(t, str) for t in unknown[:10])}{count}")
     dests = {o[0].lstrip("-").replace("-", "_"): values.get(o[0], o[2]) for o in table[command][1]}
     return SimpleNamespace(command=command, **dests)
 

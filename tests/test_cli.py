@@ -268,6 +268,7 @@ LONG_TOKEN_ARGVS = {
         ["cohomology", *TWO_BY_TWO, JUNK_9000], "unrecognized arguments: xxxxxxxxxxxxxxxxxxxx... (9000 characters)"
     ),
     "command": ([JUNK_9000], "argument command: invalid choice: 'xxxxxxxxxxxxxxxxxxxx'... (9000 characters)"),
+    "5000 extras": (["cohomology", *TWO_BY_TWO, *["x"] * 5000], "unrecognized arguments: " + "x " * 10 + "... (5000 in all)"),
 }
 
 
@@ -276,6 +277,15 @@ def test_usage_error_shortens_a_long_token(capsys, argv, shown):
     code, out, err = run_cli(capsys, argv)
     assert code == 2 and out == ""
     assert err.count("\n") == 1 and len(err.encode()) <= 300 and shown in err, err
+
+
+@pytest.mark.parametrize("count", [10, 11, 5000])
+@pytest.mark.parametrize("token", ["x", "y" * 40, JUNK_9000])
+def test_unrecognized_arguments_show_the_first_10_tokens_and_the_count(capsys, token, count):
+    code, out, err = run_cli(capsys, ["cohomology", *TWO_BY_TWO, *[token] * count])
+    shown = " ".join([_shown(token, str)] * 10) + (f" ... ({count} in all)" if count > 10 else "")
+    assert (code, out, err) == (2, "", f"truncpoisson: error: unrecognized arguments: {shown}\n")
+    assert len(err.encode()) <= 600
 
 
 def test_usage_error_shows_tokens_up_to_40_characters_and_integers_up_to_20_digits_whole():
