@@ -200,11 +200,22 @@ MUTANTS = (
         ["tests/test_chain.py::test_boundary_check_evaluates_its_rational_twists_at_their_scale"],
     ),
     (
-        "_normalize skips its remainder test",
+        "_normalize skips its block test",
         COCHAIN,
-        "if r or m != q * f:",
+        "if x * f != y * e:",
         "if False:",
         [VERIFY_DIGESTS, "tests/test_cochain.py::test_normalize_rejects_non_cocycle"],
+    ),
+    (
+        "_normalize swaps its block test's entries",
+        COCHAIN,
+        "if x * f != y * e:",
+        "if x * e != y * f:",
+        [
+            VERIFY_DIGESTS,
+            "tests/test_cochain.py::test_normalize_rejects_non_cocycle",
+            "tests/test_cochain.py::test_normalize_gives_an_int_cocycle_its_fractional_potential",
+        ],
     ),
     # the records and the command's imports
     (

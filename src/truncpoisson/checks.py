@@ -14,7 +14,7 @@ from itertools import chain, product
 
 from .algebra import TruncParams, _bracket_into, _multiply_into, euler_dims
 from .chain import TwistParams, _boundary1_into, _boundary2_into, homology, omega2_indices, omega_dims
-from .cochain import _delta1_into, _is_cocycle, _normalize, chi1_index_pairs, cohomology, ring_table
+from .cochain import _delta1_into, _normalize, chi1_index_pairs, cohomology, ring_table
 from .reporting import CheckResult
 
 # Full Jacobi enumeration is cubic in the algebra dimension; past this bound
@@ -302,9 +302,9 @@ def check_leibniz(p: TruncParams) -> CheckResult:
 def check_predicate_agreement(p: TruncParams) -> CheckResult:
     """is_poisson_derivation(d) == (delta_1(d) == 0) on the basis and random derivations.
 
-    Both sides run through their kernels, _is_cocycle and _delta1_into, on
-    int maps: the basis derivations as {ij: 1} and
-    PREDICATE_RANDOM_DERIVATIONS seeded _random_derivation_maps.
+    Both sides run through kernels that share no code, _normalize (the block
+    solve) and _delta1_into, on int maps: the basis derivations as {ij: 1}
+    and PREDICATE_RANDOM_DERIVATIONS seeded _random_derivation_maps.
     """
     getrandbits = _rng(p, "predicate").getrandbits
     d_pairs, dprime_pairs = chi1_index_pairs(p)
@@ -318,7 +318,7 @@ def check_predicate_agreement(p: TruncParams) -> CheckResult:
     for dx, dy in derivations:
         value: dict = {}
         _delta1_into(value, p, dx, dy)
-        if _is_cocycle(p, dx, dy) != (not value):
+        if (_normalize(p, dx, dy) is None) != bool(value):
             ok = False
             break
     return CheckResult(
@@ -347,9 +347,9 @@ def check_normalization(p: TruncParams) -> CheckResult:
     delta_0(m) has int value maps, built with _bracket_into.  _normalize,
     the solve of normalize_one_cocycle, divides them exactly: the
     potential it finds differs from m only by the constant and the top
-    monomial, which delta_0 kills, so each quotient is an int coefficient
-    of m.  So it must return (c10, c01) and a potential whose cocycle,
-    built again, is the input.
+    monomial, which delta_0 kills, so each quotient is a coefficient of m,
+    as a Fraction.  So it must return (c10, c01) and a potential whose
+    cocycle, built again, is the input.
     The derivation d_{2,0} + d'_{0,2}, its terms kept as far as the bounds
     allow, has k*dx_{k+1,l} + l*dy_{k,l+1} = 1 at the weights (1, 0) and
     (0, 1).  So it is no cocycle, and _normalize must refuse it, unless

@@ -31,8 +31,9 @@ Each twist entry, reduced to lowest terms, may have at most TWIST_MAX_DIGITS
 in its denominator, so an exponent such as 1e5000 is refused before any
 power of ten is built.  An integer argument that Python's int/str limit
 refuses is reported with its digit count and that limit.  An error line
-quotes a token whole up to 40 characters, a longer one by its first 20 and
-its length, and an integer of more than 20 digits by its digit count.
+quotes a token whole up to 40 bytes as written (UTF-8, line breaks escaped), a
+longer one by its first 20 bytes and its length, an integer of more than 20
+digits by its digit count.
 """
 
 from __future__ import annotations
@@ -66,6 +67,7 @@ SWEEP_MAX = 32
 INSTANCE_MAX_AB = 360_000
 VERIFY_MAX_AB = 2_500
 EXIT_INTERNAL_ERROR = 3
+_ESCAPES = str.maketrans({"\n": "\\n", "\r": "\\r"})  # an error line stays one line when it quotes a line break
 
 
 def _shown(token, quote=repr) -> str:
@@ -73,7 +75,14 @@ def _shown(token, quote=repr) -> str:
     if isinstance(token, int):
         digits = len(str(abs(token)))
         return str(token) if digits <= 20 else f"an integer of {digits} digits"
-    return quote(token) if len(token) <= 40 else f"{quote(token[:20])}... ({len(token)} characters)"
+    if len(token) <= 40 and _size(token, quote) <= 40:  # a character takes at least one byte
+        return quote(token)
+    n = next(n for n in range(21) if _size(token[: n + 1], quote) > 20)  # cut at a character boundary
+    return f"{quote(token[:n])}... ({len(token)} characters)"
+
+
+def _size(text: str, quote) -> int:  # the UTF-8 bytes an error line writes of quote(text), past its quotes
+    return len(quote(text).translate(_ESCAPES).encode(errors="backslashreplace")) - len(quote(""))
 
 
 def _integer(token: str, error: str) -> int:
@@ -154,8 +163,8 @@ class _Exit(Exception):
     """Ends the parse with (exit code, text): a help page for stdout or an error line for stderr."""
 
 
-def _error(prog: str, message: str) -> _Exit:  # one line, even when it quotes a line break
-    return _Exit(2, f"{prog}: error: {message}".replace("\n", "\\n").replace("\r", "\\r"))
+def _error(prog: str, message: str) -> _Exit:
+    return _Exit(2, f"{prog}: error: {message}".translate(_ESCAPES))
 
 
 def _classify(prog: str, opts: dict, tok: str):

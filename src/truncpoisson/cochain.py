@@ -7,11 +7,11 @@ computes the cohomology spaces with canonical representatives, normalizes
 1-cocycles constructively, and assembles the cup-product ring table.  The cocycles
 behind the five classes 1, t, v, w, m are built in one function,
 _class_representatives, which the reports take them from, and the normal
-form c10*d_{1,0} + c01*d'_{0,1} of a 1-class in one, _normal_form.  The
-solve behind normalize_one_cocycle, _normalize, and the closed-form cocycle
-test behind is_poisson_derivation, _is_cocycle, run on int or Fraction
-value maps, and verify's checks run them on int maps; ring_table reads the
-v and w coordinates of its degree-1 products through _normalize too.
+form c10*d_{1,0} + c01*d'_{0,1} of a 1-class in one, _normal_form.  One
+function reads a derivation's blocks: _normalize, the solve behind
+normalize_one_cocycle, which is also the cocycle test of
+is_poisson_derivation and of ring_table's degree-1 products.  It runs on
+int or Fraction value maps, and verify's checks run it on int maps.
 Derivation and Biderivation share their subtraction, component-wise on
 their value fields, through the private base _Cochain.
 
@@ -26,10 +26,11 @@ away (d needs k <= a-2, d' needs l <= b-2, f needs both).  So delta_0
 vanishes only at (0, 0) and (a-1, b-1), and delta_1, present on the
 (a-1)(b-1) blocks with k <= a-2 and l <= b-2, only at (0, 0): cohomology
 takes rank delta_0 = ab - 2 and rank delta_1 = (a-1)(b-1) - 1 as closed
-forms.  normalize_one_cocycle and is_poisson_derivation, and so ring_table,
-visit only the blocks in the support of their cochain, and verify checks the
-complex on int value maps through _bracket_into and _delta1_into, the
-kernels of hamiltonian and delta_1.
+forms.  At every weight but (0, 0) a derivation's component is a cocycle
+exactly when it is a multiple of delta_0, that is, exact, so _normalize
+visits only the blocks in the support of its cochain and tests and solves
+each in one step.  verify checks the complex on int value maps through
+_bracket_into and _delta1_into, the kernels of hamiltonian and delta_1.
 
 Conventions (fixed once, verified by the delta.delta = 0 and cup
 well-definedness tests):
@@ -41,6 +42,7 @@ well-definedness tests):
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 
 from .algebra import (
     AlgebraElement,
@@ -184,51 +186,13 @@ def _delta1_into(value: dict, p: TruncParams, dx: Mapping, dy: Mapping):
     _shift_into(value, p, dx, "Y", -1, 1)
 
 
-def _blocks(p: TruncParams, weights):
-    """Yield (k, l, delta_0 entries, delta_1 entries) for each given weight (k, l).
-
-    delta_0 maps X^k Y^l to (l, -k) on (d_{k+1,l}, d'_{k,l+1}) and delta_1
-    maps that pair to (k, l) on f_{k+1,l+1}.  An entry on a truncated basis
-    element is 0.  The blocks come in the order of weights.
-    """
-    last_d, last_dprime = p.a - 2, p.b - 2
-    for k, l in weights:
-        has_d = k <= last_d
-        has_dprime = l <= last_dprime
-        d0 = (l if has_d else 0, -k if has_dprime else 0)
-        yield k, l, d0, (k, l) if has_d and has_dprime else (0, 0)
-
-
-def _is_cocycle(p: TruncParams, dx: Mapping, dy: Mapping) -> bool:
-    """The closed-form cocycle test of is_poisson_derivation on value maps dx, dy.
-
-    Walks dx and then dy, and tests the weight (k, l) of each key as it
-    meets it: a key of dx at (k + 1, l) and a key of dy at (k, l + 1) sit
-    in the block of weight (k, l), whose delta_1 = (k, l) exists when
-    k <= a-2 and l <= b-2.  The first nonzero k*dx_{k+1,l} + l*dy_{k,l+1}
-    answers False; a weight both maps reach is tested twice, to the same
-    answer.  Runs on int or Fraction maps without zeros; the test is
-    homogeneous, so scaling both maps by a nonzero constant keeps its answer.
-    """
-    last_d, last_dprime = p.a - 2, p.b - 2
-    for (i, l), x in dx.items():  # k = i - 1 <= a-2 for every key of dx
-        if l <= last_dprime and (i - 1) * x + l * dy.get((i - 1, l + 1), 0):
-            return False
-    for (k, j), y in dy.items():  # l = j - 1 <= b-2 for every key of dy
-        if k <= last_d and k * dx.get((k + 1, j - 1), 0) + (j - 1) * y:
-            return False
-    return True
-
-
 def is_poisson_derivation(d: Derivation) -> bool:
-    """Whether d respects the bracket, i.e. is a 1-cocycle, by the closed form.
+    """Whether d respects the bracket, i.e. is a 1-cocycle: whether _normalize solves it.
 
-    d is a cocycle when delta_1 = (k, l) kills its component in every block
-    that has an f_{k+1,l+1}: k*dx_{k+1,l} + l*dy_{k,l+1} = 0.  Only the
-    weights in the support of d are visited.  Agrees with Ker delta_1
-    (tested).
+    Only the weights in the support of d are visited.  Agrees with
+    Ker delta_1 (tested).
     """
-    return _is_cocycle(d.params, d.dx.coeffs, d.dy.coeffs)
+    return _normalize(d.params, d.dx.coeffs, d.dy.coeffs) is not None
 
 
 RING_LABELS = ("1", "t", "v", "w", "m")
@@ -303,29 +267,29 @@ class NormalizedCocycle(_Record):
 def _normalize(p: TruncParams, dx: Mapping, dy: Mapping):
     """(c10, c01, potential map) of the 1-cocycle with value maps dx = d(X), dy = d(Y), or None.
 
-    The solve of normalize_one_cocycle, on int or Fraction maps without
-    zeros: d - delta_0(potential) = c10*d_{1,0} + c01*d'_{0,1}, with c10 and
-    c01 the component of d in the weight-(0, 0) block (0 where d has no such
-    term).  Only the blocks in the support of d are visited.  At any other
-    weight (k, l) a cocycle's component is q * delta_0 = q * (l, -k), a
-    truncated entry being 0, with q the potential's coefficient of X^k Y^l;
-    delta_0 vanishes only at (0, 0) and at (a-1, b-1), which no derivation
-    reaches.  q is read off the first nonzero entry, and the remainder test
-    asks that the division is exact and that the other entry is q times its
-    own.  It fails where d is no cocycle or an int division leaves a
-    remainder; the answer is then None.  Ints are divided with divmod, since
-    / gives a float, and Fractions with /, since divmod floors.
+    The solve of normalize_one_cocycle and the package's one cocycle test, on
+    int or Fraction maps without zeros: d - delta_0(potential) = c10*d_{1,0} +
+    c01*d'_{0,1}, with c10, c01 the component of d at weight (0, 0) (0 where
+    absent).  It visits the weight (k, l) != (0, 0) of each key of dx, then
+    of dy, once.  There the component (x, y) is a cocycle exactly when it is
+    q times delta_0 = (e, f) = (l, -k), a truncated entry being 0 (d needs
+    k <= a-2, d' needs l <= b-2): it is Ker delta_1 where delta_1 = (k, l)
+    exists, and where it does not one entry is truncated and e or f is not.
+    delta_0 vanishes only at (0, 0) and (a-1, b-1), which no derivation
+    reaches.  So x*f == y*e is the test, without a division, and the first
+    weight that fails answers None; past it, q = x/e (y/f where e = 0) is
+    the potential's coefficient of X^k Y^l, a Fraction on int maps too.
     """
+    last_d, last_dprime = p.a - 2, p.b - 2
     potential = {}
-    for k, l, d0, _ in _blocks(p, {(i - 1, j) for (i, j) in dx} | {(i, j - 1) for (i, j) in dy}):
-        if not (k or l):
+    for k, l in chain(((i - 1, j) for i, j in dx), ((i, j - 1) for i, j in dy)):  # lazily: a failure ends the walk
+        if (k, l) in potential or not (k or l):
             continue
         x, y = dx.get((k + 1, l), 0), dy.get((k, l + 1), 0)
-        (n, e), (m, f) = ((x, d0[0]), (y, d0[1])) if d0[0] else ((y, d0[1]), (x, d0[0]))
-        q, r = divmod(n, e) if type(n) is int else (n / e, 0)
-        if r or m != q * f:
+        e, f = l if k <= last_d else 0, -k if l <= last_dprime else 0
+        if x * f != y * e:
             return None
-        potential[(k, l)] = q
+        potential[(k, l)] = Fraction(x, e) if e else Fraction(y, f)
     return dx.get((1, 0), 0), dy.get((0, 1), 0), potential
 
 

@@ -2,8 +2,9 @@
 
 The paper's theorem has a Hochschild side (Bergh–Erdmann): C[X,Y]/(X^a, Y^b)
 with {X, Y} = XY is the semi-classical limit of Lambda_q at q = 1.  This
-module holds degree 0 of it, the centre HH^0(Lambda_q), weight by weight.
-It shares no code with the package.
+module holds degree 0 of it, weight by weight: the centre HH^0(Lambda_q),
+and HH_0 with coefficients twisted by a diagonal automorphism sigma.  It
+shares no code with the package.
 
 An element is a dict {(i, j): Fraction} on the normal words x^i y^j,
 0 <= i < a, 0 <= j < b, without zero coefficients, and q is a nonzero
@@ -11,6 +12,7 @@ rational.  Words multiply by y^j x^k = q^(-jk) x^k y^j.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 
 X = {(1, 0): Fraction(1)}
 Y = {(0, 1): Fraction(1)}
@@ -58,3 +60,43 @@ def centre(a: int, b: int, q) -> list[tuple[int, int]]:
     words whose two block entries vanish.
     """
     return [(i, j) for i in range(a) for j in range(b) if weight_entries(a, b, q, i, j) == (0, 0)]
+
+
+@lru_cache(maxsize=None)
+def _sides(a: int, b: int, q, u: str, i: int, j: int) -> tuple[Fraction, Fraction]:
+    """The coefficients of u z and of z u at z's word one step along u, for z = x^i y^j; u is "x" or "y".
+
+    Each product is checked to have no term at any other word; a coefficient
+    is 0 where the shifted word is truncated.
+    """
+    g, word = {"x": X, "y": Y}[u], {(i, j): Fraction(1)}
+    shifted = (i + 1, j) if u == "x" else (i, j + 1)
+    left, right = multiply(a, b, q, g, word), multiply(a, b, q, word, g)
+    assert left.keys() | right.keys() <= {shifted}, (a, b, q, u, i, j, left, right)
+    return left.get(shifted, Fraction(0)), right.get(shifted, Fraction(0))
+
+
+@lru_cache(maxsize=None)
+def twisted_entry(a: int, b: int, q, u: str, s: int, i: int, j: int) -> Fraction:
+    """The coefficient of u z - z sigma(u) at z's word one step along u, for z = x^i y^j and sigma(u) = q^s u."""
+    left, right = _sides(a, b, q, u, i, j)
+    return left - Fraction(q) ** s * right
+
+
+def twisted_hh0(a: int, b: int, q, m: int, n: int) -> list[tuple[int, int]]:
+    """The words x^k y^l at whose weight HH_0(Lambda_q, Lambda_sigma) is nonzero, for sigma(x) = q^m x, sigma(y) = q^n y.
+
+    HH_0(Lambda_q, Lambda_sigma) = Lambda / span{u z - z sigma(u)}.  The
+    generators suffice for u, since u v z - z sigma(u v) is
+    u (v z) - (v z) sigma(u) + v (z sigma(u)) - (z sigma(u)) sigma(v), and
+    the words for z.  Each such image is a multiple of one word, one step
+    right or one step up of z, so the span is spanned by the words that a
+    nonzero image reaches, and the quotient has dimension 1 at the weight of
+    each other word and 0 elsewhere.
+    """
+    return [
+        (k, l)
+        for k in range(a)
+        for l in range(b)
+        if not (k and twisted_entry(a, b, q, "x", m, k - 1, l)) and not (l and twisted_entry(a, b, q, "y", n, k, l - 1))
+    ]

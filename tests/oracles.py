@@ -12,9 +12,9 @@ renderer.
 random_element and random_derivation draw Fraction elements and
 derivations from random_rational, the draw behind verify's twists;
 random_cocycle synthesizes the Fraction cocycles that the tests normalize.
-is_cocycle_by_weights is the closed-form cocycle test as it stood before
-it exited early: it collects the weights of the blocks a derivation
-reaches into a set first.  The argv oracle is the argparse parser that
+is_cocycle_by_weights tests the delta_1 entries (k, l) on the set of
+weights a derivation reaches, where the package's _normalize tests each
+component against delta_0 as it walks the maps.  The argv oracle is the argparse parser that
 the command line used before its table-driven parser, kept verbatim
 around the same value converters.
 Agreement between library and oracle is the point of the tests, so nothing

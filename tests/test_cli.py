@@ -279,18 +279,31 @@ def test_usage_error_shortens_a_long_token(capsys, argv, shown):
     assert err.count("\n") == 1 and len(err.encode()) <= 300 and shown in err, err
 
 
+# each unrecognized token and what the error line writes of it: a token is bounded by the bytes
+# written (a 4-byte emoji, a line break escaped to 2 bytes), and shortened at a character boundary
+UNRECOGNIZED = {
+    "x": "x",
+    "y" * 40: "y" * 40,
+    JUNK_9000: "x" * 20 + "... (9000 characters)",
+    "\U0001F600" * 40: "\U0001F600" * 5 + "... (40 characters)",
+    "\n" * 40: "\\n" * 10 + "... (40 characters)",
+}
+
+
 @pytest.mark.parametrize("count", [10, 11, 5000])
-@pytest.mark.parametrize("token", ["x", "y" * 40, JUNK_9000])
+@pytest.mark.parametrize("token", UNRECOGNIZED)
 def test_unrecognized_arguments_show_the_first_10_tokens_and_the_count(capsys, token, count):
     code, out, err = run_cli(capsys, ["cohomology", *TWO_BY_TWO, *[token] * count])
-    shown = " ".join([_shown(token, str)] * 10) + (f" ... ({count} in all)" if count > 10 else "")
+    shown = " ".join([UNRECOGNIZED[token]] * 10) + (f" ... ({count} in all)" if count > 10 else "")
     assert (code, out, err) == (2, "", f"truncpoisson: error: unrecognized arguments: {shown}\n")
     assert len(err.encode()) <= 600
 
 
-def test_usage_error_shows_tokens_up_to_40_characters_and_integers_up_to_20_digits_whole():
+def test_usage_error_shows_tokens_up_to_40_bytes_and_integers_up_to_20_digits_whole():
     assert _shown("x" * 40) == repr("x" * 40) and _shown("x" * 40, str) == "x" * 40
-    assert _shown("y\n" * 21) == repr("y\n" * 10) + "... (42 characters)"
+    assert _shown("é" * 20) == repr("é" * 20) and _shown("é" * 21, str) == "é" * 10 + "... (21 characters)"
+    assert _shown("y\n" * 21) == repr("y\n" * 6 + "y") + "... (42 characters)"
+    assert _shown("\n" * 20, str) == "\n" * 20 and _shown("\n" * 21, str) == "\n" * 10 + "... (21 characters)"
     assert _shown(-10**19) == str(-10**19) and _shown(10**20) == "an integer of 21 digits"
 
 
@@ -594,9 +607,8 @@ def test_internal_errors_exit_3_with_one_stderr_line(capsys, monkeypatch, builde
 
 def test_a_crashing_check_exits_3_and_a_wrong_cocycle_test_fails_its_row(capsys, monkeypatch):
     """A check that raises ends verify with exit 3 and one stderr line, not a traceback and exit 1;
-    a wrong closed-form cocycle test is a failed check: a fail row and exit 1."""
+    a wrong cocycle test is a failed check: fail rows and exit 1."""
     import truncpoisson.checks as checks
-    import truncpoisson.cochain as cochain
 
     def refuse(p, dx, dy):
         raise ValueError("input derivation is not a cocycle")
@@ -605,14 +617,12 @@ def test_a_crashing_check_exits_3_and_a_wrong_cocycle_test_fails_its_row(capsys,
     code, out, err = run_cli(capsys, ["verify", "-a", "3", "-b", "3"])
     assert (code, out) == (3, "")
     assert err == "truncpoisson: internal error: ValueError: input derivation is not a cocycle\n"
-    monkeypatch.undo()
 
-    for module in (checks, cochain):
-        monkeypatch.setattr(module, "_is_cocycle", lambda p, dx, dy: False)
+    monkeypatch.setattr(checks, "_normalize", lambda p, dx, dy: None)  # no derivation is a cocycle
     code, out, err = run_cli(capsys, ["verify", "-a", "3", "-b", "3", "--format", "csv"])
     assert (code, err) == (1, "")
     failed = [row.split(",")[0] for row in out.splitlines() if ",fail," in row]
-    assert failed == ["cocycle_predicate_matches_kernel"]
+    assert failed == ["cocycle_predicate_matches_kernel", "cocycle_normalization"]
 
 
 class FullDisk:

@@ -563,19 +563,28 @@ def test_normalize_rejects_non_cocycle():
         normalize_one_cocycle(Derivation.basis_dprime(p, 0, 2))
 
 
+def test_normalize_gives_an_int_cocycle_its_fractional_potential():
+    # d_{1,2} = delta_0(Y^2/2) at (3, 4): the solve on int maps answers as on Fraction maps
+    p = TruncParams(3, 4)
+    solved = cochain._normalize(p, {(1, 2): 1}, {})
+    assert solved == cochain._normalize(p, {(1, 2): Fraction(1)}, {}) == (0, 0, {(0, 2): Fraction(1, 2)})
+    assert is_poisson_derivation(Derivation.basis_d(p, 1, 2))
+
+
 # Mutants of _normalize, each one edit of its source: (text, replacement).
 NORMALIZE_MUTANTS = {
     "class_block_dropped": ("return dx.get((1, 0), 0), dy.get((0, 1), 0), potential", "return 0, 0, potential"),
-    "dy_part_divided_by_d0_0": ("((x, d0[0]), (y, d0[1])) if", "((y, d0[0]), (x, d0[1])) if"),
-    "remainder_test_skipped": ("if r or m != q * f:", "if False:"),
-    "potential_sign_flipped": ("potential[(k, l)] = q", "potential[(k, l)] = -q"),
+    "wrong_part_divided": ("Fraction(x, e) if e else Fraction(y, f)", "Fraction(y, e) if e else Fraction(x, f)"),
+    "block_test_skipped": ("if x * f != y * e:", "if False:"),
+    "block_test_entries_swapped": ("if x * f != y * e:", "if x * e != y * f:"),
+    "potential_sign_flipped": ("Fraction(x, e) if e else Fraction(y, f)", "-Fraction(x, e) if e else -Fraction(y, f)"),
 }
 
 
 @pytest.mark.parametrize("mutant", [None, *NORMALIZE_MUTANTS])
 def test_normalization_check_fails_on_each_mutant_of_its_kernel(monkeypatch, mutant):
     """check_normalization fails when _normalize drops the class block, divides the wrong part,
-    skips its remainder test or flips the potential's sign; the source as it is (None) passes."""
+    skips or swaps its block test or flips the potential's sign; the source as it is (None) passes."""
     source = inspect.getsource(cochain._normalize)
     if mutant is not None:
         text, replacement = NORMALIZE_MUTANTS[mutant]

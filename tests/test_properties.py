@@ -36,7 +36,7 @@ from truncpoisson import (
 )
 from truncpoisson.algebra import _bracket_into, _multiply_into, _shift_into
 from truncpoisson.chain import omega2_indices
-from truncpoisson.cochain import _delta1_into, _is_cocycle, _normal_form, _normalize, chi1_index_pairs
+from truncpoisson.cochain import _delta1_into, _normal_form, _normalize, chi1_index_pairs
 from truncpoisson.reporting import CheckResult, ReportBundle, to_csv, to_json
 
 import dense
@@ -224,7 +224,7 @@ def test_delta1_kernel_on_cleared_maps_is_scaled_delta1(d):
 @given(derivations())
 def test_cocycle_test_on_cleared_maps_agrees_with_is_poisson_derivation(d):
     _, dx, dy = cleared(d)
-    assert _is_cocycle(d.params, dx, dy) == is_poisson_derivation(d)
+    assert (_normalize(d.params, dx, dy) is not None) == is_poisson_derivation(d)
 
 
 @st.composite
@@ -261,16 +261,17 @@ def derivation_maps(draw):
 @given(derivation_maps())
 def test_cocycle_test_agrees_with_the_weight_set_oracle(maps):
     p, dx, dy = maps
-    assert _is_cocycle(p, dx, dy) == is_cocycle_by_weights(p, dx, dy)
+    assert (_normalize(p, dx, dy) is not None) == is_cocycle_by_weights(p, dx, dy)
 
 
 @PROPERTY
 @given(derivation_maps())
 def test_normalize_kernel_solves_exactly_the_cocycles(maps):
-    """On Fraction maps _normalize refuses exactly the non-cocycles and its answer rebuilds d.
+    """_normalize refuses exactly the non-cocycles and its answer rebuilds d.
 
-    On int maps it gives the same answer when every coefficient of the
-    potential is an integer, its values then ints, and refuses otherwise.
+    On int maps it gives the answer it gives on the same maps as Fractions:
+    the potential holds Fractions either way, and c10 and c01 are the
+    maps' own values.
     """
     p, dx, dy = maps
     fx, fy = ({key: Fraction(c) for key, c in m.items()} for m in (dx, dy))
@@ -282,13 +283,10 @@ def test_normalize_kernel_solves_exactly_the_cocycles(maps):
         d = Derivation(p, AlgebraElement(p, fx), AlgebraElement(p, fy))
         assert d - hamiltonian(AlgebraElement(p, potential)) == _normal_form(p, Fraction(c10), Fraction(c01))
     solved = _normalize(p, dx, dy)
-    if all(type(c) is Fraction for c in (*dx.values(), *dy.values())):
-        assert solved == exact
-    elif exact is None or any(c.denominator != 1 for c in exact[2].values()):
-        assert solved is None
-    else:
-        assert solved == exact
-        assert all(type(c) is int for c in (*solved[:2], *solved[2].values()))
+    assert solved == exact
+    if solved is not None:
+        assert solved[:2] == (dx.get((1, 0), 0), dy.get((0, 1), 0))
+        assert all(type(c) is Fraction for c in solved[2].values())
 
 
 # Strings json writes as they are, and strings it escapes or that csv quotes.
