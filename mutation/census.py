@@ -50,9 +50,6 @@ _JOIN = "equivalent: str - raises TypeError, and the per-element path writes the
 EXPLAINED = {
     ("reporting.py", "cohomology_bundle", "euler = dims[0] - dims[1] + dims[2]", "0 -> 1"): _DIMS,
     ("reporting.py", "duality_bundle", "rep.euler_cochain == 1 and rep.euler_chain == 1,", "and -> or"): _DIMS,
-    ("reporting.py", "_sweep_row", "ok = ok and euler == 1", "and -> or"): _DIMS,
-    ("reporting.py", "sweep_bundle", 'n_fail = sum(1 for r in records if r["theorem_checks"] != "pass")', "1 -> 2"):
-        _DIMS,
     ("reporting.py", "_json_value", "body = ('\",' + inner + '\"').join(x)", "+ -> - #1"): _JOIN,
     ("reporting.py", "_json_value", "body = ('\",' + inner + '\"').join(x)", "+ -> - #2"): _JOIN,
     ("reporting.py", "to_csv", 'if "\\r" not in text and "\\0" not in text:', "and -> or"):

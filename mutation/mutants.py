@@ -243,6 +243,17 @@ MUTANTS = (
         'twist, t = "trivial", twist',
         ["tests/test_cli.py::test_homology_explicit_twist_rationals"],
     ),
+    # a sweep row is its instance's report
+    (
+        "a sweep row ignores its instance verdict",
+        REPORTING,
+        '"pass" if bundle.exit_code == 0 else "fail"',
+        '"pass"',
+        [
+            "tests/test_cli.py::test_a_degree_3_class_fails_every_cohomology_sweep_row",
+            "tests/test_cli.py::test_a_wrong_degree_2_cohomology_fails_every_nakayama_sweep_row",
+        ],
+    ),
     (
         "unrecognized arguments show 11 tokens",
         CLI,

@@ -1,11 +1,13 @@
 """Report assembly and serialization for the command-line surface.
 
 Every command produces a ReportBundle: a JSON-ready envelope (the stable
-machine contract), a flat table (the CSV/markdown view) and a list of named
-pass/fail checks.  For every command but ring and verify the table is read
-off the JSON records by _rows, so each fact is stated once.  Serialization
-is deterministic: fixed key order, fixed row order, rationals rendered as
-"p/q" strings, never floats, no timestamps.
+machine contract), the records of its table and a list of named pass/fail
+checks.  The CSV/markdown table of every command is read off its records
+when it is rendered (ReportBundle.rows), so each fact is stated once and a
+JSON render builds no table.  A sweep row is read off its instance's
+report, verdict included.  Serialization is deterministic: fixed key
+order, fixed row order, rationals rendered as "p/q" strings, never floats,
+no timestamps.
 The JSON and CSV writers produce json.dumps(envelope, indent=2) and
 csv.writer(lineterminator="\n") bytes themselves, and import json or csv
 only for a value they do not cover; verify_bundle imports the checks when
@@ -36,8 +38,16 @@ class ReportBundle(_Record):
     params: dict
     payload: dict
     headers: tuple[str, ...]
-    rows: tuple[tuple, ...]
+    records: list[dict]
     verification: tuple[CheckResult, ...]
+
+    @property
+    def rows(self) -> tuple[tuple, ...]:
+        """The table: each record's values in header order, a list joined by "; "."""
+        return tuple(
+            tuple("; ".join(v) if isinstance(v, list) else v for v in map(record.__getitem__, self.headers))
+            for record in self.records
+        )
 
     @property
     def exit_code(self) -> int:
@@ -60,14 +70,6 @@ def label_for(cochain) -> str:
     if isinstance(cochain, AlgebraElement):
         return render_element(cochain)
     return cochain.label()
-
-
-def _rows(headers: tuple[str, ...], records) -> tuple[tuple, ...]:
-    """The table of JSON records: each record's values in header order, a list joined by "; "."""
-    return tuple(
-        tuple("; ".join(v) if isinstance(v, list) else v for v in map(record.__getitem__, headers))
-        for record in records
-    )
 
 
 def twist_dict(twist: str | TwistParams, t: TwistParams | None = None) -> dict:
@@ -117,9 +119,7 @@ def cohomology_bundle(p: TruncParams, include_reps: bool = True) -> ReportBundle
         CheckResult("euler_characteristic", euler == 1, f"euler {euler}"),
     )
     headers = ("degree", "dimension", "cocycle_dim", "coboundary_rank", "representatives")
-    return ReportBundle(
-        "cohomology", {"a": p.a, "b": p.b}, payload, headers, _rows(headers, degrees), checks
-    )
+    return ReportBundle("cohomology", {"a": p.a, "b": p.b}, payload, headers, degrees, checks)
 
 
 def homology_bundle(
@@ -137,8 +137,9 @@ def homology_bundle(
         }
         for k in range(3)
     ]
+    twist_info = twist_dict(twist, t)
     payload = {
-        "twist": twist_dict(twist, t),
+        "twist": twist_info,
         "dims": list(rep.dims),
         "ranks": {"boundary1": rep.ranks[0], "boundary2": rep.ranks[1]},
         "euler_characteristic": euler,
@@ -154,9 +155,9 @@ def homology_bundle(
         checks.append(
             CheckResult("twisted_duality_dims", rep.dims == codims, f"{rep.dims} vs {codims}")
         )
-    params = {"a": p.a, "b": p.b, "twist": twist_dict(twist, t)}
+    params = {"a": p.a, "b": p.b, "twist": twist_info}
     headers = ("degree", "dimension", "representatives")
-    return ReportBundle("homology", params, payload, headers, _rows(headers, degrees), tuple(checks))
+    return ReportBundle("homology", params, payload, headers, degrees, tuple(checks))
 
 
 def ring_bundle(p: TruncParams) -> ReportBundle:
@@ -172,16 +173,18 @@ def ring_bundle(p: TruncParams) -> ReportBundle:
         "products": products,
         "matches_reference": matches,
     }
-    rows = tuple(
-        (left, right, *products[i][j]) for i, left in enumerate(labels) for j, right in enumerate(labels)
-    )
     _, _, v, w, m = reps
     checks = (
         CheckResult("matches_reference_ring", matches, "5x5 table"),
         CheckResult("d10_cup_d01_is_f11", cup(v, w) == m, "cochain-level product"),
     )
     headers = ("left", "right", "c_1", "c_t", "c_v", "c_w", "c_m")
-    return ReportBundle("ring", {"a": p.a, "b": p.b}, payload, headers, rows, checks)
+    records = [
+        dict(zip(headers, (left, right, *products[i][j])))
+        for i, left in enumerate(labels)
+        for j, right in enumerate(labels)
+    ]
+    return ReportBundle("ring", {"a": p.a, "b": p.b}, payload, headers, records, checks)
 
 
 def duality_bundle(p: TruncParams) -> ReportBundle:
@@ -204,31 +207,18 @@ def duality_bundle(p: TruncParams) -> ReportBundle:
         ),
     )
     headers = tuple(f for f in DegreeComparison._fields if f != "complement_degree")
-    return ReportBundle(
-        "duality", {"a": p.a, "b": p.b}, payload, headers, _rows(headers, comparisons), checks
-    )
+    return ReportBundle("duality", {"a": p.a, "b": p.b}, payload, headers, comparisons, checks)
 
 
 _SWEEP_HEADERS = ("a", "b", "h0", "h1", "h2", "euler", "theorem_checks")
 
 
 def _sweep_row(kind: str, a: int, b: int, twist: str | TwistParams) -> dict:
+    """The instance's row: its report's dims and Euler characteristic, and "pass" when its report passes."""
     p = TruncParams(a, b)
-    if kind == "cohomology":
-        dims = tuple(cohomology(p, k, include_reps=False).dimension for k in range(3))
-        ok = dims == THEORY_COHOMOLOGY_DIMS
-    else:
-        t = resolve_twist(twist, p)
-        dims = homology(p, t, include_reps=False).dims
-        if twist == "trivial":
-            ok = dims[0] == a + b - 1
-        elif twist == "nakayama":
-            ok = dims == THEORY_COHOMOLOGY_DIMS
-        else:
-            ok = True
-    euler = dims[0] - dims[1] + dims[2]
-    ok = ok and euler == 1
-    return dict(zip(_SWEEP_HEADERS, (a, b, *dims, euler, "pass" if ok else "fail")))
+    bundle = cohomology_bundle(p, False) if kind == "cohomology" else homology_bundle(p, twist, False)
+    payload, verdict = bundle.payload, "pass" if bundle.exit_code == 0 else "fail"
+    return dict(zip(_SWEEP_HEADERS, (a, b, *payload["dims"], payload["euler_characteristic"], verdict)))
 
 
 def sweep_bundle(
@@ -254,7 +244,7 @@ def sweep_bundle(
         CheckResult("all_rows_pass", n_fail == 0, f"{len(records)} rows, {n_fail} failing"),
     )
     payload = {"rows": records}
-    return ReportBundle("sweep", params, payload, _SWEEP_HEADERS, _rows(_SWEEP_HEADERS, records), checks)
+    return ReportBundle("sweep", params, payload, _SWEEP_HEADERS, records, checks)
 
 
 def verify_bundle(p: TruncParams) -> ReportBundle:
@@ -263,15 +253,8 @@ def verify_bundle(p: TruncParams) -> ReportBundle:
     results = tuple(run_verify(p))
     passed = sum(1 for c in results if c.passed)
     payload = {"checks_total": len(results), "checks_passed": passed}
-    rows = tuple((c.name, "pass" if c.passed else "fail", c.detail) for c in results)
-    return ReportBundle(
-        "verify",
-        {"a": p.a, "b": p.b},
-        payload,
-        ("check", "status", "detail"),
-        rows,
-        results,
-    )
+    records = [{"check": c.name, "status": "pass" if c.passed else "fail", "detail": c.detail} for c in results]
+    return ReportBundle("verify", {"a": p.a, "b": p.b}, payload, ("check", "status", "detail"), records, results)
 
 
 # Serialization.
@@ -351,7 +334,8 @@ def to_csv(bundle: ReportBundle) -> str:
     row of one empty field is written '""'.  csv's handling of CR and NUL
     differs between Python versions, so a table with either goes to csv.
     """
-    lines = [",".join(map(_csv_field, row)) or ('""' if row else "") for row in (bundle.headers, *bundle.rows)]
+    table = (bundle.headers, *bundle.rows)
+    lines = [",".join(map(_csv_field, row)) or ('""' if row else "") for row in table]
     text = "\n".join(lines) + "\n"
     if "\r" not in text and "\0" not in text:
         return text
@@ -359,7 +343,7 @@ def to_csv(bundle: ReportBundle) -> str:
     import io
 
     buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows((bundle.headers, *bundle.rows))
+    csv.writer(buf, lineterminator="\n").writerows(table)
     return buf.getvalue()
 
 

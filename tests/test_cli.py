@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import truncpoisson
+from truncpoisson import reporting
 from truncpoisson.chain import HomologyReport, TwistParams
 from truncpoisson.cli import _shown, main, twist_value
 from truncpoisson.checks import CheckResult
@@ -161,6 +162,60 @@ def test_sweep_csv_shape(capsys):
     lines = out.strip().split("\n")
     assert lines[0] == "a,b,h0,h1,h2,euler,theorem_checks"
     assert len(lines) == 5
+
+
+# each sweep's --kind and --twist, and the same options of its instance command
+SWEEPS = {
+    "cohomology": (["--kind", "cohomology"], ["cohomology"]),
+    "trivial": (["--kind", "homology", "--twist", "trivial"], ["homology", "--twist", "trivial"]),
+    "nakayama": (["--kind", "homology", "--twist", "nakayama"], ["homology", "--twist", "nakayama"]),
+    "explicit": (["--kind", "homology", "--twist", "1/2,3"], ["homology", "--twist", "1/2,3"]),
+}
+
+
+@pytest.mark.parametrize("sweep", SWEEPS)
+def test_every_sweep_row_is_its_instance_report(capsys, sweep):
+    sweep_options, instance = SWEEPS[sweep]
+    code, out, _ = run_cli(capsys, ["sweep", "-a", "2..8", "-b", "2..8", *sweep_options])
+    assert code == 0
+    rows = json.loads(out)["payload"]["rows"]
+    assert [(r["a"], r["b"]) for r in rows] == [(a, b) for a in range(2, 9) for b in range(2, 9)]
+    for r in rows:
+        argv = [*instance, "-a", str(r["a"]), "-b", str(r["b"]), "--no-representatives"]
+        code, out, _ = run_cli(capsys, argv)
+        report = json.loads(out)["payload"]
+        assert code in (0, 1), argv
+        assert [r["h0"], r["h1"], r["h2"]] == report["dims"], argv
+        assert r["euler"] == report["euler_characteristic"], argv
+        assert r["theorem_checks"] == ("pass" if code == 0 else "fail"), argv
+
+
+def patch_cohomology_dimension(monkeypatch, degree: int, dimension: int):
+    """The reports patched so that cohomology in one degree has the given dimension."""
+    real = reporting.cohomology
+
+    def patched(p, k, include_reps=True):
+        report = real(p, k, include_reps)
+        return report._replace(dimension=dimension) if k == degree else report
+
+    monkeypatch.setattr(reporting, "cohomology", patched)
+
+
+def test_a_degree_3_class_fails_every_cohomology_sweep_row(capsys, monkeypatch):
+    patch_cohomology_dimension(monkeypatch, 3, 1)
+    code, out, _ = run_cli(capsys, ["sweep", "-a", "2..4", "-b", "2..4"])
+    assert code == 1
+    env = json.loads(out)
+    assert [r["theorem_checks"] for r in env["payload"]["rows"]] == ["fail"] * 9
+    assert env["verification"] == [{"name": "all_rows_pass", "pass": False, "detail": "9 rows, 9 failing"}]
+
+
+def test_a_wrong_degree_2_cohomology_fails_every_nakayama_sweep_row(capsys, monkeypatch):
+    patch_cohomology_dimension(monkeypatch, 2, 2)
+    code, out, _ = run_cli(capsys, ["sweep", "-a", "2..4", "-b", "2..4", "--kind", "homology", "--twist", "nakayama"])
+    assert code == 1
+    rows = json.loads(out)["payload"]["rows"]
+    assert [(r["h0"], r["h1"], r["h2"], r["theorem_checks"]) for r in rows] == [(2, 2, 1, "fail")] * 9
 
 
 def test_markdown_output(capsys):

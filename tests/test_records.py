@@ -76,7 +76,7 @@ RECORDS = {
     "RrefResult": (lambda: rref(Matrix.from_rows([[1, 2], [2, 4]])), "rank", False),
     "CheckResult": (lambda: CheckResult("euler", True, "euler 1"), "passed", True),
     # payload and params are dicts, so a bundle has never been hashable
-    "ReportBundle": (lambda: ring_bundle(P), "rows", False),
+    "ReportBundle": (lambda: ring_bundle(P), "records", False),
 }
 
 
@@ -109,7 +109,7 @@ RECORD_FIELDS = {
     NormalizedCocycle: ("c10", "c01", "potential"),
     RingTable: ("params", "basis_labels", "degrees", "products"),
     CheckResult: ("name", "passed", "detail"),
-    ReportBundle: ("command", "params", "payload", "headers", "rows", "verification"),
+    ReportBundle: ("command", "params", "payload", "headers", "records", "verification"),
     RrefResult: ("reduced", "pivots", "rank"),
 }
 
