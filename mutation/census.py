@@ -47,11 +47,30 @@ JOBS = 2  # mutants run at a time
 # why each may stay.
 _DIMS = "cannot change an output: the dims are always (2, 2, 1), and HomologyReport enforces Euler = 1"
 _JOIN = "equivalent: str - raises TypeError, and the per-element path writes the same bytes"
+_SIGN = "equivalent: the kernel's sign is 1 or -1 and is read only as sign > 0"
+_NONZERO = "equivalent: the coefficient's numerator n is a nonzero int, so n < 0, n <= 0 and n < 1 agree"
+_EXPONENT_ONE = "equivalent: the == 1 branch before it has taken the exponent 1"
 EXPLAINED = {
     ("reporting.py", "cohomology_bundle", "euler = dims[0] - dims[1] + dims[2]", "0 -> 1"): _DIMS,
     ("reporting.py", "duality_bundle", "rep.euler_cochain == 1 and rep.euler_chain == 1,", "and -> or"): _DIMS,
     ("reporting.py", "_json_value", "body = ('\",' + inner + '\"').join(x)", "+ -> - #1"): _JOIN,
     ("reporting.py", "_json_value", "body = ('\",' + inner + '\"').join(x)", "+ -> - #2"): _JOIN,
+    ("algebra.py", "_frac",
+     "if abs(exp) > TWIST_MAX_DIGITS + value.numerator.bit_length() + value.denominator.bit_length():", "> -> >="):
+        "equivalent: with the exponent's size equal to the bound, the scaled value still has more than "
+        "TWIST_MAX_DIGITS digits in its numerator or denominator, and the final check raises the same OverflowError",
+    ("algebra.py", "__sub__", "_multiply_into(out, self.params, {(0, 0): 1}, other.coeffs, -1)", "1 -> 2 #2"): _SIGN,
+    ("algebra.py", "_multiply_into",
+     "def _multiply_into(out: dict, p: TruncParams, u: Mapping, v: Mapping, sign: int = 1):", "1 -> 2"): _SIGN,
+    ("algebra.py", "_multiply_into", "out[key] = term if sign > 0 else -term", "> -> >="): _SIGN,
+    ("algebra.py", "_multiply_into",
+     "elif term := old + term if sign > 0 else old - term:  # one operation where old is present", "> -> >="): _SIGN,
+    ("algebra.py", "_render_monomial", "elif i > 1:", "> -> >="): _EXPONENT_ONE,
+    ("algebra.py", "_render_monomial", "elif j > 1:", "> -> >="): _EXPONENT_ONE,
+    ("algebra.py", "_render_sum", 'chunks.append(f"- {body}" if n < 0 else f"+ {body}")', "< -> <="): _NONZERO,
+    ("algebra.py", "_render_sum", 'chunks.append(f"- {body}" if n < 0 else f"+ {body}")', "0 -> 1"): _NONZERO,
+    ("algebra.py", "_render_sum", 'chunks.append(f"-{body}" if n < 0 else body)', "< -> <="): _NONZERO,
+    ("algebra.py", "_render_sum", 'chunks.append(f"-{body}" if n < 0 else body)', "0 -> 1"): _NONZERO,
     ("reporting.py", "to_csv", 'if "\\r" not in text and "\\0" not in text:', "and -> or"):
         "equivalent on 3.11 and 3.12, whose csv.writer writes a lone CR or NUL as the hand writer does; "
         "test_to_csv_quoting_and_empty_rows kills it on 3.10 (NUL row) and 3.13 (CR row)",

@@ -157,6 +157,21 @@ MUTANTS = (
         "s = i * l - j * k + i * k",
         [VERIFY_DIGESTS, "tests/test_properties.py::test_bracket_matches_leibniz_oracle"],
     ),
+    # the constructor's truncation: X^a = 0 and Y^b = 0
+    (
+        "AlgebraElement keeps a key at the X bound",
+        ALGEBRA,
+        "if c and i < a and j < b:",
+        "if c and i <= a and j < b:",
+        ["tests/test_algebra.py::test_element_truncates_a_key_at_its_bound_away"],
+    ),
+    (
+        "AlgebraElement keeps a key at the Y bound",
+        ALGEBRA,
+        "if c and i < a and j < b:",
+        "if c and i < a and j <= b:",
+        ["tests/test_algebra.py::test_element_truncates_a_key_at_its_bound_away"],
+    ),
     (
         "_multiply_into drops the sign < 0 negation of a new key",
         ALGEBRA,
@@ -167,9 +182,9 @@ MUTANTS = (
     (
         "_multiply_into keeps a cancelled key",
         ALGEBRA,
-        "old - term:  # one Fraction op where old is present\n                    out[key] = term\n"
+        "old - term:  # one operation where old is present\n                    out[key] = term\n"
         "                else:\n                    del out[key]",
-        "old - term:  # one Fraction op where old is present\n                    out[key] = term\n"
+        "old - term:  # one operation where old is present\n                    out[key] = term\n"
         "                else:\n                    out[key] = term",
         [
             "tests/test_properties.py::test_sum_and_difference_match_dict_reference",

@@ -11,12 +11,14 @@ is validated in the test suite against an independent Leibniz-expansion
 oracle built only from the brackets with the two generators.
 
 Clean-coefficient invariant: an element's coefficient map holds only
-nonzero Fraction values at keys (i, j) with 0 <= i < a and 0 <= j < b.  The
-public constructor establishes it from arbitrary input; the arithmetic
-kernels add their terms into out in place, a new key taking the term as it
-is and a present key the sum, dropped as soon as it cancels; + and - are
-products by the unit.  So their results are wrapped by AlgebraElement._clean
-without re-checking.
+nonzero exact rationals at keys (i, j) with 0 <= i < a and 0 <= j < b: ints
+where they are integers by construction, else Fractions, which compare,
+hash and print as the equal ints do, so only a value that needs a Fraction
+imports fractions.  The public constructor establishes it from arbitrary
+input; the arithmetic kernels add their terms into out in place, a new key
+taking the term as it is and a present key the sum, dropped as soon as it
+cancels; + and - are products by the unit.  So their results are wrapped by
+AlgebraElement._clean without re-checking.
 
 The kernels: _multiply_into and _bracket_into sum the product and the
 bracket of two maps, and _shift_into sums (const + slope*e) * m*g for a
@@ -25,12 +27,12 @@ weight into scalar blocks whose entries are affine in one exponent, so each
 differential is at most two shifts, one per row of the block tables in the
 chain and cochain docstrings.  The kernels accept any exact rational maps,
 int or Fraction values, nonzero and at in-bound keys, and int or Fraction
-constants: int maps with int constants stay int maps, and Fraction maps
-give Fraction results.  Only maps with Fraction values are wrapped into
-elements.  verify runs its Jacobi, Leibniz, delta1 . delta0, boundary,
-cocycle-predicate and normalization checks on int maps through these
-kernels: their random elements, derivations and cocycles are drawn as ints,
-and only the twists have their denominators cleared.
+constants: int maps with int constants stay int maps, and a Fraction
+anywhere gives Fraction terms.  verify runs its Jacobi, Leibniz,
+delta1 . delta0, boundary, cocycle-predicate and normalization checks on
+int maps through these kernels: their random elements, derivations and
+cocycles are drawn as ints, and only the twists have their denominators
+cleared.
 
 Values: the parameters, the elements, the cochains, the chains and the
 dense matrices subclass _Value.  Their fields are their __slots__, set once
@@ -44,15 +46,15 @@ pickles by its fields, a coefficient map travelling as its dict.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from operator import itemgetter
 from types import MappingProxyType
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from typing import Iterator, Mapping
+    from fractions import Fraction
+    from typing import Iterator, Mapping, Union
 
-Vector = tuple[Fraction, ...]
+    Vector = tuple[Union[int, Fraction], ...]
 
 # Python's default limit on int <-> str conversion; a rational read from text must print.
 TWIST_MAX_DIGITS = 4300
@@ -60,9 +62,11 @@ TWIST_MAX_DIGITS = 4300
 _EXPONENT = r"[eE]([-+]?\d+)\s*\Z"  # compiled on first use, by re's cache
 
 
-def _frac(x) -> Fraction:
-    """x as an exact Fraction: the reader of every twist entry and coefficient given from outside.
+def _frac(x) -> Union[int, Fraction]:
+    """x as an exact rational: the reader of every twist entry and coefficient given from outside.
 
+    An int comes back as it is, and anything else as a Fraction (a bool
+    too), so fractions is imported only for a value that is not an int.
     A float is refused with a ValueError, since its binary value is rarely
     the decimal it was written as.  Text is read in Python 3.12's Fraction
     grammar on every supported Python: an '_' between two digits (new in
@@ -75,10 +79,14 @@ def _frac(x) -> Fraction:
     when |exp| is small enough for the result to fit: past that bound the
     reduced numerator or denominator exceeds the limit whatever the mantissa.
     """
-    if isinstance(x, Fraction):
+    if type(x) is int:
         return x
     if isinstance(x, float):
         raise ValueError(f"need an exact rational, not the float {x!r}")
+    from fractions import Fraction
+
+    if isinstance(x, Fraction):
+        return x
     if not isinstance(x, str):
         return Fraction(x)
     s = re.sub(r"\s*/\s*", "/", re.sub(r"(?<=\d)_(?=\d)", "", x))
@@ -211,7 +219,7 @@ class TruncParams(_Value):
                 yield (i, j)
 
 
-_ZERO = Fraction(0)
+_ZERO = 0
 
 
 class AlgebraElement(_Value):
@@ -314,7 +322,7 @@ def _multiply_into(out: dict, p: TruncParams, u: Mapping, v: Mapping, sign: int 
                 old = out.get(key)
                 if old is None:
                     out[key] = term if sign > 0 else -term
-                elif term := old + term if sign > 0 else old - term:  # one Fraction op where old is present
+                elif term := old + term if sign > 0 else old - term:  # one operation where old is present
                     out[key] = term
                 else:
                     del out[key]

@@ -38,7 +38,6 @@ reads that pair as it is, so no 1-form key (i, j, dX) is built on the way.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from types import MappingProxyType
 
 from .algebra import (
@@ -60,7 +59,7 @@ DX, DY, DXDY = "dX", "dY", "dX^dY"
 
 
 class TwistParams(_Value):
-    """Diagonal twist (alpha, beta) of any rationals, read by algebra._frac and stored as Fractions."""
+    """Diagonal twist (alpha, beta) of any rationals, each read by algebra._frac: an int or a Fraction."""
 
     __slots__ = ("alpha", "beta")
 
@@ -69,12 +68,12 @@ class TwistParams(_Value):
 
     @classmethod
     def trivial(cls) -> "TwistParams":
-        return cls(Fraction(0), Fraction(0))
+        return cls(0, 0)
 
     @classmethod
     def nakayama(cls, p: TruncParams) -> "TwistParams":
         """The twist (1-b, a-1) induced by the Nakayama automorphism."""
-        return cls(Fraction(1 - p.b), Fraction(p.a - 1))
+        return cls(1 - p.b, p.a - 1)
 
 
 def omega2_indices(p: TruncParams) -> list[tuple[int, int]]:
@@ -202,11 +201,11 @@ def homology(p: TruncParams, t: TwistParams, include_reps: bool = True) -> Homol
     if inner:
         weights.append((int(ki), int(li)))
     # _make without the constructor's checks: the cap row builds 360001 chains here
-    one, make = Fraction(1), ChainElement._make
-    reps0 = tuple(make(p, 0, MappingProxyType({w: one})) for w in weights)
-    reps1 = [make(p, 1, MappingProxyType({(k - 1, l, DX): one})) for k, l in weights if k]
-    reps1 += [make(p, 1, MappingProxyType({(k, l - 1, DY): one})) for k, l in weights if l]
-    reps2 = tuple(make(p, 2, MappingProxyType({(k - 1, l - 1): one})) for k, l in weights if k and l)
+    make = ChainElement._make
+    reps0 = tuple(make(p, 0, MappingProxyType({w: 1})) for w in weights)
+    reps1 = [make(p, 1, MappingProxyType({(k - 1, l, DX): 1})) for k, l in weights if k]
+    reps1 += [make(p, 1, MappingProxyType({(k, l - 1, DY): 1})) for k, l in weights if l]
+    reps2 = tuple(make(p, 2, MappingProxyType({(k - 1, l - 1): 1})) for k, l in weights if k and l)
     return HomologyReport(p, t, dims, ranks, (reps0, tuple(reps1), reps2))
 
 

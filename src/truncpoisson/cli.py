@@ -11,8 +11,10 @@ as an option.  Exit codes: 0 on success with all embedded checks passing,
 memory, a RuntimeError from one of the engine's self-checks, or any other
 exception, named by its type, from building or rendering the report), reported
 as one line on stderr with nothing on stdout.  A failed write of the output (to
-a full disk, say) is an internal error too: exit 3 and one stderr line,
-though part of the output may already be written.  No environment variable
+a full disk, say, or to a stdout the process started without) is an internal
+error too: exit 3 and one stderr line, though part of the output may already
+be written.  A process whose stderr is closed or cannot be written writes no
+error line and keeps its exit code.  No environment variable
 changes the output.  The process (run(): python -m truncpoisson, the installed
 script) ends with os._exit right after flushing its output, skipping interpreter
 teardown, or normally under a tracer, profiler or sys.monitoring tool; library
@@ -270,8 +272,17 @@ def _bundle(args: SimpleNamespace) -> ReportBundle:
     return {"ring": ring_bundle, "duality": duality_bundle, "verify": verify_bundle}[args.command](p)
 
 
+def _error_line(text: str) -> None:
+    if sys.stderr is None:  # started with fd 2 closed, where print would write to stdout
+        return
+    try:
+        print(text, file=sys.stderr)
+    except OSError:  # a stderr that cannot be written leaves the exit code to say what happened
+        pass
+
+
 def _internal_error(message: str) -> int:
-    print(f"truncpoisson: internal error: {message}", file=sys.stderr)
+    _error_line(f"truncpoisson: internal error: {message}")
     return EXIT_INTERNAL_ERROR
 
 
@@ -288,7 +299,7 @@ def main(argv=None) -> int:
     except _Exit as e:
         code, text = e.args
         if code:
-            print(text, file=sys.stderr)
+            _error_line(text)
             return code
         text += "\n"  # a help page is written as the output
     else:
@@ -302,6 +313,8 @@ def main(argv=None) -> int:
         except Exception as e:  # a fault of the program, not of its input, which the parse has checked
             message = " ".join(str(e).split())
             return _internal_error(f"{type(e).__name__}: {message}" if message else type(e).__name__)
+    if sys.stdout is None:  # started with fd 1 closed
+        return _internal_error("cannot write output: stdout is closed")
     try:
         sys.stdout.write(text)
         sys.stdout.flush()

@@ -41,13 +41,11 @@ well-definedness tests):
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import chain
 
 from .algebra import (
     AlgebraElement,
     TruncParams,
-    Vector,
     _Record,
     _Value,
     _render_sum,
@@ -59,7 +57,10 @@ from .algebra import (
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
+    from fractions import Fraction
     from typing import Mapping, Union
+
+    from .algebra import Vector
 
     Cochain = Union[AlgebraElement, "Derivation", "Biderivation"]
 
@@ -281,7 +282,7 @@ def _normalize(p: TruncParams, dx: Mapping, dy: Mapping):
     the potential's coefficient of X^k Y^l, a Fraction on int maps too.
     """
     last_d, last_dprime = p.a - 2, p.b - 2
-    potential = {}
+    potential, Fraction = {}, None  # fractions is imported at the first division: ring's products make none
     for k, l in chain(((i - 1, j) for i, j in dx), ((i, j - 1) for i, j in dy)):  # lazily: a failure ends the walk
         if (k, l) in potential or not (k or l):
             continue
@@ -289,6 +290,8 @@ def _normalize(p: TruncParams, dx: Mapping, dy: Mapping):
         e, f = l if k <= last_d else 0, -k if l <= last_dprime else 0
         if x * f != y * e:
             return None
+        if Fraction is None:
+            from fractions import Fraction
         potential[(k, l)] = Fraction(x, e) if e else Fraction(y, f)
     return dx.get((1, 0), 0), dy.get((0, 1), 0), potential
 
@@ -300,11 +303,13 @@ def normalize_one_cocycle(d: Derivation) -> NormalizedCocycle:
 
         d - delta_0(potential) = c10 * d_{1,0} + c01 * d'_{0,1}
 
-    exactly, from the solve _normalize on d's Fraction maps (its docstring
+    exactly, from the solve _normalize on d's value maps (its docstring
     has the argument), and raises ValueError when d is not a cocycle.  The
     potential has no constant and no top monomial term.  The identity is
     checked once more on the elements; a failure there raises RuntimeError.
     """
+    from fractions import Fraction
+
     p = d.params
     solved = _normalize(p, d.dx.coeffs, d.dy.coeffs)
     if solved is None:
@@ -360,10 +365,10 @@ def fibre_product_table() -> tuple[tuple[Vector, ...], ...]:
     everything of total degree above 2 equal to zero.
     """
     n = len(RING_LABELS)
-    zero = tuple([Fraction(0)] * n)
+    zero = (0,) * n
 
     def unit(k: int, s: int = 1) -> Vector:
-        return tuple(Fraction(s if i == k else 0) for i in range(n))
+        return tuple(s if i == k else 0 for i in range(n))
 
     table = [[zero] * n for _ in range(n)]
     for k in range(n):
@@ -404,9 +409,9 @@ def ring_table(p: TruncParams) -> RingTable:
             coords = (0, 0, 0, 0, z.value.coefficient(1, 1))
         if coords is None:
             raise RuntimeError("cup product leaves the span of coboundaries and representatives")
-        return tuple(map(Fraction, coords))
+        return coords
 
-    zero = tuple([Fraction(0)] * n)
+    zero = (0,) * n
     table = []
     for i in range(n):
         row = []

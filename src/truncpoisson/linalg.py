@@ -15,15 +15,18 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import Vector, _Record, _Value, _frac
+from .algebra import _Record, _Value, _frac
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
     from typing import Iterable, Optional, Sequence
 
+    from .algebra import Vector
+
 
 def as_vector(entries: Iterable) -> Vector:
-    return tuple(_frac(x) for x in entries)
+    """The entries, each read by algebra._frac, as Fractions: the elimination divides with /."""
+    return tuple(Fraction(x) if type(x) is int else x for x in map(_frac, entries))
 
 
 class Matrix(_Value):

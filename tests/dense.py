@@ -80,9 +80,10 @@ def chain_from_vector(p: TruncParams, degree: int, v) -> ChainElement:
 def _matrix(images: list, rows: int) -> Matrix:
     """The matrix whose columns are the coordinates of the images, which share one basis.
 
-    Each column is filled from its image's nonzero coefficients, Fractions
-    already, over one shared Fraction(0), and the basis's rows are numbered
-    once: no column is written out in full, and no entry is read twice.
+    Each column is filled from its image's nonzero coefficients, as
+    Fractions (linalg's elimination divides with /), over one shared
+    Fraction(0), and the basis's rows are numbered once: no column is
+    written out in full, and no entry is read twice.
     """
     zero = Fraction(0)
     data = [[zero] * len(images) for _ in range(rows)]
@@ -93,7 +94,7 @@ def _matrix(images: list, rows: int) -> Matrix:
     for col, x in enumerate(images):
         for coeffs, index in zip(_maps(x), row_of):
             for key, c in coeffs.items():
-                data[index[key]][col] = c
+                data[index[key]][col] = Fraction(c)
     return Matrix._make(rows, len(images), tuple(map(tuple, data)))
 
 

@@ -1,5 +1,6 @@
 import random
 import re
+from decimal import Decimal
 from fractions import Fraction
 from itertools import product
 
@@ -20,7 +21,8 @@ from truncpoisson import (
     render_element,
 )
 from truncpoisson import checks
-from truncpoisson.algebra import _bracket_into, _multiply_into, _shift_into
+from truncpoisson.reporting import homology_bundle, render
+from truncpoisson.algebra import _bracket_into, _frac, _multiply_into, _shift_into
 
 from oracles import bracket_with_x, bracket_with_y, evaluate_element, leibniz_bracket_monomial, per_term_sum
 from twist_grammar import TWIST_ENTRIES
@@ -66,6 +68,25 @@ def test_element_refuses_a_fractional_exponent_as_a_chain_does():
         ChainElement(p, 0, {(1.5, 0): 1})
     with pytest.raises(ValueError, match=r"got \(0, -1\)"):
         AlgebraElement(p, {(0, -1): 1})
+
+
+def test_element_truncates_a_key_at_its_bound_away():
+    # X^a = 0 and Y^b = 0: a key exactly at a bound is truncated, as one past it is
+    p = TruncParams(3, 4)
+    top = AlgebraElement.monomial(p, 2, 3)
+    assert AlgebraElement(p, {(3, 0): 1, (0, 4): 2, (3, 4): 3, (2, 3): 1}) == top
+    assert AlgebraElement.monomial(p, 3, 0).is_zero() and AlgebraElement.monomial(p, 0, 4).is_zero()
+
+
+def test_elements_over_equal_but_distinct_params_combine():
+    # the parameters are compared by value: two equal TruncParams objects are one algebra
+    p, q = TruncParams(3, 4), TruncParams(3, 4)
+    x, y = AlgebraElement.gen_x(p), AlgebraElement.gen_y(q)
+    assert p is not q and x + y == AlgebraElement(p, {(1, 0): 1, (0, 1): 1})
+    assert y - x == AlgebraElement(p, {(1, 0): -1, (0, 1): 1})
+    assert multiply(x, y) == bracket(x, y) == AlgebraElement.monomial(p, 1, 1)
+    with pytest.raises(ValueError, match="mismatched algebra parameters"):
+        x + AlgebraElement.gen_y(TruncParams(4, 3))
 
 
 def _read_or_none(make):
@@ -121,6 +142,40 @@ def test_library_refuses_a_float_rational_by_its_value(make):
 def test_library_refuses_a_zero_denominator_with_a_value_error(make):
     with pytest.raises(ValueError, match="zero denominator"):
         make(TruncParams(3, 3))
+
+
+# An exact rational is an int where it is an integer by construction and a Fraction otherwise.
+def test_frac_keeps_an_int_and_reads_anything_else_into_a_fraction():
+    for n in (0, 1, -3, 10**40):
+        assert _frac(n) is n
+    for flag in (True, False):
+        assert type(_frac(flag)) is Fraction and _frac(flag) == flag
+    inputs = [Fraction(2, 4), Fraction(6, 3), Decimal("-0.25"), "7", "3/6", *(entry for entry, _ in TWIST_ENTRIES)]
+    for x in inputs:
+        value = _read_or_none(lambda: _frac(x))
+        assert value is None or type(value) is Fraction, (x, value)
+    for x in (1.0, 0.5, float("nan")):
+        with pytest.raises(ValueError, match="float"):
+            _frac(x)
+    with pytest.raises(ValueError, match="zero denominator"):
+        _frac("1/0")
+
+
+def test_values_built_from_ints_and_from_fractions_are_equal():
+    p = TruncParams(3, 4)
+    assert TwistParams(0, 0) == TwistParams.trivial() == TwistParams(Fraction(0), Fraction(0))
+    assert TwistParams.nakayama(p) == TwistParams(Fraction(1 - p.b), Fraction(p.a - 1))
+    for alpha, beta in [(0, 0), (1 - p.b, p.a - 1), (-1, 2), (2, -5)]:
+        ints, fractions = TwistParams(alpha, beta), TwistParams(Fraction(alpha), Fraction(beta))
+        assert (type(ints.alpha), type(fractions.alpha)) == (int, Fraction)
+        assert ints == fractions and hash(ints) == hash(fractions)
+        assert homology(p, ints) == homology(p, fractions)
+        assert render(homology_bundle(p, ints), "json") == render(homology_bundle(p, fractions), "json")
+    coeffs = {(0, 0): 2, (1, 2): -1, (2, 3): 5}
+    u, v = AlgebraElement(p, coeffs), AlgebraElement(p, {key: Fraction(c) for key, c in coeffs.items()})
+    assert u == v and str(u) == str(v) and hash(tuple(u.coeffs.items())) == hash(tuple(v.coeffs.items()))
+    x = AlgebraElement.gen_x(p)
+    assert multiply(u, u) == multiply(v, v) and bracket(u, x) == bracket(v, x)
 
 
 def test_multiply_truncation_relation():

@@ -14,7 +14,7 @@ import pytest
 import truncpoisson
 from truncpoisson import reporting
 from truncpoisson.chain import HomologyReport, TwistParams
-from truncpoisson.cli import _shown, main, twist_value
+from truncpoisson.cli import EXIT_INTERNAL_ERROR, _shown, main, twist_value
 from truncpoisson.checks import CheckResult
 from truncpoisson.algebra import TruncParams
 from truncpoisson.reporting import ReportBundle, homology_bundle, sweep_bundle
@@ -549,10 +549,13 @@ def test_no_command_constructs_a_dense_matrix(capsys, monkeypatch):
         assert code == 0, argv
 
 
-# argparse, gettext, locale, typing, json and csv cost start-up that the command line does not need.
+# argparse, gettext, locale, typing, json, csv and fractions (with decimal) cost start-up that the command
+# line does not need: only verify and a twist read from text meet a rational that is not an int.
 WATCHED_MODULES = (
     "truncpoisson.linalg", "truncpoisson.checks", "json", "csv", "typing", "argparse", "gettext", "locale",
+    "fractions", "decimal",
 )
+RATIONALS = {"fractions", "decimal"}
 # Runs one command in this interpreter and reports, on stderr, its exit code,
 # the watched modules loaded before the package and those loaded after it.
 LOADS_PROBE = f"""
@@ -577,7 +580,9 @@ def test_each_command_loads_only_the_modules_it_runs(argv):
         )
         code, before, loaded = ast.literal_eval(proc.stderr.strip().splitlines()[-1])
         assert code == 0 and proc.stdout, (argv, fmt, proc.stderr)
-        wanted = {"truncpoisson.checks"} if argv[0] == "verify" else set()
+        wanted = {"truncpoisson.checks", *RATIONALS} if argv[0] == "verify" else set()
+        if "--twist=-1,2" in argv:  # a twist read from text
+            wanted |= RATIONALS
         assert set(loaded) == wanted - set(before), (argv, fmt)
 
 
@@ -745,6 +750,7 @@ def test_failed_output_exits_3_with_one_stderr_line(sink, argv):
 @pytest.mark.parametrize("closed_fd, argv", [
     (2, ["cohomology", "-a", "3", "-b", "3"]),
     (2, ["sweep", "--help"]),
+    (2, ["cohomology", "-a", "1", "-b", "4"]),
     (1, ["cohomology", "-a", "1", "-b", "4"]),
 ])
 def test_process_started_with_a_closed_std_stream_keeps_the_exit_of_main(capsys, closed_fd, argv):
@@ -757,6 +763,35 @@ def test_process_started_with_a_closed_std_stream_keeps_the_exit_of_main(capsys,
     )
     assert proc.returncode == code, proc.stderr
     assert (proc.stdout, proc.stderr)[2 - closed_fd] == (out, err)[2 - closed_fd].encode()
+
+
+@pytest.mark.parametrize("argv", [["cohomology", "-a", "2", "-b", "2"], ["--help"]])
+def test_process_started_without_stdout_reports_the_failed_write(argv):
+    # a report or a help page with nowhere to go is a failed write of the output: exit 3, one stderr line
+    proc = subprocess.run(
+        [sys.executable, "-m", "truncpoisson", *argv],
+        capture_output=True, env=BUFFERED_ENV, preexec_fn=lambda: os.close(1),
+    )
+    assert (proc.returncode, proc.stdout) == (EXIT_INTERNAL_ERROR, b"")
+    assert proc.stderr == b"truncpoisson: internal error: cannot write output: stdout is closed\n"
+
+
+class UnwritableStream:
+    def write(self, text):
+        raise OSError(errno.EBADF, "Bad file descriptor")
+
+    flush = write
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["cohomology", "-a", "1", "-b", "4"], 2),
+    (["cohomology", "-a", "3", "-b", "3"], 3),
+])
+def test_a_stderr_that_cannot_be_written_keeps_the_exit_code(monkeypatch, argv, code):
+    # a usage error, and a report whose write fails too, each end in main's code, not in a traceback
+    monkeypatch.setattr(sys, "stderr", UnwritableStream())
+    monkeypatch.setattr(sys, "stdout", UnwritableStream())
+    assert main(argv) == code
 
 
 @pytest.mark.parametrize("enabled", [True, False])

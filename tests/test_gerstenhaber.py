@@ -20,6 +20,7 @@ package solve, such as cochain._normalize, is on the path.
 """
 
 from functools import cache
+from itertools import product
 
 import pytest
 
@@ -215,13 +216,39 @@ def test_the_bracket_of_classes_does_not_depend_on_the_representatives():
         assert class_table(p, moved_representatives(p)) == expected_table(p), (a, b)
 
 
+@cache
+def basis_brackets(a: int, b: int) -> tuple:
+    """(|x|, |y|, [x, y], [y, x]) for every pair of basis cochains x, y at (a, b), the brackets as terms."""
+    basis = basis_cochains(TruncParams(a, b))
+    return tuple((degree(x), degree(y), terms(schouten(x, y)), terms(schouten(y, x))) for x in basis for y in basis)
+
+
+def antisymmetry_failures(brackets: tuple, flipped=None) -> list:
+    """The degrees (|x|, |y|) of the pairs where [x, y] != -(-1)^((|x|-1)(|y|-1)) [y, x].
+
+    With flipped an ordered pair of degrees, the bracket's sign is flipped
+    on the pairs of those degrees first.
+    """
+    def signed(k: int, l: int, z: dict, sign: int = 1) -> dict:
+        return {key: (-sign if (k, l) == flipped else sign) * c for key, c in z.items()}
+
+    return [
+        (k, l) for k, l, xy, yx in brackets if signed(k, l, xy) != signed(l, k, yx, -((-1) ** ((k - 1) * (l - 1))))
+    ]
+
+
 @pytest.mark.parametrize("a, b", [(2, 2), (3, 3)])
 def test_graded_antisymmetry_on_every_pair_of_basis_cochains(a, b):
-    basis = basis_cochains(TruncParams(a, b))
-    for x in basis:
-        for y in basis:
-            sign = -((-1) ** ((degree(x) - 1) * (degree(y) - 1)))
-            assert terms(schouten(x, y)) == terms(schouten(y, x), sign), (x, y)
+    assert antisymmetry_failures(basis_brackets(a, b)) == []
+
+
+def test_a_sign_flipped_on_one_pair_of_degrees_breaks_graded_antisymmetry():
+    # negative control: at 3x3 every pair of distinct degrees has a nonzero bracket, so the test above tells
+    # the Schouten signs from a bracket off by a sign on one of them; a flip on a pair of equal degrees
+    # changes both sides of the identity, which holds on
+    for flipped in product(range(3), repeat=2):
+        broken = antisymmetry_failures(basis_brackets(3, 3), flipped)
+        assert bool(broken) == (flipped[0] != flipped[1]), flipped
 
 
 def cup_or_none(y, z):

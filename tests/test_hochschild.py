@@ -17,6 +17,11 @@ the entries 1 - q^(m-l) (from x^(k-1) y^l) and q^(-k) - q^n (from
 x^k y^(l-1)), which vanish for q not a root of unity exactly where the
 twisted Poisson boundary (-(l + alpha), k - beta) does at (alpha, beta) =
 (-m, -n).  So HH_0 and HP_0 at that twist have classes at the same weights.
+
+HH^1, derivations modulo inner ones, lives for q not a root of unity at
+weight (0, 0) alone, spanned by x d/dx and y d/dy, which act on the top
+word x^(a-1) y^(b-1) by a-1 and b-1: the brackets [v, t] = (a-1) t and
+[w, t] = (b-1) t of HP* (tests/test_gerstenhaber.py).
 """
 
 from fractions import Fraction
@@ -24,7 +29,18 @@ from functools import lru_cache
 
 import pytest
 
-from hochschild import X, Y, centre, commutator, multiply, twisted_hh0, weight_entries
+from hochschild import (
+    X,
+    Y,
+    apply_derivation,
+    centre,
+    commutator,
+    hh1,
+    multiply,
+    relation_images,
+    twisted_hh0,
+    weight_entries,
+)
 from truncpoisson import TruncParams, TwistParams, cohomology, homology
 from truncpoisson.algebra import _bracket_into
 
@@ -156,3 +172,24 @@ def test_twisted_hh0_at_the_roots_of_unity_leaves_poisson():
                 assert words == parity, (a, b, m, n)
                 same = words == poisson_h0_weights(a, b, m, n)
                 assert same == keeps_poisson_weights_at_q_minus_1(a, b, m, n), (a, b, m, n)
+
+
+@pytest.mark.parametrize("q", GENERIC_Q, ids=str)
+def test_hh1_at_generic_q_is_x_d_dx_and_y_d_dy_acting_on_the_socle_by_a_1_and_b_1(q):
+    # HH^1 as derivations modulo inner ones, weight by weight: all of it at weight (0, 0), where it is
+    # spanned by x d/dx and y d/dy, of the dimension of HP^1; on the top word x^(a-1) y^(b-1), which
+    # spans the socle and with 1 the centre, they act by a-1 and b-1, as v and w act on t
+    for a in range(2, 7):
+        for b in range(2, 7):
+            assert hh1(a, b, q) == {(0, 0): 2} and cohomology(TruncParams(a, b), 1).dimension == 2, (a, b)
+            assert relation_images(a, b, q, X, {}) == relation_images(a, b, q, {}, Y) == [{}, {}, {}]
+            assert apply_derivation(a, b, q, X, {}, a - 1, b - 1) == {(a - 1, b - 1): a - 1}, (a, b)
+            assert apply_derivation(a, b, q, {}, Y, a - 1, b - 1) == {(a - 1, b - 1): b - 1}, (a, b)
+
+
+def test_hh1_grows_at_q_1():
+    # negative control: at q = 1 the algebra is commutative, no derivation is inner, and HH^1 is every
+    # derivation, b(a-1) + a(b-1) of them, not 2
+    for a in range(2, 7):
+        for b in range(2, 7):
+            assert sum(hh1(a, b, 1).values()) == b * (a - 1) + a * (b - 1) > 2, (a, b)
