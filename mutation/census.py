@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import importlib.util
 import re
 import sys
 import tempfile
@@ -30,7 +31,11 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from mutants import ROOT
-from run import KILLED, baseline_fault, copy_src, run_tests
+
+# by path, under its own name: perfbench/ has a run.py too, and both suites may run in one session
+_spec = importlib.util.spec_from_file_location("mutation_run", Path(__file__).with_name("run.py"))
+run = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(run)
 
 SUBSET = [
     "tests/test_digests.py",
@@ -47,9 +52,7 @@ JOBS = 2  # mutants run at a time
 # why each may stay.
 _DIMS = "cannot change an output: the dims are always (2, 2, 1), and HomologyReport enforces Euler = 1"
 _JOIN = "equivalent: str - raises TypeError, and the per-element path writes the same bytes"
-_SIGN = "equivalent: the kernel's sign is 1 or -1 and is read only as sign > 0"
 _NONZERO = "equivalent: the coefficient's numerator n is a nonzero int, so n < 0, n <= 0 and n < 1 agree"
-_EXPONENT_ONE = "equivalent: the == 1 branch before it has taken the exponent 1"
 EXPLAINED = {
     ("reporting.py", "cohomology_bundle", "euler = dims[0] - dims[1] + dims[2]", "0 -> 1"): _DIMS,
     ("reporting.py", "duality_bundle", "rep.euler_cochain == 1 and rep.euler_chain == 1,", "and -> or"): _DIMS,
@@ -59,18 +62,19 @@ EXPLAINED = {
      "if abs(exp) > TWIST_MAX_DIGITS + value.numerator.bit_length() + value.denominator.bit_length():", "> -> >="):
         "equivalent: with the exponent's size equal to the bound, the scaled value still has more than "
         "TWIST_MAX_DIGITS digits in its numerator or denominator, and the final check raises the same OverflowError",
-    ("algebra.py", "__sub__", "_multiply_into(out, self.params, {(0, 0): 1}, other.coeffs, -1)", "1 -> 2 #2"): _SIGN,
-    ("algebra.py", "_multiply_into",
-     "def _multiply_into(out: dict, p: TruncParams, u: Mapping, v: Mapping, sign: int = 1):", "1 -> 2"): _SIGN,
-    ("algebra.py", "_multiply_into", "out[key] = term if sign > 0 else -term", "> -> >="): _SIGN,
-    ("algebra.py", "_multiply_into",
-     "elif term := old + term if sign > 0 else old - term:  # one operation where old is present", "> -> >="): _SIGN,
-    ("algebra.py", "_render_monomial", "elif i > 1:", "> -> >="): _EXPONENT_ONE,
-    ("algebra.py", "_render_monomial", "elif j > 1:", "> -> >="): _EXPONENT_ONE,
     ("algebra.py", "_render_sum", 'chunks.append(f"- {body}" if n < 0 else f"+ {body}")', "< -> <="): _NONZERO,
     ("algebra.py", "_render_sum", 'chunks.append(f"- {body}" if n < 0 else f"+ {body}")', "0 -> 1"): _NONZERO,
     ("algebra.py", "_render_sum", 'chunks.append(f"-{body}" if n < 0 else body)', "< -> <="): _NONZERO,
     ("algebra.py", "_render_sum", 'chunks.append(f"-{body}" if n < 0 else body)', "0 -> 1"): _NONZERO,
+    ("cochain.py", "ring_table", "sign = -1 if (RING_DEGREES[i] * RING_DEGREES[j]) % 2 else 1", "2 -> 3"):
+        "equivalent: mod 3 the sign changes only where the degrees are (1, 2), (2, 1) or (2, 2), "
+        "and those products, of degree 3 or 4, are zero rows",
+    ("chain.py", "duality_report", "codims = [cohomology(p, k, include_reps=False).dimension for k in range(3)]",
+     "3 -> 4"): "equivalent: it adds the degree-3 dimension, and only codims[0], codims[1] and codims[2] are read",
+    ("chain.py", "duality_report", "euler_cochain = codims[0] - codims[1] + codims[2]", "0 -> 1"):
+        "equivalent: the cohomology dims are always (2, 2, 1), so codims[0] = codims[1]",
+    ("chain.py", "duality_report", "euler_chain = triv[0] - triv[1] + triv[2]", "+ -> -"):
+        "equivalent: homology's closed form gives h2 = 0 at the trivial twist, at every size",
     ("reporting.py", "to_csv", 'if "\\r" not in text and "\\0" not in text:', "and -> or"):
         "equivalent on 3.11 and 3.12, whose csv.writer writes a lone CR or NUL as the hand writer does; "
         "test_to_csv_quoting_and_empty_rows kills it on 3.10 (NUL row) and 3.13 (CR row)",
@@ -179,10 +183,10 @@ def describe(module: str, src: Source, spans) -> list[dict]:
 
 def verdict(row: dict, tests: list) -> str:
     with tempfile.TemporaryDirectory() as tmp:
-        src = copy_src(Path(tmp))
+        src = run.copy_src(Path(tmp))
         (src / "truncpoisson" / row["module"]).write_text(row["mutated"])
-        code = run_tests(src, tests)
-    return "killed" if code in KILLED else "survived" if code == 0 else f"pytest exit {code}"
+        code = run.run_tests(src, tests)
+    return "killed" if code in run.KILLED else "survived" if code == 0 else f"pytest exit {code}"
 
 
 def section(module: str, rows: list) -> str:
@@ -233,7 +237,7 @@ def main(argv: list) -> int:
     ambiguous = [key for key in EXPLAINED if keys.count(key) > 1]
     if ambiguous:
         raise SystemExit(f"EXPLAINED names more than one flip: {ambiguous}")
-    fault = baseline_fault(["tests"])
+    fault = run.baseline_fault(["tests"])
     if fault:
         raise SystemExit(fault)
     with ThreadPoolExecutor(JOBS) as pool:

@@ -36,9 +36,25 @@ NO_BLOCK_SCAN = "tests/test_blocks.py::test_no_command_scans_all_weight_blocks"
 # verify's csv at 11 sizes: a mutant that a sampled check catches exits 1 there
 VERIFY_DIGESTS = "tests/test_verify_digests.py::test_verify_csv_digest"
 FORM_KEYS = "tests/test_chain.py::test_chain_element_refuses_every_key_off_its_basis"
+COCHAIN_REFUSALS = "tests/test_cochain.py::test_cochain_constructors_refuse_other_parameters_and_the_wrong_terms"
 
 # (name, file, old, new, tests)
 MUTANTS = (
+    # the cochain constructors' refusals
+    (
+        "Derivation refuses only values that both carry other parameters",
+        COCHAIN,
+        "if dx.params != params or dy.params != params:",
+        "if dx.params != params and dy.params != params:",
+        [COCHAIN_REFUSALS],
+    ),
+    (
+        "Biderivation refuses only a constant term",
+        COCHAIN,
+        "if any(i == 0 or j == 0 for (i, j) in value.coeffs):",
+        "if any(i == 0 and j == 0 for (i, j) in value.coeffs):",
+        [COCHAIN_REFUSALS],
+    ),
     # ring_table's reduction of a product to class coordinates
     (
         "ring_table keeps degree-0 terms off 1 and the top monomial",
@@ -173,19 +189,12 @@ MUTANTS = (
         ["tests/test_algebra.py::test_element_truncates_a_key_at_its_bound_away"],
     ),
     (
-        "_multiply_into drops the sign < 0 negation of a new key",
-        ALGEBRA,
-        "out[key] = term if sign > 0 else -term",
-        "out[key] = term if sign > 0 else +term",
-        [VERIFY_DIGESTS, "tests/test_algebra.py::test_algebra_kernels_add_in_place_like_a_per_term_sum"],
-    ),
-    (
         "_multiply_into keeps a cancelled key",
         ALGEBRA,
-        "old - term:  # one operation where old is present\n                    out[key] = term\n"
-        "                else:\n                    del out[key]",
-        "old - term:  # one operation where old is present\n                    out[key] = term\n"
-        "                else:\n                    out[key] = term",
+        "term = d if unit else c * d\n                key = (i + k, j + l)\n                old = out.get(key)\n"
+        "                if old is not None and not (term := old + term):\n                    del out[key]",
+        "term = d if unit else c * d\n                key = (i + k, j + l)\n                old = out.get(key)\n"
+        "                if old is not None and not (term := old + term):\n                    out[key] = term",
         [
             "tests/test_properties.py::test_sum_and_difference_match_dict_reference",
             "tests/test_cochain.py::test_cochain_arithmetic_is_component_wise",

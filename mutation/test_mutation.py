@@ -1,23 +1,25 @@
-"""The mutation table still matches the source, and run.py judges only on a sound baseline and never hangs.
+"""The mutation table and the census's explanations still match the source, and run.py judges soundly.
 
 The cheap half of the gate (run.py is the full one):
 
     python -m pytest mutation
 """
 
-import importlib.util
-from pathlib import Path
-
-from mutants import stale_entries
-
-# by path, under its own name: perfbench/ has a run.py too, and both suites may run in one session
-_spec = importlib.util.spec_from_file_location("mutation_run", Path(__file__).with_name("run.py"))
-run = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(run)
+from census import EXPLAINED, describe, flips, run
+from mutants import ROOT, stale_entries
 
 
 def test_every_old_string_occurs_once_and_every_killer_exists():
     assert stale_entries() == []
+
+
+def test_every_census_explanation_names_exactly_one_current_flip():
+    # a reason whose code is gone would match nothing, and no census run would report it
+    keys = []
+    for module in sorted({key[0] for key in EXPLAINED}):
+        rows = describe(module, *flips((ROOT / "src" / "truncpoisson" / module).read_text()))
+        keys += [(r["module"], r["function"], r["code"], r["flip"]) for r in rows]
+    assert [key for key in EXPLAINED if keys.count(key) != 1] == []
 
 
 def test_a_test_run_past_the_timeout_is_cut_and_counts_as_killed(tmp_path, monkeypatch):

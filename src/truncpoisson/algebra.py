@@ -17,8 +17,8 @@ hash and print as the equal ints do, so only a value that needs a Fraction
 imports fractions.  The public constructor establishes it from arbitrary
 input; the arithmetic kernels add their terms into out in place, a new key
 taking the term as it is and a present key the sum, dropped as soon as it
-cancels; + and - are products by the unit.  So their results are wrapped by
-AlgebraElement._clean without re-checking.
+cancels; + and - are products by the units 1 and -1.  So their results are
+wrapped by AlgebraElement._clean without re-checking.
 
 The kernels: _multiply_into and _bracket_into sum the product and the
 bracket of two maps, and _shift_into sums (const + slope*e) * m*g for a
@@ -283,7 +283,7 @@ class AlgebraElement(_Value):
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._check_params(other)
         out = dict(self.coeffs)
-        _multiply_into(out, self.params, {(0, 0): 1}, other.coeffs, -1)
+        _multiply_into(out, self.params, {(0, 0): -1}, other.coeffs)
         return AlgebraElement._clean(self.params, out)
 
     def __neg__(self) -> "AlgebraElement":
@@ -310,8 +310,8 @@ class AlgebraElement(_Value):
         return render_element(self)
 
 
-def _multiply_into(out: dict, p: TruncParams, u: Mapping, v: Mapping, sign: int = 1):
-    """out += sign * u*v for exact rational maps u, v without zeros, truncated to p."""
+def _multiply_into(out: dict, p: TruncParams, u: Mapping, v: Mapping):
+    """out += u*v for exact rational maps u, v without zeros, truncated to p."""
     a, b = p.a, p.b
     for (i, j), c in u.items():
         unit = c == 1  # a generator or a basis element: skip the product by 1
@@ -320,12 +320,10 @@ def _multiply_into(out: dict, p: TruncParams, u: Mapping, v: Mapping, sign: int 
                 term = d if unit else c * d
                 key = (i + k, j + l)
                 old = out.get(key)
-                if old is None:
-                    out[key] = term if sign > 0 else -term
-                elif term := old + term if sign > 0 else old - term:  # one operation where old is present
-                    out[key] = term
-                else:
+                if old is not None and not (term := old + term):
                     del out[key]
+                else:
+                    out[key] = term
 
 
 def _bracket_into(out: dict, p: TruncParams, u: Mapping, v: Mapping):
@@ -414,11 +412,11 @@ def _render_monomial(i: int, j: int) -> str:
     parts = []
     if i == 1:
         parts.append("X")
-    elif i > 1:
+    elif i:
         parts.append(f"X^{i}")
     if j == 1:
         parts.append("Y")
-    elif j > 1:
+    elif j:
         parts.append(f"Y^{j}")
     return "*".join(parts)
 

@@ -74,10 +74,7 @@ def random_twist(rng: random.Random) -> TwistParams:
 
 def _delta_complex_maps(p: TruncParams, m: dict) -> tuple[dict, dict, dict]:
     """({X, m}, {Y, m}, delta_1 of that derivation): delta_0 and then delta_1 of the int map m."""
-    dx: dict = {}
-    dy: dict = {}
-    _bracket_into(dx, p, {(1, 0): 1}, m)
-    _bracket_into(dy, p, {(0, 1): 1}, m)
+    dx, dy = _cocycle_maps(p, 0, 0, m)
     value: dict = {}
     _delta1_into(value, p, dx, dy)
     return dx, dy, value
@@ -289,11 +286,12 @@ def check_leibniz(p: TruncParams) -> CheckResult:
         _multiply_into(uv, p, u, v)
         _bracket_into(vw, p, v, w)
         _bracket_into(uw, p, u, w)
-        difference: dict = {}
-        _bracket_into(difference, p, uv, w)
-        _multiply_into(difference, p, u, vw, -1)
-        _multiply_into(difference, p, uw, v, -1)
-        if difference:
+        left: dict = {}
+        right: dict = {}
+        _bracket_into(left, p, uv, w)
+        _multiply_into(right, p, u, vw)
+        _multiply_into(right, p, uw, v)
+        if left != right:
             ok = False
             break
     return CheckResult("leibniz_rule", ok, f"{LEIBNIZ_TRIPLES} random triples")

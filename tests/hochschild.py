@@ -4,8 +4,10 @@ The paper's theorem has a Hochschild side (Bergh–Erdmann): C[X,Y]/(X^a, Y^b)
 with {X, Y} = XY is the semi-classical limit of Lambda_q at q = 1.  This
 module holds degrees 0 and 1 of it, weight by weight: the centre
 HH^0(Lambda_q), HH_0 with coefficients twisted by a diagonal automorphism
-sigma, and HH^1(Lambda_q) as derivations modulo inner ones.  It shares no
-code with the package.
+sigma, and HH^1(Lambda_q) as derivations modulo inner ones; and the
+Nakayama automorphism of Lambda_q's Frobenius form, the sigma whose
+twisted HH_0 has the dimension of the centre.  It shares no code with the
+package.
 
 An element is a dict {(i, j): Fraction} on the normal words x^i y^j,
 0 <= i < a, 0 <= j < b, without zero coefficients, and q is a nonzero
@@ -106,6 +108,40 @@ def twisted_hh0(a: int, b: int, q, m: int, n: int) -> list[tuple[int, int]]:
 def word(a: int, b: int, i: int, j: int) -> dict:
     """The word x^i y^j as an element: {} where an exponent is negative or truncated away."""
     return {(i, j): Fraction(1)} if 0 <= i < a and 0 <= j < b else {}
+
+
+def frobenius_form(a: int, b: int, u: dict) -> Fraction:
+    """eps(u), the coefficient of the top word x^(a-1) y^(b-1): the Frobenius form of Lambda_q."""
+    return u.get((a - 1, b - 1), Fraction(0))
+
+
+def nakayama_scalars(a: int, b: int, q) -> dict:
+    """{(i, j): s} with nu(x^i y^j) = s x^i y^j, for the Nakayama automorphism nu of eps.
+
+    nu is fixed by eps(u v) = eps(v nu(u)) for all u and v, since eps is
+    nondegenerate.  A word v times an element w reaches the top word only
+    through w's term at v's complement, so eps(v nu(u)) = eps(u v) is zero
+    for every word v but the complement c of the word u: nu(u) is a multiple
+    s u, and s = eps(u c) / eps(c u).
+    """
+    scalars = {}
+    for i in range(a):
+        for j in range(b):
+            u, c = word(a, b, i, j), word(a, b, a - 1 - i, b - 1 - j)
+            uc, cu = multiply(a, b, q, u, c), multiply(a, b, q, c, u)
+            scalars[(i, j)] = frobenius_form(a, b, uc) / frobenius_form(a, b, cu)
+    return scalars
+
+
+def nakayama_exponents(a: int, b: int, q) -> tuple[int, int]:
+    """(m, n) with nu(x) = q^m x and nu(y) = q^n y, for q neither 0 nor a root of unity.
+
+    Each exponent is the one e with q^e equal to nu's scalar on the generator,
+    searched over |e| <= ab.
+    """
+    nu, q = nakayama_scalars(a, b, q), Fraction(q)
+    m, n = (next(e for e in range(-a * b, a * b + 1) if q**e == nu[g]) for g in ((1, 0), (0, 1)))
+    return m, n
 
 
 def _sum(a: int, b: int, q, products) -> dict:

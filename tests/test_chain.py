@@ -347,6 +347,9 @@ def test_chain_element_validation():
         ChainElement(p, 1, {(1, 0, DX): Fraction(1)})  # dX exponent out of range
     with pytest.raises(ValueError):
         ChainElement(p, 2, {(1, 1): Fraction(1)})
+    for degree in (-1, 3):
+        with pytest.raises(ValueError, match="^chain degree must be 0, 1 or 2$"):
+            ChainElement(p, degree, {})
 
 
 # The keys on the far edge of each degree's basis at (a, b) = (3, 4), each key
@@ -396,4 +399,6 @@ def test_chain_element_render_and_vectors():
     p = TruncParams(3, 3)
     c = ChainElement(p, 1, {(1, 1, DX): Fraction(2), (0, 1, DY): Fraction(-1, 2)})
     assert c.render() == "2*X*Y*dX - 1/2*Y*dY"
+    assert repr(c) == "ChainElement(deg=1: 2*X*Y*dX - 1/2*Y*dY)"
+    assert repr(ChainElement(p, 2, {})) == "ChainElement(deg=2: 0)"
     assert chain_from_vector(p, 1, to_vector(c)) == c

@@ -86,6 +86,22 @@ def test_derivation_constructor_rejects_bad_values():
         Derivation(p, AlgebraElement.zero(p), AlgebraElement.monomial(p, 1, 0))
 
 
+def test_cochain_constructors_refuse_other_parameters_and_the_wrong_terms():
+    # each value is checked on its own: one value of another algebra is refused, and so is one pure-X or pure-Y term
+    p = TruncParams(3, 4)
+    ours, theirs = AlgebraElement.zero(p), AlgebraElement.zero(TruncParams(4, 3))
+    for dx, dy in [(theirs, ours), (ours, theirs), (theirs, theirs)]:
+        with pytest.raises(ValueError, match="^derivation values carry mismatched parameters$"):
+            Derivation(p, dx, dy)
+    with pytest.raises(ValueError, match="^biderivation value carries mismatched parameters$"):
+        Biderivation(p, theirs)
+    off_the_ideal = [{(1, 0): 1}, {(0, 1): 1}, {(0, 0): 1}, {(2, 0): 1, (1, 1): 2}, {(1, 1): 2, (0, 3): -1}]
+    for coeffs in off_the_ideal:
+        with pytest.raises(ValueError, match=r"^biderivation value must lie in the ideal generated by X\*Y$"):
+            Biderivation(p, AlgebraElement(p, coeffs))
+    assert Biderivation(p, AlgebraElement(p, {(1, 1): 2, (2, 3): -1})).label() == "2*f_{1,1} - f_{2,3}"
+
+
 def test_cochains_subtract_only_cochains_of_their_own_class():
     p = TruncParams(3, 4)
     d, f, one = Derivation.basis_d(p, 1, 0), Biderivation.basis_f(p, 1, 1), AlgebraElement.one(p)
@@ -173,12 +189,12 @@ def test_delta_complex_property():
 
 X_MAP, Y_MAP = {(1, 0): 1}, {(0, 1): 1}
 # delta_1's four convention terms, one pass each: {X, d(Y)}, -{Y, d(X)} as
-# {d(X), Y}, -d(X)*Y and -X*d(Y).
+# {d(X), Y}, -d(X)*Y as (-Y)*d(X) and -X*d(Y).
 DELTA1_TERMS = [
     lambda value, p, dx, dy: _bracket_into(value, p, X_MAP, dy),
     lambda value, p, dx, dy: _bracket_into(value, p, dx, Y_MAP),
-    lambda value, p, dx, dy: _multiply_into(value, p, Y_MAP, dx, -1),
-    lambda value, p, dx, dy: _multiply_into(value, p, X_MAP, dy, -1),
+    lambda value, p, dx, dy: _multiply_into(value, p, {(0, 1): -1}, dx),
+    lambda value, p, dx, dy: _multiply_into(value, p, {(1, 0): -1}, dy),
 ]
 # Mutants of the shift kernels: (the checks name patched, the mutant).
 SHIFT_MUTANTS = {
@@ -496,6 +512,8 @@ def test_cohomology_dimensions_and_reps():
         assert r2.representatives == (Biderivation.basis_f(p, 1, 1),)
         for r in (r0, r1, r2):
             assert r.dimension == r.cocycle_dim - r.coboundary_rank
+    with pytest.raises(ValueError, match="^degree must be nonnegative$"):
+        cohomology(TruncParams(2, 2), -1)
 
 
 def test_cohomology_without_reps_keeps_dims_and_ranks():

@@ -15,7 +15,8 @@ import json
 import pytest
 
 from test_cli import validate_envelope
-from truncpoisson import cli
+from truncpoisson import TruncParams, cli
+from truncpoisson.reporting import cohomology_bundle, render
 
 SIZES = [["-a", str(a), "-b", str(b)] for a in range(2, 7) for b in range(2, 7)]
 TWISTS = (["--twist", "trivial"], ["--twist", "nakayama"], ["--twist=-1,2"], ["--twist", "1/2,-3/4"])
@@ -93,3 +94,8 @@ def test_tables_are_the_json_records(variant):
 @pytest.mark.parametrize("argv", SWEEPS, ids=" ".join)
 def test_sweep_tables_are_the_json_records(argv):
     check_formats_agree(argv)
+
+
+def test_render_refuses_a_format_it_does_not_write():
+    with pytest.raises(ValueError, match="^unknown format 'xml'$"):
+        render(cohomology_bundle(TruncParams(2, 3)), "xml")

@@ -35,11 +35,15 @@ from hochschild import (
     apply_derivation,
     centre,
     commutator,
+    frobenius_form,
     hh1,
     multiply,
+    nakayama_exponents,
+    nakayama_scalars,
     relation_images,
     twisted_hh0,
     weight_entries,
+    word,
 )
 from truncpoisson import TruncParams, TwistParams, cohomology, homology
 from truncpoisson.algebra import _bracket_into
@@ -139,9 +143,32 @@ def test_twisted_hh0_at_generic_q_has_the_weights_of_hp0_at_the_twist(q):
         for b in range(2, 7):
             for m, n in twist_box(a, b):
                 assert twisted_hh0(a, b, q, m, n) == poisson_h0_weights(a, b, m, n), (a, b, m, n)
-            # the Nakayama automorphism (m, n) = (b-1, 1-a): the h0 of the Nakayama twist
+            # at the Nakayama automorphism, derived from the Frobenius form: the h0 of the Nakayama twist
             nakayama = homology(TruncParams(a, b), TwistParams.nakayama(TruncParams(a, b))).dims[0]
-            assert len(twisted_hh0(a, b, q, b - 1, 1 - a)) == nakayama == 2, (a, b)
+            assert len(twisted_hh0(a, b, q, *nakayama_exponents(a, b, q))) == nakayama == 2, (a, b)
+
+
+def test_the_nakayama_automorphism_of_the_frobenius_form_is_the_nakayama_twist():
+    # nu(x^i y^j) = q^((b-1)i - (a-1)j) x^i y^j: nu(x) = q^(b-1) x and nu(y) = q^(1-a) y, whose
+    # exponents (m, n) are the Nakayama twist (1-b, a-1) under the degree-0 dictionary (alpha, beta) = (-m, -n)
+    for q in GENERIC_Q:
+        for a in range(2, 7):
+            for b in range(2, 7):
+                nu = nakayama_scalars(a, b, q)
+                words = {(i, j): word(a, b, i, j) for i in range(a) for j in range(b)}
+                assert nu == {(i, j): q ** ((b - 1) * i - (a - 1) * j) for i, j in words}, (q, a, b)
+                for u, u_word in words.items():
+                    nu_u = {u: nu[u]}
+                    for v_word in words.values():
+                        uv, v_nu_u = multiply(a, b, q, u_word, v_word), multiply(a, b, q, v_word, nu_u)
+                        assert frobenius_form(a, b, uv) == frobenius_form(a, b, v_nu_u), (q, a, b, u, v_word)
+                m, n = nakayama_exponents(a, b, q)
+                assert (m, n) == (b - 1, 1 - a)
+                assert TwistParams(-m, -n) == TwistParams.nakayama(TruncParams(a, b))
+    # at q = 1 the algebra is commutative, and eps(u v) = eps(v u): nu is the identity
+    for a in range(2, 7):
+        for b in range(2, 7):
+            assert set(nakayama_scalars(a, b, 1).values()) == {1}, (a, b)
 
 
 def keeps_poisson_weights_at_q_minus_1(a: int, b: int, m: int, n: int) -> bool:

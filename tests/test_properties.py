@@ -151,7 +151,7 @@ def test_kernels_agree_on_int_and_fraction_maps(maps, sign):
     p, start, u, v = maps
     with_unit = {**u, (0, 0): 1}
     runs = (
-        (lambda out, u, v: _multiply_into(out, p, u, v, sign), u, v),
+        (lambda out, u, v: _multiply_into(out, p, u, v), {k: sign * c for k, c in u.items()}, v),
         (lambda out, u, v: _bracket_into(out, p, *((u, v) if sign > 0 else (v, u))), u, v),
         (lambda out, m, _: _shift_into(out, p, m, "X", sign, -2), with_unit, v),
         (lambda out, m, _: _shift_into(out, p, m, "Y", 3, sign), with_unit, v),

@@ -235,6 +235,14 @@ def test_record_validation_still_raises():
     with pytest.raises(RuntimeError, match="Euler identity"):
         HomologyReport(P, TwistParams(0, 0), (2, 1, 1), (0, 0), ((), (), ()))
     assert homology(P, TwistParams(0, 0)).dims == (6, 5, 0)
+    with pytest.raises(TypeError, match=r"^EulerDims\(\) missing argument 'chi2'$"):
+        EulerDims(1, chi1=2)
+    with pytest.raises(TypeError, match=r"^EulerDims\(\) got unexpected arguments \['chi3', 'chi4'\]$"):
+        EulerDims(1, 2, chi4=0, chi2=1, chi3=0)
+    for args in [(1, 2), (1, 2, 1, 0)]:
+        with pytest.raises(TypeError, match=rf"^EulerDims\(\) takes 3 arguments \({len(args)} given\)$"):
+            EulerDims(*args)
+    assert EulerDims(1, chi2=1, chi1=2) == EulerDims(1, 2, 1) == (1, 2, 1)
 
 
 def test_cli_import_leaves_out_dataclasses():
