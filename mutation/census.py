@@ -12,11 +12,14 @@ Docstrings and other strings are left alone.  First run.py's
 baseline_fault checks that all of tests/ (Tier-1) imports and passes on an
 unedited copy of src/.  Then each flip is applied to a copy of src/ by
 run.py's copy_src and run by its run_tests against SUBSET, stopping at the
-first failure; a run cut at run.py's TIMEOUT_S counts as killed.  The
-survivors then run against all of tests/.  The report, one row per flip
-with its verdicts and the reason for each survivor that EXPLAINED accounts
-for, replaces the module's section of mutation/CENSUS.md.  The census stays out of CI and
-Tier-1: it takes minutes per module.
+first failure; a run cut at run.py's TIMEOUT_S counts as killed.  A
+survivor then runs against all of tests/.  The modules are judged one at a
+time, JOBS flips at once: each flip's line is printed as soon as its
+verdicts are in, and each module's report, one row per flip with its
+verdicts and the reason for each survivor that EXPLAINED accounts for,
+replaces that module's section of REPORT (mutation/CENSUS.md) as soon as
+the module is done.  So a run cut short keeps the modules it finished.
+The census stays out of CI and Tier-1: it takes minutes per module.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import importlib.util
 import re
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, as_completed
 from pathlib import Path
 
 from mutants import ROOT
@@ -47,6 +50,7 @@ SUBSET = [
     "tests/test_acceptance.py",
 ]
 JOBS = 2  # mutants run at a time
+REPORT = ROOT / "mutation" / "CENSUS.md"
 
 # Survivors of all of Tier-1 on Python 3.11, keyed by (module, function, stripped source line, flip):
 # why each may stay.
@@ -189,6 +193,16 @@ def verdict(row: dict, tests: list) -> str:
     return "killed" if code in run.KILLED else "survived" if code == 0 else f"pytest exit {code}"
 
 
+def judge(row: dict) -> dict:
+    """The flip's verdicts: SUBSET's, then, unless that killed it, Tier-1's; and a survivor's reason."""
+    row["subset"] = row["tier1"] = verdict(row, SUBSET)
+    if row["subset"] != "killed":
+        row["tier1"] = verdict(row, ["tests"])
+    key = (row["module"], row["function"], row["code"], row["flip"])
+    row["reason"] = EXPLAINED.get(key, "") if row["tier1"] != "killed" else ""
+    return row
+
+
 def section(module: str, rows: list) -> str:
     """The report's section on one module: how it ran, the counts, and a row per flip."""
     left = [r for r in rows if r["tier1"] != "killed"]
@@ -216,13 +230,12 @@ def section(module: str, rows: list) -> str:
 
 
 def write_report(sections: dict):
-    """Replace the sections of the modules just run in CENSUS.md, keeping the others."""
-    path = ROOT / "mutation" / "CENSUS.md"
-    kept = path.read_text().split("\n## ")[1:] if path.exists() else []
+    """Replace the sections of the modules just run in REPORT, keeping the others."""
+    kept = REPORT.read_text().split("\n## ")[1:] if REPORT.exists() else []
     for chunk in kept:
         sections.setdefault(chunk.split("`")[1], "## " + chunk.strip())
     intro = "# Mutation census\n\nWritten by `mutation/census.py`: one section per module, each row one flip.\n"
-    path.write_text("\n\n".join([intro.rstrip(), *(sections[m] for m in sorted(sections))]) + "\n")
+    REPORT.write_text("\n\n".join([intro.rstrip(), *(sections[m] for m in sorted(sections))]) + "\n")
 
 
 def main(argv: list) -> int:
@@ -241,16 +254,13 @@ def main(argv: list) -> int:
     if fault:
         raise SystemExit(fault)
     with ThreadPoolExecutor(JOBS) as pool:
-        for row, first in zip(rows, pool.map(lambda r: verdict(r, SUBSET), rows)):
-            row["subset"] = row["tier1"] = first
-        left = [r for r in rows if r["subset"] != "killed"]
-        for row, full in zip(left, pool.map(lambda r: verdict(r, ["tests"]), left)):
-            row["tier1"] = full
-    for row, key in zip(rows, keys):
-        row["reason"] = EXPLAINED.get(key, "") if row["tier1"] != "killed" else ""
-        print(f"{row['module']}:{row['line']}  {row['flip']:<16} {row['subset']:<10} {row['tier1']}")
-    modules = dict.fromkeys(r["module"] for r in rows)
-    write_report({m: section(m, [r for r in rows if r["module"] == m]) for m in modules})
+        for module in dict.fromkeys(r["module"] for r in rows):
+            ours = [r for r in rows if r["module"] == module]
+            for future in as_completed([pool.submit(judge, r) for r in ours]):
+                row = future.result()
+                print(f"{row['module']}:{row['line']}  {row['flip']:<16} {row['subset']:<10} {row['tier1']}",
+                      flush=True)
+            write_report({module: section(module, ours)})
     return 1 if any(r["tier1"] != "killed" and not r["reason"] for r in rows) else 0
 
 

@@ -215,6 +215,13 @@ MUTANTS = (
         "",
         [VERIFY_DIGESTS, "tests/test_cochain.py::test_delta1_kernel_matches_generator_oracle"],
     ),
+    (
+        "_cocycle_maps negates delta_0's value on Y",
+        COCHAIN,
+        "_bracket_into(dy, p, {(0, 1): 1}, m)",
+        "_bracket_into(dy, p, {(0, 1): -1}, m)",
+        [VERIFY_DIGESTS, "tests/test_cochain.py::test_hamiltonian_matches_generator_oracle"],
+    ),
     # verify's checks and the normalization kernel
     (
         "the boundary check evaluates only its first two twists",

@@ -5,6 +5,7 @@ The cheap half of the gate (run.py is the full one):
     python -m pytest mutation
 """
 
+import census
 from census import EXPLAINED, describe, flips, run
 from mutants import ROOT, stale_entries
 
@@ -35,3 +36,26 @@ def test_a_baseline_whose_tests_fail_is_refused(tmp_path):
     (tmp_path / "test_broken.py").write_text("def test_broken():\n    assert False\n")
     assert run.baseline_fault([str(tmp_path / "test_broken.py")]) == "the named tests fail on the unedited source"
     assert run.baseline_fault(["tests/test_records.py"]) == ""
+
+
+def test_the_census_writes_each_module_before_it_judges_the_next(tmp_path, monkeypatch, capsys):
+    # a run cut short keeps the modules it finished; no flip runs pytest here
+    report = tmp_path / "CENSUS.md"
+    seen = []
+
+    def fake_verdict(row, tests):
+        written = report.read_text() if report.exists() else ""
+        seen.append((row["module"], "## `linalg.py`" in written))
+        return "survived" if tests == census.SUBSET else "killed"
+
+    monkeypatch.setattr(census, "REPORT", report)
+    monkeypatch.setattr(census, "verdict", fake_verdict)
+    monkeypatch.setattr(run, "baseline_fault", lambda tests: "")
+    assert census.main(["src/truncpoisson/linalg.py", "src/truncpoisson/chain.py"]) == 0
+    modules = [module for module, _ in seen]
+    first = modules.index("chain.py")
+    assert first > 0 and set(modules[first:]) == {"chain.py"}
+    assert seen == [(module, module == "chain.py") for module in modules]
+    assert len(capsys.readouterr().out.splitlines()) == len(seen) // 2
+    text = report.read_text()
+    assert text.index("## `chain.py`") < text.index("## `linalg.py`")

@@ -14,7 +14,7 @@ from itertools import chain, product
 
 from .algebra import TruncParams, _bracket_into, _multiply_into, euler_dims
 from .chain import TwistParams, _boundary1_into, _boundary2_into, homology, omega2_indices, omega_dims
-from .cochain import _delta1_into, _normalize, chi1_index_pairs, cohomology, ring_table
+from .cochain import _cocycle_maps, _delta1_into, _normalize, chi1_index_pairs, cohomology, ring_table
 from .reporting import CheckResult
 
 # Full Jacobi enumeration is cubic in the algebra dimension; past this bound
@@ -84,8 +84,8 @@ def check_delta_complex(p: TruncParams) -> CheckResult:
     """delta_1(hamiltonian(m)) = 0 for every basis monomial m, in one pass on int maps.
 
     hamiltonian(m) is the derivation with values {X, m} and {Y, m}; they are
-    built with _bracket_into and fed to delta_1's kernel _delta1_into,
-    the same kernels those functions run, here on integers.  So the check
+    built by _cocycle_maps and fed to delta_1's kernel _delta1_into,
+    the same builders those functions run, here on integers.  So the check
     composes two different kernels: brackets, then shifts.
 
     It runs them once, on the sum of all monomials {ij: 1 for every ij}.
@@ -324,25 +324,12 @@ def check_predicate_agreement(p: TruncParams) -> CheckResult:
     )
 
 
-def _cocycle_maps(p: TruncParams, c10, c01, m: dict) -> tuple[dict, dict]:
-    """The value maps of c10*d_{1,0} + c01*d'_{0,1} + delta_0(m), built with _bracket_into.
-
-    delta_0(m) = hamiltonian(m) has the values {X, m} and {Y, m}, neither of
-    which has a term at X or at Y, so c10 and c01 stay where they are put.
-    """
-    dx = {(1, 0): c10} if c10 else {}
-    dy = {(0, 1): c01} if c01 else {}
-    _bracket_into(dx, p, {(1, 0): 1}, m)
-    _bracket_into(dy, p, {(0, 1): 1}, m)
-    return dx, dy
-
-
 def check_normalization(p: TruncParams) -> CheckResult:
     """NORMALIZATION_COCYCLES seeded cocycles normalize back to their class coordinates and rebuild.
 
     Each draw is the int coefficients c10 and c01 and then an int map m
     (_random_map).  The cocycle c10*d_{1,0} + c01*d'_{0,1} +
-    delta_0(m) has int value maps, built with _bracket_into.  _normalize,
+    delta_0(m) has int value maps, built by _cocycle_maps.  _normalize,
     the solve of normalize_one_cocycle, divides them exactly: the
     potential it finds differs from m only by the constant and the top
     monomial, which delta_0 kills, so each quotient is a coefficient of m,

@@ -6,12 +6,13 @@ generators.  This module applies the coboundaries to sparse cochains,
 computes the cohomology spaces with canonical representatives, normalizes
 1-cocycles constructively, and assembles the cup-product ring table.  The cocycles
 behind the five classes 1, t, v, w, m are built in one function,
-_class_representatives, which the reports take them from, and the normal
-form c10*d_{1,0} + c01*d'_{0,1} of a 1-class in one, _normal_form.  One
+_class_representatives, which the reports take them from, and the value
+maps of c10*d_{1,0} + c01*d'_{0,1} + delta_0(m) in one, _cocycle_maps,
+behind hamiltonian and normalize_one_cocycle's recheck.  One
 function reads a derivation's blocks: _normalize, the solve behind
 normalize_one_cocycle, which is also the cocycle test of
-is_poisson_derivation and of ring_table's degree-1 products.  It runs on
-int or Fraction value maps, and verify's checks run it on int maps.
+is_poisson_derivation and of ring_table's degree-1 products.  Both run on
+int or Fraction value maps, and verify's checks run them on int maps.
 Derivation and Biderivation share their subtraction, component-wise on
 their value fields, through the private base _Cochain.
 
@@ -30,7 +31,7 @@ forms.  At every weight but (0, 0) a derivation's component is a cocycle
 exactly when it is a multiple of delta_0, that is, exact, so _normalize
 visits only the blocks in the support of its cochain and tests and solves
 each in one step.  verify checks the complex on int value maps through
-_bracket_into and _delta1_into, the kernels of hamiltonian and delta_1.
+_cocycle_maps and _delta1_into, the builders of delta_0 and delta_1.
 
 Conventions (fixed once, verified by the delta.delta = 0 and cup
 well-definedness tests):
@@ -48,9 +49,9 @@ from .algebra import (
     TruncParams,
     _Record,
     _Value,
+    _bracket_into,
     _render_sum,
     _shift_into,
-    bracket,
     euler_dims,
     multiply,
 )
@@ -167,11 +168,21 @@ def cochain_degree(x: Cochain) -> int:
 def hamiltonian(lam: AlgebraElement) -> Derivation:
     """The derivation f |-> {f, lam}; image of lam under delta_0."""
     p = lam.params
-    return Derivation(
-        p,
-        bracket(AlgebraElement.gen_x(p), lam),
-        bracket(AlgebraElement.gen_y(p), lam),
-    )
+    return Derivation(p, *(AlgebraElement._clean(p, m) for m in _cocycle_maps(p, 0, 0, lam.coeffs)))
+
+
+def _cocycle_maps(p: TruncParams, c10, c01, m: Mapping) -> tuple[dict, dict]:
+    """The value maps of c10*d_{1,0} + c01*d'_{0,1} + delta_0(m), built with _bracket_into.
+
+    delta_0(m) has the values {X, m} and {Y, m}, neither of which has a
+    term at X or at Y, so c10 and c01 stay where they are put.  Like the
+    algebra kernels it runs on int or Fraction maps without zeros.
+    """
+    dx = {(1, 0): c10} if c10 else {}
+    dy = {(0, 1): c01} if c01 else {}
+    _bracket_into(dx, p, {(1, 0): 1}, m)
+    _bracket_into(dy, p, {(0, 1): 1}, m)
+    return dx, dy
 
 
 def _delta1_into(value: dict, p: TruncParams, dx: Mapping, dy: Mapping):
@@ -213,12 +224,6 @@ def _class_representatives(p: TruncParams) -> tuple[Cochain, ...]:
         Derivation.basis_dprime(p, 0, 1),
         Biderivation.basis_f(p, 1, 1),
     )
-
-
-def _normal_form(p: TruncParams, c10: Fraction, c01: Fraction) -> Derivation:
-    """The 1-cocycle c10 * d_{1,0} + c01 * d'_{0,1}, the normal form of its class."""
-    dx = AlgebraElement._clean(p, {(1, 0): c10} if c10 else {})
-    return Derivation(p, dx, AlgebraElement._clean(p, {(0, 1): c01} if c01 else {}))
 
 
 class CohomologyReport(_Record):
@@ -306,7 +311,7 @@ def normalize_one_cocycle(d: Derivation) -> NormalizedCocycle:
     exactly, from the solve _normalize on d's value maps (its docstring
     has the argument), and raises ValueError when d is not a cocycle.  The
     potential has no constant and no top monomial term.  The identity is
-    checked once more on the elements; a failure there raises RuntimeError.
+    checked once more on the value maps; a failure there raises RuntimeError.
     """
     from fractions import Fraction
 
@@ -314,11 +319,9 @@ def normalize_one_cocycle(d: Derivation) -> NormalizedCocycle:
     solved = _normalize(p, d.dx.coeffs, d.dy.coeffs)
     if solved is None:
         raise ValueError("input derivation is not a cocycle")
-    c10, c01, coeffs = Fraction(solved[0]), Fraction(solved[1]), solved[2]
-    potential = AlgebraElement._clean(p, coeffs)
-    if d - hamiltonian(potential) != _normal_form(p, c10, c01):
+    if _cocycle_maps(p, *solved) != (d.dx.coeffs, d.dy.coeffs):
         raise RuntimeError("cocycle normalization failed to reach the normal form")
-    return NormalizedCocycle(c10, c01, potential)
+    return NormalizedCocycle(Fraction(solved[0]), Fraction(solved[1]), AlgebraElement._clean(p, solved[2]))
 
 
 def cup(x: Cochain, y: Cochain) -> Cochain:

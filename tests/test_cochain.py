@@ -33,6 +33,8 @@ from truncpoisson.linalg import Matrix, column_space, solve
 import dense
 from dense import to_vector
 from oracles import (
+    bracket_with_x,
+    bracket_with_y,
     delta1_oracle,
     disjoint_union,
     independent_rank,
@@ -135,6 +137,18 @@ def test_hamiltonian_of_x_at_2_2():
     d = hamiltonian(AlgebraElement.gen_x(p))
     assert d.dx.is_zero()
     assert d.dy == AlgebraElement.monomial(p, 1, 1, -1)
+
+
+def test_hamiltonian_matches_generator_oracle():
+    # {X, m} = -{m, X} and {Y, m} = -{m, Y}, from the generator rules alone: no _bracket_into
+    rng = random.Random("hamiltonian")
+    for a in range(2, 7):
+        for b in range(2, 7):
+            p = TruncParams(a, b)
+            elements = [AlgebraElement.monomial(p, i, j) for i, j in p.monomials()]
+            elements += [random_element(p, rng) for _ in range(5)]
+            for m in elements:
+                assert hamiltonian(m) == Derivation(p, -bracket_with_x(m), -bracket_with_y(m)), (a, b, m)
 
 
 HAND_DELTA0_2_2 = [
