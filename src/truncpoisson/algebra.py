@@ -15,24 +15,25 @@ nonzero exact rationals at keys (i, j) with 0 <= i < a and 0 <= j < b: ints
 where they are integers by construction, else Fractions, which compare,
 hash and print as the equal ints do, so only a value that needs a Fraction
 imports fractions.  The public constructor establishes it from arbitrary
-input; the arithmetic kernels add their terms into out in place, a new key
+input; the arithmetic kernel adds its terms into out in place, a new key
 taking the term as it is and a present key the sum, dropped as soon as it
-cancels; + and - are products by the units 1 and -1.  So their results are
-wrapped by AlgebraElement._clean without re-checking.
+cancels.  So the results are wrapped by AlgebraElement._clean without
+re-checking.
 
-The kernels: _multiply_into and _bracket_into sum the product and the
-bracket of two maps, and _shift_into sums (const + slope*e) * m*g for a
-generator g, with e = j against X and i against Y.  Both complexes split by
-weight into scalar blocks whose entries are affine in one exponent, so each
-differential is at most two shifts, one per row of the block tables in the
-chain and cochain docstrings.  The kernels accept any exact rational maps,
-int or Fraction values, nonzero and at in-bound keys, and int or Fraction
-constants: int maps with int constants stay int maps, and a Fraction
-anywhere gives Fraction terms.  verify runs its Jacobi, Leibniz,
-delta1 . delta0, boundary, cocycle-predicate and normalization checks on
-int maps through these kernels: their random elements, derivations and
-cocycles are drawn as ints, and only the twists have their denominators
-cleared.
+The kernel: each operator the package applies sends a term d X^k Y^l to
+X^(k+di) Y^(l+dj) times a scalar affine in (k, l), and _shift_into, the one
+arithmetic loop, adds c * (e0 + e1*k + e2*l) * d there for a step (di, dj),
+an entry (e0, e1, e2) and a constant c.  The product by c X^i Y^j is the
+shift by (i, j) with the entry (1, 0, 0), the bracket with it the entry
+(0, -j, i), + and - the shifts by (0, 0) with the entries 1 and -1, and
+each block entry of the differentials (tables in the chain and cochain
+docstrings) one shift.  The kernel accepts exact rational maps, int or
+Fraction values, nonzero and at in-bound keys, and int or Fraction entries
+and constants.  An entry of 1, or a c of 1, takes the term as it is, so the
+term keeps the map's kind.  verify runs its Jacobi, Leibniz, delta1 .
+delta0, boundary, cocycle-predicate and normalization checks on int maps
+through this kernel: their random elements, derivations and cocycles are
+drawn as ints, and only the twists have their denominators cleared.
 
 Values: the parameters, the elements, the cochains, the chains and the
 dense matrices subclass _Value.  Their fields are their __slots__, set once
@@ -277,13 +278,13 @@ class AlgebraElement(_Value):
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._check_params(other)
         out = dict(self.coeffs)
-        _multiply_into(out, self.params, {(0, 0): 1}, other.coeffs)
+        _shift_into(out, self.params, other.coeffs, (0, 0), (1, 0, 0))
         return AlgebraElement._clean(self.params, out)
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._check_params(other)
         out = dict(self.coeffs)
-        _multiply_into(out, self.params, {(0, 0): -1}, other.coeffs)
+        _shift_into(out, self.params, other.coeffs, (0, 0), (-1, 0, 0))
         return AlgebraElement._clean(self.params, out)
 
     def __neg__(self) -> "AlgebraElement":
@@ -310,72 +311,39 @@ class AlgebraElement(_Value):
         return render_element(self)
 
 
+def _shift_into(out: dict, p: TruncParams, m: Mapping, step: tuple, entry: tuple, c=1):
+    """out += c * (e0 + e1*k + e2*l) * d X^(k+di) Y^(l+dj) over the terms d X^k Y^l of m, truncated to p.
+
+    The one arithmetic loop, for step = (di, dj) >= 0 and entry = (e0, e1,
+    e2); m has no zeros.  A factor of 1, the entry's value or c, is not
+    multiplied in, so it leaves the term's kind as it is.
+    """
+    (di, dj), (e0, e1, e2) = step, entry
+    a, b = p.a - di, p.b - dj
+    unit = c == 1
+    for (k, l), d in m.items():
+        if k < a and l < b and (w := e0 + e1 * k + e2 * l):
+            term = d if w == 1 else d * w
+            if not unit:
+                term = c * term
+            key = (k + di, l + dj)
+            old = out.get(key)
+            if old is not None and not (term := old + term):
+                del out[key]
+            else:
+                out[key] = term
+
+
 def _multiply_into(out: dict, p: TruncParams, u: Mapping, v: Mapping):
-    """out += u*v for exact rational maps u, v without zeros, truncated to p."""
-    a, b = p.a, p.b
-    for (i, j), c in u.items():
-        unit = c == 1  # a generator or a basis element: skip the product by 1
-        for (k, l), d in v.items():
-            if i + k < a and j + l < b:
-                term = d if unit else c * d
-                key = (i + k, j + l)
-                old = out.get(key)
-                if old is not None and not (term := old + term):
-                    del out[key]
-                else:
-                    out[key] = term
+    """out += u*v for exact rational maps u, v without zeros: a shift of v by each term c X^i Y^j of u."""
+    for ij, c in u.items():
+        _shift_into(out, p, v, ij, (1, 0, 0), c)
 
 
 def _bracket_into(out: dict, p: TruncParams, u: Mapping, v: Mapping):
-    """out += {u, v} for exact rational maps u, v without zeros, truncated to p."""
-    a, b = p.a, p.b
+    """out += {u, v} for exact rational maps u, v without zeros: v shifted by each term c X^i Y^j of u, (i*l - j*k)."""
     for (i, j), c in u.items():
-        unit = c == 1
-        for (k, l), d in v.items():
-            s = i * l - j * k
-            if s and i + k < a and j + l < b:
-                term = (d if unit else c * d) * s
-                key = (i + k, j + l)
-                old = out.get(key)
-                if old is not None and not (term := old + term):
-                    del out[key]
-                else:
-                    out[key] = term
-
-
-def _shift_into(out: dict, p: TruncParams, m: Mapping, g: str, const, slope):
-    """out += (const + slope*e) * m*g for an exact rational map m without zeros, truncated to p.
-
-    g is 'X' or 'Y', and e is the exponent j of a term X^i Y^j of m against
-    X and its exponent i against Y.  The entry multiplies every term, so a
-    Fraction map gives Fraction values at int constants too.
-    """
-    if g == "X":
-        last = p.a - 1
-        for (i, j), c in m.items():
-            w = const + slope * j
-            if w and i < last:
-                term = c * w
-                key = (i + 1, j)
-                old = out.get(key)
-                if old is not None and not (term := old + term):
-                    del out[key]
-                else:
-                    out[key] = term
-    elif g == "Y":
-        last = p.b - 1
-        for (i, j), c in m.items():
-            w = const + slope * i
-            if w and j < last:
-                term = c * w
-                key = (i, j + 1)
-                old = out.get(key)
-                if old is not None and not (term := old + term):
-                    del out[key]
-                else:
-                    out[key] = term
-    else:
-        raise ValueError("generator must be 'X' or 'Y'")
+        _shift_into(out, p, v, (i, j), (0, -j, i), c)
 
 
 def multiply(u: AlgebraElement, v: AlgebraElement) -> AlgebraElement:

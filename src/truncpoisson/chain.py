@@ -27,13 +27,14 @@ dY needs l >= 1, dX^dY needs both).  Both entries of b1 vanish only at
 and at (beta, -alpha) when beta is an integer in [1, a-1] and -alpha one in
 [1, b-1]; homology reads its answer off that list of weights.  The
 boundary, m dg |-> {m, g} and m dX^dY |-> {m,X} dY - {m,Y} dX - m d(X*Y),
-applies each entry as one shift (algebra._shift_into) of a form's
-coefficient map m on (i, j): b1 is -(j+alpha) on m*X from dX and (i-beta)
-on m*Y from dY, and b2 is -(j+alpha+1) on m*X into dY and -(i-beta+1) on
-m*Y into dX.  verify checks the complex on sparse int chains through its
-two kernels, each twist's denominators cleared: _boundary2_into writes a
-2-chain's boundary as the pair of its dX and dY parts, and _boundary1_into
-reads that pair as it is, so no 1-form key (i, j, dX) is built on the way.
+applies each entry as one shift (algebra._shift_into) of a form's map m
+on (i, j), the entry (e0, e1, e2) of value e0 + e1*i + e2*j: b1 is
+(-alpha, 0, -1) on m*X from dX and (-beta, 1, 0) on m*Y from dY, and b2
+(-alpha-1, 0, -1) on m*X into dY and (beta-1, -1, 0) on m*Y into dX.
+verify checks the complex on sparse int chains through its two kernels,
+each twist's denominators cleared: _boundary2_into writes a 2-chain's
+boundary as the pair of its dX and dY parts, and _boundary1_into reads that
+pair as it is, so no 1-form key (i, j, dX) is built on the way.
 """
 
 from __future__ import annotations
@@ -140,8 +141,8 @@ def _boundary1_into(out: dict, p: TruncParams, alpha, beta, scale: int, z_dx: Ma
     D*beta integers, it runs on int maps in integer arithmetic, with the
     entries -(D*j + D*alpha) and (D*i - D*beta).
     """
-    _shift_into(out, p, z_dx, "X", -alpha, -scale)
-    _shift_into(out, p, z_dy, "Y", -beta, scale)
+    _shift_into(out, p, z_dx, (1, 0), (-alpha, 0, -scale))
+    _shift_into(out, p, z_dy, (0, 1), (-beta, scale, 0))
 
 
 def _boundary2_into(on_dx: dict, on_dy: dict, p: TruncParams, alpha, beta, scale: int, z: Mapping):
@@ -154,8 +155,8 @@ def _boundary2_into(on_dx: dict, on_dy: dict, p: TruncParams, alpha, beta, scale
     -(D*i - D*beta + D) on m*Y at an integer scale D, as _boundary1_into.
     z is a map without zeros on the 2-form indices (i, j).
     """
-    _shift_into(on_dy, p, z, "X", -alpha - scale, -scale)
-    _shift_into(on_dx, p, z, "Y", beta - scale, -scale)
+    _shift_into(on_dy, p, z, (1, 0), (-alpha - scale, 0, -scale))
+    _shift_into(on_dx, p, z, (0, 1), (beta - scale, -scale, 0))
 
 
 class HomologyReport(_Record):

@@ -63,7 +63,7 @@ SWEEP_MAX = 32
 # Caps on a*b.  The instance commands answer from closed forms, so at the cap
 # only homology at the trivial twist with its a+b-1 degree-0 representatives
 # takes long (-a 2 -b 180000: about 1.1 s, 195 MB); the others take about
-# 0.05 s, almost all of it start-up.  verify -a 50 -b 50 takes about 0.3 s and
+# 0.05 s, almost all of it start-up.  verify -a 50 -b 50 takes about 0.35 s and
 # 16 MB.  (Median of 5, of 10 for verify and for -a 2 -b 180000, on a 2-core
 # Intel Xeon VM, Python 3.11, where python -c pass takes about 0.05 s.)
 INSTANCE_MAX_AB = 360_000

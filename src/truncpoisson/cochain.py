@@ -194,8 +194,8 @@ def _delta1_into(value: dict, p: TruncParams, dx: Mapping, dy: Mapping):
     the weight (k, l) of the target's f_{k+1,l+1}.  Like the algebra kernels
     it runs on int or Fraction maps without zeros, and is linear in (dx, dy).
     """
-    _shift_into(value, p, dy, "X", -1, 1)
-    _shift_into(value, p, dx, "Y", -1, 1)
+    _shift_into(value, p, dy, (1, 0), (-1, 0, 1))
+    _shift_into(value, p, dx, (0, 1), (-1, 1, 0))
 
 
 def is_poisson_derivation(d: Derivation) -> bool:

@@ -225,9 +225,18 @@ def coordinates(a: int, b: int, n: int, w: tuple[int, int]) -> list[int]:
     return [i for i in range(n + 1) if 0 <= w1 + lift(a, i) < a and 0 <= w2 + lift(b, n - i) < b]
 
 
+def scalar(q):
+    """q as a scalar of the resolution: an int as a Fraction, whose negative powers stay exact.
+
+    Anything else is taken as it is: a Fraction, or a number of a larger
+    ring, such as test_hochschild's dual numbers.
+    """
+    return Fraction(q) if isinstance(q, int) else q
+
+
 def q_integer(n: int, q) -> Fraction:
     """[n] at q: 1 + q + ... + q^(n-1)."""
-    return sum((Fraction(q) ** k for k in range(n)), Fraction(0))
+    return sum((scalar(q) ** k for k in range(n)), Fraction(0))
 
 
 @lru_cache(maxsize=None)
@@ -241,7 +250,7 @@ def coboundary_block(a: int, b: int, q, n: int, w: tuple[int, int]) -> tuple[tup
     commutators [x, z] and [y, z] of weight_entries.
     """
     w1, w2 = w
-    q1, q2 = Fraction(q) ** -w1, Fraction(q) ** -w2
+    q1, q2 = scalar(q) ** -w1, scalar(q) ** -w2
     columns, rows = coordinates(a, b, n - 1, w) if n else [], []
     for i in coordinates(a, b, n, w):
         j, row = n - i, []

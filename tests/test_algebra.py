@@ -423,45 +423,57 @@ def test_algebra_kernels_add_in_place_like_a_per_term_sum(maps):
 
 @st.composite
 def shift_cases(draw):
-    """kernel_maps' (a, b), kind and two maps, with a constant and a slope.
+    """kernel_maps' (a, b), kind and two maps, with a step, an entry and a nonzero constant c.
 
-    The constants are ints, which _delta1_into passes on int and Fraction
-    maps alike, or, on Fraction maps, Fractions, as module_bracket passes
-    its twist.
+    The step is any in-box exponent pair, and the entry's three numbers are
+    drawn apart, so both exponents may weigh in.  The entry and c are ints,
+    which the differentials pass on int and Fraction maps alike, or, on
+    Fraction maps, also Fractions, as a rational twist gives; the small
+    range makes an entry's value 1 and a c of 1 common.
     """
     p, kind, start, m, _ = draw(kernel_maps())
-    numbers = st.integers(-6, 6)
+    numbers = st.integers(-3, 3)
     if kind is Fraction:
-        numbers = numbers | st.fractions(-6, 6, max_denominator=6)
-    return p, kind, start, m, draw(numbers), draw(numbers)
+        numbers = numbers | st.fractions(-3, 3, max_denominator=4)
+    step = (draw(st.integers(0, p.a - 1)), draw(st.integers(0, p.b - 1)))
+    entry = (draw(numbers), draw(numbers), draw(numbers))
+    return p, kind, start, m, step, entry, draw(numbers.filter(bool))
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(shift_cases())
 def test_shift_kernel_adds_in_place_like_a_per_term_sum(case):
-    """_shift_into against both generators updates out as the naive sum of its terms.
+    """_shift_into updates out as the naive sum of its terms.
 
-    The terms are c * (const + slope*j) on (i+1, j) against X and
-    c * (const + slope*i) on (i, j+1) against Y.  A cancelled key is gone;
-    the negated constants restore out, so from an empty out it is empty
-    again.  Values keep the map's kind, also where c is 1 and the
-    constants are ints.  Any other generator is an error.
+    The term d X^k Y^l of m gives c * (e0 + e1*k + e2*l) * d at
+    (k + di, l + dj), if that key is in the box.  A cancelled key is gone;
+    the shift by -c restores out, so from an empty out it is empty again.
+    Values keep the map's kind, also where c or the entry's value is 1.
     """
-    p, kind, start, m, const, slope = case
-    terms = {
-        "X": [((i + 1, j), c * (const + slope * j)) for (i, j), c in m.items() if i + 1 < p.a],
-        "Y": [((i, j + 1), c * (const + slope * i)) for (i, j), c in m.items() if j + 1 < p.b],
-    }
-    for g in ("X", "Y"):
-        for before in (start, {}):
-            out = dict(before)
-            _shift_into(out, p, m, g, const, slope)
-            assert out == per_term_sum(before, terms[g])
-            assert all(type(c) is kind and c for c in out.values())
-            _shift_into(out, p, m, g, -const, -slope)
-            assert out == before
-    with pytest.raises(ValueError):
-        _shift_into({}, p, m, "Z", const, slope)
+    p, kind, start, m, step, entry, c = case
+    (di, dj), (e0, e1, e2) = step, entry
+    terms = [
+        ((k + di, l + dj), c * (e0 + e1 * k + e2 * l) * d)
+        for (k, l), d in m.items()
+        if k + di < p.a and l + dj < p.b
+    ]
+    for before in (start, {}):
+        out = dict(before)
+        _shift_into(out, p, m, step, entry, c)
+        assert out == per_term_sum(before, terms)
+        assert all(type(v) is kind and v for v in out.values())
+        _shift_into(out, p, m, step, entry, -c)
+        assert out == before
+
+
+def test_shift_kernel_takes_a_term_as_it_is_at_a_factor_of_1():
+    """A Fraction entry value or c equal to 1 leaves an int term an int; any other factor multiplies it."""
+    one, p = Fraction(1), TruncParams(4, 3)
+    out = {}
+    _shift_into(out, p, {(1, 0): 2, (2, 1): 3, (3, 2): 5}, (0, 1), (0, one, 0), one)
+    assert out == {(1, 1): 2, (2, 2): 6} and [type(v) for v in out.values()] == [int, Fraction]
+    _shift_into(out, p, {(1, 1): 4}, (0, 0), (1, 0, 0), Fraction(1, 2))
+    assert out == {(1, 1): 4, (2, 2): 6} and type(out[(1, 1)]) is Fraction
 
 
 def test_leibniz_check_fails_on_a_non_derivation_bracket_kernel(monkeypatch):

@@ -233,16 +233,16 @@ def test_boundary_complex_property():
 def test_boundary_check_evaluates_its_rational_twists_at_their_scale(monkeypatch):
     """A degree-2 kernel that drops the scale from the products by X and Y fails the check.
 
-    The mutant shifts by the constants -alpha - 1 and beta - 1 where
-    _boundary2_into takes -alpha - scale and beta - scale.  At an integer
+    The mutant's entries have the constants -alpha - 1 and beta - 1 where
+    _boundary2_into's have -alpha - scale and beta - scale.  At an integer
     twist the scale is 1, so the mutation changes nothing and every integer
     twist still passes; only the random rational twists, cleared of their
     denominators, can expose it.
     """
 
     def unscaled(on_dx, on_dy, p, alpha, beta, scale, z):
-        chain._shift_into(on_dy, p, z, "X", -alpha - 1, -scale)
-        chain._shift_into(on_dx, p, z, "Y", beta - 1, -scale)
+        chain._shift_into(on_dy, p, z, (1, 0), (-alpha - 1, 0, -scale))
+        chain._shift_into(on_dx, p, z, (0, 1), (beta - 1, -scale, 0))
 
     def boundary_squared(p, alpha, beta, e):
         on_dx, on_dy, twice = {}, {}, {}

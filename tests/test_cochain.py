@@ -213,14 +213,14 @@ DELTA1_TERMS = [
 # Mutants of the shift kernels: (the checks name patched, the mutant).
 SHIFT_MUTANTS = {
     "delta1_const_0_on_dy": ("_delta1_into", lambda value, p, dx, dy: (
-        _shift_into(value, p, dy, "X", 0, 1), _shift_into(value, p, dx, "Y", -1, 1))),
+        _shift_into(value, p, dy, (1, 0), (0, 0, 1)), _shift_into(value, p, dx, (0, 1), (-1, 1, 0)))),
     "delta1_slope_2_on_dx": ("_delta1_into", lambda value, p, dx, dy: (
-        _shift_into(value, p, dy, "X", -1, 1), _shift_into(value, p, dx, "Y", -1, 2))),
-    "delta1_dy_pass_only": ("_delta1_into", lambda value, p, dx, dy: _shift_into(value, p, dy, "X", -1, 1)),
-    "delta1_dx_pass_only": ("_delta1_into", lambda value, p, dx, dy: _shift_into(value, p, dx, "Y", -1, 1)),
+        _shift_into(value, p, dy, (1, 0), (-1, 0, 1)), _shift_into(value, p, dx, (0, 1), (-1, 2, 0)))),
+    "delta1_dy_pass_only": ("_delta1_into", lambda value, p, dx, dy: _shift_into(value, p, dy, (1, 0), (-1, 0, 1))),
+    "delta1_dx_pass_only": ("_delta1_into", lambda value, p, dx, dy: _shift_into(value, p, dx, (0, 1), (-1, 1, 0))),
     "boundary2_beta_flipped": ("_boundary2_into", lambda on_dx, on_dy, p, alpha, beta, scale, z: (
-        _shift_into(on_dy, p, z, "X", -alpha - scale, -scale),
-        _shift_into(on_dx, p, z, "Y", -beta - scale, -scale))),
+        _shift_into(on_dy, p, z, (1, 0), (-alpha - scale, 0, -scale)),
+        _shift_into(on_dx, p, z, (0, 1), (-beta - scale, -scale, 0)))),
 }
 CHECKS_OF = {
     "_delta1_into": (checks.check_delta_complex, checks.check_predicate_agreement),
@@ -321,12 +321,12 @@ def test_delta_check_batch_is_the_union_of_its_monomials(monkeypatch, mutant):
 def shift_off_at(weight):
     """_shift_into with the one term it writes at the key weight off by one."""
 
-    def mutant(out, p, m, g, const, slope):
-        for (i, j), c in m.items():
-            e, key, inside = (j, (i + 1, j), i < p.a - 1) if g == "X" else (i, (i, j + 1), j < p.b - 1)
-            w = const + slope * e
-            if w and inside:
-                out[key] = out.get(key, 0) + c * w + (key == weight)
+    def mutant(out, p, m, step, entry, c=1):
+        (di, dj), (e0, e1, e2) = step, entry
+        for (k, l), d in m.items():
+            key, w = (k + di, l + dj), e0 + e1 * k + e2 * l
+            if w and key[0] < p.a and key[1] < p.b:
+                out[key] = out.get(key, 0) + c * w * d + (key == weight)
                 if not out[key]:
                     del out[key]
 
@@ -420,7 +420,7 @@ def test_random_derivation_maps_draw_nonzero_ints_at_the_pairs_passed():
 def test_verify_details_print_the_draws_it_makes(monkeypatch):
     """run_verify at 8x8 draws what the sample-count constants say, and its details print them.
 
-    check_euler draws one random twist beside the boundary check's.
+    Only the boundary check draws twists: check_euler's rational twist is fixed.
     """
     counts = {name: 0 for name in ("random_twist", "_random_map", "_random_derivation_maps")}
 
@@ -437,7 +437,7 @@ def test_verify_details_print_the_draws_it_makes(monkeypatch):
         monkeypatch.setattr(checks, name, spy(name))
     details = {r.name: r.detail for r in checks.run_verify(TruncParams(8, 8))}
     assert counts == {
-        "random_twist": checks.BOUNDARY_RANDOM_TWISTS + 1,
+        "random_twist": checks.BOUNDARY_RANDOM_TWISTS,
         "_random_map": 3 * checks.LEIBNIZ_TRIPLES + checks.NORMALIZATION_COCYCLES,
         "_random_derivation_maps": checks.PREDICATE_RANDOM_DERIVATIONS,
     }

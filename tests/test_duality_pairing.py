@@ -92,12 +92,12 @@ def coboundary(p: TruncParams, t: TwistParams, k: int, phi: dict) -> dict:
     if k == 0:
         dx: dict = {}
         dy: dict = {}
-        _shift_into(dx, p, phi, "X", t.alpha, 1)
-        _shift_into(dy, p, phi, "Y", t.beta, -1)
+        _shift_into(dx, p, phi, (1, 0), (t.alpha, 0, 1))
+        _shift_into(dy, p, phi, (0, 1), (t.beta, -1, 0))
         return {(i, j, f): c for f, m in ((DX, dx), (DY, dy)) for (i, j), c in m.items()}
     value: dict = {}
-    _shift_into(value, p, {key[:2]: c for key, c in phi.items() if key[2] == DY}, "X", t.alpha - 1, 1)
-    _shift_into(value, p, {key[:2]: c for key, c in phi.items() if key[2] == DX}, "Y", -t.beta - 1, 1)
+    _shift_into(value, p, {key[:2]: c for key, c in phi.items() if key[2] == DY}, (1, 0), (t.alpha - 1, 0, 1))
+    _shift_into(value, p, {key[:2]: c for key, c in phi.items() if key[2] == DX}, (0, 1), (-t.beta - 1, 1, 0))
     return value
 
 

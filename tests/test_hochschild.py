@@ -29,7 +29,11 @@ a root of unity HH^0..6 = (2, 2, 1, 0, 0, 0, 0), at the weights of the five
 classes 1, t, v, w, m of HP^*.  In degrees 0 and 1 the blocks agree weight
 by weight with the centre and with HH^1 as derivations modulo inner ones,
 which tests/hochschild.py computes without the resolution.  At the roots of
-unity q = 1 and q = -1 the dimensions grow with the degree.
+unity q = 1 and q = -1 the dimensions grow with the degree.  At every
+weight with both coordinates >= 0, each entry of delta^1 and delta^2 is
+(q - 1) times the Poisson entry of delta_0 or delta_1 there, to first
+order at q = 1: the dictionary in degrees 0 and 1, taken exactly at the
+dual number q = 1 + eps.
 """
 
 from fractions import Fraction
@@ -61,6 +65,7 @@ from hochschild import (
 )
 from truncpoisson import TruncParams, TwistParams, cohomology, homology
 from truncpoisson.algebra import _bracket_into
+from truncpoisson.cochain import _delta1_into
 
 GENERIC_Q = (Fraction(2), Fraction(1, 2), Fraction(3), Fraction(-2))
 SIZES = [(a, b) for a in range(2, 9) for b in range(2, 9)]
@@ -272,3 +277,100 @@ def test_hh_grows_with_the_degree_at_the_roots_of_unity():
     # negative controls: at q = 1 the algebra is commutative, and at q = -1 the even weights commute
     assert [sum(d.values()) for d in hh(3, 4, 1, 6)] == [12, 17, 23, 29, 35, 41, 47]
     assert [sum(d.values()) for d in hh(2, 3, -1, 6)] == [3, 3, 4, 5, 6, 7, 8]
+
+
+class Dual(tuple):
+    """x + y*eps over the rationals, with eps^2 = 0: the scalars that coboundary_block needs.
+
+    For a Laurent polynomial E in q, E(1 + eps) = E(1) + E'(1) eps.  So where
+    E(1) = 0, the eps part is E(q) / (q - 1) at q = 1, exactly.
+    """
+
+    def __new__(cls, x, y=0):
+        return super().__new__(cls, (Fraction(x), Fraction(y)))
+
+    @staticmethod
+    def of(z) -> "Dual":
+        return z if isinstance(z, Dual) else Dual(z)
+
+    def __add__(self, other):
+        o = Dual.of(other)
+        return Dual(self[0] + o[0], self[1] + o[1])
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Dual(-self[0], -self[1])
+
+    def __sub__(self, other):
+        return self + -Dual.of(other)
+
+    def __rsub__(self, other):
+        return Dual.of(other) + -self
+
+    def __mul__(self, other):
+        o = Dual.of(other)
+        return Dual(self[0] * o[0], self[0] * o[1] + self[1] * o[0])
+
+    __rmul__ = __mul__
+
+    def __pow__(self, e: int):
+        # (x + y eps)^e = x^e + e x^(e-1) y eps, for every int e when x != 0
+        x, y = self
+        return Dual(x**e, e * x ** (e - 1) * y)
+
+
+def poisson_block(a: int, b: int, n: int, k: int, l: int) -> dict:
+    """The Poisson delta_0 (n = 1) or delta_1 (n = 2) at the weight (k, l), from the package's kernels.
+
+    Keyed (row, column) by the resolution's coordinates: e_{0,0} is the
+    monomial X^k Y^l, e_{1,0} the derivation d_{k+1,l} (coordinate 1) and
+    e_{0,1} the derivation d'_{k,l+1} (coordinate 0), e_{1,1} the
+    biderivation f_{k+1,l+1} (coordinate 1), each present where its exponents
+    are in the box.
+    """
+    has_d, has_dprime = k + 1 < a, l + 1 < b
+    if n == 1:
+        x_entry, y_entry = poisson_entries(a, b, k, l)
+        return {**({(1, 0): x_entry} if has_d else {}), **({(0, 0): y_entry} if has_dprime else {})}
+    block, p = {}, TruncParams(a, b)
+    for column, dx, dy, present in ((1, {(k + 1, l): 1}, {}, has_d), (0, {}, {(k, l + 1): 1}, has_dprime)):
+        if present and has_d and has_dprime:
+            value: dict = {}
+            _delta1_into(value, p, dx, dy)
+            block[(1, column)] = value.get((k + 1, l + 1), 0)
+    return block
+
+
+def test_degree_0_and_1_entries_over_q_minus_1_are_the_poisson_entries_at_q_1():
+    """The dictionary: at a weight (k, l) >= 0, delta^1 and delta^2 are (q - 1) times delta_0 and delta_1 at q = 1.
+
+    At q = 1 + eps, q^(-l) = 1 - l eps and q^(-k) = 1 - k eps.  delta^1 reads
+    e_{0,0} into e_{1,0} with 1 - q^(-l) = l eps and into e_{0,1} with
+    q^(-k) - 1 = -k eps: delta_0 = (l, -k), the brackets {X, X^k Y^l} and
+    {Y, X^k Y^l}, with the sign of the commutators [x, z] and [y, z].
+    delta^2 reads e_{0,1} into e_{1,1} with 1 - q^(-l) = l eps, and e_{1,0}
+    with (-1)^1 (q^(-k) - 1) = k eps: the resolution's sign (-1)^i makes
+    delta_1 = (k, l), as _delta1_into has it, with no sign left over.  The
+    entries [a] and [b] occur only at weights with a negative coordinate,
+    and there they are a and b at q = 1: no dictionary holds for them.
+    """
+    one_plus_eps = Dual(1, 1)
+    for a in range(2, 7):
+        for b in range(2, 7):
+            for n in (1, 2):
+                for w in sorted(resolution_weights(a, b, n)):
+                    rows, columns = coordinates(a, b, n, w), coordinates(a, b, n - 1, w)
+                    block = coboundary_block(a, b, one_plus_eps, n, w)
+                    entries = {(i, j): x for i, row in zip(rows, block) for j, x in zip(columns, row)}
+                    at_1 = {x[0] for x in entries.values()} - {0}
+                    if min(w) >= 0:
+                        k, l = w
+                        expected = {(1, 0): l, (0, 0): -k} if n == 1 else {(1, 1): k, (1, 0): l}
+                        poisson = poisson_block(a, b, n, k, l)
+                        assert poisson == {key: e for key, e in expected.items() if key in poisson}, (a, b, n, w)
+                        assert at_1 == set() and {key: x[1] for key, x in entries.items()} == poisson, (a, b, n, w)
+                    else:
+                        # [a] reads e_{1,0} into e_{2,0} at (-1, l), [b] e_{0,1} into e_{0,2} at (k, -1)
+                        control = {a} if w[0] == -1 else {b} if w[1] == -1 else set()
+                        assert at_1 == (control if n == 2 and max(w) >= 0 else set()), (a, b, n, w)

@@ -145,7 +145,7 @@ def as_fractions(m: dict) -> dict:
 def test_kernels_agree_on_int_and_fraction_maps(maps, sign):
     """Each kernel gives equal values on int maps and on their Fraction copies, of each kind.
 
-    _shift_into takes int constants on both, as _delta1_into does, and a
+    _shift_into takes int entries on both, as _delta1_into does, and a
     unit coefficient on the first map, whose term must still be a Fraction.
     """
     p, start, u, v = maps
@@ -153,8 +153,8 @@ def test_kernels_agree_on_int_and_fraction_maps(maps, sign):
     runs = (
         (lambda out, u, v: _multiply_into(out, p, u, v), {k: sign * c for k, c in u.items()}, v),
         (lambda out, u, v: _bracket_into(out, p, *((u, v) if sign > 0 else (v, u))), u, v),
-        (lambda out, m, _: _shift_into(out, p, m, "X", sign, -2), with_unit, v),
-        (lambda out, m, _: _shift_into(out, p, m, "Y", 3, sign), with_unit, v),
+        (lambda out, m, _: _shift_into(out, p, m, (1, 0), (sign, 0, -2)), with_unit, v),
+        (lambda out, m, _: _shift_into(out, p, m, (0, 1), (3, sign, 0)), with_unit, v),
     )
     for kernel, x, y in runs:
         on_ints, on_fractions = dict(start), as_fractions(start)
