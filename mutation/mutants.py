@@ -229,6 +229,13 @@ MUTANTS = (
         ["tests/test_chain.py::test_boundary_check_evaluates_its_rational_twists_at_their_scale"],
     ),
     (
+        "_spot_twist scales alpha by its own denominator",
+        CHECKS,
+        "return n1 * d2, n2 * d1, d1 * d2",
+        "return n1 * d1, n2 * d1, d1 * d2",
+        ["tests/test_cochain.py::test_verify_draws_keep_the_randint_and_choice_streams"],
+    ),
+    (
         "_normalize skips its block test",
         COCHAIN,
         "if x * f != y * e:",

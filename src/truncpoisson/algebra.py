@@ -33,7 +33,7 @@ and constants.  An entry of 1, or a c of 1, takes the term as it is, so the
 term keeps the map's kind.  verify runs its Jacobi, Leibniz, delta1 .
 delta0, boundary, cocycle-predicate and normalization checks on int maps
 through this kernel: their random elements, derivations and cocycles are
-drawn as ints, and only the twists have their denominators cleared.
+drawn as ints, and each twist as the integers (D*alpha, D*beta, D).
 
 Values: the parameters, the elements, the cochains, the chains and the
 dense matrices subclass _Value.  Their fields are their __slots__, set once

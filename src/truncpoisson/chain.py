@@ -32,7 +32,7 @@ on (i, j), the entry (e0, e1, e2) of value e0 + e1*i + e2*j: b1 is
 (-alpha, 0, -1) on m*X from dX and (-beta, 1, 0) on m*Y from dY, and b2
 (-alpha-1, 0, -1) on m*X into dY and (beta-1, -1, 0) on m*Y into dX.
 verify checks the complex on sparse int chains through its two kernels,
-each twist's denominators cleared: _boundary2_into writes a 2-chain's
+each twist drawn as (D*alpha, D*beta, D): _boundary2_into writes a 2-chain's
 boundary as the pair of its dX and dY parts, and _boundary1_into reads that
 pair as it is, so no 1-form key (i, j, dX) is built on the way.
 """

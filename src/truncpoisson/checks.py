@@ -7,7 +7,6 @@ parameters, so repeated runs produce identical output.
 
 from __future__ import annotations
 
-import math
 import random
 from fractions import Fraction
 from itertools import chain, product
@@ -21,9 +20,9 @@ from .reporting import CheckResult
 # the verify command samples triples instead (still exact, still seeded).
 JACOBI_FULL_LIMIT = 30
 JACOBI_SAMPLES = 5000
-# The other sampled checks' draw counts.  Their int coefficients are each
-# getrandbits(9) - 256 with the zeros dropped: 511 nonzero values in [-256, 256).
-BOUNDARY_RANDOM_TWISTS = 50
+# The other sampled checks' draw counts: spot twists after the boundary check's grid, and int maps,
+# whose coefficients are each getrandbits(9) - 256 with the zeros dropped: 511 nonzero values in [-256, 256).
+BOUNDARY_RANDOM_TWISTS = 48
 LEIBNIZ_TRIPLES = 25
 PREDICATE_RANDOM_DERIVATIONS = 100
 NORMALIZATION_COCYCLES = 20
@@ -47,14 +46,16 @@ def _below(getrandbits, n: int) -> int:
     return r
 
 
-def random_rational(rng: random.Random) -> Fraction:
-    """n/d with n in [-9, 9] and d in [1, 9].
+def _spot_twist(getrandbits) -> tuple[int, int, int]:
+    """The twist (n1/d1, n2/d2) as boundary's kernels take it: (D*alpha, D*beta, D) with D = d1*d2.
 
-    The draws make the same getrandbits calls as rng.randint(-9, 9)
-    followed by rng.randint(1, 9), so the stream matches the randint form.
+    Each n is in [-9, 9] and each d in [1, 9], from the same getrandbits
+    calls as rng.randint(-9, 9) followed by rng.randint(1, 9), once per
+    entry, so the stream matches the randint form.
     """
-    getrandbits = rng.getrandbits
-    return Fraction(_below(getrandbits, 19) - 9, 1 + _below(getrandbits, 9))
+    n1, d1 = _below(getrandbits, 19) - 9, 1 + _below(getrandbits, 9)
+    n2, d2 = _below(getrandbits, 19) - 9, 1 + _below(getrandbits, 9)
+    return n1 * d2, n2 * d1, d1 * d2
 
 
 def _random_map(p: TruncParams, getrandbits) -> dict:
@@ -66,10 +67,6 @@ def _random_map(p: TruncParams, getrandbits) -> dict:
 def _random_derivation_maps(getrandbits, d_pairs: list, dprime_pairs: list) -> list[dict]:
     """A random derivation's [dx, dy] int maps: one value at each key of chi1_index_pairs(p)."""
     return [{ij: c for ij in pairs if (c := getrandbits(9) - 256)} for pairs in (d_pairs, dprime_pairs)]
-
-
-def random_twist(rng: random.Random) -> TwistParams:
-    return TwistParams(random_rational(rng), random_rational(rng))
 
 
 def _delta_complex_maps(p: TruncParams, m: dict) -> tuple[dict, dict, dict]:
@@ -122,19 +119,19 @@ def check_boundary_complex(p: TruncParams) -> CheckResult:
     (alpha-affine) * (beta-affine) products, in span{1, alpha, beta,
     alpha*beta}.  Such a polynomial that vanishes on a grid {alpha0, alpha1}
     x {beta0, beta1} with alpha0 != alpha1 and beta0 != beta1 is zero.
-    Trivial (0, 0), Nakayama (1-b, a-1) and the last two twists, replaced
-    by (0, a-1) and (1-b, 0) after all random draws, form that grid (a, b
-    >= 2); the other random twists stay as spot checks.
+    The first four twists, trivial (0, 0), Nakayama (1-b, a-1), (0, a-1)
+    and (1-b, 0), form that grid (a, b >= 2); BOUNDARY_RANDOM_TWISTS seeded
+    _spot_twist draws follow as spot checks.
 
-    Every twist runs in integer arithmetic.  With D = lcm(den alpha, den
-    beta), boundary's kernels _boundary2_into and _boundary1_into, given the
-    integers D*alpha and D*beta and the scale D, compute D * boundary(t, .)
-    exactly: each is two shifts whose entries are D times boundary's,
-    -(D*j + D*alpha) on m*X and (D*i - D*beta) on m*Y in degree 1, and
-    -(D*j + D*alpha + D) on m*X and -(D*i - D*beta + D) on m*Y in degree 2,
-    the last D being the twist-free product by X or Y.  Applied in turn to
-    the int map {e: 1}, the first writing the (dX, dY) pair the second
-    reads, they give D^2 * boundary(t, boundary(t, e)), which is zero
+    Every twist runs in integer arithmetic, as the triple (D*alpha, D*beta,
+    D) for a common denominator D >= 1 of alpha and beta (D = 1 on the
+    grid).  Given it, boundary's kernels _boundary2_into and _boundary1_into
+    compute D * boundary(t, .) exactly: each is two shifts whose entries are
+    D times boundary's, -(D*j + D*alpha) on m*X and (D*i - D*beta) on m*Y in
+    degree 1, and -(D*j + D*alpha + D) on m*X and -(D*i - D*beta + D) on m*Y
+    in degree 2, the last D being the twist-free product by X or Y.  Applied
+    in turn to the int map {e: 1}, the first writing the (dX, dY) pair the
+    second reads, they give D^2 * boundary(t, boundary(t, e)), which is zero
     exactly when the boundary of the boundary is, since D >= 1.
 
     Each twist runs the two kernels once, on the sum of all basis forms
@@ -147,19 +144,12 @@ def check_boundary_complex(p: TruncParams) -> CheckResult:
     exactly when every form's is.  The loop over the twists stops at the
     first nonzero composite.
     """
-    rng = _rng(p, "boundary")
-    twists = [TwistParams.trivial(), TwistParams.nakayama(p)]
-    twists += [random_twist(rng) for _ in range(BOUNDARY_RANDOM_TWISTS)]
-    twists[-2:] = [TwistParams(0, p.a - 1), TwistParams(1 - p.b, 0)]
-    scaled = []
-    for t in twists:
-        scale = math.lcm(t.alpha.denominator, t.beta.denominator)
-        alpha = t.alpha.numerator * (scale // t.alpha.denominator)
-        beta = t.beta.numerator * (scale // t.beta.denominator)
-        scaled.append((alpha, beta, scale))
+    getrandbits = _rng(p, "boundary").getrandbits
+    scaled = [(0, 0, 1), (1 - p.b, p.a - 1, 1), (0, p.a - 1, 1), (1 - p.b, 0, 1)]
+    scaled += [_spot_twist(getrandbits) for _ in range(BOUNDARY_RANDOM_TWISTS)]
     forms = {e: 1 for e in omega2_indices(p)}
     ok = not any(_boundary_complex_maps(p, *twist, forms)[2] for twist in scaled)
-    return CheckResult("boundary_complex", ok, f"boundary1 . boundary2 = 0 for {len(twists)} twists")
+    return CheckResult("boundary_complex", ok, f"boundary1 . boundary2 = 0 for {len(scaled)} twists")
 
 
 def _bracket_table(p: TruncParams, monomials: list) -> list[list[int]] | None:

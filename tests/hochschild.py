@@ -8,8 +8,10 @@ sigma, and HH^1(Lambda_q) as derivations modulo inner ones; and the
 Nakayama automorphism of Lambda_q's Frobenius form, the sigma whose
 twisted HH_0 has the dimension of the centre.  It also holds every degree
 of HH^*(Lambda_q), block by block, on the minimal bimodule resolution
-(Bergh–Erdmann, Algebra & Number Theory 2, 2008).  It shares no code with
-the package.
+(Bergh–Erdmann, Algebra & Number Theory 2, 2008), and again, for small
+sizes and degrees, on the normalized bar complex split by weight, which
+shares no code with the resolution's blocks.  It shares no code with the
+package.
 
 An element is a dict {(i, j): Fraction} on the normal words x^i y^j,
 0 <= i < a, 0 <= j < b, without zero coefficients, and q is a nonzero
@@ -18,6 +20,7 @@ rational.  Words multiply by y^j x^k = q^(-jk) x^k y^j.
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 
 X = {(1, 0): Fraction(1)}
 Y = {(0, 1): Fraction(1)}
@@ -286,5 +289,97 @@ def hh(a: int, b: int, q, top: int) -> list[dict]:
             - _rank(coboundary_block(a, b, q, n, w))
             for w in resolution_weights(a, b, n)
         }
+        dims.append({w: d for w, d in at.items() if d})
+    return dims
+
+
+def bar_cochains(a: int, b: int, n: int) -> dict:
+    """{weight: [(args, target)]}: the normalized bar complex's degree-n cochains on words, split by weight.
+
+    A basis cochain sends the n-tuple args of non-unit words to the word
+    target and every other tuple to 0; Lambda_q is augmented, so the
+    normalized complex Hom(bar(Lambda)^(x)n, Lambda) computes HH^n.  Its
+    weight is the target's less the sum of the args', and every product of
+    words is a multiple of the word of the summed weight, so the
+    coboundary keeps the weight.
+    """
+    words = [(i, j) for i in range(a) for j in range(b)]
+    blocks: dict = {}
+    for args in product(words[1:], repeat=n):
+        si, sj = sum(i for i, _ in args), sum(j for _, j in args)
+        for target in words:
+            blocks.setdefault((target[0] - si, target[1] - sj), []).append((args, target))
+    return blocks
+
+
+def bar_coboundary_rows(a: int, b: int, q, n: int, cochains: list) -> list[dict]:
+    """The rows of delta: C^(n-1) -> C^n at one weight, one per degree-n basis cochain (args, target).
+
+    Row (args, target) holds the coefficient of target in (delta f)(args) for
+    each basis cochain f = (args', target') of degree n - 1, by
+
+        (delta f)(a1, ..., an) = a1 f(a2, ..., an) + sum_i (-1)^i f(..., ai a(i+1), ...)
+                                 + (-1)^n f(a1, ..., a(n-1)) an.
+    """
+    rows = []
+    for args, target in cochains:
+        row: dict = {}
+
+        def add(key, c):
+            row[key] = row.get(key, 0) + c
+
+        if n:
+            # the two ends reach target from f's word u, when u is in the box
+            first, last = args[0], args[-1]
+            u = (target[0] - first[0], target[1] - first[1])
+            if 0 <= u[0] < a and 0 <= u[1] < b:
+                add((args[1:], u), multiply(a, b, q, {first: 1}, {u: 1}).get(target, 0))
+            u = (target[0] - last[0], target[1] - last[1])
+            if 0 <= u[0] < a and 0 <= u[1] < b:
+                add((args[:-1], u), (-1) ** n * multiply(a, b, q, {u: 1}, {last: 1}).get(target, 0))
+        for k in range(1, n):
+            for merged, c in multiply(a, b, q, {args[k - 1]: 1}, {args[k]: 1}).items():
+                add((args[:k - 1] + (merged,) + args[k + 1:], target), (-1) ** k * c)
+        rows.append({key: c for key, c in row.items() if c})
+    return rows
+
+
+def rank_of_rows(rows: list[dict]) -> int:
+    """The rank of a sparse matrix given by its rows {column: value}, by Gaussian elimination over the rationals.
+
+    Each row is reduced at its least column: a pivot row holds no column
+    below its own, so each step raises the row's least column.
+    """
+    pivots: dict = {}
+    for row in rows:
+        row = dict(row)
+        while row:
+            col = min(row)
+            if col not in pivots:
+                pivots[col] = row
+                break
+            pivot, c = pivots[col], row[col] / pivots[col][col]
+            for key, x in pivot.items():
+                y = row.get(key, 0) - c * x
+                if y:
+                    row[key] = y
+                else:
+                    row.pop(key, None)
+    return len(pivots)
+
+
+def bar_hh(a: int, b: int, q, top: int) -> list[dict]:
+    """[{weight: dim HH^n(Lambda_q) there}, over the weights where it is nonzero, for n = 0..top], from the bar complex.
+
+    dim HH^n at w is dim C^n(w) less rank delta^(n+1) and rank delta^n there.
+    """
+    cochains = [bar_cochains(a, b, n) for n in range(top + 2)]
+    ranks = [{}] + [
+        {w: rank_of_rows(bar_coboundary_rows(a, b, q, n, block)) for w, block in cochains[n].items()}
+        for n in range(1, top + 2)
+    ]
+    dims = []
+    for n in range(top + 1):
+        at = {w: len(block) - ranks[n + 1].get(w, 0) - ranks[n].get(w, 0) for w, block in cochains[n].items()}
         dims.append({w: d for w, d in at.items() if d})
     return dims

@@ -9,9 +9,10 @@ dict reference for the kernels that add into a map in place.  The element
 evaluator reads a rendering back as a sum of products of X, Y and Fraction
 numbers, computed with the package's multiply and + and -, not with its
 renderer.
-random_element and random_derivation draw Fraction elements and
-derivations from random_rational, the draw behind verify's twists;
-random_cocycle synthesizes the Fraction cocycles that the tests normalize.
+random_rational draws n/d with n in [-9, 9] and d in [1, 9], by randint;
+random_twist is a pair of them, and random_element and random_derivation
+draw Fraction elements and derivations from it; random_cocycle synthesizes
+the Fraction cocycles that the tests normalize.
 is_cocycle_by_weights tests the delta_1 entries (k, l) on the set of
 weights a derivation reaches, where the package's _normalize tests each
 component against delta_0 as it walks the maps.  The argv oracle is the argparse parser that
@@ -25,8 +26,7 @@ import argparse
 import re
 from fractions import Fraction
 
-from truncpoisson import AlgebraElement, Derivation, TruncParams, cli, hamiltonian, multiply
-from truncpoisson.checks import random_rational
+from truncpoisson import AlgebraElement, Derivation, TruncParams, TwistParams, cli, hamiltonian, multiply
 from truncpoisson.cochain import chi1_index_pairs
 
 
@@ -115,6 +115,16 @@ def disjoint_union(maps) -> dict:
         assert not union.keys() & m.keys()
         union.update(m)
     return union
+
+
+def random_rational(rng) -> Fraction:
+    """n/d with n = rng.randint(-9, 9) and then d = rng.randint(1, 9)."""
+    return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+
+
+def random_twist(rng) -> TwistParams:
+    """The twist (alpha, beta) of two random_rational draws, alpha first."""
+    return TwistParams(random_rational(rng), random_rational(rng))
 
 
 def random_element(p: TruncParams, rng, terms: int = 4) -> AlgebraElement:

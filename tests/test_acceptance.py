@@ -30,12 +30,11 @@ from truncpoisson import (
     omega_dims,
     ring_table,
 )
-from truncpoisson.checks import random_twist
 from truncpoisson.linalg import solve
 
 import dense
 from dense import to_vector
-from oracles import random_cocycle, random_derivation, random_element
+from oracles import random_cocycle, random_derivation, random_element, random_twist
 
 GRID = [(a, b) for a in range(2, 11) for b in range(2, 11)]
 SMALL_GRID = [(a, b) for a in range(2, 7) for b in range(2, 7)]

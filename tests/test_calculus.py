@@ -23,6 +23,12 @@ the package's kernels.  dim M_k - dim (I*M)_k, with I spanned by t, v, w and
 m, counts the module's generators in degree k.  At the Nakayama twist nu =
 (1-b, a-1), where HP_k(A_nu) is dual to HP^k, the counts are (1, 0, 1): the
 dual of the ring is generated by the duals of its socle t and m.
+
+Under tests/test_duality_pairing.py's pairing of cochains with chains, cup
+and contraction are adjoint: <Q cup P, c> = (-1)^(|P||Q|) <Q, iota_P c>.
+So at nu, where the pairing of cohomology's and homology's representatives
+is a permutation matrix, contraction by a class acts on the dual basis of
+HP_*(A_nu) by the transpose of the product by that class in HP^*.
 """
 
 import random
@@ -30,11 +36,13 @@ from fractions import Fraction
 
 import pytest
 
-from truncpoisson import AlgebraElement, Biderivation, Derivation, TruncParams, TwistParams, cohomology, multiply
+from truncpoisson import AlgebraElement, Biderivation, Derivation, TruncParams, TwistParams, cohomology, cup
+from truncpoisson import fibre_product_table, homology, multiply
 from truncpoisson.chain import DX, DY
 from truncpoisson.cochain import chi1_index_pairs, cochain_degree, hamiltonian
 
 import dense
+from test_duality_pairing import by_form, cochain_keys, keyed, pairing
 
 SIZES = [TruncParams(a, b) for a in range(2, 6) for b in range(2, 6)]
 IDS = [f"{p.a}x{p.b}" for p in SIZES]
@@ -218,3 +226,107 @@ def test_generator_counts_of_the_homology_module(p):
     ideal = reps(p)[1:]
     for name, t in named_twists(p).items():
         assert Complex(p, t).generator_counts(ideal) == expected[name], name
+
+
+PAIRING_SIZES = [TruncParams(a, b) for a in range(2, 5) for b in range(2, 5)]
+PAIRING_IDS = [f"{p.a}x{p.b}" for p in PAIRING_SIZES]
+
+
+def pairing_table(p: TruncParams, k: int) -> dict:
+    """{cochain key: {chain key: <e, c>}} on the degree-k bases, nonzero values: test_duality_pairing's pairing."""
+    chains = [(c, by_form(p, {c: 1})) for c in dense.chain_basis(p, k)]
+    return {e: {c: x for c, chain in chains if (x := pairing(by_form(p, {e: 1}), chain))} for e in cochain_keys(p, k)}
+
+
+def transpose(table: dict) -> dict:
+    """{chain key: {cochain key: <e, c>}} from pairing_table's {cochain key: {chain key: <e, c>}}."""
+    out: dict = {}
+    for e, row in table.items():
+        for c, x in row.items():
+            out.setdefault(c, {})[e] = x
+    return out
+
+
+def pair(table: dict, phi: dict, z: dict) -> Fraction:
+    """<phi, z> for a cochain and a chain of one degree as keyed maps, from that degree's pairing_table."""
+    return sum((x * z.get(c, 0) for c, x in apply(table, phi).items()), Fraction(0))
+
+
+def basis_cochains(p: TruncParams) -> list:
+    """The cochain bases by degree: the monomials, d_{i,j} and d'_{i,j}, and f_{i,j}."""
+    return [
+        [AlgebraElement.monomial(p, i, j) for i, j in p.monomials()],
+        dense.chi1_basis(p),
+        [Biderivation.basis_f(p, i, j) for i in range(1, p.a) for j in range(1, p.b)],
+    ]
+
+
+@pytest.mark.parametrize("p", PAIRING_SIZES, ids=PAIRING_IDS)
+def test_cup_and_contraction_are_adjoint_under_the_pairing(p):
+    """<Q cup P, c> = (-1)^(|P||Q|) <Q, iota_P c> for basis cochains P, Q with |P| + |Q| <= 2 and basis chains c.
+
+    With a function f as P or Q, cup is the product by f and iota_f the
+    product of each form's coefficient by f, so both sides are the same
+    sum: eps(f*g*m) in degree 0, eps(m*f*D(X)) + eps(n*f*D(Y)) on m dX + n
+    dY, and eps(m*f*B(X, Y)) on m dX^dY.  The sign is +.  With two
+    derivations, c = m dX^dY: iota_P c = m P(X) dY - m P(Y) dX, so <Q,
+    iota_P c> = eps(m*(P(X) Q(Y) - P(Y) Q(X))), while cup's convention
+    (Q cup P)(X, Y) = Q(X) P(Y) - Q(Y) P(X) gives <Q cup P, c> the opposite
+    value: the sign is -1 = (-1)^(1*1).  The pairing and the contraction
+    take no twist, so this holds for the chains of A_nu as of every A_t.
+    """
+    basis = basis_cochains(p)
+    tables = [pairing_table(p, k) for k in range(3)]
+    by_chain = [transpose(table) for table in tables]
+    for P in (P for degree in basis for P in degree):
+        dp, iota = cochain_degree(P), contractions(P)
+        for dq in range(3 - dp):
+            k, sign = dp + dq, (-1) ** (dp * dq)
+            # {q: {c: sign * <e_q, iota_P c>}} over the basis cochains e_q of degree dq
+            right: dict = {}
+            for c in dense.chain_basis(p, k):
+                for q, x in apply(by_chain[dq], iota[k][c]).items():
+                    right.setdefault(q, {})[c] = sign * x
+            for Q in basis[dq]:
+                (q,) = keyed(Q)
+                assert apply(tables[k], keyed(cup(Q, P))) == right.get(q, {}), (P, Q)
+
+
+@pytest.mark.parametrize("p", PAIRING_SIZES, ids=PAIRING_IDS)
+def test_contraction_table_at_nu_is_the_transpose_of_the_ring_table(p):
+    """iota of the class e_i on the dual of e_s is sum_l T[i][l][s] times the dual of e_l, T = fibre_product_table().
+
+    The dual of e_s is the representative of homology(p, nu) that pairs to
+    1 with e_s and to 0 with the other classes of its degree.  The
+    coordinates of iota_(e_i) of it are read by the pairing, and its
+    difference from their sum is checked to be a boundary at nu.  By the
+    adjunction above, <e_l, iota_(e_i) c> = (-1)^(|e_i||e_l|) <e_l cup e_i,
+    c>, which is T[l][i][s] up to that sign on the dual c of e_s, and
+    T[i][l][s] by graded commutativity: contraction is the transpose of the
+    product, under the pairing's permutation of the representatives.
+    """
+    nu, table = TwistParams.nakayama(p), fibre_product_table()
+    classes = reps(p)
+    degrees = [cochain_degree(e) for e in classes]
+    tables = [pairing_table(p, k) for k in range(3)]
+    boundary = Complex(p, nu).boundary
+    boundaries = [list(boundary[k + 1].values()) if k < 2 else [] for k in range(3)]
+    chain_reps = homology(p, nu).representatives
+    picks = []
+    for e, k in zip(classes, degrees):
+        values = [pair(tables[k], keyed(e), keyed(h)) for h in chain_reps[k]]
+        assert sorted(values) == [0] * (len(values) - 1) + [1], e
+        picks.append((k, values.index(1)))
+    assert len(set(picks)) == len(classes)  # a permutation of the representatives
+    dual = [keyed(chain_reps[k][n]) for k, n in picks]
+    for i, P in enumerate(classes):
+        iota = contractions(P)
+        for s, c in enumerate(dual):
+            k = degrees[s] - degrees[i]
+            z = apply(iota[degrees[s]], c) if k >= 0 else {}
+            coordinates = [pair(tables[k], keyed(e), z) if degrees[l] == k else 0 for l, e in enumerate(classes)]
+            assert coordinates == [table[i][l][s] for l in range(len(classes))], (i, s)
+            rest = z
+            for l, x in enumerate(coordinates):
+                rest = axpy(rest, -x, dual[l])
+            assert not rest or rank(boundaries[k] + [rest]) == rank(boundaries[k]), (i, s)

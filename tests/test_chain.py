@@ -17,10 +17,11 @@ from truncpoisson import (
 )
 from truncpoisson import chain, checks
 from truncpoisson.chain import DX, DXDY, DY, omega2_indices
-from truncpoisson.checks import check_boundary_complex, random_twist
+from truncpoisson.checks import check_boundary_complex
 
 import dense
 from dense import chain_from_vector, to_vector
+from oracles import random_twist
 
 
 def count_basis_directly(a, b):
@@ -236,8 +237,8 @@ def test_boundary_check_evaluates_its_rational_twists_at_their_scale(monkeypatch
     The mutant's entries have the constants -alpha - 1 and beta - 1 where
     _boundary2_into's have -alpha - scale and beta - scale.  At an integer
     twist the scale is 1, so the mutation changes nothing and every integer
-    twist still passes; only the random rational twists, cleared of their
-    denominators, can expose it.
+    twist still passes; only the spot twists, drawn at a common denominator
+    D > 1, can expose it.
     """
 
     def unscaled(on_dx, on_dy, p, alpha, beta, scale, z):

@@ -20,12 +20,7 @@ from truncpoisson import (
 )
 from truncpoisson import chain, checks, cochain
 from truncpoisson.chain import TwistParams, omega2_indices
-from truncpoisson.checks import (
-    _below,
-    _random_derivation_maps,
-    random_rational,
-    random_twist,
-)
+from truncpoisson.checks import _below, _random_derivation_maps, _spot_twist
 from truncpoisson.algebra import _bracket_into, _multiply_into, _shift_into
 from truncpoisson.cochain import fibre_product_table
 from truncpoisson.linalg import Matrix, column_space, solve
@@ -41,6 +36,7 @@ from oracles import (
     random_cocycle,
     random_derivation,
     random_element,
+    random_rational,
 )
 
 
@@ -259,7 +255,7 @@ def test_delta_complex_check_fails_when_delta1_drops_a_term(monkeypatch, dropped
 
 
 def scaled_twist(t: TwistParams) -> tuple[int, int, int]:
-    """(D*alpha, D*beta, D) with D = lcm(den alpha, den beta), as check_boundary_complex scales a twist."""
+    """(D*alpha, D*beta, D) with D = lcm(den alpha, den beta): a twist as check_boundary_complex's kernels take it."""
     scale = math.lcm(t.alpha.denominator, t.beta.denominator)
     return int(t.alpha * scale), int(t.beta * scale), scale
 
@@ -422,7 +418,7 @@ def test_verify_details_print_the_draws_it_makes(monkeypatch):
 
     Only the boundary check draws twists: check_euler's rational twist is fixed.
     """
-    counts = {name: 0 for name in ("random_twist", "_random_map", "_random_derivation_maps")}
+    counts = {name: 0 for name in ("_spot_twist", "_random_map", "_random_derivation_maps")}
 
     def spy(name):
         draw = getattr(checks, name)
@@ -437,7 +433,7 @@ def test_verify_details_print_the_draws_it_makes(monkeypatch):
         monkeypatch.setattr(checks, name, spy(name))
     details = {r.name: r.detail for r in checks.run_verify(TruncParams(8, 8))}
     assert counts == {
-        "random_twist": checks.BOUNDARY_RANDOM_TWISTS,
+        "_spot_twist": checks.BOUNDARY_RANDOM_TWISTS,
         "_random_map": 3 * checks.LEIBNIZ_TRIPLES + checks.NORMALIZATION_COCYCLES,
         "_random_derivation_maps": checks.PREDICATE_RANDOM_DERIVATIONS,
     }
@@ -448,10 +444,12 @@ def test_verify_details_print_the_draws_it_makes(monkeypatch):
 
 
 def test_verify_draws_keep_the_randint_and_choice_streams(monkeypatch):
-    """verify's rational, twist and Jacobi draws make the getrandbits calls of their randint/choice forms.
+    """verify's twist and Jacobi draws make the getrandbits calls of their randint/choice forms.
 
-    Each comparison ends with rng.random() == twin.random(), so the two
-    streams are also consumed to the same point.
+    Each _spot_twist triple (D*alpha, D*beta, D) is the twist of two
+    random_rational draws, rng.randint(-9, 9) / rng.randint(1, 9) each, at
+    a common denominator.  Each comparison ends with rng.random() ==
+    twin.random(), so the two streams are also consumed to the same point.
     """
     for n in (1, 2, 9, 19, 36, 81, 90):
         rng, twin, choices = (random.Random(f"below:{n}") for _ in range(3))
@@ -460,28 +458,12 @@ def test_verify_draws_keep_the_randint_and_choice_streams(monkeypatch):
             assert r == twin.randrange(n) == choices.choice(range(n))
         assert rng.random() == twin.random() == choices.random()
 
-    def old_rational(rng):
-        return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-
-    rng, twin = random.Random("rational"), random.Random("rational")
-    for _ in range(200):
-        assert random_rational(rng) == old_rational(twin)
-    assert rng.random() == twin.random()
-
     rng, twin = random.Random("twist"), random.Random("twist")
-    for _ in range(100):
-        assert random_twist(rng) == TwistParams(old_rational(twin), old_rational(twin))
+    for _ in range(200):
+        alpha, beta, scale = _spot_twist(rng.getrandbits)
+        assert scale >= 1
+        assert (Fraction(alpha, scale), Fraction(beta, scale)) == (random_rational(twin), random_rational(twin))
     assert rng.random() == twin.random()
-
-    for a, b in [(2, 2), (3, 5), (7, 4)]:
-        p = TruncParams(a, b)
-        rng, twin = random.Random(f"element:{a}:{b}"), random.Random(f"element:{a}:{b}")
-        for _ in range(50):
-            coeffs = {}
-            for _ in range(4):
-                coeffs[(twin.randrange(a), twin.randrange(b))] = old_rational(twin)
-            assert random_element(p, rng) == AlgebraElement(p, coeffs)
-        assert rng.random() == twin.random()
 
     # 6x6, 9x4 and 5x13 read the bracket table; 11x12 brackets each sampled pair
     for a, b in [(6, 6), (9, 4), (5, 13), (11, 12)]:

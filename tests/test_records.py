@@ -284,17 +284,37 @@ def test_dense_reference_is_importable_but_not_exported():
         exec("from truncpoisson import Matrix", {})
 
 
+def imported_modules(path: Path):
+    """(line, modules) for each import in the file: a from-import names its module and each module.name.
+
+    ast.walk reaches function bodies and TYPE_CHECKING blocks too.
+    """
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        if isinstance(node, ast.Import):
+            yield node.lineno, [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            yield node.lineno, [node.module or ""] + [f"{node.module or ''}.{alias.name}" for alias in node.names]
+
+
 def test_no_package_module_imports_linalg():
-    # ast.walk reaches function bodies and TYPE_CHECKING blocks too
     for path in sorted((SRC / "truncpoisson").glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
-            if isinstance(node, ast.Import):
-                modules = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                modules = [node.module or ""] + [f"{node.module or ''}.{alias.name}" for alias in node.names]
-            else:
-                continue
-            assert not any("linalg" in module.split(".") for module in modules), (path.name, node.lineno)
+        for line, modules in imported_modules(path):
+            assert not any("linalg" in module.split(".") for module in modules), (path.name, line)
+
+
+def test_no_test_helper_imports_the_checks_it_helps_check():
+    """The oracles and reference builders under tests/ share no code with verify's checks.
+
+    A name that truncpoisson loads from checks on first access (run_verify)
+    counts as an import of truncpoisson.checks.
+    """
+    helpers = sorted(path for path in Path(__file__).parent.glob("*.py") if not path.name.startswith("test_"))
+    assert {"oracles.py", "dense.py", "hochschild.py", "twist_grammar.py"} <= {path.name for path in helpers}
+    for path in helpers:
+        for line, modules in imported_modules(path):
+            lazy = [f"truncpoisson.{truncpoisson._MODULE_OF.get(m.rpartition('.')[2])}" for m in modules
+                    if m.startswith("truncpoisson.")]
+            assert "truncpoisson.checks" not in modules + lazy, (path.name, line)
 
 
 def test_package_runs_from_src_alone(tmp_path):
